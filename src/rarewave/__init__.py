@@ -6,6 +6,8 @@ transport residuals, sign conditions, scaling laws and weighted energies
 against exact 1D solutions.
 """
 
+__version__ = "0.1.0"  # before the submodule imports: the run cache keys on it
+
 from .gas import (PolytropicGas, PrimitiveState, RiemannInvariants, enthalpy,
                   from_invariants, sound_speed, to_invariants)
 from .riemann1d import (CenteredFan, RiemannProblem1D, WaveFan, centered_fan,
@@ -20,5 +22,3 @@ from .geometry import (Foliation, SecondFrame, commutation_residual_y,
 from .energies import (EnergyAnalysis, EnergyReport, FrameDerivativeOp, GronwallInstance,
                        check_data_predicates, fit_gronwall_constants, gronwall_verify)
 from .harness import RunConfig, StudySpec, parse_config, run_single, run_study
-
-__version__ = "0.1.0"

@@ -15,8 +15,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _d1, _d2
-from .geometry import Foliation, semi_lagrangian
+from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
+from .geometry import (Foliation, bilinear_sample, directional_derivative,
+                       generator_velocity, semi_lagrangian)
 
 __all__ = [
     "FrameDerivativeOp",
@@ -28,11 +29,9 @@ __all__ = [
     "region_weights",
     "LevelCurve",
     "extract_level_curve",
-    "bilinear_sample",
     "level_curve_integral",
     "energy_outgoing",
     "energy_incoming",
-    "ring_energy_integrand",
     "apply_frame_derivative",
     "words_of_order",
     "EnergyAnalysis",
@@ -48,17 +47,61 @@ ORDER_CAP = 3
 # ---------------------------------------------------------------------------
 # quadrature over the tracked band
 
+def _cell_span(u: np.ndarray, grid: Grid) -> np.ndarray:
+    """Linearized variation of u across each cell."""
+    du = np.abs(_d1(u, grid.dx1)) * grid.dx1 + np.abs(_d2(u, grid.dx2)) * grid.dx2
+    return np.maximum(du, 1e-300)
+
+
+def _band_weights(u: np.ndarray, du: np.ndarray, u_min: float, u_max: float,
+                  grid: Grid) -> np.ndarray:
+    f_hi = np.clip(0.5 + (u_max - u) / du, 0.0, 1.0)
+    f_lo = np.clip(0.5 + (u - u_min) / du, 0.0, 1.0)
+    return f_hi * f_lo * (grid.dx1 * grid.dx2)
+
+
 def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.ndarray:
     """Cell area weights for the region {u_min <= u <= u_max}.
 
     Partial cells are weighted by the inside fraction of the linearized u,
     which keeps the quadrature monotone in u_max.
     """
-    du = np.abs(_d1(u, grid.dx1)) * grid.dx1 + np.abs(_d2(u, grid.dx2)) * grid.dx2
-    du = np.maximum(du, 1e-300)
-    f_hi = np.clip(0.5 + (u_max - u) / du, 0.0, 1.0)
-    f_lo = np.clip(0.5 + (u - u_min) / du, 0.0, 1.0)
-    return f_hi * f_lo * (grid.dx1 * grid.dx2)
+    return _band_weights(u, _cell_span(u, grid), u_min, u_max, grid)
+
+
+def _outgoing_density(kappa, c, l_psi, x_psi):
+    """kappa (L psi)^2 / c^2 + kappa (X psi)^2."""
+    return kappa * (l_psi / c) ** 2 + kappa * x_psi ** 2
+
+
+def _incoming_density(kappa, c, l_psi, x_psi, t_psi):
+    """[(Lbar psi)^2 + kappa^2 (X psi)^2] / kappa with Lbar = (kappa/c) L + 2 T,
+    T = kappa That.grad."""
+    lbar = (kappa / c) * l_psi + 2.0 * t_psi
+    return (lbar ** 2 + kappa ** 2 * x_psi ** 2) / kappa
+
+
+def _flux_densities(kappa, c, l_psi, x_psi):
+    """Outgoing and incoming flux densities kappa (L psi)^2 / c and c kappa (X psi)^2."""
+    return kappa / c * l_psi ** 2, c * kappa * x_psi ** 2
+
+
+def _x_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
+    """Xhat f."""
+    return directional_derivative(f, fol.xhat1, fol.xhat2, fol.grid)
+
+
+def _t_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
+    """T f = kappa That.grad f."""
+    return fol.kappa * directional_derivative(f, fol.that1, fol.that2, fol.grid)
+
+
+def _band_energy(fol: Foliation, density: np.ndarray, u_max: float, u_min: float,
+                 valid: Optional[np.ndarray]) -> float:
+    w = region_weights(fol.u, u_min, u_max, fol.grid)
+    if valid is not None:
+        w = w * valid
+    return 0.5 * float(np.sum(w * density))
 
 
 def energy_outgoing(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.ndarray,
@@ -68,13 +111,8 @@ def energy_outgoing(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.nd
 
     Cartesian form: (1/2) integral of kappa (L psi)^2 / c^2 + kappa (Xhat psi)^2.
     """
-    grid = fol.grid
-    xpsi = fol.xhat1 * _d1(psi, grid.dx1) + fol.xhat2 * _d2(psi, grid.dx2)
-    w = region_weights(fol.u, u_min, u_max, grid)
-    if valid is not None:
-        w = w * valid
-    integrand = fol.kappa * (l_psi / c) ** 2 + fol.kappa * xpsi ** 2
-    return 0.5 * float(np.sum(w * integrand))
+    xpsi = _x_derivative(fol, psi)
+    return _band_energy(fol, _outgoing_density(fol.kappa, c, l_psi, xpsi), u_max, u_min, valid)
 
 
 def energy_incoming(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.ndarray,
@@ -83,24 +121,9 @@ def energy_incoming(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.nd
     """Incoming-multiplier energy: (1/2) integral of [(Lbar psi)^2
     + kappa^2 (Xhat psi)^2] / kappa, with Lbar = (kappa/c) L + 2 kappa That.grad.
     """
-    grid = fol.grid
-    d1psi, d2psi = _d1(psi, grid.dx1), _d2(psi, grid.dx2)
-    xpsi = fol.xhat1 * d1psi + fol.xhat2 * d2psi
-    tpsi = fol.kappa * (fol.that1 * d1psi + fol.that2 * d2psi)
-    lbar = (fol.kappa / c) * l_psi + 2.0 * tpsi
-    w = region_weights(fol.u, u_min, u_max, grid)
-    if valid is not None:
-        w = w * valid
-    integrand = (lbar ** 2 + fol.kappa ** 2 * xpsi ** 2) / fol.kappa
-    return 0.5 * float(np.sum(w * integrand))
-
-
-def ring_energy_integrand(fol: Foliation, c: np.ndarray, wbar: np.ndarray,
-                          l_wbar: np.ndarray) -> np.ndarray:
-    """Cartesian integrand of the special order-0 energy of wbar:
-    kappa (L wbar)^2 / c^2 + kappa (d2 wbar)^2."""
-    xr = _d2(wbar, fol.grid.dx2)
-    return fol.kappa * (l_wbar / c) ** 2 + fol.kappa * xr ** 2
+    density = _incoming_density(fol.kappa, c, l_psi, _x_derivative(fol, psi),
+                                _t_derivative(fol, psi))
+    return _band_energy(fol, density, u_max, u_min, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +141,11 @@ class LevelCurve:
     def total_length(self) -> float:
         return float(self.lengths.sum())
 
-
-def bilinear_sample(f: np.ndarray, x1p: np.ndarray, x2p: np.ndarray, grid: Grid) -> np.ndarray:
-    """Bilinear interpolation of a cell-centered field, periodic in x2,
-    clamped in x1."""
-    s = (x1p - grid.x1[0]) / grid.dx1
-    i0 = np.clip(np.floor(s).astype(int), 0, grid.n1 - 2)
-    fi = np.clip(s - i0, 0.0, 1.0)
-    r = x2p / grid.dx2 - 0.5
-    j0 = np.floor(r).astype(int)
-    fj = r - j0
-    j0 = np.mod(j0, grid.n2)
-    j1 = np.mod(j0 + 1, grid.n2)
-    return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
-            + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
+    def integral(self, g: np.ndarray, grid: Grid) -> float:
+        """Line integral of the cell-centered field g along the curve."""
+        if self.lengths.size == 0:
+            return 0.0
+        return float(np.sum(self.lengths * bilinear_sample(g, self.mid_x1, self.mid_x2, grid)))
 
 
 def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
@@ -206,11 +220,7 @@ def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
 
 def level_curve_integral(u: np.ndarray, level: float, g: np.ndarray, grid: Grid) -> float:
     """Line integral of g over {u = level}."""
-    curve = extract_level_curve(u, level, grid)
-    if curve.lengths.size == 0:
-        return 0.0
-    vals = bilinear_sample(g, curve.mid_x1, curve.mid_x2, grid)
-    return float(np.sum(curve.lengths * vals))
+    return extract_level_curve(u, level, grid).integral(g, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +292,6 @@ class EnergyReport:
     epsilon: float
     rows: List[EnergyRow] = field(default_factory=list)
 
-    def lookup(self, psi: str, n: int, t: float, u: float) -> EnergyRow:
-        for r in self.rows:
-            if (r.psi == psi and r.n == n
-                    and abs(r.t - t) < 1e-9 and abs(r.u - u) < 1e-9):
-                return r
-        raise KeyError(f"no row ({psi}, n={n}, t={t}, u={u})")
-
 
 @dataclass
 class _WordSeries:
@@ -310,9 +313,9 @@ class EnergyAnalysis:
     (invariant, word), reusing the u-independent integrands for every
     requested band value, so memory stays at a few planes.
 
-    With project_fluctuations (the default), fields entering the order >= 1
-    energies and the special tangential-stencil energy of wbar are reduced
-    to their x2-fluctuation parts.  The removed x2-mean parts vanish in the
+    Fields entering the order >= 1 energies and the special
+    tangential-stencil energy of wbar are reduced to their x2-fluctuation
+    parts.  The removed x2-mean parts vanish in the
     continuum to the quadratic order in the perturbation amplitude, but at
     finite resolution they carry the x2-independent background error of the
     underlying 1D profile, which would otherwise mask the amplitude scaling
@@ -320,7 +323,7 @@ class EnergyAnalysis:
     """
 
     def __init__(self, snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
-                 u_min: float = 0.0, project_fluctuations: bool = True):
+                 u_min: float = 0.0):
         if len(snapshots) != len(foliations):
             raise ValueError("snapshot/foliation sequences differ in length")
         if len(snapshots) < 2:
@@ -331,7 +334,6 @@ class EnergyAnalysis:
         self.gas = snapshots[0].gas
         self.times = [s.time for s in snapshots]
         self.u_min = u_min
-        self.project_fluctuations = project_fluctuations
         self._curves: Dict[Tuple[int, float], LevelCurve] = {}
         self._du_cell: Dict[int, np.ndarray] = {}
 
@@ -344,16 +346,14 @@ class EnergyAnalysis:
     def derived_fields(self, psi: str, op: FrameDerivativeOp):
         fields, valid = apply_frame_derivative(op, self.invariant_fields(psi),
                                                self.times, self.grid)
-        if op.order >= 1 and self.project_fluctuations:
-            fields = [f - f.mean(axis=1, keepdims=True) for f in fields]
+        if op.order >= 1:
+            fields = [_project(f) for f in fields]
         return fields, valid
 
     def l_derivative(self, fields: Sequence[np.ndarray], k: int):
         """First-frame generator derivative of a field sequence at time k."""
         k0, k1 = (k, k + 1) if k + 1 < len(self.snapshots) else (k - 1, k)
-        s, f = self.snapshots[k0], self.foliations[k0]
-        a1 = s.v1 - s.c * f.that1
-        a2 = s.v2 - s.c * f.that2
+        a1, a2 = generator_velocity(self.snapshots[k0], self.foliations[k0])
         return semi_lagrangian(fields[k0], fields[k1], a1, a2,
                                self.times[k0], self.times[k1], self.grid)
 
@@ -363,24 +363,11 @@ class EnergyAnalysis:
             self._curves[key] = extract_level_curve(self.foliations[k].u, level, self.grid)
         return self._curves[key]
 
-    def _curve_value(self, k: int, level: float, g: np.ndarray) -> float:
-        curve = self.curve(k, level)
-        if curve.lengths.size == 0:
-            return 0.0
-        return float(np.sum(curve.lengths * bilinear_sample(g, curve.mid_x1, curve.mid_x2,
-                                                            self.grid)))
-
     def _weights(self, k: int, u_max: float) -> np.ndarray:
-        if k not in self._du_cell:
-            u = self.foliations[k].u
-            du = np.abs(_d1(u, self.grid.dx1)) * self.grid.dx1 \
-                + np.abs(_d2(u, self.grid.dx2)) * self.grid.dx2
-            self._du_cell[k] = np.maximum(du, 1e-300)
         u = self.foliations[k].u
-        du = self._du_cell[k]
-        f_hi = np.clip(0.5 + (u_max - u) / du, 0.0, 1.0)
-        f_lo = np.clip(0.5 + (u - self.u_min) / du, 0.0, 1.0)
-        return f_hi * f_lo * (self.grid.dx1 * self.grid.dx2)
+        if k not in self._du_cell:
+            self._du_cell[k] = _cell_span(u, self.grid)
+        return _band_weights(u, self._du_cell[k], self.u_min, u_max, self.grid)
 
     # -- single-point evaluations (tests, spot checks) -----------------------
 
@@ -401,19 +388,15 @@ class EnergyAnalysis:
             ebar_tot += ebar
         return e_tot, ebar_tot
 
-    def _project(self, a: np.ndarray) -> np.ndarray:
-        if self.project_fluctuations:
-            return a - a.mean(axis=1, keepdims=True)
-        return a
-
     def ring_energy0(self, k: int, u_max: float) -> float:
-        """Special order-0 energy of wbar (Cartesian tangential stencil)."""
+        """Special order-0 energy of wbar, the outgoing energy with the
+        Cartesian tangential stencil d2 in place of Xhat."""
         fields = self.invariant_fields("wbar")
         lw, lmask = self.l_derivative(fields, k)
         fol, c = self.foliations[k], self.snapshots[k].c
         w = self._weights(k, u_max) * lmask
-        return 0.5 * float(np.sum(
-            w * ring_energy_integrand(fol, c, fields[k], self._project(lw))))
+        return 0.5 * float(np.sum(w * _outgoing_density(
+            fol.kappa, c, _project(lw), _d2(fields[k], self.grid.dx2))))
 
     # -- series evaluation ----------------------------------------------------
 
@@ -429,34 +412,31 @@ class EnergyAnalysis:
             fol, c = self.foliations[k], self.snapshots[k].c
             lpsi, lmask = self.l_derivative(fields, k)
             ok = (valid & lmask).astype(float)
-            d1psi = _d1(fields[k], self.grid.dx1)
-            d2psi = _d2(fields[k], self.grid.dx2)
-            xpsi = fol.xhat1 * d1psi + fol.xhat2 * d2psi
-            tpsi = fol.kappa * (fol.that1 * d1psi + fol.that2 * d2psi)
-            lbar = (fol.kappa / c) * lpsi + 2.0 * tpsi
-            int_e = (fol.kappa * (lpsi / c) ** 2 + fol.kappa * xpsi ** 2) * ok
-            int_ebar = ((lbar ** 2 + fol.kappa ** 2 * xpsi ** 2) / fol.kappa) * ok
-            g_f = fol.kappa / c * lpsi ** 2
-            g_fbar = c * fol.kappa * xpsi ** 2
+            xpsi = _x_derivative(fol, fields[k])
+            int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
+            int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi,
+                                         _t_derivative(fol, fields[k])) * ok
+            g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
             if with_ring:
-                lfluct = self._project(lpsi)
-                int_ring = ring_energy_integrand(fol, c, fields[k], lfluct) * ok
-                g_ring = fol.kappa / c * lfluct ** 2 + c * fol.kappa * d2psi ** 2
+                lfluct = _project(lpsi)
+                d2psi = _d2(fields[k], self.grid.dx2)
+                int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
+                g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
+                g_ring = g_ring_l + g_ring_x
             for u in u_values:
                 w = self._weights(k, u)
                 ser = out[u]
                 ser.E[k] = 0.5 * float(np.sum(w * int_e))
                 ser.Ebar[k] = 0.5 * float(np.sum(w * int_ebar))
-                ser.line_F[k] = self._curve_value(k, u, g_f)
-                ser.line_Fbar[k] = self._curve_value(k, u, g_fbar)
+                ser.line_F[k] = self.curve(k, u).integral(g_f, self.grid)
+                ser.line_Fbar[k] = self.curve(k, u).integral(g_fbar, self.grid)
                 if with_ring:
                     ser.E_ring[k] = 0.5 * float(np.sum(w * int_ring))
-                    ser.line_F_ring[k] = self._curve_value(k, u, g_ring)
+                    ser.line_F_ring[k] = self.curve(k, u).integral(g_ring, self.grid)
         return out
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
-               u_values: Sequence[float], epsilon: float,
-               with_fluxes: bool = True) -> EnergyReport:
+               u_values: Sequence[float], epsilon: float) -> EnergyReport:
         rep = EnergyReport(epsilon=epsilon)
         ts = np.asarray(self.times)
         for psi in psis:
@@ -474,27 +454,24 @@ class EnergyAnalysis:
                             acc[u].line_F += ser.line_F
                             acc[u].line_Fbar += ser.line_Fbar
                 for u, ser in acc.items():
-                    F = _prefix_trapezoid(ser.line_F, ts)
-                    Fbar = _prefix_trapezoid(ser.line_Fbar, ts)
-                    Fring = (_prefix_trapezoid(ser.line_F_ring, ts)
+                    F = _cum_trapezoid(ser.line_F, ts, axis=0)
+                    Fbar = _cum_trapezoid(ser.line_Fbar, ts, axis=0)
+                    Fring = (_cum_trapezoid(ser.line_F_ring, ts, axis=0)
                              if ser.line_F_ring is not None else None)
                     for k in t_indices:
                         row = EnergyRow(self.times[k], u, psi, n,
                                         float(ser.E[k]), float(ser.Ebar[k]),
-                                        float(F[k]) if with_fluxes else float("nan"),
-                                        float(Fbar[k]) if with_fluxes else float("nan"))
+                                        float(F[k]), float(Fbar[k]))
                         if ser.E_ring is not None:
                             row.E0ring = float(ser.E_ring[k])
-                            row.F0ring = float(Fring[k]) if with_fluxes else float("nan")
+                            row.F0ring = float(Fring[k])
                         rep.rows.append(row)
         return rep
 
 
-def _prefix_trapezoid(vals: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vals)
-    if len(ts) > 1:
-        out[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))
-    return out
+def _project(a: np.ndarray) -> np.ndarray:
+    """x2-fluctuation part of a field."""
+    return a - a.mean(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +483,6 @@ class PredicateLine:
     measured: float
     scale: float
     passed: bool
-
-
-def euler_l_derivatives(field: FlowField):
-    """Generator derivatives of the invariants at one time from the diagonal
-    system (no time differencing required)."""
-    grid = field.grid
-    wbar, w, psi2 = field.invariants()
-    c = field.c
-    l_wbar = 0.5 * c * _d2(psi2, grid.dx2)
-    l_w = 2.0 * c * _d1(w, grid.dx1) + 0.5 * c * _d2(psi2, grid.dx2)
-    l_psi2 = c * _d1(psi2, grid.dx1) + c * _d2(wbar + w, grid.dx2)
-    return {"wbar": l_wbar, "w": l_w, "psi2": l_psi2}
 
 
 def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delta: float,
@@ -542,28 +507,25 @@ def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delt
         return float(np.max(np.abs(a[mask])))
 
     lines: List[PredicateLine] = []
-    l_ders = euler_l_derivatives(field)
     wbar, w, psi2 = field.invariants()
     c = field.c
     shift1 = -c * (fol.that1 + 1.0)
     shift2 = -c * fol.that2
     for name, arr in (("wbar", wbar), ("w", w), ("psi2", psi2)):
-        lpsi = l_ders[name] + shift1 * _d1(arr, grid.dx1) + shift2 * _d2(arr, grid.dx2)
-        xpsi = fol.xhat1 * _d1(arr, grid.dx1) + fol.xhat2 * _d2(arr, grid.dx2)
+        # generator derivative from the diagonal system: no time differencing
+        lpsi = diagonal_rhs(name, c, wbar, w, psi2, grid) + shift1 * _d1(arr, grid.dx1) + shift2 * _d2(arr, grid.dx2)
+        xpsi = _x_derivative(fol, arr)
         v = sup(lpsi)
         lines.append(PredicateLine(f"sup|L {name}|", v, epsilon, v <= cap * (epsilon + floor)))
         v = sup(xpsi)
         lines.append(PredicateLine(f"sup|Xhat {name}|", v, epsilon, v <= cap * (epsilon + floor)))
 
-    def t_deriv(a):
-        return fol.kappa * (fol.that1 * _d1(a, grid.dx1) + fol.that2 * _d2(a, grid.dx2))
-
     scale_td = epsilon * delta
     for name, arr in (("w", w), ("psi2", psi2)):
-        v = sup(t_deriv(arr))
+        v = sup(_t_derivative(fol, arr))
         lines.append(PredicateLine(f"sup|T {name}|", v, scale_td,
                                    v <= cap * (scale_td + floor * delta)))
-    anomaly = sup(t_deriv(wbar) + 2.0 / (g + 1.0))
+    anomaly = sup(_t_derivative(fol, wbar) + 2.0 / (g + 1.0))
     lines.append(PredicateLine("sup|T wbar + 2/(gamma+1)|", anomaly, scale_td,
                                anomaly <= cap * (scale_td + floor)))
 

@@ -2,8 +2,7 @@
 
 The domain is x1 in [x1_min, x1_max] with frozen far-field ghost states,
 x2 in [0, 2*pi) periodic.  Conserved variables are (rho, rho*v1, rho*v2)
-with pressure p = k0 * rho**gamma.  Fluxes: Rusanov (default) or HLL;
-time integrators: forward Euler or SSP-RK2.
+with pressure p = k0 * rho**gamma.  Rusanov fluxes, SSP-RK2 time stepping.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ __all__ = [
     "max_signal_speed",
     "step",
     "run",
+    "diagonal_rhs",
     "transport_residual",
     "vorticity",
     "total_mass",
@@ -93,8 +93,8 @@ class FlowField:
         for name in ("rho", "m1", "m2"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        if np.any(self.rho <= 0.0):
-            raise ValueError("non-positive density in flow field")
+        if not np.all(self.rho > 0.0):
+            raise ValueError("non-positive or NaN density in flow field")
         if self.ghost_lo is None:
             self.ghost_lo = np.stack(
                 [np.stack([self.rho[0], self.m1[0], self.m2[0]], axis=-1)] * 2)
@@ -180,7 +180,6 @@ class PerturbationSpec:
     modes: Tuple[PerturbationMode, ...] = ()
     strip: Tuple[float, float] = (-0.35, 1.95)
     ramp: float = 0.2
-    balance: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -249,7 +248,7 @@ class PerturbationSpec:
     def velocity_perturbation(self, x1, x2, gamma: float = 2.0):
         """(dv1, dv2) = grad(phi) on the mesh; dv1 = -sound_speed_ripple.
 
-        With balance, dv2 also carries the x1-independent shear
+        dv2 also carries the x1-independent shear
         2/(gamma-1) * sum_m a_m cos(k2 x2 + phase) that turns the ripple
         into a traveling simple wave of the tangential acoustics wherever
         the profile plateaus; a standing ripple would instead pump the
@@ -260,19 +259,9 @@ class PerturbationSpec:
         for m in self.modes:
             dv2 += m.amplitude * self._mode_profile(m, x1, deriv=0) \
                 * m.k2 * np.sin(m.k2 * x2 + m.phase)
-            if self.balance:
-                dv2 += (2.0 / (gamma - 1.0)) * m.amplitude \
-                    * np.cos(m.k2 * np.asarray(x2) + m.phase) * np.ones_like(dv1)
+            dv2 += (2.0 / (gamma - 1.0)) * m.amplitude \
+                * np.cos(m.k2 * np.asarray(x2) + m.phase) * np.ones_like(dv1)
         return dv1, self.epsilon * dv2
-
-    def potential(self, x1, x2, gamma: float = 2.0):
-        out = np.zeros(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
-        for m in self.modes:
-            out += m.amplitude * self._mode_profile(m, x1, deriv=0) * np.cos(m.k2 * x2 + m.phase)
-            if self.balance:
-                out -= (2.0 / (gamma - 1.0)) * m.amplitude \
-                    * np.sin(m.k2 * np.asarray(x2) + m.phase) / m.k2
-        return -self.epsilon * out
 
     def velocity_third_derivative_bound(self, dx=1e-3):
         """Dense-sampled sup bound on third partials of the velocity perturbation.
@@ -303,17 +292,11 @@ class PerturbationSpec:
 @dataclass(frozen=True)
 class SolverConfig:
     cfl: float = 0.45
-    flux: str = "rusanov"
-    time_integrator: str = "ssprk2"
     snapshot_times: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.9:
             raise ValueError(f"cfl must lie in (0, 0.9], got {self.cfl}")
-        if self.flux not in ("rusanov", "hll"):
-            raise ValueError(f"unknown flux {self.flux!r}")
-        if self.time_integrator not in ("euler", "ssprk2"):
-            raise ValueError(f"unknown time integrator {self.time_integrator!r}")
 
 
 def clamped_fan_profile(gas: PolytropicGas, v0: float, c0: float, u_glue: float, x, t):
@@ -389,31 +372,25 @@ def _phys_flux(gas, q, axis):
     return fl
 
 
-def _interface_flux(gas, ql, qr, axis, kind):
-    """Numerical flux between left/right cell states along the given axis."""
+def _interface_flux(gas, ql, qr, axis):
+    """Rusanov flux between left/right cell states along the given axis."""
     fl = _phys_flux(gas, ql, axis)
     fr = _phys_flux(gas, qr, axis)
     cl = sound_speed(gas, ql[..., 0])
     cr = sound_speed(gas, qr[..., 0])
     vl = ql[..., axis + 1] / ql[..., 0]
     vr = qr[..., axis + 1] / qr[..., 0]
-    if kind == "rusanov":
-        lam = np.maximum(np.abs(vl) + cl, np.abs(vr) + cr)[..., None]
-        return 0.5 * (fl + fr) - 0.5 * lam * (qr - ql)
-    # HLL
-    sl = np.minimum(vl - cl, vr - cr)[..., None]
-    sr = np.maximum(vl + cl, vr + cr)[..., None]
-    hll = (sr * fl - sl * fr + sl * sr * (qr - ql)) / (sr - sl)
-    return np.where(sl >= 0.0, fl, np.where(sr <= 0.0, fr, hll))
+    lam = np.maximum(np.abs(vl) + cl, np.abs(vr) + cr)[..., None]
+    return 0.5 * (fl + fr) - 0.5 * lam * (qr - ql)
 
 
-def _rhs(gas, grid, q, ghost_lo, ghost_hi, kind):
+def _rhs(gas, grid, q, ghost_lo, ghost_hi):
     """Flux divergence and the net boundary mass outflow rate."""
     qx = np.concatenate([ghost_lo[-1:], q, ghost_hi[:1]], axis=0)
-    fx = _interface_flux(gas, qx[:-1], qx[1:], 0, kind)  # (n1+1, n2, 3)
+    fx = _interface_flux(gas, qx[:-1], qx[1:], 0)  # (n1+1, n2, 3)
     qy_l = q
     qy_r = np.roll(q, -1, axis=1)
-    fy = _interface_flux(gas, qy_l, qy_r, 1, kind)       # flux at j+1/2
+    fy = _interface_flux(gas, qy_l, qy_r, 1)      # flux at j+1/2
     dq = -(fx[1:] - fx[:-1]) / grid.dx1 \
         - (fy - np.roll(fy, 1, axis=1)) / grid.dx2
     outflow = (fx[-1, :, 0].sum() - fx[0, :, 0].sum()) * grid.dx2
@@ -427,10 +404,10 @@ def _stack(f: FlowField):
 def _check_positive(rho, time):
     if np.all(rho > 0.0):
         return
-    bad = np.argwhere(rho <= 0.0)
+    bad = np.argwhere(~(rho > 0.0))
     i, j = bad[0]
     raise NumericalError(
-        f"non-positive density at t={time:.6g}: {len(bad)} cells, "
+        f"non-positive or NaN density at t={time:.6g}: {len(bad)} cells, "
         f"first at (i={i}, j={j}) with rho={rho[i, j]:.3e}")
 
 
@@ -442,16 +419,13 @@ def step(f: FlowField, dt: float, config: SolverConfig) -> FlowField:
         return f.copy()
     gas, grid = f.gas, f.grid
     q0 = _stack(f)
-    dq1, out1 = _rhs(gas, grid, q0, f.ghost_lo, f.ghost_hi, config.flux)
+    dq1, out1 = _rhs(gas, grid, q0, f.ghost_lo, f.ghost_hi)
     q1 = q0 + dt * dq1
     _check_positive(q1[..., 0], f.time + dt)
-    if config.time_integrator == "euler":
-        q_new, outflow = q1, out1 * dt
-    else:
-        dq2, out2 = _rhs(gas, grid, q1, f.ghost_lo, f.ghost_hi, config.flux)
-        q_new = 0.5 * (q0 + q1 + dt * dq2)
-        _check_positive(q_new[..., 0], f.time + dt)
-        outflow = 0.5 * (out1 + out2) * dt
+    dq2, out2 = _rhs(gas, grid, q1, f.ghost_lo, f.ghost_hi)
+    q_new = 0.5 * (q0 + q1 + dt * dq2)
+    _check_positive(q_new[..., 0], f.time + dt)
+    outflow = 0.5 * (out1 + out2) * dt
     result = FlowField(gas, grid, f.time + dt,
                        q_new[..., 0].copy(), q_new[..., 1].copy(), q_new[..., 2].copy(),
                        f.ghost_lo.copy(), f.ghost_hi.copy())
@@ -478,8 +452,12 @@ def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> Li
     dx_min = min(f.grid.dx1, f.grid.dx2)
     for target in times:
         while current.time < target - 1e-13:
-            dt = config.cfl * dx_min / max_signal_speed(current)
-            dt = min(dt, target - current.time)
+            speed = max_signal_speed(current)
+            if not math.isfinite(speed):
+                i, j = np.argwhere(~np.isfinite(_stack(current)).all(axis=-1))[0]
+                raise NumericalError(f"non-finite state at t={current.time:.6g}, "
+                                     f"first at (i={i}, j={j})")
+            dt = min(config.cfl * dx_min / speed, target - current.time)
             current = step(current, dt, config)
             cumulative_outflow += current.boundary_mass_flux
             current.boundary_mass_flux = cumulative_outflow
@@ -505,16 +483,27 @@ def _d2(a, dx):
     return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
 
 
-def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np.ndarray:
-    """Residual of the diagonal transport law for one Riemann invariant.
-
-    The advective derivative along d/dt + (v1+c) d1 + v2 d2 is formed from
-    the two snapshots and compared with the right side of the diagonal
-    system, with coefficients and stencils at the midpoint time:
+def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
+    """Right side of the diagonal system for one Riemann invariant, the value
+    of its advective derivative along d/dt + (v1+c) d1 + v2 d2:
 
         wbar:  0.5 * c * d2(psi2)
         w:     2 * c * d1(w) + 0.5 * c * d2(psi2)
         psi2:  c * d1(psi2) + c * d2(w + wbar)
+    """
+    if invariant == "wbar":
+        return 0.5 * c * _d2(psi2, grid.dx2)
+    if invariant == "w":
+        return 2.0 * c * _d1(w, grid.dx1) + 0.5 * c * _d2(psi2, grid.dx2)
+    return c * _d1(psi2, grid.dx1) + c * _d2(wbar + w, grid.dx2)
+
+
+def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np.ndarray:
+    """Residual of the diagonal transport law for one Riemann invariant.
+
+    The advective derivative along d/dt + (v1+c) d1 + v2 d2 is formed from
+    the two snapshots and compared with diagonal_rhs, with coefficients and
+    stencils at the midpoint time.
     """
     if snap0.grid != snap1.grid:
         raise ValueError("snapshots live on different grids")
@@ -525,25 +514,16 @@ def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np
         raise ValueError("snapshots must be ordered in time")
     dx1, dx2 = snap0.grid.dx1, snap0.grid.dx2
 
-    wbar0, w0, psi20 = snap0.invariants()
-    wbar1, w1, psi21 = snap1.invariants()
-    sel = {"wbar": (wbar0, wbar1), "w": (w0, w1), "psi2": (psi20, psi21)}
-    f0, f1 = sel[invariant]
+    idx = ("wbar", "w", "psi2").index(invariant)
+    inv0, inv1 = snap0.invariants(), snap1.invariants()
+    f0, f1 = inv0[idx], inv1[idx]
     fm = 0.5 * (f0 + f1)
     c = 0.5 * (snap0.c + snap1.c)
     v1 = 0.5 * (snap0.v1 + snap1.v1)
     v2 = 0.5 * (snap0.v2 + snap1.v2)
     adv = (f1 - f0) / dt + (v1 + c) * _d1(fm, dx1) + v2 * _d2(fm, dx2)
-
-    psi2m = 0.5 * (psi20 + psi21)
-    if invariant == "wbar":
-        rhs = 0.5 * c * _d2(psi2m, dx2)
-    elif invariant == "w":
-        rhs = 2.0 * c * _d1(fm, dx1) + 0.5 * c * _d2(psi2m, dx2)
-    else:
-        sum_m = 0.5 * (wbar0 + w0 + wbar1 + w1)
-        rhs = c * _d1(psi2m, dx1) + c * _d2(sum_m, dx2)
-    return adv - rhs
+    wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
+    return adv - diagonal_rhs(invariant, c, wbar_m, w_m, psi2_m, snap0.grid)
 
 
 def vorticity(f: FlowField) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _d1, _d2
+from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
 
 __all__ = [
     "Foliation",
@@ -31,6 +31,9 @@ __all__ = [
     "frame_fields",
     "second_frame",
     "advective_derivative",
+    "directional_derivative",
+    "generator_velocity",
+    "bilinear_sample",
     "semi_lagrangian",
     "commutation_residual_y",
     "commutation_residual_z",
@@ -205,34 +208,57 @@ def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[flo
     xhat1, xhat2 = that2, -that1
     c = field.c
     mu = c * kappa
-
-    def xhat_d(a):
-        return xhat1 * _d1(a, grid.dx1) + xhat2 * _d2(a, grid.dx2)
-
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
-    xv1, xv2 = xhat_d(field.v1), xhat_d(field.v2)
-    xc = xhat_d(c)
-    xx1, xx2 = xhat_d(xhat1), xhat_d(xhat2)
+    xv1, xv2, xc, xx1, xx2, xmu = (directional_derivative(a, xhat1, xhat2, grid)
+                                   for a in (field.v1, field.v2, c, xhat1, xhat2, mu))
     chi = (xhat1 * xv1 + xhat2 * xv2) - c * xhat2 * xx1 + c * xhat1 * xx2
     theta = xhat2 * xx1 - xhat1 * xx2
     zeta = -kappa * (-(that1 * xv1 + that2 * xv2) + xc)
-    eta = zeta + xhat_d(mu)
+    eta = zeta + xmu
     return Foliation(field.time, grid, u.copy(), kappa, mu, that1, that2,
                      xhat1, xhat2, chi, zeta, eta, theta)
 
 
 def second_frame(field: FlowField) -> SecondFrame:
     """Transverse gradients of the maximal characteristic speed and of v2."""
-    t = field.time
-    if t <= 0.0:
+    if field.time <= 0.0:
         raise ValueError("second frame requires t > 0")
-    grid = field.grid
-    speed = field.v1 + field.c
+    return _second_frame(field.time, field.v1 + field.c, field.v2, field.grid)
+
+
+def _second_frame(t: float, speed: np.ndarray, v2: np.ndarray, grid: Grid) -> SecondFrame:
+    """Second-frame gradients from the time, v1+c and v2."""
     y = _d2(speed, grid.dx2)
     z = 1.0 - t * _d1(speed, grid.dx1)
-    chi = _d2(field.v2, grid.dx2)
-    eta = -t * _d1(field.v2, grid.dx1)
+    chi = _d2(v2, grid.dx2)
+    eta = -t * _d1(v2, grid.dx1)
     return SecondFrame(t, y, z, y / t, z / t, chi, eta)
+
+
+def directional_derivative(f: np.ndarray, e1, e2, grid: Grid) -> np.ndarray:
+    """Derivative of f along the direction (e1, e2): e1 d1(f) + e2 d2(f)."""
+    return e1 * _d1(f, grid.dx1) + e2 * _d2(f, grid.dx2)
+
+
+def generator_velocity(field: FlowField, fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
+    """Velocity v - c*That of the front generator."""
+    c = field.c
+    return field.v1 - c * fol.that1, field.v2 - c * fol.that2
+
+
+def bilinear_sample(f: np.ndarray, x1p: np.ndarray, x2p: np.ndarray, grid: Grid) -> np.ndarray:
+    """Bilinear interpolation of a cell-centered field, periodic in x2,
+    clamped in x1."""
+    s = (x1p - grid.x1[0]) / grid.dx1
+    i0 = np.clip(np.floor(s).astype(int), 0, grid.n1 - 2)
+    fi = np.clip(s - i0, 0.0, 1.0)
+    r = x2p / grid.dx2 - 0.5
+    j0 = np.floor(r).astype(int)
+    fj = r - j0
+    j0 = np.mod(j0, grid.n2)
+    j1 = np.mod(j0 + 1, grid.n2)
+    return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
+            + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
 
 
 def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,
@@ -254,35 +280,31 @@ def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float
     dt = t1 - t0
     x1 = grid.x1[:, None] + np.broadcast_to(a1, f0.shape) * dt
     x2 = grid.x2[None, :] + np.broadcast_to(a2, f0.shape) * dt
-
-    s = (x1 - grid.x1[0]) / grid.dx1
-    i0 = np.floor(s).astype(int)
-    fi = s - i0
+    i0 = np.floor((x1 - grid.x1[0]) / grid.dx1)
     valid = (i0 >= 0) & (i0 <= grid.n1 - 2)
-    i0c = np.clip(i0, 0, grid.n1 - 2)
-
-    r = (x2 / grid.dx2) - 0.5
-    j0 = np.floor(r).astype(int)
-    fj = r - j0
-    j0 = np.mod(j0, grid.n2)
-    j1 = np.mod(j0 + 1, grid.n2)
-
-    f_up = (f1[i0c, j0] * (1 - fi) * (1 - fj) + f1[i0c + 1, j0] * fi * (1 - fj)
-            + f1[i0c, j1] * (1 - fi) * fj + f1[i0c + 1, j1] * fi * fj)
-    return (f_up - f0) / dt, valid
+    return (bilinear_sample(f1, x1, x2, grid) - f0) / dt, valid
 
 
-def _mid_fields(s0: FlowField, s1: FlowField):
-    wbar0, w0, psi20 = s0.invariants()
-    wbar1, w1, psi21 = s1.invariants()
-    return {
-        "t": 0.5 * (s0.time + s1.time),
-        "c": 0.5 * (s0.c + s1.c),
-        "v1": 0.5 * (s0.v1 + s1.v1),
-        "v2": 0.5 * (s0.v2 + s1.v2),
-        "wbar": (wbar0, wbar1),
-        "psi2": (psi20, psi21),
-    }
+def _mid_fields(s0: FlowField, s1: FlowField, use_euler_rhs: bool) -> dict:
+    """Midpoint quantities shared by the commutation residuals of a pair.
+
+    The inner L(wbar) is the Euler-equation value c*X(psi2)/2 with
+    use_euler_rhs, else the two-time advective derivative.
+    """
+    grid = s0.grid
+    t = 0.5 * (s0.time + s1.time)
+    c = 0.5 * (s0.c + s1.c)
+    speed = 0.5 * (s0.v1 + s1.v1) + c
+    v2 = 0.5 * (s0.v2 + s1.v2)
+    inv0, inv1 = s0.invariants(), s1.invariants()
+    if use_euler_rhs:
+        wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
+        lwbar = diagonal_rhs("wbar", c, wbar_m, w_m, psi2_m, grid)
+    else:
+        lwbar = advective_derivative(inv0[0], inv1[0], speed, v2, s0.time, s1.time, grid)
+    frame = _second_frame(t, 0.5 * (s0.v1 + s0.c + s1.v1 + s1.c), v2, grid)
+    return {"t": t, "speed": speed, "v2": v2, "wbar": (inv0[0], inv1[0]),
+            "lwbar": lwbar, "frame": frame}
 
 
 def commutation_residual_y(s0: FlowField, s1: FlowField, use_euler_rhs: bool = True) -> np.ndarray:
@@ -294,27 +316,18 @@ def commutation_residual_y(s0: FlowField, s1: FlowField, use_euler_rhs: bool = T
     Euler-equation value c*X(psi2)/2, which needs no time differencing.
     """
     grid = s0.grid
-    mid = _mid_fields(s0, s1)
-    t, c, v1, v2 = mid["t"], mid["c"], mid["v1"], mid["v2"]
+    mid = _mid_fields(s0, s1, use_euler_rhs)
+    t, frame = mid["t"], mid["frame"]
     wbar0, wbar1 = mid["wbar"]
-    psi20, psi21 = mid["psi2"]
-    wbar_m = 0.5 * (wbar0 + wbar1)
-    psi2_m = 0.5 * (psi20 + psi21)
-    speed = v1 + c
 
     xwbar0 = _d2(wbar0, grid.dx2)
     xwbar1 = _d2(wbar1, grid.dx2)
-    l_xwbar = advective_derivative(xwbar0, xwbar1, speed, v2, s0.time, s1.time, grid)
+    l_xwbar = advective_derivative(xwbar0, xwbar1, mid["speed"], mid["v2"],
+                                   s0.time, s1.time, grid)
+    x_lwbar = _d2(mid["lwbar"], grid.dx2)
 
-    if use_euler_rhs:
-        x_lwbar = _d2(0.5 * c * _d2(psi2_m, grid.dx2), grid.dx2)
-    else:
-        lwbar0 = advective_derivative(wbar0, wbar1, speed, v2, s0.time, s1.time, grid)
-        x_lwbar = _d2(lwbar0, grid.dx2)
-
-    frame = second_frame_mid(s0, s1)
     xwbar_m = 0.5 * (xwbar0 + xwbar1)
-    twbar = -t * _d1(wbar_m, grid.dx1)
+    twbar = -t * _d1(0.5 * (wbar0 + wbar1), grid.dx1)
     return frame.yt * twbar - (l_xwbar - x_lwbar + frame.chi * xwbar_m)
 
 
@@ -325,41 +338,19 @@ def commutation_residual_z(s0: FlowField, s1: FlowField, use_euler_rhs: bool = T
     use_euler_rhs the inner L(wbar) is the Euler value c*X(psi2)/2.
     """
     grid = s0.grid
-    mid = _mid_fields(s0, s1)
-    t, c, v1, v2 = mid["t"], mid["c"], mid["v1"], mid["v2"]
+    mid = _mid_fields(s0, s1, use_euler_rhs)
+    t, frame = mid["t"], mid["frame"]
     wbar0, wbar1 = mid["wbar"]
-    psi20, psi21 = mid["psi2"]
-    wbar_m = 0.5 * (wbar0 + wbar1)
-    psi2_m = 0.5 * (psi20 + psi21)
-    speed = v1 + c
 
     twbar0 = -s0.time * _d1(wbar0, grid.dx1)
     twbar1 = -s1.time * _d1(wbar1, grid.dx1)
-    l_twbar = advective_derivative(twbar0, twbar1, speed, v2, s0.time, s1.time, grid)
+    l_twbar = advective_derivative(twbar0, twbar1, mid["speed"], mid["v2"],
+                                   s0.time, s1.time, grid)
+    t_lwbar = -t * _d1(mid["lwbar"], grid.dx1)
 
-    if use_euler_rhs:
-        t_lwbar = -t * _d1(0.5 * c * _d2(psi2_m, grid.dx2), grid.dx1)
-    else:
-        lwbar = advective_derivative(wbar0, wbar1, speed, v2, s0.time, s1.time, grid)
-        t_lwbar = -t * _d1(lwbar, grid.dx1)
-
-    frame = second_frame_mid(s0, s1)
     xwbar_m = 0.5 * (_d2(wbar0, grid.dx2) + _d2(wbar1, grid.dx2))
     twbar_m = 0.5 * (twbar0 + twbar1)
     return frame.zt * twbar_m - (l_twbar - t_lwbar + frame.eta * xwbar_m)
-
-
-def second_frame_mid(s0: FlowField, s1: FlowField) -> SecondFrame:
-    """Second-frame gradients evaluated at the midpoint of a snapshot pair."""
-    grid = s0.grid
-    t = 0.5 * (s0.time + s1.time)
-    speed = 0.5 * (s0.v1 + s0.c + s1.v1 + s1.c)
-    v2 = 0.5 * (s0.v2 + s1.v2)
-    y = _d2(speed, grid.dx2)
-    z = 1.0 - t * _d1(speed, grid.dx1)
-    chi = _d2(v2, grid.dx2)
-    eta = -t * _d1(v2, grid.dx1)
-    return SecondFrame(t, y, z, y / t, z / t, chi, eta)
 
 
 def deformation_components(frame: SecondFrame, field: FlowField, commutator: str) -> DeformationComponents:
@@ -390,8 +381,7 @@ def deformation_components(frame: SecondFrame, field: FlowField, commutator: str
     )
 
 
-def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,
-                        include_chi: bool = True):
+def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation):
     """Propagation-equation residuals along the front generator.
 
     Derivatives along the generator (velocity v - c*normal) are formed by
@@ -401,12 +391,11 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
         kappa:  L(kappa) - (m + e*kappa),
                 m = -(gamma+1)/(gamma-1) * T(c),  e = -c^{-1} That^i L(v^i)
         that1, that2:  L(That^k) - (That^j Xhat(psi_j) + Xhat(c)) Xhat^k
-        chi (optional, leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
+        chi (leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
     """
     gas, grid = s0.gas, s0.grid
     g = gas.gamma
-    a1 = s0.v1 - s0.c * fol0.that1
-    a2 = s0.v2 - s0.c * fol0.that2
+    a1, a2 = generator_velocity(s0, fol0)
     t0, t1 = s0.time, s1.time
 
     def ld(f0, f1):
@@ -414,44 +403,37 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
 
     out = {}
     c0 = s0.c
-
-    def that_d(a):
-        return fol0.that1 * _d1(a, grid.dx1) + fol0.that2 * _d2(a, grid.dx2)
-
-    def xhat_d(a):
-        return fol0.xhat1 * _d1(a, grid.dx1) + fol0.xhat2 * _d2(a, grid.dx2)
+    xhat = (fol0.xhat1, fol0.xhat2, grid)
 
     l_kappa, m_k = ld(fol0.kappa, fol1.kappa)
     lv1, m1 = ld(s0.v1, s1.v1)
     lv2, m2 = ld(s0.v2, s1.v2)
-    tc = fol0.kappa * that_d(c0)
+    tc = fol0.kappa * directional_derivative(c0, fol0.that1, fol0.that2, grid)
     m_coef = -(g + 1.0) / (g - 1.0) * tc
     e_coef = -(fol0.that1 * lv1 + fol0.that2 * lv2) / c0
     out["kappa"] = (l_kappa - (m_coef + e_coef * fol0.kappa), m_k & m1 & m2)
 
-    xpsi = -(fol0.that1 * xhat_d(s0.v1) + fol0.that2 * xhat_d(s0.v2))
-    drive = xpsi + xhat_d(c0)
+    xpsi = -(fol0.that1 * directional_derivative(s0.v1, *xhat)
+             + fol0.that2 * directional_derivative(s0.v2, *xhat))
+    drive = xpsi + directional_derivative(c0, *xhat)
     for k, (th0, th1, xh) in enumerate(
             [(fol0.that1, fol1.that1, fol0.xhat1), (fol0.that2, fol1.that2, fol0.xhat2)], start=1):
         l_th, m_t = ld(th0, th1)
         out[f"that{k}"] = (l_th - drive * xh, m_t)
 
-    if include_chi:
-        h0 = c0 * c0 / (g - 1.0)
-        l_chi, m_c = ld(fol0.chi, fol1.chi)
-        out["chi"] = (l_chi + 0.5 * (g + 1.0) * xhat_d(xhat_d(h0)), m_c)
+    h0 = c0 * c0 / (g - 1.0)
+    l_chi, m_c = ld(fol0.chi, fol1.chi)
+    out["chi"] = (l_chi + 0.5 * (g + 1.0)
+                  * directional_derivative(directional_derivative(h0, *xhat), *xhat), m_c)
     return out
 
 
 def kslash(fol: Foliation, field: FlowField) -> np.ndarray:
     """Tangential component of the flow's second fundamental form,
     k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
-    grid = field.grid
-
-    def xhat_d(a):
-        return fol.xhat1 * _d1(a, grid.dx1) + fol.xhat2 * _d2(a, grid.dx2)
-
-    return (fol.xhat1 * xhat_d(field.v1) + fol.xhat2 * xhat_d(field.v2)) / field.c
+    xhat = (fol.xhat1, fol.xhat2, field.grid)
+    return (fol.xhat1 * directional_derivative(field.v1, *xhat)
+            + fol.xhat2 * directional_derivative(field.v2, *xhat)) / field.c
 
 
 def chibar(fol: Foliation, field: FlowField) -> np.ndarray:
@@ -468,8 +450,6 @@ def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[F
     interpolated along each ray should stay constant.  Returns the ray
     positions (n_times, n_rays, 2) and u sampled along them.
     """
-    from .energies import bilinear_sample  # local import to avoid a cycle
-
     grid = snapshots[0].grid
     n_rays = len(x1_start)
     x1 = np.asarray(x1_start, dtype=float).copy()
@@ -481,10 +461,8 @@ def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[F
     for k in range(len(snapshots) - 1):
         s0, s1 = snapshots[k], snapshots[k + 1]
         f0, f1 = foliations[k], foliations[k + 1]
-        a10 = s0.v1 - s0.c * f0.that1
-        a20 = s0.v2 - s0.c * f0.that2
-        a11 = s1.v1 - s1.c * f1.that1
-        a21 = s1.v2 - s1.c * f1.that2
+        a10, a20 = generator_velocity(s0, f0)
+        a11, a21 = generator_velocity(s1, f1)
         dt = (s1.time - s0.time) / substeps
         for m in range(substeps):
             w = (m + 0.5) / substeps
@@ -507,8 +485,7 @@ def sign_monitors(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation
     and of the incoming-null derivative 2*T(wbar) + (t/c) L(wbar).
     """
     grid = s0.grid
-    a1 = s0.v1 - s0.c * fol0.that1
-    a2 = s0.v2 - s0.c * fol0.that2
+    a1, a2 = generator_velocity(s0, fol0)
     l_mu, m_mu = semi_lagrangian(fol0.mu, fol1.mu, a1, a2, s0.time, s1.time, grid)
 
     wbar0, _, _ = s0.invariants()

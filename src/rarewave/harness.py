@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import __version__
 from . import energies as en
 from . import geometry as geo
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
@@ -72,33 +73,29 @@ class RunConfig:
     # solver; each snapshot gets a partner a few cell-crossing times later so
     # two-time derivatives refine with the grid
     cfl: float = 0.45
-    flux: str = "rusanov"
-    integrator: str = "ssprk2"
     snapshots: int = 21
     pair_cells: int = 4
     # analysis
     orders: int = 1
     u_levels: int = 4
-    with_fluxes: bool = True
     save_snapshots: str = "ends"  # none | ends | all
     workers: int = 1
     # output
     out_dir: str = "runs"
 
     def validate(self):
+        # the gas, grid, perturbation and solver objects check their own fields
         try:
-            PolytropicGas(self.gamma, self.k0)
+            self.gas()
+            dx1 = self.grid().dx1
+            self.perturbation()
+            SolverConfig(cfl=self.cfl)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.c0 <= 0.0:
             raise ConfigError("c0 must be positive")
         if self.v0 + self.c0 <= 0.0:
             raise ConfigError("fan head speed v0 + c0 must be positive")
-        if self.n1 < 8 or self.n2 < 8:
-            raise ConfigError("n1 and n2 must be at least 8")
-        if self.x1_max <= self.x1_min:
-            raise ConfigError("x1_max must exceed x1_min")
-        dx1 = (self.x1_max - self.x1_min) / self.n1
         if self.delta <= 0.0:
             raise ConfigError("delta must be positive")
         if self.delta < 4.0 * dx1 / (self.v0 + self.c0):
@@ -116,17 +113,9 @@ class RunConfig:
                 f"u_glue = {self.u_glue} must lie in (u_star, vacuum bound {vacuum:.4g})")
         if not 0.0 <= self.u_lo < self.u_star:
             raise ConfigError("u_lo must lie in [0, u_star)")
-        if self.epsilon < 0.0:
-            raise ConfigError("epsilon must be non-negative")
-        if not 0.0 < self.cfl <= 0.9:
-            raise ConfigError(f"cfl = {self.cfl} outside (0, 0.9]")
-        if self.flux not in ("rusanov", "hll"):
-            raise ConfigError(f"unknown flux {self.flux!r}")
-        if self.integrator not in ("euler", "ssprk2"):
-            raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.snapshots < 2:
             raise ConfigError("need at least 2 snapshots")
-        if not self.x1_min < self.strip_lo < self.strip_hi < self.x1_max:
+        if not (self.x1_min < self.strip_lo and self.strip_hi < self.x1_max):
             raise ConfigError("perturbation strip must sit inside the x1 domain")
         if self.orders < 0 or self.orders > en.ORDER_CAP:
             raise ConfigError(f"orders must lie in [0, {en.ORDER_CAP}]")
@@ -158,8 +147,7 @@ class RunConfig:
         return self.delta * ratio ** (np.arange(self.snapshots) / (self.snapshots - 1.0))
 
     def pair_gap(self) -> float:
-        dx1 = (self.x1_max - self.x1_min) / self.n1
-        return self.pair_cells * dx1 / (self.v0 + self.c0)
+        return self.pair_cells * self.grid().dx1 / (self.v0 + self.c0)
 
     def ladder(self):
         """(all snapshot times, base indices, partner indices).
@@ -189,9 +177,7 @@ class RunConfig:
 
     def solver(self) -> SolverConfig:
         times, _, _ = self.ladder()
-        return SolverConfig(cfl=self.cfl, flux=self.flux,
-                            time_integrator=self.integrator,
-                            snapshot_times=tuple(times))
+        return SolverConfig(cfl=self.cfl, snapshot_times=tuple(times))
 
     def content_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
@@ -222,9 +208,8 @@ _SECTIONS = {
     "band": {"u_star": float, "u_lo": float, "u_glue": float},
     "perturbation": {"epsilon": float, "seed": int, "modes": "modes",
                      "strip_lo": float, "strip_hi": float},
-    "solver": {"cfl": float, "flux": str, "integrator": str, "snapshots": int},
-    "analysis": {"orders": int, "u_levels": int, "with_fluxes": "bool",
-                 "save_snapshots": str, "workers": int},
+    "solver": {"cfl": float, "snapshots": int},
+    "analysis": {"orders": int, "u_levels": int, "save_snapshots": str, "workers": int},
     "output": {"dir": "out_dir"},
 }
 
@@ -268,21 +253,13 @@ def parse_config(text: str) -> RunConfig:
                 values[key] = int(val)
             elif kind is str:
                 values[key] = val
-            elif kind == "bool":
-                values[key] = val.lower() in ("1", "true", "yes", "on")
             elif kind == "modes":
                 values["modes"] = _parse_modes(val)
             elif kind == "out_dir":
                 values["out_dir"] = val
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-    cfg = RunConfig(**values)
-    try:
-        return cfg.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values).validate()
 
 
 def default_config() -> RunConfig:
@@ -312,40 +289,49 @@ def _l1_fan_error(cfg: RunConfig, snapshot: FlowField) -> float:
     return float(np.sum(np.abs(snapshot.rho - rho_exact))) * grid.dx1 * grid.dx2
 
 
+def _source_digest() -> str:
+    """SHA-256 of the package's Python sources."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def run_single(cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
     """Simulate, reconstruct the foliation, measure everything, write reports.
 
     Returns the report dict; also persists report.json, CSV tables and a
     MANIFEST under out_dir (skipping the work when a completed manifest
-    with the same config hash is already present).
+    with the same config hash, package version and source digest is
+    already present).
     """
     cfg.validate()
-    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir) / f"run-{cfg.content_hash()}"
+    key = {"config_hash": cfg.content_hash(), "version": __version__,
+           "source_sha256": _source_digest()}
+    out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir) / f"run-{key['config_hash']}"
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "MANIFEST.json"
     report_path = out / "report.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
-        if manifest.get("status") == "completed" \
-                and manifest.get("config_hash") == cfg.content_hash() and report_path.exists():
+        if manifest.get("status") == "completed" and report_path.exists() \
+                and all(manifest.get(k) == v for k, v in key.items()):
             report = json.loads(report_path.read_text())
             report["cached"] = True
             return report
-    manifest_path.write_text(json.dumps(
-        {"status": "running", "config_hash": cfg.content_hash()}))
+    manifest_path.write_text(json.dumps({"status": "running", **key}))
     try:
-        report = _run_single_inner(cfg, out)
+        report = _run_single_inner(cfg, out, key["config_hash"])
     except Exception as exc:
-        manifest_path.write_text(json.dumps(
-            {"status": "failed", "config_hash": cfg.content_hash(), "error": repr(exc)}))
+        manifest_path.write_text(json.dumps({"status": "failed", **key, "error": repr(exc)}))
         raise
     report_path.write_text(json.dumps(report, indent=1))
-    manifest_path.write_text(json.dumps(
-        {"status": "completed", "config_hash": cfg.content_hash()}))
+    manifest_path.write_text(json.dumps({"status": "completed", **key}))
     return report
 
 
-def _run_single_inner(cfg: RunConfig, out: Path) -> dict:
+def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     gas, grid = cfg.gas(), cfg.grid()
     spec = cfg.perturbation()
     solver = cfg.solver()
@@ -364,7 +350,7 @@ def _run_single_inner(cfg: RunConfig, out: Path) -> dict:
 
     report: dict = {
         "config": dataclasses.asdict(cfg),
-        "config_hash": cfg.content_hash(),
+        "config_hash": config_hash,
         "times": [times[k] for k in base_idx],
         "cached": False,
     }
@@ -468,8 +454,7 @@ def _run_single_inner(cfg: RunConfig, out: Path) -> dict:
         if cfg.u_levels > 1 else [cfg.u_star]
     energy_report = analysis.report(
         psis=("wbar", "w", "psi2"), orders=list(range(cfg.orders + 1)),
-        t_indices=base_idx, u_values=u_values,
-        epsilon=cfg.epsilon, with_fluxes=cfg.with_fluxes)
+        t_indices=base_idx, u_values=u_values, epsilon=cfg.epsilon)
     energy_rows = [[r.t, r.u, r.psi, r.n, r.E, r.Ebar, r.F, r.Fbar,
                     r.E0ring if r.E0ring is not None else "",
                     r.F0ring if r.F0ring is not None else ""]
@@ -600,9 +585,19 @@ def _convergence_metrics(results: Sequence[dict]) -> dict:
     for name, col in names.items():
         vals = [_final_residual(r, col) for r in results]
         out[name] = vals
-        out[name + "_ratios"] = [vals[i] / vals[i + 1] if vals[i + 1] else float("nan")
-                                 for i in range(len(vals) - 1)]
+        out[name + "_ratios"] = _ratios(vals)
     return out
+
+
+def _ratios(vals: Sequence[float]) -> List[float]:
+    return [vals[i] / vals[i + 1] if vals[i + 1] else float("nan")
+            for i in range(len(vals) - 1)]
+
+
+def _late_max(report: dict, table: str, col: int) -> float:
+    """Max of a report table column over the rows at t >= 2*delta."""
+    return float(np.max([row[col] for row in report[table]
+                         if row[0] >= 2 * report["config"]["delta"]]))
 
 
 def _energy_at(report: dict, psi: str, n: int, ring: bool = False) -> float:
@@ -620,33 +615,27 @@ def _energy_at(report: dict, psi: str, n: int, ring: bool = False) -> float:
 
 def _epsilon_metrics(results: Sequence[dict], ladder) -> dict:
     quantities = {
-        "max_that1p1": lambda r: float(np.max([row[1] for row in r["frame_stats"]
-                                               if row[0] >= 2 * r["config"]["delta"]])),
-        "max_that2": lambda r: float(np.max([row[2] for row in r["frame_stats"]
-                                             if row[0] >= 2 * r["config"]["delta"]])),
+        "max_that1p1": lambda r: _late_max(r, "frame_stats", 1),
+        "max_that2": lambda r: _late_max(r, "frame_stats", 2),
         "E0_w": lambda r: _energy_at(r, "w", 0),
         "E0_psi2": lambda r: _energy_at(r, "psi2", 0),
         "E0ring_wbar": lambda r: _energy_at(r, "wbar", 0, ring=True),
         "E1_wbar": lambda r: _energy_at(r, "wbar", 1),
         "E1_w": lambda r: _energy_at(r, "w", 1),
         "E1_psi2": lambda r: _energy_at(r, "psi2", 1),
-        "max_yt": lambda r: float(np.max([row[1] for row in r["second_frame_stats"]
-                                          if row[0] >= 2 * r["config"]["delta"]])),
+        "max_yt": lambda r: _late_max(r, "second_frame_stats", 1),
     }
     out = {"epsilon": list(ladder)}
     for name, fn in quantities.items():
         vals = [fn(r) for r in results]
         out[name] = vals
-        out[name + "_ratios"] = [vals[i] / vals[i + 1] if vals[i + 1] else float("nan")
-                                 for i in range(len(vals) - 1)]
+        out[name + "_ratios"] = _ratios(vals)
     return out
 
 
 def _delta_metrics(results: Sequence[dict]) -> dict:
     out = {"delta": [r["config"]["delta"] for r in results]}
-    out["max_kappa_dev"] = [float(np.max([row[1] for row in r["kappa_stats"]
-                                          if row[0] >= 2 * r["config"]["delta"]]))
-                            for r in results]
+    out["max_kappa_dev"] = [_late_max(r, "kappa_stats", 1) for r in results]
     out["E0_w_over_eps2t2"] = []
     for r in results:
         eps, t = r["config"]["epsilon"], r["times"][-1]
@@ -705,30 +694,20 @@ def emit_plots(report: dict, out_dir) -> List[Path]:
                 p = prefix / "flux_vs_u.dat"
                 _two_column(p, [q[0] for q in pts], [q[1] for q in pts])
                 written.append(p)
-        if run_report.get("kappa_stats"):
-            p = prefix / "kappa_profile.dat"
-            _two_column(p, [r[0] for r in run_report["kappa_stats"]],
-                        [r[1] for r in run_report["kappa_stats"]])
-            written.append(p)
-        if run_report.get("monitors"):
-            p = prefix / "sign_monitors.dat"
-            _two_column(p, [r[0] for r in run_report["monitors"]],
-                        [r[1] for r in run_report["monitors"]])
-            written.append(p)
-        if run_report.get("residuals"):
-            p = prefix / "residuals.dat"
-            _two_column(p, [r[0] for r in run_report["residuals"]],
-                        [r[1] for r in run_report["residuals"]])
-            written.append(p)
+        for table, name in (("kappa_stats", "kappa_profile.dat"),
+                            ("monitors", "sign_monitors.dat"), ("residuals", "residuals.dat")):
+            if run_report.get(table):
+                p = prefix / name
+                _two_column(p, [r[0] for r in run_report[table]],
+                            [r[1] for r in run_report[table]])
+                written.append(p)
 
     if "reports" in report:
-        for name, sub in zip(report["members"], report["reports"]):
-            if sub is not None:
-                emit_run(sub, out / name)
         fits = {}
         for name, sub in zip(report["members"], report["reports"]):
             if sub is None:
                 continue
+            emit_run(sub, out / name)
             rows = [r for r in sub.get("energies", []) if r[2] == "w" and r[3] == 0]
             if rows:
                 best_u = max(r[1] for r in rows)

@@ -131,6 +131,24 @@ class TestStep:
         with pytest.raises(NumericalError, match="density"):
             step(f, 0.05, SolverConfig())
 
+    def test_nan_momentum_names_time_and_cell(self):
+        # a NaN momentum spreads NaN into the densities it touches; the
+        # breakdown must surface as a NumericalError, not an IndexError, and
+        # run() must stop before a NaN signal speed turns dt into NaN
+        f = make_uniform_field(GAS2, small_grid(n1=32, n2=16), c=1.0, time=0.5)
+        f.m1[16, 8] = np.nan
+        with pytest.raises(NumericalError, match=r"t=0\.51: \d+ cells, first at \(i=\d+, j=\d+\)"):
+            step(f, 0.01, SolverConfig())
+        with pytest.raises(NumericalError, match=r"t=0\.5, first at \(i=16, j=8\)"):
+            run(f, SolverConfig(snapshot_times=(0.6,)))
+
+    def test_nan_density_rejected(self):
+        grid = small_grid(n1=32, n2=16)
+        rho = np.ones((32, 16))
+        rho[3, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN density"):
+            FlowField(GAS2, grid, 0.0, rho, np.zeros_like(rho), np.zeros_like(rho))
+
     def test_x2_independence_preserved(self):
         f = fan_field(GAS2, small_grid(), 0.3)
         cfg = SolverConfig()

@@ -70,6 +70,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="delta"):
             parse_config("[grid]\nn1 = 64\n[time]\ndelta = 0.05\n")
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: parse_config("[solver]\nflux = hll\n"), "line 2: unknown key 'flux'"),
+        (lambda: parse_config("[solver]\nintegrator = euler\n"),
+         "line 2: unknown key 'integrator'"),
+        (lambda: parse_config("[analysis]\nwith_fluxes = true\n"),
+         "line 2: unknown key 'with_fluxes'"),
+        (lambda: RunConfig(n1=4).validate(), "at least 8"),
+        (lambda: RunConfig(epsilon=-1).validate(), "epsilon"),
+    ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon"])
+    def test_rejected_configs(self, make, match):
+        with pytest.raises(ConfigError, match=match):
+            make()
+
     def test_modes_syntax(self):
         cfg = parse_config("[perturbation]\nmodes = 1:1:0.5, 2:3:0.25\n")
         assert cfg.modes == ((1, 1, 0.5), (2, 3, 0.25))
@@ -135,6 +148,15 @@ class TestRunSingle:
         first = run_single(cfg)
         second = run_single(cfg)
         assert not first["cached"] and second["cached"]
+
+    def test_source_change_invalidates_cache(self, tmp_path, monkeypatch):
+        import rarewave.harness as harness
+
+        cfg = tiny_config(tmp_path)
+        assert not run_single(cfg)["cached"]
+        monkeypatch.setattr(harness, "_source_digest", lambda: "0" * 64)
+        assert not run_single(cfg)["cached"]
+        assert run_single(cfg)["cached"]
 
     def test_failed_run_leaves_manifest(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
