@@ -29,9 +29,6 @@ __all__ = [
     "region_weights",
     "LevelCurve",
     "extract_level_curve",
-    "level_curve_integral",
-    "energy_outgoing",
-    "energy_incoming",
     "apply_frame_derivative",
     "words_of_order",
     "EnergyAnalysis",
@@ -94,36 +91,6 @@ def _x_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
 def _t_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
     """T f = kappa That.grad f."""
     return fol.kappa * directional_derivative(f, fol.that1, fol.that2, fol.grid)
-
-
-def _band_energy(fol: Foliation, density: np.ndarray, u_max: float, u_min: float,
-                 valid: Optional[np.ndarray]) -> float:
-    w = region_weights(fol.u, u_min, u_max, fol.grid)
-    if valid is not None:
-        w = w * valid
-    return 0.5 * float(np.sum(w * density))
-
-
-def energy_outgoing(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.ndarray,
-                    u_max: float, u_min: float = 0.0,
-                    valid: Optional[np.ndarray] = None) -> float:
-    """Outgoing-multiplier energy of one scalar over the band.
-
-    Cartesian form: (1/2) integral of kappa (L psi)^2 / c^2 + kappa (Xhat psi)^2.
-    """
-    xpsi = _x_derivative(fol, psi)
-    return _band_energy(fol, _outgoing_density(fol.kappa, c, l_psi, xpsi), u_max, u_min, valid)
-
-
-def energy_incoming(fol: Foliation, c: np.ndarray, psi: np.ndarray, l_psi: np.ndarray,
-                    u_max: float, u_min: float = 0.0,
-                    valid: Optional[np.ndarray] = None) -> float:
-    """Incoming-multiplier energy: (1/2) integral of [(Lbar psi)^2
-    + kappa^2 (Xhat psi)^2] / kappa, with Lbar = (kappa/c) L + 2 kappa That.grad.
-    """
-    density = _incoming_density(fol.kappa, c, l_psi, _x_derivative(fol, psi),
-                                _t_derivative(fol, psi))
-    return _band_energy(fol, density, u_max, u_min, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +185,6 @@ def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
                       np.concatenate(lens))
 
 
-def level_curve_integral(u: np.ndarray, level: float, g: np.ndarray, grid: Grid) -> float:
-    """Line integral of g over {u = level}."""
-    return extract_level_curve(u, level, grid).integral(g, grid)
-
-
 # ---------------------------------------------------------------------------
 # frame-derivative words
 
@@ -293,25 +255,15 @@ class EnergyReport:
     rows: List[EnergyRow] = field(default_factory=list)
 
 
-@dataclass
-class _WordSeries:
-    """Per-time energies and flux line integrals of one derivative word at one u."""
-
-    E: np.ndarray
-    Ebar: np.ndarray
-    line_F: np.ndarray
-    line_Fbar: np.ndarray
-    E_ring: Optional[np.ndarray] = None
-    line_F_ring: Optional[np.ndarray] = None
-
-
 class EnergyAnalysis:
     """Energies and fluxes of a snapshot/foliation sequence.
 
     Generator derivatives use the forward snapshot pair at each time
-    (backward at the final time).  A full report makes one pass per
-    (invariant, word), reusing the u-independent integrands for every
-    requested band value, so memory stays at a few planes.
+    (backward at the final time).  A report evaluates one time slice at a
+    time: the pair's invariants, the generator velocity, c, and the band
+    weights and level curve of each requested u are computed once per
+    slice and shared by every invariant, word and band value; only the
+    scalar energies and flux line integrals are kept across slices.
 
     Fields entering the order >= 1 energies and the special
     tangential-stencil energy of wbar are reduced to their x2-fluctuation
@@ -331,143 +283,78 @@ class EnergyAnalysis:
         self.snapshots = list(snapshots)
         self.foliations = list(foliations)
         self.grid = snapshots[0].grid
-        self.gas = snapshots[0].gas
         self.times = [s.time for s in snapshots]
         self.u_min = u_min
-        self._curves: Dict[Tuple[int, float], LevelCurve] = {}
-        self._du_cell: Dict[int, np.ndarray] = {}
 
-    # -- primitives ---------------------------------------------------------
+    def slice_energies(self, k: int, psis: Sequence[str], orders: Sequence[int],
+                       u_values: Sequence[float]) -> Dict[Tuple[str, int, float], np.ndarray]:
+        """Energies and flux line integrals of time slice k.
 
-    def invariant_fields(self, psi: str) -> List[np.ndarray]:
-        idx = {"wbar": 0, "w": 1, "psi2": 2}[psi]
-        return [s.invariants()[idx] for s in self.snapshots]
-
-    def derived_fields(self, psi: str, op: FrameDerivativeOp):
-        fields, valid = apply_frame_derivative(op, self.invariant_fields(psi),
-                                               self.times, self.grid)
-        if op.order >= 1:
-            fields = [_project(f) for f in fields]
-        return fields, valid
-
-    def l_derivative(self, fields: Sequence[np.ndarray], k: int):
-        """First-frame generator derivative of a field sequence at time k."""
+        For each (psi, n, u) the array has one row per energy: outgoing
+        (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
+        special (E0ring, F0ring).  Column 0 is the energy over the band
+        {u_min <= u' <= u}, column 1 the line integral of its flux density
+        along {u' = u}.  An order sums its words in `words_of_order` order.
+        """
+        grid, fol = self.grid, self.foliations[k]
         k0, k1 = (k, k + 1) if k + 1 < len(self.snapshots) else (k - 1, k)
+        times = (self.times[k0], self.times[k1])
+        pair = (self.snapshots[k0].invariants(), self.snapshots[k1].invariants())
         a1, a2 = generator_velocity(self.snapshots[k0], self.foliations[k0])
-        return semi_lagrangian(fields[k0], fields[k1], a1, a2,
-                               self.times[k0], self.times[k1], self.grid)
-
-    def curve(self, k: int, level: float) -> LevelCurve:
-        key = (k, float(level))
-        if key not in self._curves:
-            self._curves[key] = extract_level_curve(self.foliations[k].u, level, self.grid)
-        return self._curves[key]
-
-    def _weights(self, k: int, u_max: float) -> np.ndarray:
-        u = self.foliations[k].u
-        if k not in self._du_cell:
-            self._du_cell[k] = _cell_span(u, self.grid)
-        return _band_weights(u, self._du_cell[k], self.u_min, u_max, self.grid)
-
-    # -- single-point evaluations (tests, spot checks) -----------------------
-
-    def word_energy(self, psi: str, op: FrameDerivativeOp, k: int, u_max: float):
-        fields, valid = self.derived_fields(psi, op)
-        lpsi, lmask = self.l_derivative(fields, k)
-        fol, c = self.foliations[k], self.snapshots[k].c
-        ok = valid & lmask
-        e = energy_outgoing(fol, c, fields[k], lpsi, u_max, self.u_min, ok)
-        ebar = energy_incoming(fol, c, fields[k], lpsi, u_max, self.u_min, ok)
-        return e, ebar
-
-    def order_energies(self, psi: str, n: int, k: int, u_max: float):
-        e_tot = ebar_tot = 0.0
-        for op in words_of_order(n):
-            e, ebar = self.word_energy(psi, op, k, u_max)
-            e_tot += e
-            ebar_tot += ebar
-        return e_tot, ebar_tot
-
-    def ring_energy0(self, k: int, u_max: float) -> float:
-        """Special order-0 energy of wbar, the outgoing energy with the
-        Cartesian tangential stencil d2 in place of Xhat."""
-        fields = self.invariant_fields("wbar")
-        lw, lmask = self.l_derivative(fields, k)
-        fol, c = self.foliations[k], self.snapshots[k].c
-        w = self._weights(k, u_max) * lmask
-        return 0.5 * float(np.sum(w * _outgoing_density(
-            fol.kappa, c, _project(lw), _d2(fields[k], self.grid.dx2))))
-
-    # -- series evaluation ----------------------------------------------------
-
-    def _word_series(self, psi: str, op: FrameDerivativeOp, u_values: Sequence[float],
-                     with_ring: bool) -> Dict[float, _WordSeries]:
-        nt = len(self.snapshots)
-        fields, valid = self.derived_fields(psi, op)
-        out = {u: _WordSeries(np.zeros(nt), np.zeros(nt), np.zeros(nt), np.zeros(nt),
-                              np.zeros(nt) if with_ring else None,
-                              np.zeros(nt) if with_ring else None)
-               for u in u_values}
-        for k in range(nt):
-            fol, c = self.foliations[k], self.snapshots[k].c
-            lpsi, lmask = self.l_derivative(fields, k)
-            ok = (valid & lmask).astype(float)
-            xpsi = _x_derivative(fol, fields[k])
-            int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
-            int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi,
-                                         _t_derivative(fol, fields[k])) * ok
-            g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
-            if with_ring:
-                lfluct = _project(lpsi)
-                d2psi = _d2(fields[k], self.grid.dx2)
-                int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
-                g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
-                g_ring = g_ring_l + g_ring_x
-            for u in u_values:
-                w = self._weights(k, u)
-                ser = out[u]
-                ser.E[k] = 0.5 * float(np.sum(w * int_e))
-                ser.Ebar[k] = 0.5 * float(np.sum(w * int_ebar))
-                ser.line_F[k] = self.curve(k, u).integral(g_f, self.grid)
-                ser.line_Fbar[k] = self.curve(k, u).integral(g_fbar, self.grid)
-                if with_ring:
-                    ser.E_ring[k] = 0.5 * float(np.sum(w * int_ring))
-                    ser.line_F_ring[k] = self.curve(k, u).integral(g_ring, self.grid)
+        c = self.snapshots[k].c
+        du = _cell_span(fol.u, grid)
+        bands = [(_band_weights(fol.u, du, self.u_min, u, grid),
+                  extract_level_curve(fol.u, u, grid)) for u in u_values]
+        out = {}
+        for psi in psis:
+            idx = ("wbar", "w", "psi2").index(psi)
+            for n in orders:
+                sums = [np.zeros((2, 2)) for _ in u_values]
+                for op in words_of_order(n):
+                    fields, valid = apply_frame_derivative(op, [inv[idx] for inv in pair],
+                                                           times, grid)
+                    if n >= 1:
+                        fields = [_project(f) for f in fields]
+                    lpsi, lmask = semi_lagrangian(*fields, a1, a2, *times, grid)
+                    f = fields[k - k0]
+                    ok = (valid & lmask).astype(float)
+                    xpsi = _x_derivative(fol, f)
+                    int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
+                    int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi,
+                                                 _t_derivative(fol, f)) * ok
+                    g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
+                    for acc, (w, curve) in zip(sums, bands):
+                        acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f, grid)],
+                                [0.5 * float(np.sum(w * int_ebar)),
+                                 curve.integral(g_fbar, grid)]]
+                if psi == "wbar" and n == 0:
+                    # special energy of wbar: the outgoing energy of the single
+                    # order-0 word, with d2 in place of Xhat and L projected
+                    lfluct, d2psi = _project(lpsi), _d2(f, grid.dx2)
+                    int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
+                    g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
+                    sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
+                                             curve.integral(g_ring_l + g_ring_x, grid)]])
+                            for acc, (w, curve) in zip(sums, bands)]
+                out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
         return out
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
                u_values: Sequence[float], epsilon: float) -> EnergyReport:
-        rep = EnergyReport(epsilon=epsilon)
         ts = np.asarray(self.times)
-        for psi in psis:
-            for n in orders:
-                acc = {u: None for u in u_values}
-                for op in words_of_order(n):
-                    with_ring = psi == "wbar" and n == 0
-                    series = self._word_series(psi, op, u_values, with_ring)
-                    for u, ser in series.items():
-                        if acc[u] is None:
-                            acc[u] = ser
-                        else:
-                            acc[u].E += ser.E
-                            acc[u].Ebar += ser.Ebar
-                            acc[u].line_F += ser.line_F
-                            acc[u].line_Fbar += ser.line_Fbar
-                for u, ser in acc.items():
-                    F = _cum_trapezoid(ser.line_F, ts, axis=0)
-                    Fbar = _cum_trapezoid(ser.line_Fbar, ts, axis=0)
-                    Fring = (_cum_trapezoid(ser.line_F_ring, ts, axis=0)
-                             if ser.line_F_ring is not None else None)
-                    for k in t_indices:
-                        row = EnergyRow(self.times[k], u, psi, n,
-                                        float(ser.E[k]), float(ser.Ebar[k]),
-                                        float(F[k]), float(Fbar[k]))
-                        if ser.E_ring is not None:
-                            row.E0ring = float(ser.E_ring[k])
-                            row.F0ring = float(Fring[k])
-                        rep.rows.append(row)
+        slices = [self.slice_energies(k, psis, orders, u_values) for k in range(len(ts))]
+        rep = EnergyReport(epsilon=epsilon)
+        for psi, n, u in slices[0]:
+            series = np.stack([s[psi, n, u] for s in slices])  # (time, energy, column)
+            energy = series[:, :, 0]
+            flux = _cum_trapezoid(series[:, :, 1], ts, axis=0)
+            for k in t_indices:
+                e, f = energy[k].tolist(), flux[k].tolist()
+                row = EnergyRow(self.times[k], u, psi, n, e[0], e[1], f[0], f[1])
+                if len(e) == 3:
+                    row.E0ring, row.F0ring = e[2], f[2]
+                rep.rows.append(row)
         return rep
-
 
 def _project(a: np.ndarray) -> np.ndarray:
     """x2-fluctuation part of a field."""

@@ -28,6 +28,7 @@ __all__ = [
     "max_signal_speed",
     "step",
     "run",
+    "advective_derivative",
     "diagonal_rhs",
     "transport_residual",
     "vorticity",
@@ -483,6 +484,14 @@ def _d2(a, dx):
     return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
 
 
+def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,
+                         grid: Grid) -> np.ndarray:
+    """d/dt + a1 d1 + a2 d2 of a field pair, centered at the midpoint time."""
+    dt = t1 - t0
+    fm = 0.5 * (f0 + f1)
+    return (f1 - f0) / dt + a1 * _d1(fm, grid.dx1) + a2 * _d2(fm, grid.dx2)
+
+
 def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
     """Right side of the diagonal system for one Riemann invariant, the value
     of its advective derivative along d/dt + (v1+c) d1 + v2 d2:
@@ -509,19 +518,16 @@ def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np
         raise ValueError("snapshots live on different grids")
     if invariant not in ("wbar", "w", "psi2"):
         raise ValueError(f"unknown invariant {invariant!r}")
-    dt = snap1.time - snap0.time
-    if dt <= 0.0:
+    if snap1.time <= snap0.time:
         raise ValueError("snapshots must be ordered in time")
-    dx1, dx2 = snap0.grid.dx1, snap0.grid.dx2
 
     idx = ("wbar", "w", "psi2").index(invariant)
     inv0, inv1 = snap0.invariants(), snap1.invariants()
-    f0, f1 = inv0[idx], inv1[idx]
-    fm = 0.5 * (f0 + f1)
     c = 0.5 * (snap0.c + snap1.c)
     v1 = 0.5 * (snap0.v1 + snap1.v1)
     v2 = 0.5 * (snap0.v2 + snap1.v2)
-    adv = (f1 - f0) / dt + (v1 + c) * _d1(fm, dx1) + v2 * _d2(fm, dx2)
+    adv = advective_derivative(inv0[idx], inv1[idx], v1 + c, v2, snap0.time, snap1.time,
+                               snap0.grid)
     wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
     return adv - diagonal_rhs(invariant, c, wbar_m, w_m, psi2_m, snap0.grid)
 

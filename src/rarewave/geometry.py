@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
+from .euler2d import FlowField, Grid, _d1, _d2, advective_derivative, diagonal_rhs
 
 __all__ = [
     "Foliation",
@@ -113,24 +113,20 @@ def _minmod(a, b):
 
 def _one_sided(u, dx, axis, grid_periodic):
     """Second-order ENO one-sided differences (backward, forward)."""
+    pad = [(0, 0)] * u.ndim
+    pad[axis] = (2, 2)
     if grid_periodic:
-        up1 = np.roll(u, -1, axis=axis)
-        um1 = np.roll(u, 1, axis=axis)
-        up2 = np.roll(u, -2, axis=axis)
-        um2 = np.roll(u, 2, axis=axis)
+        up = np.pad(u, pad, mode="wrap")
     else:
         # linear extrapolation ghosts preserve linear profiles exactly
-        pad = [(0, 0)] * u.ndim
-        pad[axis] = (2, 2)
         up = np.pad(u, pad, mode="reflect", reflect_type="odd")
-        sl = [slice(None)] * u.ndim
 
-        def shifted(k):
-            s = list(sl)
-            s[axis] = slice(2 + k, 2 + k + u.shape[axis])
-            return up[tuple(s)]
+    def shifted(k):
+        s = [slice(None)] * u.ndim
+        s[axis] = slice(2 + k, 2 + k + u.shape[axis])
+        return up[tuple(s)]
 
-        up1, um1, up2, um2 = shifted(1), shifted(-1), shifted(2), shifted(-2)
+    up1, um1, up2, um2 = shifted(1), shifted(-1), shifted(2), shifted(-2)
     d2c = (up1 - 2.0 * u + um1) / dx ** 2
     d2m = (u - 2.0 * um1 + um2) / dx ** 2
     d2p = (up2 - 2.0 * up1 + u) / dx ** 2
@@ -259,14 +255,6 @@ def bilinear_sample(f: np.ndarray, x1p: np.ndarray, x2p: np.ndarray, grid: Grid)
     j1 = np.mod(j0 + 1, grid.n2)
     return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
             + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
-
-
-def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,
-                         grid: Grid) -> np.ndarray:
-    """d/dt + a1 d1 + a2 d2 of a field pair, centered at the midpoint time."""
-    dt = t1 - t0
-    fm = 0.5 * (f0 + f1)
-    return (f1 - f0) / dt + a1 * _d1(fm, grid.dx1) + a2 * _d2(fm, grid.dx2)
 
 
 def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -313,22 +314,38 @@ def run_single(cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "MANIFEST.json"
     report_path = out / "report.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("status") == "completed" and report_path.exists() \
-                and all(manifest.get(k) == v for k, v in key.items()):
-            report = json.loads(report_path.read_text())
+    manifest = _read_json(manifest_path) or {}
+    if manifest.get("status") == "completed" and all(manifest.get(k) == v for k, v in key.items()):
+        report = _read_json(report_path)
+        if report is not None:
             report["cached"] = True
             return report
-    manifest_path.write_text(json.dumps({"status": "running", **key}))
+    _write_json(manifest_path, {"status": "running", **key})
     try:
         report = _run_single_inner(cfg, out, key["config_hash"])
     except Exception as exc:
-        manifest_path.write_text(json.dumps({"status": "failed", **key, "error": repr(exc)}))
+        _write_json(manifest_path, {"status": "failed", **key, "error": repr(exc)})
         raise
-    report_path.write_text(json.dumps(report, indent=1))
-    manifest_path.write_text(json.dumps({"status": "completed", **key}))
+    _write_json(report_path, report, indent=1)
+    _write_json(manifest_path, {"status": "completed", **key})
     return report
+
+
+def _read_json(path: Path):
+    """Parsed contents of a JSON file, or None when it is missing or unreadable
+    (for instance truncated by a killed run)."""
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+
+
+def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
+    """Write JSON to a temporary file and rename it over path, so a killed
+    run never leaves a truncated file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=indent))
+    os.replace(tmp, path)
 
 
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
@@ -561,7 +578,7 @@ def run_study(spec: StudySpec, cfg: RunConfig, out_dir: Optional[Path] = None) -
         study["epsilon_scaling"] = _epsilon_metrics(results, spec.ladder)
     if spec.kind == "delta_robustness" and all(r is not None for r in results):
         study["delta_robustness"] = _delta_metrics(results)
-    (out / "study.json").write_text(json.dumps(study, indent=1))
+    _write_json(out / "study.json", study, indent=1)
     emit_plots(study, out)
     return study
 
@@ -714,7 +731,7 @@ def emit_plots(report: dict, out_dir) -> List[Path]:
                 ts = [r[0] for r in rows if r[1] == best_u]
                 es = [r[4] + r[5] for r in rows if r[1] == best_u]
                 fits[name] = slope_fit(ts, es)
-        (out / "slope_fits.json").write_text(json.dumps(fits, indent=1))
+        _write_json(out / "slope_fits.json", fits, indent=1)
         written.append(out / "slope_fits.json")
     else:
         emit_run(report, out)

@@ -5,20 +5,20 @@ import pytest
 
 from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypothesisError,
                                GronwallInstance, apply_frame_derivative,
-                               check_data_predicates, energy_incoming, energy_outgoing,
-                               extract_level_curve, fit_gronwall_constants,
-                               gronwall_verify, level_curve_integral, region_weights,
+                               check_data_predicates, extract_level_curve,
+                               fit_gronwall_constants, gronwall_verify, region_weights,
                                words_of_order)
-from rarewave.euler2d import PerturbationSpec, SolverConfig, init_perturbed_rarefaction, run
+from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
+                              init_perturbed_rarefaction, make_uniform_field, run)
 from rarewave.geometry import evolve_u, frame_fields
 from rarewave.riemann1d import CenteredFan
 
 from conftest import GAS2, fan_field, small_grid
 
 
-def fan_setup(n1=256, t=0.5, dt=0.02, n2=8):
+def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
     grid = small_grid(n1=n1, n2=n2)
-    snaps = [fan_field(GAS2, grid, t), fan_field(GAS2, grid, t + dt)]
+    snaps = [fan_field(GAS2, grid, t + i * dt) for i in range(n_times)]
     X1, _ = grid.mesh()
     fols = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
     return grid, snaps, fols
@@ -47,7 +47,7 @@ class TestLevelCurves:
         curve = extract_level_curve(u, r, grid)
         assert curve.total_length == pytest.approx(2 * math.pi * r, rel=2e-3)
         # integral of (x - x0)^2 over the circle is pi r^3
-        val = level_curve_integral(u, r, (X1 - x0) ** 2, grid)
+        val = extract_level_curve(u, r, grid).integral((X1 - x0) ** 2, grid)
         assert val == pytest.approx(math.pi * r ** 3, rel=5e-3)
 
     def test_vertical_front_wraps_periodically(self):
@@ -88,18 +88,24 @@ class TestFrameDerivative:
             FrameDerivativeOp(("X",) * 4)
 
 
+# rows of a slice_energies entry: outgoing, incoming, ring; columns: energy, flux line
+OUT, INC, RING = 0, 1, 2
+
+
 class TestEnergies:
-    def test_constant_field_zero(self):
+    def test_zero_invariant_gives_zero_energies(self):
+        # psi2 = v2 vanishes identically in the 1D fan
         grid, snaps, fols = fan_setup()
-        psi = np.full((grid.n1, grid.n2), 0.7)
-        lpsi = np.zeros_like(psi)
-        assert energy_outgoing(fols[0], snaps[0].c, psi, lpsi, 1.2) == 0.0
-        assert energy_incoming(fols[0], snaps[0].c, psi, lpsi, 1.2) == 0.0
+        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        sl = ana.slice_energies(0, ["psi2"], [0, 1], [0.6, 1.2])
+        assert len(sl) == 4
+        for vals in sl.values():
+            assert np.all(vals == 0.0)
 
     def test_unperturbed_fan_outgoing_of_w_is_floor(self):
         grid, snaps, fols = fan_setup()
         ana = EnergyAnalysis(snaps, fols, u_min=0.1)
-        e, _ = ana.word_energy("w", FrameDerivativeOp(()), 0, 1.3)
+        e = ana.slice_energies(0, ["w"], [0], [1.3])["w", 0, 1.3][OUT, 0]
         assert e < 1e-20  # w is constant and L w = 0 in the exact fan
 
     def test_unperturbed_fan_incoming_of_wbar_vs_oracle(self):
@@ -108,30 +114,50 @@ class TestEnergies:
         # (u_hi - u_lo) * t; independent arithmetic gives 16*pi*(du)/9
         grid, snaps, fols = fan_setup(n1=512)
         ana = EnergyAnalysis(snaps, fols, u_min=0.2)
-        _, ebar = ana.word_energy("wbar", FrameDerivativeOp(()), 0, 1.2)
+        ebar = ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][INC, 0]
         oracle = 0.5 * (16.0 / 9.0) * (1.2 - 0.2) * 2 * math.pi
         assert ebar == pytest.approx(oracle, rel=2e-2)
 
     def test_monotone_in_band_width(self):
         grid, snaps, fols = fan_setup()
         ana = EnergyAnalysis(snaps, fols, u_min=0.0)
-        vals = [ana.word_energy("wbar", FrameDerivativeOp(()), 0, um)[1]
-                for um in (0.4, 0.8, 1.2)]
+        sl = ana.slice_energies(0, ["wbar"], [0], [0.4, 0.8, 1.2])
+        vals = [sl["wbar", 0, um][INC, 0] for um in (0.4, 0.8, 1.2)]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_order_zero_matches_word_energy_bitwise(self):
-        grid, snaps, fols = fan_setup()
+    def test_report_matches_slice_energies_bitwise(self):
+        grid, snaps, fols = fan_setup(n_times=3)
+        X1, X2 = grid.mesh()
+        # a transverse velocity wave makes the psi2 = v2 energies and fluxes nonzero
+        snaps = [FlowField(s.gas, grid, s.time, s.rho, s.m1,
+                           0.01 * s.rho * np.sin(X2 + 3.0 * X1 - s.time)) for s in snaps]
         ana = EnergyAnalysis(snaps, fols, u_min=0.1)
-        direct = ana.word_energy("psi2", FrameDerivativeOp(()), 0, 1.2)
-        summed = ana.order_energies("psi2", 0, 0, 1.2)
-        assert direct == summed
+        psis, orders, u_values = ["wbar", "w", "psi2"], [0, 1], [0.8, 1.3]
+        slices = [ana.slice_energies(k, psis, orders, u_values) for k in range(3)]
+        rep = ana.report(psis, orders, [0, 1, 2], u_values, epsilon=0.0)
+        assert len(rep.rows) == 3 * 2 * 2 * 3
+        for row in rep.rows:
+            k = ana.times.index(row.t)
+            vals = [s[row.psi, row.n, row.u] for s in slices]
+            assert (row.E, row.Ebar) == (vals[k][OUT, 0], vals[k][INC, 0])
+            ring = row.psi == "wbar" and row.n == 0
+            assert row.E0ring == (vals[k][RING, 0] if ring else None)
+            for attr, r in (("F", OUT), ("Fbar", INC)) + ((("F0ring", RING),) if ring else ()):
+                flux = 0.0
+                for j in range(k):
+                    flux += 0.5 * (vals[j][r, 1] + vals[j + 1][r, 1]) \
+                        * (ana.times[j + 1] - ana.times[j])
+                assert getattr(row, attr) == flux
+        assert all(row.F > 0 and row.Fbar > 0 for row in rep.rows
+                   if row.psi == "psi2" and row.t > ana.times[0])
 
     def test_ring_energy_fan_floor_and_uniform_zero(self):
         grid, snaps, fols = fan_setup()
         ana = EnergyAnalysis(snaps, fols, u_min=0.1)
-        assert ana.ring_energy0(0, 1.3) < 1e-18
-        psi = np.full((grid.n1, grid.n2), 1.0)
-        assert energy_outgoing(fols[0], snaps[0].c, psi, np.zeros_like(psi), 1.2) == 0.0
+        assert ana.slice_energies(0, ["wbar"], [0], [1.3])["wbar", 0, 1.3][RING, 0] < 1e-18
+        uniform = [make_uniform_field(GAS2, grid, 1.0, time=s.time) for s in snaps]
+        ana = EnergyAnalysis(uniform, fols, u_min=0.1)
+        assert ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][RING, 0] == 0.0
 
     def test_flux_of_invariant_w_is_floor(self):
         grid, snaps, fols = fan_setup()

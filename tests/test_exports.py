@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -26,3 +27,19 @@ def test_package_imports_resolve():
             missing += [f"{node.module}.{a.name}" for a in node.names
                         if not hasattr(module, a.name)]
     assert not missing, f"rarewave/__init__.py imports undefined names {missing}"
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's per-layer metrics read zero for a patched name that is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, module, attr_path in tracer.TARGETS:
+        owner = importlib.import_module(module)
+        for attr in attr_path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}.{attr_path}")
+    assert not missing, f"perfbench/tracer.py patches undefined names {missing}"

@@ -158,6 +158,16 @@ class TestRunSingle:
         assert not run_single(cfg)["cached"]
         assert run_single(cfg)["cached"]
 
+    @pytest.mark.parametrize("name", ["MANIFEST.json", "report.json"])
+    def test_truncated_cache_file_recomputes(self, tmp_path, name):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "r"
+        assert not run_single(cfg, out_dir=out)["cached"]
+        (out / name).write_text('{"status": "comp')  # left by a killed run
+        assert not run_single(cfg, out_dir=out)["cached"]
+        assert run_single(cfg, out_dir=out)["cached"]
+        assert json.loads((out / "MANIFEST.json").read_text())["status"] == "completed"
+
     def test_failed_run_leaves_manifest(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
         import rarewave.harness as harness
