@@ -2,7 +2,9 @@
 
 The domain is x1 in [x1_min, x1_max] with frozen far-field ghost states,
 x2 in [0, 2*pi) periodic.  Conserved variables are (rho, rho*v1, rho*v2)
-with pressure p = k0 * rho**gamma.  Rusanov fluxes, SSP-RK2 time stepping.
+with pressure p = k0 * rho**gamma.  Rusanov fluxes, SSP-RK2 time stepping;
+inside a step the state is held as (3, n1+2, n2) conserved planes padded
+with one ghost row on each x1 side.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .gas import PolytropicGas, density_from_sound_speed, sound_speed
+from .gas import PolytropicGas, density_from_sound_speed, pressure, sound_speed
 from .riemann1d import CenteredFan, NumericalError
 
 __all__ = [
@@ -76,7 +78,9 @@ class FlowField:
     """Conserved state (rho, m1, m2) on a grid at one time.
 
     ghost_lo/ghost_hi hold two frozen columns of conserved far-field state
-    on each x1 side; they ride along unchanged through time stepping.
+    on each x1 side, shaped (2, n2, 3); they ride along unchanged through
+    time stepping, which reads the column next to the domain (ghost_lo[-1],
+    ghost_hi[0]).
     """
 
     gas: PolytropicGas
@@ -102,6 +106,13 @@ class FlowField:
         if self.ghost_hi is None:
             self.ghost_hi = np.stack(
                 [np.stack([self.rho[-1], self.m1[-1], self.m2[-1]], axis=-1)] * 2)
+        for name in ("ghost_lo", "ghost_hi"):
+            ghost = getattr(self, name)
+            if np.shape(ghost) != (2, self.grid.n2, 3):
+                raise ValueError(f"{name} has shape {np.shape(ghost)}, "
+                                 f"expected {(2, self.grid.n2, 3)}")
+            if not np.all(np.isfinite(ghost[..., 0]) & (ghost[..., 0] > 0.0)):
+                raise ValueError(f"{name} has a non-positive or non-finite density")
 
     @property
     def v1(self) -> np.ndarray:
@@ -360,46 +371,67 @@ def max_signal_speed(f: FlowField) -> float:
     return float(np.max(np.hypot(f.v1, f.v2) + f.c))
 
 
-def _phys_flux(gas, q, axis):
-    """Euler flux along the given axis; q has shape (..., 3)."""
-    rho = q[..., 0]
-    vn = q[..., axis + 1] / rho
-    p = gas.k0 * rho ** gas.gamma
-    fl = np.empty_like(q)
-    fl[..., 0] = rho * vn
-    fl[..., 1] = q[..., 1] * vn
-    fl[..., 2] = q[..., 2] * vn
-    fl[..., axis + 1] += p
-    return fl
+def _pairs(ufunc, a, out, axis):
+    """out[i] = ufunc(a[i+1], a[i]) for each interface i+1/2 along axis.
+
+    Along x1 the ghost rows close the pairs.  Along x2 the grid is periodic:
+    the last interface pairs the last column with the first.
+    """
+    if axis == 0:
+        ufunc(a[1:], a[:-1], out=out)
+    else:
+        ufunc(a[:, 1:], a[:, :-1], out=out[:, :-1])
+        ufunc(a[:, :1], a[:, -1:], out=out[:, -1:])
 
 
-def _interface_flux(gas, ql, qr, axis):
-    """Rusanov flux between left/right cell states along the given axis."""
-    fl = _phys_flux(gas, ql, axis)
-    fr = _phys_flux(gas, qr, axis)
-    cl = sound_speed(gas, ql[..., 0])
-    cr = sound_speed(gas, qr[..., 0])
-    vl = ql[..., axis + 1] / ql[..., 0]
-    vr = qr[..., axis + 1] / qr[..., 0]
-    lam = np.maximum(np.abs(vl) + cl, np.abs(vr) + cr)[..., None]
-    return 0.5 * (fl + fr) - 0.5 * lam * (qr - ql)
+def _rhs(gas, grid, q, dq, cell, face):
+    """Rusanov flux divergence of the padded state q, written into dq.
 
-
-def _rhs(gas, grid, q, ghost_lo, ghost_hi):
-    """Flux divergence and the net boundary mass outflow rate."""
-    qx = np.concatenate([ghost_lo[-1:], q, ghost_hi[:1]], axis=0)
-    fx = _interface_flux(gas, qx[:-1], qx[1:], 0)  # (n1+1, n2, 3)
-    qy_l = q
-    qy_r = np.roll(q, -1, axis=1)
-    fy = _interface_flux(gas, qy_l, qy_r, 1)      # flux at j+1/2
-    dq = -(fx[1:] - fx[:-1]) / grid.dx1 \
-        - (fy - np.roll(fy, 1, axis=1)) / grid.dx2
-    outflow = (fx[-1, :, 0].sum() - fx[0, :, 0].sum()) * grid.dx2
-    return dq, outflow
-
-
-def _stack(f: FlowField):
-    return np.stack([f.rho, f.m1, f.m2], axis=-1)
+    q is (3, n1+2, n2) conserved planes (rho, m1, m2) whose rows 0 and n1+1
+    hold the frozen ghost cells; dq is (3, n1, n2).  cell (4, n1+2, n2) and
+    face (3, n1+1, n2) are scratch.  Velocity, sound speed, pressure and the
+    physical flux are evaluated once per cell and shared by its interfaces.
+    Returns the net boundary mass outflow rate.
+    """
+    vel, lam, flux = cell[:2], cell[2], cell[3]
+    np.divide(q[1], q[0], out=vel[0])
+    np.divide(q[2], q[0], out=vel[1])
+    c = sound_speed(gas, q[0])
+    p = pressure(gas, q[0])
+    outflow = 0.0
+    # x1 interfaces: all n1+1 between the padded rows; x2 interfaces: on the
+    # n1 interior rows only
+    for axis, dx, rows, faces in ((0, grid.dx1, slice(None), slice(None)),
+                                  (1, grid.dx2, slice(1, -1), slice(1, None))):
+        half_speed, num, jump = face[:, faces]
+        v = vel[axis, rows]
+        speed = np.abs(v, out=lam[rows])
+        speed += c[rows]
+        _pairs(np.maximum, speed, half_speed, axis)
+        half_speed *= 0.5
+        for k in range(3):
+            qk = q[k, rows]
+            fk = np.multiply(qk, v, out=flux[rows])
+            if k == axis + 1:
+                fk += p[rows]
+            # num = (f_l + f_r)/2 - max(|v|+c)/2 * (q_r - q_l)
+            _pairs(np.add, fk, num, axis)
+            num *= 0.5
+            _pairs(np.subtract, qk, jump, axis)
+            jump *= half_speed
+            num -= jump
+            if axis == 0:
+                if k == 0:
+                    outflow = (num[-1].sum() - num[0].sum()) * grid.dx2
+                _pairs(np.subtract, num, dq[k], 0)
+                dq[k] /= -dx
+            else:
+                # cell j lies between interfaces j-1/2 and j+1/2
+                np.subtract(num[:, 1:], num[:, :-1], out=jump[:, 1:])
+                np.subtract(num[:, :1], num[:, -1:], out=jump[:, :1])
+                jump /= dx
+                dq[k] -= jump
+    return outflow
 
 
 def _check_positive(rho, time):
@@ -413,22 +445,43 @@ def _check_positive(rho, time):
 
 
 def step(f: FlowField, dt: float, config: SolverConfig) -> FlowField:
-    """One conservative update of size dt; dt = 0 returns a copy."""
+    """One conservative update of size dt; dt = 0 returns a copy.
+
+    The result's rho, m1 and m2 are disjoint views of one new buffer.
+    """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     if dt == 0.0:
         return f.copy()
     gas, grid = f.gas, f.grid
-    q0 = _stack(f)
-    dq1, out1 = _rhs(gas, grid, q0, f.ghost_lo, f.ghost_hi)
-    q1 = q0 + dt * dq1
-    _check_positive(q1[..., 0], f.time + dt)
-    dq2, out2 = _rhs(gas, grid, q1, f.ghost_lo, f.ghost_hi)
-    q_new = 0.5 * (q0 + q1 + dt * dq2)
-    _check_positive(q_new[..., 0], f.time + dt)
+    n1, n2 = grid.n1, grid.n2
+    # scratch first: q0 outlives the step as the result, so with glibc malloc
+    # the freed scratch lies below it and the next step reuses those pages
+    # instead of faulting in fresh ones
+    q1 = np.empty((3, n1 + 2, n2))
+    dq = np.empty((3, n1, n2))
+    cell = np.empty((4, n1 + 2, n2))
+    face = np.empty((3, n1 + 1, n2))
+    # q0 is updated in place to the new state; its interior rows are the result
+    q0 = np.empty((3, n1 + 2, n2))
+    q0[:, 0] = f.ghost_lo[-1].T
+    q0[:, -1] = f.ghost_hi[0].T
+    q0[0, 1:-1], q0[1, 1:-1], q0[2, 1:-1] = f.rho, f.m1, f.m2
+    q1[:, 0], q1[:, -1] = q0[:, 0], q0[:, -1]
+
+    out1 = _rhs(gas, grid, q0, dq, cell, face)
+    dq *= dt
+    np.add(q0[:, 1:-1], dq, out=q1[:, 1:-1])
+    _check_positive(q1[0, 1:-1], f.time + dt)
+    out2 = _rhs(gas, grid, q1, dq, cell, face)
+    dq *= dt
+    q_new = q0[:, 1:-1]
+    q_new += q1[:, 1:-1]
+    q_new += dq
+    q_new *= 0.5
+    _check_positive(q_new[0], f.time + dt)
     outflow = 0.5 * (out1 + out2) * dt
-    result = FlowField(gas, grid, f.time + dt,
-                       q_new[..., 0].copy(), q_new[..., 1].copy(), q_new[..., 2].copy(),
+    result = FlowField(gas, grid, f.time + dt, q_new[0], q_new[1], q_new[2],
                        f.ghost_lo.copy(), f.ghost_hi.copy())
     result.boundary_mass_flux = outflow
     return result
@@ -455,7 +508,8 @@ def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> Li
         while current.time < target - 1e-13:
             speed = max_signal_speed(current)
             if not math.isfinite(speed):
-                i, j = np.argwhere(~np.isfinite(_stack(current)).all(axis=-1))[0]
+                state = np.stack([current.rho, current.m1, current.m2])
+                i, j = np.argwhere(~np.isfinite(state).all(axis=0))[0]
                 raise NumericalError(f"non-finite state at t={current.time:.6g}, "
                                      f"first at (i={i}, j={j})")
             dt = min(config.cfl * dx_min / speed, target - current.time)

@@ -1,17 +1,50 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rarewave import euler2d
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec,
                               SolverConfig, clamped_fan_profile,
                               init_perturbed_rarefaction, make_uniform_field,
                               max_signal_speed, run, step, total_mass,
                               transport_residual, vorticity)
-from rarewave.gas import PolytropicGas, density_from_sound_speed
+from rarewave.gas import PolytropicGas, density_from_sound_speed, sound_speed
 from rarewave.riemann1d import NumericalError
 
 from conftest import GAS2, fan_field, small_grid
+
+
+def rusanov_oracle_step(f, dt):
+    """SSP-RK2 step with the Rusanov flux evaluated per interface on
+    interleaved (n1, n2, 3) states: the reference for the planar kernel."""
+    gas, grid = f.gas, f.grid
+
+    def phys_flux(q, axis):
+        vn = q[..., axis + 1] / q[..., 0]
+        fl = q * vn[..., None]
+        fl[..., axis + 1] += gas.k0 * q[..., 0] ** gas.gamma
+        return fl
+
+    def interface_flux(ql, qr, axis):
+        lam = np.maximum(np.abs(ql[..., axis + 1] / ql[..., 0]) + sound_speed(gas, ql[..., 0]),
+                         np.abs(qr[..., axis + 1] / qr[..., 0]) + sound_speed(gas, qr[..., 0]))
+        return 0.5 * (phys_flux(ql, axis) + phys_flux(qr, axis)) \
+            - 0.5 * lam[..., None] * (qr - ql)
+
+    def rhs(q):
+        qx = np.concatenate([f.ghost_lo[-1:], q, f.ghost_hi[:1]])
+        fx = interface_flux(qx[:-1], qx[1:], 0)
+        fy = interface_flux(q, np.roll(q, -1, axis=1), 1)
+        dq = -(fx[1:] - fx[:-1]) / grid.dx1 - (fy - np.roll(fy, 1, axis=1)) / grid.dx2
+        return dq, (fx[-1, :, 0].sum() - fx[0, :, 0].sum()) * grid.dx2
+
+    q0 = np.stack([f.rho, f.m1, f.m2], axis=-1)
+    dq1, out1 = rhs(q0)
+    q1 = q0 + dt * dq1
+    dq2, out2 = rhs(q1)
+    return 0.5 * (q0 + q1 + dt * dq2), 0.5 * (out1 + out2) * dt
 
 
 def one_mode_spec(eps, strip=(-0.5, 1.1)):
@@ -149,6 +182,53 @@ class TestStep:
         with pytest.raises(ValueError, match="NaN density"):
             FlowField(GAS2, grid, 0.0, rho, np.zeros_like(rho), np.zeros_like(rho))
 
+    @pytest.mark.parametrize("ghost, bad, match", [
+        ("ghost_lo", lambda g: g[0], r"ghost_lo has shape \(16, 3\)"),
+        ("ghost_hi", lambda g: g * np.array([0.0, 1.0, 1.0]), "ghost_hi has a non-positive"),
+        ("ghost_lo", lambda g: g * np.array([np.inf, 1.0, 1.0]), "ghost_lo has a non-positive"),
+    ], ids=["shape", "zero_density", "infinite_density"])
+    def test_bad_ghost_rejected(self, ghost, bad, match):
+        f = make_uniform_field(GAS2, small_grid(n1=32, n2=16), c=1.0, v1=0.3)
+        with pytest.raises(ValueError, match=match):
+            FlowField(f.gas, f.grid, f.time, f.rho, f.m1, f.m2,
+                      **{"ghost_lo": f.ghost_lo, "ghost_hi": f.ghost_hi,
+                         ghost: bad(getattr(f, ghost))})
+
+    @pytest.mark.parametrize("gamma", [2.0, 1.4])
+    def test_matches_per_interface_oracle(self, gamma):
+        gas = PolytropicGas(gamma, 0.5)
+        grid = small_grid(n1=48, n2=16)
+        rng = np.random.default_rng(11)
+
+        def state(shape, v1_range):
+            rho = rng.uniform(0.5, 1.5, shape)
+            return rho, rho * rng.uniform(*v1_range, shape), rho * rng.uniform(-0.5, 0.5, shape)
+
+        rho, m1, m2 = state((48, 16), (-0.5, 0.5))
+        # two distinct columns per ghost, with mass leaving through both ends
+        ghost_lo = np.stack(state((2, 16), (-0.5, -0.1)), axis=-1)
+        ghost_hi = np.stack(state((2, 16), (0.1, 0.5)), axis=-1)
+        f = FlowField(gas, grid, 0.2, rho, m1, m2, ghost_lo, ghost_hi)
+        dt = 0.3 * grid.dx1 / max_signal_speed(f)
+        g = step(f, dt, SolverConfig())
+        q, outflow = rusanov_oracle_step(f, dt)
+        for k, a in enumerate((g.rho, g.m1, g.m2)):
+            assert np.max(np.abs(a - q[..., k])) <= 1e-13 * np.max(np.abs(q[..., k]))
+        assert g.boundary_mass_flux == pytest.approx(outflow, rel=1e-13)
+        assert g.time == 0.2 + dt
+
+    def test_step_peak_memory(self):
+        # scratch of one step, counted in float64 planes of the grid
+        f = fan_field(GAS2, small_grid(n1=128, n2=32), 0.3)
+        dt = 0.4 * f.grid.dx1 / max_signal_speed(f)
+        tracemalloc.start()
+        try:
+            step(f, dt, SolverConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / f.rho.nbytes <= 40.0
+
     def test_x2_independence_preserved(self):
         f = fan_field(GAS2, small_grid(), 0.3)
         cfg = SolverConfig()
@@ -219,6 +299,31 @@ class TestRun:
                 else branch(corner - 0.25, corner - 0.10)
             found = (outer[1] - inner[1]) / (inner[0] - outer[0])
             assert abs(found - corner) <= 2 * grid.dx1
+
+    def test_one_step_call_per_time_step(self, monkeypatch):
+        calls = []
+
+        def counting_step(field, dt, config):
+            out = step(field, dt, config)
+            calls.append((field, out))
+            return out
+
+        monkeypatch.setattr(euler2d, "step", counting_step)
+        f = fan_field(GAS2, small_grid(), 0.3)
+        snaps = run(f, SolverConfig(snapshot_times=(0.35, 0.4)))
+        # each call advances the result of the one before it
+        assert calls[0][0] is f and calls[-1][1] is snaps[-1]
+        assert all(prev is nxt for (_, prev), (nxt, _) in zip(calls, calls[1:]))
+        assert len(calls) > 2
+
+    def test_snapshots_own_their_memory(self):
+        f = init_perturbed_rarefaction(GAS2, small_grid(n1=64), 0.3, (0.0, 1.0),
+                                       one_mode_spec(0.02), u_glue=1.9)
+        snaps = run(f, SolverConfig(snapshot_times=(0.32, 0.34, 0.36)))
+        planes = [(k, a) for k, s in enumerate([f] + snaps) for a in (s.rho, s.m1, s.m2)]
+        for n, (k, a) in enumerate(planes):
+            for j, b in planes[n + 1:]:
+                assert not np.shares_memory(a, b), (k, j)
 
     def test_conservation_accumulated_over_run(self):
         f = fan_field(GAS2, small_grid(), 0.3)
