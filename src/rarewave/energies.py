@@ -16,8 +16,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
-from .geometry import (Foliation, bilinear_sample, directional_derivative,
-                       generator_velocity, semi_lagrangian)
+from .geometry import (BilinearStencil, FlowStencil, Foliation, directional_derivative,
+                       generator_velocity)
+# re-exported: the benchmark tracer patches these two names in this module
+from .geometry import bilinear_sample, semi_lagrangian  # noqa: F401
 
 __all__ = [
     "FrameDerivativeOp",
@@ -98,37 +100,40 @@ def _t_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LevelCurve:
-    """Segment midpoints and lengths of one extracted level curve."""
+    """Segment midpoints and lengths of one extracted level curve, with the
+    bilinear stencil at the midpoints."""
 
     mid_x1: np.ndarray
     mid_x2: np.ndarray
     lengths: np.ndarray
+    stencil: BilinearStencil
 
     @property
     def total_length(self) -> float:
         return float(self.lengths.sum())
 
-    def integral(self, g: np.ndarray, grid: Grid) -> float:
+    def integral(self, g: np.ndarray) -> float:
         """Line integral of the cell-centered field g along the curve."""
-        if self.lengths.size == 0:
-            return 0.0
-        return float(np.sum(self.lengths * bilinear_sample(g, self.mid_x1, self.mid_x2, grid)))
+        return float(np.sum(self.lengths * self.stencil(g)))
 
 
 def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
     """Marching-squares geometry of {u = level} on the cell-center lattice.
 
     x2 wraps periodically; each grid square crossed twice contributes one
-    straight segment, saddle squares are split by the center value.
+    straight segment, saddle squares are split by the center value.  Only
+    squares whose corners disagree on u < level are evaluated; segments come
+    in row-major square order, the saddle squares' pairs after the rest.
     """
-    A = u[:-1, :]
-    B = u[1:, :]
-    C = np.roll(u, -1, axis=1)[1:, :]
-    D = np.roll(u, -1, axis=1)[:-1, :]
-    x1 = grid.x1[:-1, None]
-    x2 = grid.x2[None, :]
+    below = u < level
+    below_r = np.roll(below, -1, axis=1)
+    r, cl = np.nonzero((below[:-1] != below[1:]) | (below[1:] != below_r[1:])
+                       | (below_r[1:] != below_r[:-1]))
+    cr = np.mod(cl + 1, grid.n2)
+    A, B, C, D = u[r, cl], u[r + 1, cl], u[r + 1, cr], u[r, cr]
+    x1 = grid.x1[r]
+    x2 = grid.x2[cl]
     dx1, dx2 = grid.dx1, grid.dx2
-    shape = A.shape
 
     def cross(p, q):
         flag = (p < level) != (q < level)
@@ -140,49 +145,34 @@ def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
     f1_flag, f1 = cross(B, C)
     f2_flag, f2 = cross(D, C)
     f3_flag, f3 = cross(A, D)
-    ex = np.stack([x1 + f0 * dx1, np.broadcast_to(x1 + dx1, shape),
-                   x1 + f2 * dx1, np.broadcast_to(x1, shape)])
-    ey = np.stack([np.broadcast_to(x2, shape), x2 + f1 * dx2,
-                   np.broadcast_to(x2 + dx2, shape), x2 + f3 * dx2])
+    ex = np.stack([x1 + f0 * dx1, x1 + dx1, x1 + f2 * dx1, x1])
+    ey = np.stack([x2, x2 + f1 * dx2, x2 + dx2, x2 + f3 * dx2])
     flags = np.stack([f0_flag, f1_flag, f2_flag, f3_flag])
-    counts = flags.sum(axis=0)
+    two = flags.sum(axis=0) == 2
 
-    mids1, mids2, lens = [], [], []
+    # squares crossed twice: one segment from the first to the last crossed edge
+    sel = flags[:, two]
+    e1, e2, sq = [np.argmax(sel, axis=0)], [3 - np.argmax(sel[::-1], axis=0)], [np.flatnonzero(two)]
+    # saddle squares: two segments each, paired by the center value
+    saddle = np.flatnonzero(~two)
+    center = 0.25 * (A[saddle] + B[saddle] + C[saddle] + D[saddle])
+    split = ((center < level) == (B[saddle] < level))[:, None]
+    e1.append(np.where(split, [0, 2], [0, 1]).ravel())
+    e2.append(np.where(split, [1, 3], [3, 2]).ravel())
+    sq.append(np.repeat(saddle, 2))
+    e1, e2, sq = (np.concatenate(a) for a in (e1, e2, sq))
 
-    two = np.argwhere(counts == 2)
-    if two.size:
-        r, cl = two[:, 0], two[:, 1]
-        sel_flags = flags[:, r, cl]
-        first = np.argmax(sel_flags, axis=0)
-        last = 3 - np.argmax(sel_flags[::-1], axis=0)
-        m = np.arange(len(r))
-        ax, ay = ex[:, r, cl][first, m], ey[:, r, cl][first, m]
-        bx, by = ex[:, r, cl][last, m], ey[:, r, cl][last, m]
-        dy = np.abs(ay - by)
-        dy = np.minimum(dy, 2.0 * math.pi - dy)
-        seg = np.hypot(ax - bx, dy)
-        mids1.append(0.5 * (ax + bx))
-        mids2.append(0.5 * (ay + by))
-        lens.append(seg)
-
-    four = np.argwhere(counts == 4)
-    for i, j in four:
-        corners = (A[i, j], B[i, j], C[i, j], D[i, j])
-        center = 0.25 * sum(corners)
-        pairs = [(0, 1), (2, 3)] if (center < level) == (corners[1] < level) else [(0, 3), (1, 2)]
-        for e1, e2 in pairs:
-            dyv = abs(ey[e1, i, j] - ey[e2, i, j])
-            dyv = min(dyv, 2.0 * math.pi - dyv)
-            mids1.append(np.atleast_1d(0.5 * (ex[e1, i, j] + ex[e2, i, j])))
-            mids2.append(np.atleast_1d(0.5 * (ey[e1, i, j] + ey[e2, i, j])))
-            lens.append(np.atleast_1d(math.hypot(ex[e1, i, j] - ex[e2, i, j], dyv)))
-
-    if not mids1:
-        empty = np.zeros(0)
-        return LevelCurve(empty, empty, empty)
-    return LevelCurve(np.concatenate(mids1),
-                      np.mod(np.concatenate(mids2), 2.0 * math.pi),
-                      np.concatenate(lens))
+    ax, ay, bx, by = ex[e1, sq], ey[e1, sq], ex[e2, sq], ey[e2, sq]
+    dy = np.abs(ay - by)
+    dy = np.minimum(dy, 2.0 * math.pi - dy)
+    lengths = np.hypot(ax - bx, dy)
+    # saddle segments keep math.hypot's rounding, which differs from np.hypot's in the last bit
+    n_two = int(two.sum())
+    lengths[n_two:] = [math.hypot(a, b) for a, b in zip((ax - bx)[n_two:].tolist(),
+                                                        dy[n_two:].tolist())]
+    mid_x1 = 0.5 * (ax + bx)
+    mid_x2 = np.mod(0.5 * (ay + by), 2.0 * math.pi)
+    return LevelCurve(mid_x1, mid_x2, lengths, BilinearStencil(mid_x1, mid_x2, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +250,10 @@ class EnergyAnalysis:
 
     Generator derivatives use the forward snapshot pair at each time
     (backward at the final time).  A report evaluates one time slice at a
-    time: the pair's invariants, the generator velocity, c, and the band
-    weights and level curve of each requested u are computed once per
-    slice and shared by every invariant, word and band value; only the
+    time: the pair's invariants, the flow stencil of the generator
+    velocity, c, and the band weights and level curve (with its sampling
+    stencil) of each requested u are computed once per slice and shared by
+    every invariant, word and band value; only the
     scalar energies and flux line integrals are kept across slices.
 
     Fields entering the order >= 1 energies and the special
@@ -300,7 +291,8 @@ class EnergyAnalysis:
         k0, k1 = (k, k + 1) if k + 1 < len(self.snapshots) else (k - 1, k)
         times = (self.times[k0], self.times[k1])
         pair = (self.snapshots[k0].invariants(), self.snapshots[k1].invariants())
-        a1, a2 = generator_velocity(self.snapshots[k0], self.foliations[k0])
+        flow = FlowStencil(*generator_velocity(self.snapshots[k0], self.foliations[k0]),
+                           times[1] - times[0], grid)
         c = self.snapshots[k].c
         du = _cell_span(fol.u, grid)
         bands = [(_band_weights(fol.u, du, self.u_min, u, grid),
@@ -315,18 +307,17 @@ class EnergyAnalysis:
                                                            times, grid)
                     if n >= 1:
                         fields = [_project(f) for f in fields]
-                    lpsi, lmask = semi_lagrangian(*fields, a1, a2, *times, grid)
+                    lpsi = flow.derivative(*fields)
                     f = fields[k - k0]
-                    ok = (valid & lmask).astype(float)
+                    ok = (valid & flow.valid).astype(float)
                     xpsi = _x_derivative(fol, f)
                     int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
                     int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi,
                                                  _t_derivative(fol, f)) * ok
                     g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
                     for acc, (w, curve) in zip(sums, bands):
-                        acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f, grid)],
-                                [0.5 * float(np.sum(w * int_ebar)),
-                                 curve.integral(g_fbar, grid)]]
+                        acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f)],
+                                [0.5 * float(np.sum(w * int_ebar)), curve.integral(g_fbar)]]
                 if psi == "wbar" and n == 0:
                     # special energy of wbar: the outgoing energy of the single
                     # order-0 word, with d2 in place of Xhat and L projected
@@ -334,7 +325,7 @@ class EnergyAnalysis:
                     int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
                     g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
                     sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
-                                             curve.integral(g_ring_l + g_ring_x, grid)]])
+                                             curve.integral(g_ring_l + g_ring_x)]])
                             for acc, (w, curve) in zip(sums, bands)]
                 out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
         return out
@@ -373,17 +364,17 @@ class PredicateLine:
 
 
 def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delta: float,
-                          u_star: float, caps: Optional[dict] = None) -> List[PredicateLine]:
+                          u_star: float) -> List[PredicateLine]:
     """Measure the initial-slice smallness predicates over the tracked band.
 
     Each line reports the measured sup-norm, its expected scale, and a pass
-    flag tested against cap * (scale + discretization floor).  The band is
+    flag tested against 10 * (scale + discretization floor).  The band is
     eroded by two cell widths at both u-edges so the corner stencils of the
     clamped profile stay out of the sup.
     """
     gas, grid = field.gas, field.grid
     g = gas.gamma
-    cap = (caps or {}).get("const", 10.0)
+    cap = 10.0
     pad = 2.0 * grid.dx1 / max(field.time, delta)
     mask = (fol.u >= pad) & (fol.u <= u_star - pad)
     if not np.any(mask):

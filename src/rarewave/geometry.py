@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .euler2d import FlowField, Grid, _d1, _d2, advective_derivative, diagonal_rhs
+from .riemann1d import NumericalError
 
 __all__ = [
     "Foliation",
@@ -33,6 +34,8 @@ __all__ = [
     "advective_derivative",
     "directional_derivative",
     "generator_velocity",
+    "BilinearStencil",
+    "FlowStencil",
     "bilinear_sample",
     "semi_lagrangian",
     "commutation_residual_y",
@@ -112,7 +115,13 @@ def _minmod(a, b):
 
 
 def _one_sided(u, dx, axis, grid_periodic):
-    """Second-order ENO one-sided differences (backward, forward)."""
+    """Second-order ENO one-sided differences (backward, forward).
+
+    Along the padded axis the second differences (n+2), their adjacent
+    minmod pairs (n+1) and the first differences (n+1) are formed once; the
+    backward and forward differences are shifted slices of them.
+    """
+    n = u.shape[axis]
     pad = [(0, 0)] * u.ndim
     pad[axis] = (2, 2)
     if grid_periodic:
@@ -121,17 +130,16 @@ def _one_sided(u, dx, axis, grid_periodic):
         # linear extrapolation ghosts preserve linear profiles exactly
         up = np.pad(u, pad, mode="reflect", reflect_type="odd")
 
-    def shifted(k):
+    def span(a, start, stop):
         s = [slice(None)] * u.ndim
-        s[axis] = slice(2 + k, 2 + k + u.shape[axis])
-        return up[tuple(s)]
+        s[axis] = slice(start, stop)
+        return a[tuple(s)]
 
-    up1, um1, up2, um2 = shifted(1), shifted(-1), shifted(2), shifted(-2)
-    d2c = (up1 - 2.0 * u + um1) / dx ** 2
-    d2m = (u - 2.0 * um1 + um2) / dx ** 2
-    d2p = (up2 - 2.0 * up1 + u) / dx ** 2
-    back = (u - um1) / dx + 0.5 * dx * _minmod(d2m, d2c)
-    fwd = (up1 - u) / dx - 0.5 * dx * _minmod(d2c, d2p)
+    d2 = (span(up, 2, n + 4) - 2.0 * span(up, 1, n + 3) + span(up, 0, n + 2)) / dx ** 2
+    lim = 0.5 * dx * _minmod(span(d2, 0, n + 1), span(d2, 1, n + 2))
+    d1 = (span(up, 2, n + 3) - span(up, 1, n + 2)) / dx
+    back = span(d1, 0, n) + span(lim, 0, n)
+    fwd = span(d1, 1, n + 1) - span(lim, 1, n + 1)
     return back, fwd
 
 
@@ -153,7 +161,8 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
 
     Between consecutive snapshots the velocity and sound-speed fields are
     interpolated linearly in time and u is advanced with forward-Euler
-    substeps at the given CFL number.  Returns u at every snapshot time.
+    substeps at the given CFL number.  Returns u at every snapshot time;
+    a non-finite velocity or sound speed in a snapshot raises NumericalError.
     """
     if len(snapshots) < 1:
         raise ValueError("need at least one snapshot")
@@ -167,8 +176,17 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
         t0, t1 = s0.time, s1.time
         v10, v20, c0 = s0.v1, s0.v2, s0.c
         v11, v21, c1 = s1.v1, s1.v2, s1.c
-        speed = max(np.max(np.abs(v10) + c0), np.max(np.abs(v11) + c1))
-        speed2 = max(np.max(np.abs(v20) + c0), np.max(np.abs(v21) + c1))
+        # np.maximum propagates a NaN maximum, where the builtin max may drop it
+        speed = np.maximum(np.max(np.abs(v10) + c0), np.max(np.abs(v11) + c1))
+        speed2 = np.maximum(np.max(np.abs(v20) + c0), np.max(np.abs(v21) + c1))
+        if not (np.isfinite(speed) and np.isfinite(speed2)):
+            for s, v1, v2, c in ((s0, v10, v20, c0), (s1, v11, v21, c1)):
+                bad = ~np.isfinite(np.abs(v1) + np.abs(v2) + c)
+                if np.any(bad):
+                    i, j = np.argwhere(bad)[0]
+                    raise NumericalError(
+                        f"non-finite flow at t={s.time:.6g} while transporting u over "
+                        f"[{t0:.6g}, {t1:.6g}], first at (i={i}, j={j})")
         dt_max = cfl / (speed / grid.dx1 + speed2 / grid.dx2)
         nsub = max(1, int(math.ceil((t1 - t0) / dt_max)))
         dt = (t1 - t0) / nsub
@@ -242,19 +260,63 @@ def generator_velocity(field: FlowField, fol: Foliation) -> Tuple[np.ndarray, np
     return field.v1 - c * fol.that1, field.v2 - c * fol.that2
 
 
+class BilinearStencil:
+    """Bilinear interpolation stencil of a point set on the cell-center
+    lattice, periodic in x2, clamped in x1.
+
+    Holds the four flat corner indices into a raveled (n1, n2) field and the
+    weights fi, 1 - fi, fj, 1 - fj, so one stencil samples any number of
+    fields; `inside` marks the points whose x1-cell needed no clamping.
+    """
+
+    def __init__(self, x1p: np.ndarray, x2p: np.ndarray, grid: Grid):
+        s = (x1p - grid.x1[0]) / grid.dx1
+        i_floor = np.floor(s)
+        self.inside = (i_floor >= 0) & (i_floor <= grid.n1 - 2)
+        i0 = np.clip(i_floor.astype(int), 0, grid.n1 - 2)
+        fi = np.clip(s - i0, 0.0, 1.0)
+        r = x2p / grid.dx2 - 0.5
+        j0 = np.floor(r).astype(int)
+        fj = r - j0
+        j0 = np.mod(j0, grid.n2)
+        j1 = np.mod(j0 + 1, grid.n2)
+        row0 = i0 * grid.n2
+        row1 = row0 + grid.n2
+        self.corners = (row0 + j0, row1 + j0, row0 + j1, row1 + j1)
+        self.fi, self.gi, self.fj, self.gj = fi, 1 - fi, fj, 1 - fj
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        """Sample the cell-centered field f at the stencil's points."""
+        flat = f.ravel()
+        f00, f10, f01, f11 = (flat[c] for c in self.corners)
+        fi, gi, fj, gj = self.fi, self.gi, self.fj, self.gj
+        return f00 * gi * gj + f10 * fi * gj + f01 * gi * fj + f11 * fi * fj
+
+
+class FlowStencil:
+    """End points of the forward integral curves of (a1, a2) over dt from
+    every cell center, and their bilinear stencil.
+
+    `derivative` differences a field pair along these curves; `valid`
+    masks the cells whose curve leaves the x1 range.
+    """
+
+    def __init__(self, a1, a2, dt: float, grid: Grid):
+        shape = (grid.n1, grid.n2)
+        self.dt = dt
+        self.end = BilinearStencil(grid.x1[:, None] + np.broadcast_to(a1, shape) * dt,
+                                   grid.x2[None, :] + np.broadcast_to(a2, shape) * dt, grid)
+        self.valid = self.end.inside
+
+    def derivative(self, f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+        """(f1 at the curve end points - f0) / dt."""
+        return (self.end(f1) - f0) / self.dt
+
+
 def bilinear_sample(f: np.ndarray, x1p: np.ndarray, x2p: np.ndarray, grid: Grid) -> np.ndarray:
     """Bilinear interpolation of a cell-centered field, periodic in x2,
     clamped in x1."""
-    s = (x1p - grid.x1[0]) / grid.dx1
-    i0 = np.clip(np.floor(s).astype(int), 0, grid.n1 - 2)
-    fi = np.clip(s - i0, 0.0, 1.0)
-    r = x2p / grid.dx2 - 0.5
-    j0 = np.floor(r).astype(int)
-    fj = r - j0
-    j0 = np.mod(j0, grid.n2)
-    j1 = np.mod(j0 + 1, grid.n2)
-    return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
-            + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
+    return BilinearStencil(x1p, x2p, grid)(f)
 
 
 def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,
@@ -265,12 +327,8 @@ def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float
     there by bilinear interpolation (periodic in x2).  Returns (derivative,
     valid mask); cells whose curve leaves the x1 range are masked out.
     """
-    dt = t1 - t0
-    x1 = grid.x1[:, None] + np.broadcast_to(a1, f0.shape) * dt
-    x2 = grid.x2[None, :] + np.broadcast_to(a2, f0.shape) * dt
-    i0 = np.floor((x1 - grid.x1[0]) / grid.dx1)
-    valid = (i0 >= 0) & (i0 <= grid.n1 - 2)
-    return (bilinear_sample(f1, x1, x2, grid) - f0) / dt, valid
+    flow = FlowStencil(a1, a2, t1 - t0, grid)
+    return flow.derivative(f0, f1), flow.valid
 
 
 def _mid_fields(s0: FlowField, s1: FlowField, use_euler_rhs: bool) -> dict:
@@ -373,8 +431,8 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
     """Propagation-equation residuals along the front generator.
 
     Derivatives along the generator (velocity v - c*normal) are formed by
-    two-time semi-Lagrangian differencing.  Returns a dict of
-    (residual, valid-mask) pairs:
+    two-time semi-Lagrangian differencing over one stencil of the pair.
+    Returns a dict of (residual, valid-mask) pairs, all sharing one mask:
 
         kappa:  L(kappa) - (m + e*kappa),
                 m = -(gamma+1)/(gamma-1) * T(c),  e = -c^{-1} That^i L(v^i)
@@ -383,36 +441,31 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
     """
     gas, grid = s0.gas, s0.grid
     g = gas.gamma
-    a1, a2 = generator_velocity(s0, fol0)
-    t0, t1 = s0.time, s1.time
-
-    def ld(f0, f1):
-        return semi_lagrangian(f0, f1, a1, a2, t0, t1, grid)
+    flow = FlowStencil(*generator_velocity(s0, fol0), s1.time - s0.time, grid)
+    ld = flow.derivative
 
     out = {}
     c0 = s0.c
     xhat = (fol0.xhat1, fol0.xhat2, grid)
 
-    l_kappa, m_k = ld(fol0.kappa, fol1.kappa)
-    lv1, m1 = ld(s0.v1, s1.v1)
-    lv2, m2 = ld(s0.v2, s1.v2)
+    l_kappa = ld(fol0.kappa, fol1.kappa)
+    lv1 = ld(s0.v1, s1.v1)
+    lv2 = ld(s0.v2, s1.v2)
     tc = fol0.kappa * directional_derivative(c0, fol0.that1, fol0.that2, grid)
     m_coef = -(g + 1.0) / (g - 1.0) * tc
     e_coef = -(fol0.that1 * lv1 + fol0.that2 * lv2) / c0
-    out["kappa"] = (l_kappa - (m_coef + e_coef * fol0.kappa), m_k & m1 & m2)
+    out["kappa"] = (l_kappa - (m_coef + e_coef * fol0.kappa), flow.valid)
 
     xpsi = -(fol0.that1 * directional_derivative(s0.v1, *xhat)
              + fol0.that2 * directional_derivative(s0.v2, *xhat))
     drive = xpsi + directional_derivative(c0, *xhat)
     for k, (th0, th1, xh) in enumerate(
             [(fol0.that1, fol1.that1, fol0.xhat1), (fol0.that2, fol1.that2, fol0.xhat2)], start=1):
-        l_th, m_t = ld(th0, th1)
-        out[f"that{k}"] = (l_th - drive * xh, m_t)
+        out[f"that{k}"] = (ld(th0, th1) - drive * xh, flow.valid)
 
     h0 = c0 * c0 / (g - 1.0)
-    l_chi, m_c = ld(fol0.chi, fol1.chi)
-    out["chi"] = (l_chi + 0.5 * (g + 1.0)
-                  * directional_derivative(directional_derivative(h0, *xhat), *xhat), m_c)
+    out["chi"] = (ld(fol0.chi, fol1.chi) + 0.5 * (g + 1.0)
+                  * directional_derivative(directional_derivative(h0, *xhat), *xhat), flow.valid)
     return out
 
 
@@ -430,14 +483,15 @@ def chibar(fol: Foliation, field: FlowField) -> np.ndarray:
 
 
 def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
-                          x1_start: np.ndarray, x2_start: np.ndarray,
-                          substeps: int = 8) -> Tuple[np.ndarray, np.ndarray]:
+                          x1_start: np.ndarray, x2_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate sample rays of the front generator v - c*normal.
 
     Cross-validation for the level-set transport: the characteristic value u
-    interpolated along each ray should stay constant.  Returns the ray
-    positions (n_times, n_rays, 2) and u sampled along them.
+    interpolated along each ray should stay constant.  Each snapshot interval
+    takes 8 midpoint substeps.  Returns the ray positions (n_times, n_rays, 2)
+    and u sampled along them.
     """
+    substeps = 8
     grid = snapshots[0].grid
     n_rays = len(x1_start)
     x1 = np.asarray(x1_start, dtype=float).copy()
@@ -454,10 +508,9 @@ def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[F
         dt = (s1.time - s0.time) / substeps
         for m in range(substeps):
             w = (m + 0.5) / substeps
-            v1 = (1.0 - w) * bilinear_sample(a10, x1, x2, grid) \
-                + w * bilinear_sample(a11, x1, x2, grid)
-            v2 = (1.0 - w) * bilinear_sample(a20, x1, x2, grid) \
-                + w * bilinear_sample(a21, x1, x2, grid)
+            at = BilinearStencil(x1, x2, grid)
+            v1 = (1.0 - w) * at(a10) + w * at(a11)
+            v2 = (1.0 - w) * at(a20) + w * at(a21)
             x1 = x1 + dt * v1
             x2 = np.mod(x2 + dt * v2, 2.0 * math.pi)
         pos[k + 1] = np.stack([x1, x2], axis=-1)

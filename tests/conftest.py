@@ -19,6 +19,20 @@ def small_grid(n1=128, n2=16, x1_min=-2.4, x1_max=2.2):
     return Grid(n1=n1, n2=n2, x1_min=x1_min, x1_max=x1_max)
 
 
+def bilinear_oracle(f, x1p, x2p, grid):
+    """Bilinear sample with 2D corner indexing: the reference for the stencil."""
+    s = (x1p - grid.x1[0]) / grid.dx1
+    i0 = np.clip(np.floor(s).astype(int), 0, grid.n1 - 2)
+    fi = np.clip(s - i0, 0.0, 1.0)
+    r = x2p / grid.dx2 - 0.5
+    j0 = np.floor(r).astype(int)
+    fj = r - j0
+    j0 = np.mod(j0, grid.n2)
+    j1 = np.mod(j0 + 1, grid.n2)
+    return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
+            + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
+
+
 @pytest.fixture
 def gas2():
     return GAS2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
 from rarewave.geometry import evolve_u, frame_fields
 from rarewave.riemann1d import CenteredFan
 
-from conftest import GAS2, fan_field, small_grid
+from conftest import GAS2, bilinear_oracle, fan_field, small_grid
 
 
 def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
@@ -47,7 +48,7 @@ class TestLevelCurves:
         curve = extract_level_curve(u, r, grid)
         assert curve.total_length == pytest.approx(2 * math.pi * r, rel=2e-3)
         # integral of (x - x0)^2 over the circle is pi r^3
-        val = extract_level_curve(u, r, grid).integral((X1 - x0) ** 2, grid)
+        val = extract_level_curve(u, r, grid).integral((X1 - x0) ** 2)
         assert val == pytest.approx(math.pi * r ** 3, rel=5e-3)
 
     def test_vertical_front_wraps_periodically(self):
@@ -56,6 +57,74 @@ class TestLevelCurves:
         u = 1.0 - X1 / 0.5
         curve = extract_level_curve(u, 0.8, grid)
         assert curve.total_length == pytest.approx(2 * math.pi, rel=1e-10)
+
+
+def marching_squares_oracle(u, level, grid):
+    """Full-grid marching squares, saddle squares split one by one: the
+    reference for `extract_level_curve`.  Returns (mid_x1, mid_x2, lengths,
+    number of saddle squares)."""
+    A, B = u[:-1, :], u[1:, :]
+    C, D = np.roll(u, -1, axis=1)[1:, :], np.roll(u, -1, axis=1)[:-1, :]
+    x1, x2 = grid.x1[:-1, None], grid.x2[None, :]
+    dx1, dx2 = grid.dx1, grid.dx2
+    shape = A.shape
+
+    def cross(p, q):
+        denom = np.where(q != p, q - p, 1.0)
+        return (p < level) != (q < level), np.clip((level - p) / denom, 0.0, 1.0)
+
+    (g0, f0), (g1, f1), (g2, f2), (g3, f3) = cross(A, B), cross(B, C), cross(D, C), cross(A, D)
+    ex = np.stack([x1 + f0 * dx1, np.broadcast_to(x1 + dx1, shape),
+                   x1 + f2 * dx1, np.broadcast_to(x1, shape)])
+    ey = np.stack([np.broadcast_to(x2, shape), x2 + f1 * dx2,
+                   np.broadcast_to(x2 + dx2, shape), x2 + f3 * dx2])
+    flags = np.stack([g0, g1, g2, g3])
+    counts = flags.sum(axis=0)
+    mids1, mids2, lens = [], [], []
+    for i, j in np.argwhere(counts == 2):
+        first = int(np.argmax(flags[:, i, j]))
+        last = 3 - int(np.argmax(flags[::-1, i, j]))
+        dy = abs(ey[first, i, j] - ey[last, i, j])
+        dy = np.minimum(dy, 2.0 * math.pi - dy)
+        mids1.append(0.5 * (ex[first, i, j] + ex[last, i, j]))
+        mids2.append(0.5 * (ey[first, i, j] + ey[last, i, j]))
+        lens.append(np.hypot(ex[first, i, j] - ex[last, i, j], dy))
+    four = np.argwhere(counts == 4)
+    for i, j in four:
+        corners = (A[i, j], B[i, j], C[i, j], D[i, j])
+        center = 0.25 * sum(corners)
+        pairs = [(0, 1), (2, 3)] if (center < level) == (corners[1] < level) else [(0, 3), (1, 2)]
+        for e1, e2 in pairs:
+            dy = abs(ey[e1, i, j] - ey[e2, i, j])
+            dy = min(dy, 2.0 * math.pi - dy)
+            mids1.append(0.5 * (ex[e1, i, j] + ex[e2, i, j]))
+            mids2.append(0.5 * (ey[e1, i, j] + ey[e2, i, j]))
+            lens.append(math.hypot(ex[e1, i, j] - ex[e2, i, j], dy))
+    return (np.array(mids1), np.mod(np.array(mids2), 2.0 * math.pi), np.array(lens), len(four))
+
+
+class TestMarchingSquaresOracle:
+    @pytest.mark.parametrize("level", [0.0, 0.3])
+    def test_crossed_cells_match_full_grid(self, level):
+        grid = small_grid(n1=64, n2=64, x1_min=0.0, x1_max=2 * math.pi)
+        X1, X2 = grid.mesh()
+        u = np.cos(X1) * np.cos(X2)
+        mid1, mid2, lens, saddles = marching_squares_oracle(u, level, grid)
+        # level 0 passes through the saddles of cos*cos; 0.3 has none
+        assert (saddles > 0) == (level == 0.0)
+        curve = extract_level_curve(u, level, grid)
+        assert np.array_equal(curve.mid_x1, mid1)
+        assert np.array_equal(curve.mid_x2, mid2)
+        assert np.array_equal(curve.lengths, lens)
+        g = np.sin(X1 + 2.0 * X2)
+        assert curve.integral(g) == float(np.sum(lens * bilinear_oracle(g, mid1, mid2, grid)))
+
+    def test_uncrossed_level_gives_empty_curve(self):
+        grid = small_grid(n1=16, n2=8)
+        X1, _ = grid.mesh()
+        curve = extract_level_curve(X1, 10.0, grid)
+        assert curve.lengths.size == 0 and curve.total_length == 0.0
+        assert curve.integral(X1) == 0.0
 
 
 class TestFrameDerivative:
@@ -158,6 +227,19 @@ class TestEnergies:
         uniform = [make_uniform_field(GAS2, grid, 1.0, time=s.time) for s in snaps]
         ana = EnergyAnalysis(uniform, fols, u_min=0.1)
         assert ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][RING, 0] == 0.0
+
+    def test_slice_peak_memory(self):
+        # one slice holds one flow stencil (eight planes) shared by every
+        # (invariant, word) field; per-field stencils would raise the peak
+        grid, snaps, fols = fan_setup(n_times=6)
+        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        tracemalloc.start()
+        try:
+            ana.slice_energies(2, ["wbar", "w", "psi2"], [0, 1], [0.75, 1.5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / snaps[0].rho.nbytes <= 44.0
 
     def test_flux_of_invariant_w_is_floor(self):
         grid, snaps, fols = fan_setup()

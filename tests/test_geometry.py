@@ -6,12 +6,15 @@ import pytest
 from rarewave.euler2d import FlowField, Grid, SolverConfig, init_perturbed_rarefaction, \
     make_uniform_field, run, PerturbationSpec, PerturbationMode
 from rarewave.gas import PolytropicGas, density_from_sound_speed
-from rarewave.geometry import (DegenerateFoliationError, band_mask,
+from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
+                               _one_sided, band_mask, bilinear_sample,
                                commutation_residual_y, commutation_residual_z,
                                deformation_components, evolve_u, frame_fields,
-                               second_frame, sign_monitors, structure_residuals)
+                               second_frame, semi_lagrangian, sign_monitors,
+                               structure_residuals)
+from rarewave.riemann1d import NumericalError
 
-from conftest import GAS2, fan_field, small_grid
+from conftest import GAS2, bilinear_oracle, fan_field, small_grid
 
 
 def analytic_fan_sequence(grid, times, u_glue=1.9):
@@ -52,6 +55,17 @@ class TestEvolveU:
         m = band_mask(u_exact, 0.15, 1.35)
         err = np.max(np.abs(u_seq[-1] - u_exact)[m])
         assert err < 6.0 * grid.dx1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_snapshot_raises(self, bad):
+        # FlowField checks only the density, so a snapshot can carry a
+        # non-finite momentum into the transport
+        grid = small_grid(n1=128, n2=16)
+        s0, s1 = analytic_fan_sequence(grid, [0.3, 0.35])
+        s1.m1[3, 4] = bad
+        X1, _ = grid.mesh()
+        with pytest.raises(NumericalError, match=r"t=0\.35 .*first at \(i=3, j=4\)"):
+            evolve_u([s0, s1], 1.0 - X1 / 0.3)
 
     def test_degenerate_gradient_detected(self):
         grid = small_grid(n1=32, n2=8)
@@ -332,3 +346,81 @@ class TestRayTracing:
         expect = (1.0 - seeds_u)[None, :] * np.asarray(times)[:, None]
         assert np.max(np.abs(pos[..., 0] - expect)) < 0.02
         assert np.max(np.abs(u_along - seeds_u[None, :])) < 0.03
+
+
+def one_sided_oracle(u, dx, axis, grid_periodic):
+    """ENO one-sided differences with the three second differences and the
+    two minmod pairs evaluated per cell: the reference for `_one_sided`."""
+    pad = [(0, 0)] * u.ndim
+    pad[axis] = (2, 2)
+    mode = {"mode": "wrap"} if grid_periodic else {"mode": "reflect", "reflect_type": "odd"}
+    up = np.pad(u, pad, **mode)
+
+    def shifted(k):
+        sl = [slice(None)] * u.ndim
+        sl[axis] = slice(2 + k, 2 + k + u.shape[axis])
+        return up[tuple(sl)]
+
+    def minmod(a, b):
+        return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+    up1, um1, up2, um2 = shifted(1), shifted(-1), shifted(2), shifted(-2)
+    d2c = (up1 - 2.0 * u + um1) / dx ** 2
+    d2m = (u - 2.0 * um1 + um2) / dx ** 2
+    d2p = (up2 - 2.0 * up1 + u) / dx ** 2
+    back = (u - um1) / dx + 0.5 * dx * minmod(d2m, d2c)
+    fwd = (up1 - u) / dx - 0.5 * dx * minmod(d2c, d2p)
+    return back, fwd
+
+
+class TestSharedStencils:
+    def test_one_sided_matches_per_cell_formula(self):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((40, 24))
+        # mixed smooth and rough columns exercise both minmod branches
+        u[:, :12] = np.cumsum(np.cumsum(u[:, :12], axis=0), axis=1)
+        for axis, dx, periodic in ((0, 0.07, False), (1, 0.13, True)):
+            got = _one_sided(u, dx, axis, periodic)
+            want = one_sided_oracle(u, dx, axis, periodic)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_one_stencil_samples_fields_as_per_field_formula(self):
+        grid = small_grid(n1=32, n2=16)
+        rng = np.random.default_rng(11)
+        # beyond both x1 ends, inside, and across the x2 wrap in both directions
+        x1p = np.concatenate([rng.uniform(grid.x1_min - 0.5, grid.x1[0], 20),
+                              rng.uniform(grid.x1[-1], grid.x1_max + 0.5, 20),
+                              rng.uniform(grid.x1_min, grid.x1_max, 40)])
+        x2p = np.concatenate([rng.uniform(-1.0, 0.2, 30), rng.uniform(6.0, 7.5, 30),
+                              rng.uniform(0.0, 2 * math.pi, 20)])
+        x2p[:4] = [0.0, grid.x2[-1], 2 * math.pi, -2 * math.pi]
+        st = BilinearStencil(x1p, x2p, grid)
+        fields = [rng.standard_normal((grid.n1, grid.n2)) for _ in range(3)]
+        for f in fields:
+            assert np.array_equal(st(f), bilinear_oracle(f, x1p, x2p, grid))
+            assert np.array_equal(bilinear_sample(f, x1p, x2p, grid),
+                                  bilinear_oracle(f, x1p, x2p, grid))
+        i_floor = np.floor((x1p - grid.x1[0]) / grid.dx1)
+        assert np.array_equal(st.inside, (i_floor >= 0) & (i_floor <= grid.n1 - 2))
+        assert not st.inside[:40].all() and st.inside[40:].any()
+
+    def test_flow_stencil_matches_semi_lagrangian_formula(self):
+        grid = small_grid(n1=32, n2=16)
+        rng = np.random.default_rng(3)
+        a1 = rng.uniform(-3.0, 3.0, (grid.n1, grid.n2))
+        a2 = rng.uniform(-8.0, 8.0, (grid.n1, grid.n2))
+        t0, t1 = 0.4, 0.47
+        flow = FlowStencil(a1, a2, t1 - t0, grid)
+        x1 = grid.x1[:, None] + a1 * (t1 - t0)
+        x2 = grid.x2[None, :] + a2 * (t1 - t0)
+        i_floor = np.floor((x1 - grid.x1[0]) / grid.dx1)
+        valid = (i_floor >= 0) & (i_floor <= grid.n1 - 2)
+        assert valid.any() and not valid.all()
+        for _ in range(3):
+            f0, f1 = rng.standard_normal((2, grid.n1, grid.n2))
+            want = (bilinear_oracle(f1, x1, x2, grid) - f0) / (t1 - t0)
+            assert np.array_equal(flow.derivative(f0, f1), want)
+            got, mask = semi_lagrangian(f0, f1, a1, a2, t0, t1, grid)
+            assert np.array_equal(got, want) and np.array_equal(mask, valid)
+        assert np.array_equal(flow.valid, valid)
