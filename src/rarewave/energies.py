@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
-from .geometry import (BilinearStencil, FlowStencil, Foliation, directional_derivative,
-                       generator_velocity)
+from .geometry import BilinearStencil, FlowStencil, Foliation, generator_velocity
 # re-exported: the benchmark tracer patches these two names in this module
 from .geometry import bilinear_sample, semi_lagrangian  # noqa: F401
 
@@ -85,14 +84,19 @@ def _flux_densities(kappa, c, l_psi, x_psi):
     return kappa / c * l_psi ** 2, c * kappa * x_psi ** 2
 
 
-def _x_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
-    """Xhat f."""
-    return directional_derivative(f, fol.xhat1, fol.xhat2, fol.grid)
+def _gradient(f: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """(d1 f, d2 f), taken once and shared by every frame derivative of f."""
+    return _d1(f, grid.dx1), _d2(f, grid.dx2)
 
 
-def _t_derivative(fol: Foliation, f: np.ndarray) -> np.ndarray:
-    """T f = kappa That.grad f."""
-    return fol.kappa * directional_derivative(f, fol.that1, fol.that2, fol.grid)
+def _x_derivative(fol: Foliation, grad: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Xhat f from grad f."""
+    return fol.xhat1 * grad[0] + fol.xhat2 * grad[1]
+
+
+def _t_derivative(fol: Foliation, grad: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """T f = kappa That.grad f from grad f."""
+    return fol.kappa * (fol.that1 * grad[0] + fol.that2 * grad[1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +314,13 @@ class EnergyAnalysis:
                     lpsi = flow.derivative(*fields)
                     f = fields[k - k0]
                     ok = (valid & flow.valid).astype(float)
-                    xpsi = _x_derivative(fol, f)
+                    grad = _gradient(f, grid)
+                    xpsi, tpsi = _x_derivative(fol, grad), _t_derivative(fol, grad)
+                    # only d2 f is kept, for the special energy of wbar
+                    d2psi = grad[1]
+                    del grad
                     int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
-                    int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi,
-                                                 _t_derivative(fol, f)) * ok
+                    int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi, tpsi) * ok
                     g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
                     for acc, (w, curve) in zip(sums, bands):
                         acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f)],
@@ -321,7 +328,7 @@ class EnergyAnalysis:
                 if psi == "wbar" and n == 0:
                     # special energy of wbar: the outgoing energy of the single
                     # order-0 word, with d2 in place of Xhat and L projected
-                    lfluct, d2psi = _project(lpsi), _d2(f, grid.dx2)
+                    lfluct = _project(lpsi)
                     int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
                     g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
                     sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
@@ -386,24 +393,26 @@ def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delt
 
     lines: List[PredicateLine] = []
     wbar, w, psi2 = field.invariants()
+    grads = {name: _gradient(arr, grid) for name, arr in (("wbar", wbar), ("w", w),
+                                                          ("psi2", psi2))}
     c = field.c
     shift1 = -c * (fol.that1 + 1.0)
     shift2 = -c * fol.that2
-    for name, arr in (("wbar", wbar), ("w", w), ("psi2", psi2)):
+    for name, grad in grads.items():
         # generator derivative from the diagonal system: no time differencing
-        lpsi = diagonal_rhs(name, c, wbar, w, psi2, grid) + shift1 * _d1(arr, grid.dx1) + shift2 * _d2(arr, grid.dx2)
-        xpsi = _x_derivative(fol, arr)
+        lpsi = diagonal_rhs(name, c, wbar, w, psi2, grid) + shift1 * grad[0] + shift2 * grad[1]
+        xpsi = _x_derivative(fol, grad)
         v = sup(lpsi)
         lines.append(PredicateLine(f"sup|L {name}|", v, epsilon, v <= cap * (epsilon + floor)))
         v = sup(xpsi)
         lines.append(PredicateLine(f"sup|Xhat {name}|", v, epsilon, v <= cap * (epsilon + floor)))
 
     scale_td = epsilon * delta
-    for name, arr in (("w", w), ("psi2", psi2)):
-        v = sup(_t_derivative(fol, arr))
+    for name in ("w", "psi2"):
+        v = sup(_t_derivative(fol, grads[name]))
         lines.append(PredicateLine(f"sup|T {name}|", v, scale_td,
                                    v <= cap * (scale_td + floor * delta)))
-    anomaly = sup(_t_derivative(fol, wbar) + 2.0 / (g + 1.0))
+    anomaly = sup(_t_derivative(fol, grads["wbar"]) + 2.0 / (g + 1.0))
     lines.append(PredicateLine("sup|T wbar + 2/(gamma+1)|", anomaly, scale_td,
                                anomaly <= cap * (scale_td + floor)))
 

@@ -371,6 +371,18 @@ def max_signal_speed(f: FlowField) -> float:
     return float(np.max(np.hypot(f.v1, f.v2) + f.c))
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """The raveled view of a C-contiguous plane.
+
+    Periodic x2 stencils shift raveled planes and then overwrite the wrap
+    columns, whose shifted partner lies in the neighbouring row.  Raveling
+    any other layout would copy, and writes into the copy would be lost.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("x2 stencils need C-contiguous planes")
+    return a.reshape(-1)
+
+
 def _pairs(ufunc, a, out, axis):
     """out[i] = ufunc(a[i+1], a[i]) for each interface i+1/2 along axis.
 
@@ -380,8 +392,9 @@ def _pairs(ufunc, a, out, axis):
     if axis == 0:
         ufunc(a[1:], a[:-1], out=out)
     else:
-        ufunc(a[:, 1:], a[:, :-1], out=out[:, :-1])
-        ufunc(a[:, :1], a[:, -1:], out=out[:, -1:])
+        flat = _flat(a)
+        ufunc(flat[1:], flat[:-1], out=_flat(out)[:-1])
+        ufunc(a[:, 0], a[:, -1], out=out[:, -1])
 
 
 def _rhs(gas, grid, q, dq, cell, face):
@@ -427,8 +440,9 @@ def _rhs(gas, grid, q, dq, cell, face):
                 dq[k] /= -dx
             else:
                 # cell j lies between interfaces j-1/2 and j+1/2
-                np.subtract(num[:, 1:], num[:, :-1], out=jump[:, 1:])
-                np.subtract(num[:, :1], num[:, -1:], out=jump[:, :1])
+                flat = _flat(num)
+                np.subtract(flat[1:], flat[:-1], out=_flat(jump)[1:])
+                np.subtract(num[:, 0], num[:, -1], out=jump[:, 0])
                 jump /= dx
                 dq[k] -= jump
     return outflow
@@ -526,16 +540,26 @@ def total_mass(f: FlowField) -> float:
 
 def _d1(a, dx):
     """Centered x1-derivative, one-sided at the edges."""
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * dx)
-    out[0] = (a[1] - a[0]) / dx
-    out[-1] = (a[-1] - a[-2]) / dx
+    out = np.empty(a.shape)
+    inner = np.subtract(a[2:], a[:-2], out=out[1:-1])
+    inner /= 2.0 * dx
+    np.subtract(a[1], a[0], out=out[0])
+    np.subtract(a[-1], a[-2], out=out[-1])
+    out[0] /= dx
+    out[-1] /= dx
     return out
 
 
 def _d2(a, dx):
     """Centered periodic x2-derivative."""
-    return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
+    a = np.ascontiguousarray(a)
+    out = np.empty(a.shape)
+    flat = _flat(a)
+    np.subtract(flat[2:], flat[:-2], out=_flat(out)[1:-1])
+    np.subtract(a[:, 1], a[:, -1], out=out[:, 0])
+    np.subtract(a[:, 0], a[:, -2], out=out[:, -1])
+    out /= 2.0 * dx
+    return out
 
 
 def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,

@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _d1, _d2, advective_derivative, diagonal_rhs
+from .euler2d import (FlowField, Grid, _d1, _d2, _flat, advective_derivative,
+                      diagonal_rhs)
 from .riemann1d import NumericalError
 
 __all__ = [
@@ -110,49 +111,102 @@ def band_mask(u: np.ndarray, u_lo: float, u_hi: float) -> np.ndarray:
     return (u >= u_lo) & (u <= u_hi)
 
 
-def _minmod(a, b):
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _eno(up, s, dx, back, fwd, work):
+    """Second-order ENO one-sided differences along a raveled line.
 
-
-def _one_sided(u, dx, axis, grid_periodic):
-    """Second-order ENO one-sided differences (backward, forward).
-
-    Along the padded axis the second differences (n+2), their adjacent
-    minmod pairs (n+1) and the first differences (n+1) are formed once; the
-    backward and forward differences are shifted slices of them.
+    up holds m + 4*s values: m cells with two ghost cells before and after,
+    neighbours s apart.  The second differences (m + 2s), their adjacent
+    minmod pairs (m + s) and the first differences (m + s) are written into
+    the rows of work (3, >= m + 2s) once; the m backward and forward
+    differences written into back and fwd are shifted ranges of them.
     """
-    n = u.shape[axis]
-    pad = [(0, 0)] * u.ndim
-    pad[axis] = (2, 2)
-    if grid_periodic:
-        up = np.pad(u, pad, mode="wrap")
-    else:
-        # linear extrapolation ghosts preserve linear profiles exactly
-        up = np.pad(u, pad, mode="reflect", reflect_type="odd")
-
-    def span(a, start, stop):
-        s = [slice(None)] * u.ndim
-        s[axis] = slice(start, stop)
-        return a[tuple(s)]
-
-    d2 = (span(up, 2, n + 4) - 2.0 * span(up, 1, n + 3) + span(up, 0, n + 2)) / dx ** 2
-    lim = 0.5 * dx * _minmod(span(d2, 0, n + 1), span(d2, 1, n + 2))
-    d1 = (span(up, 2, n + 3) - span(up, 1, n + 2)) / dx
-    back = span(d1, 0, n) + span(lim, 0, n)
-    fwd = span(d1, 1, n + 1) - span(lim, 1, n + 1)
-    return back, fwd
+    m = back.size
+    d2, lim, tmp = work[0, :m + 2 * s], work[1, :m + s], work[2, :m + s]
+    np.multiply(up[s:m + 3 * s], 2.0, out=d2)
+    np.subtract(up[2 * s:], d2, out=d2)
+    d2 += up[:m + 2 * s]
+    d2 /= dx ** 2
+    # branch-free minmod: max(min(a, b), 0) + min(max(a, b), 0)
+    np.minimum(d2[:m + s], d2[s:], out=lim)
+    np.maximum(lim, 0.0, out=lim)
+    np.maximum(d2[:m + s], d2[s:], out=tmp)
+    np.minimum(tmp, 0.0, out=tmp)
+    lim += tmp
+    lim *= 0.5 * dx
+    d1 = np.subtract(up[2 * s:m + 3 * s], up[s:m + 2 * s], out=work[0, :m + s])
+    d1 /= dx
+    np.add(d1[:m], lim[:m], out=back)
+    np.subtract(d1[s:], lim[s:], out=fwd)
 
 
-def _hamiltonian(u, v1, v2, c, grid):
-    """Godunov upwind discretization of v.grad(u) - c|grad(u)|."""
-    bx, fx = _one_sided(u, grid.dx1, 0, grid_periodic=False)
-    by, fy = _one_sided(u, grid.dx2, 1, grid_periodic=True)
-    adv = np.maximum(v1, 0.0) * bx + np.minimum(v1, 0.0) * fx \
-        + np.maximum(v2, 0.0) * by + np.minimum(v2, 0.0) * fy
+def _one_sided(g, dx, axis, back, fwd, work):
+    """ENO one-sided differences (backward, forward) of u along one axis.
+
+    u is held in the interior rows of g (n1+4, n2); back and fwd (n1, n2)
+    receive the result and work (3, (n1+2)*n2) is scratch.  Along x1 the two
+    ghost rows on each side of g are filled first, and the stencils are
+    shifted ranges of the raveled g.  Along x2 they are shifted ranges of the
+    raveled u, so the two columns at each end of a row pair with the
+    neighbouring row; those are then overwritten with the differences of a
+    window of their periodic partners.
+    """
+    n2 = g.shape[1]
+    if axis == 0:
+        # odd reflections about the edge rows: linear extrapolation keeps
+        # linear profiles exact
+        np.subtract(2.0 * g[2], g[4:2:-1], out=g[:2])
+        np.subtract(2.0 * g[-3], g[-4:-6:-1], out=g[-2:])
+        _eno(_flat(g), n2, dx, _flat(back), _flat(fwd), work)
+        return
+    u = g[2:-2]
+    _eno(_flat(u), 1, dx, _flat(back)[2:-2], _flat(fwd)[2:-2], work)
+    window = u.take(np.r_[n2 - 4:n2, :4], axis=1)
+    wback, wfwd = np.empty((2,) + window.shape)
+    _eno(_flat(window), 1, dx, _flat(wback)[2:-2], _flat(wfwd)[2:-2], work)
+    wrap = [n2 - 2, n2 - 1, 0, 1]
+    back[:, wrap] = wback[:, 2:6]
+    fwd[:, wrap] = wfwd[:, 2:6]
+
+
+def _hamiltonian(g, ends, w, grid, diff, work):
+    """Godunov upwind discretization of v.grad(u) - c|grad(u)|.
+
+    u is held in g as for _one_sided.  v1, v2 and c are mixed from the planes
+    (v1, v2, c) of ends[0] and ends[1] with weights 1 - w and w.  diff
+    (4, n1, n2) and work are scratch; the result is a view into work.
+    """
+    bx, fx, by, fy = diff
+    _one_sided(g, grid.dx1, 0, bx, fx, work)
+    _one_sided(g, grid.dx2, 1, by, fy, work)
+    adv, term, coef = (row[:bx.size].reshape(bx.shape) for row in work)
+
+    def mix(k):
+        np.multiply(ends[0][k], 1.0 - w, out=coef)
+        np.multiply(ends[1][k], w, out=term)
+        return np.add(coef, term, out=coef)
+
+    v1 = mix(0)
+    np.maximum(v1, 0.0, out=adv)
+    adv *= bx
+    np.minimum(v1, 0.0, out=term)
+    term *= fx
+    adv += term
+    v2 = mix(1)
+    for upwind, d in ((np.maximum, by), (np.minimum, fy)):
+        upwind(v2, 0.0, out=term)
+        term *= d
+        adv += term
     # contracting-front branch of the Godunov Hamiltonian (speed -c < 0)
-    grad_minus = np.sqrt(np.minimum(bx, 0.0) ** 2 + np.maximum(fx, 0.0) ** 2
-                         + np.minimum(by, 0.0) ** 2 + np.maximum(fy, 0.0) ** 2)
-    return adv - c * grad_minus
+    grad = np.minimum(bx, 0.0, out=bx)
+    np.square(grad, out=grad)
+    for clip, d in ((np.maximum, fx), (np.minimum, by), (np.maximum, fy)):
+        clip(d, 0.0, out=d)
+        np.square(d, out=d)
+        grad += d
+    np.sqrt(grad, out=grad)
+    grad *= mix(2)
+    adv -= grad
+    return adv
 
 
 def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
@@ -167,20 +221,27 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
     if len(snapshots) < 1:
         raise ValueError("need at least one snapshot")
     grid = snapshots[0].grid
-    if u_init.shape != (grid.n1, grid.n2):
+    n1, n2 = grid.n1, grid.n2
+    if u_init.shape != (n1, n2):
         raise ValueError("u_init shape does not match the grid")
     out = [u_init.copy()]
-    u = u_init.copy()
-    for k in range(len(snapshots) - 1):
-        s0, s1 = snapshots[k], snapshots[k + 1]
+    # scratch of this call: u lives in the interior rows of g
+    g = np.empty((n1 + 4, n2))
+    u = g[2:-2]
+    u[...] = u_init
+    diff = np.empty((4, n1, n2))
+    work = np.empty((3, (n1 + 2) * n2))
+    # each snapshot's (v1, v2, c) planes are computed once and serve both of
+    # its intervals
+    start = (snapshots[0].v1, snapshots[0].v2, snapshots[0].c)
+    for s0, s1 in zip(snapshots[:-1], snapshots[1:]):
         t0, t1 = s0.time, s1.time
-        v10, v20, c0 = s0.v1, s0.v2, s0.c
-        v11, v21, c1 = s1.v1, s1.v2, s1.c
+        end = (s1.v1, s1.v2, s1.c)
         # np.maximum propagates a NaN maximum, where the builtin max may drop it
-        speed = np.maximum(np.max(np.abs(v10) + c0), np.max(np.abs(v11) + c1))
-        speed2 = np.maximum(np.max(np.abs(v20) + c0), np.max(np.abs(v21) + c1))
+        speed = np.maximum(np.max(np.abs(start[0]) + start[2]), np.max(np.abs(end[0]) + end[2]))
+        speed2 = np.maximum(np.max(np.abs(start[1]) + start[2]), np.max(np.abs(end[1]) + end[2]))
         if not (np.isfinite(speed) and np.isfinite(speed2)):
-            for s, v1, v2, c in ((s0, v10, v20, c0), (s1, v11, v21, c1)):
+            for s, (v1, v2, c) in ((s0, start), (s1, end)):
                 bad = ~np.isfinite(np.abs(v1) + np.abs(v2) + c)
                 if np.any(bad):
                     i, j = np.argwhere(bad)[0]
@@ -191,12 +252,11 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
         nsub = max(1, int(math.ceil((t1 - t0) / dt_max)))
         dt = (t1 - t0) / nsub
         for m in range(nsub):
-            w = (m + 0.5) / nsub
-            v1 = (1.0 - w) * v10 + w * v11
-            v2 = (1.0 - w) * v20 + w * v21
-            c = (1.0 - w) * c0 + w * c1
-            u = u - dt * _hamiltonian(u, v1, v2, c, grid)
+            h = _hamiltonian(g, (start, end), (m + 0.5) / nsub, grid, diff, work)
+            h *= dt
+            u -= h
         out.append(u.copy())
+        start = end
     return out
 
 
@@ -288,9 +348,20 @@ class BilinearStencil:
     def __call__(self, f: np.ndarray) -> np.ndarray:
         """Sample the cell-centered field f at the stencil's points."""
         flat = f.ravel()
-        f00, f10, f01, f11 = (flat[c] for c in self.corners)
+        c00, c10, c01, c11 = self.corners
         fi, gi, fj, gj = self.fi, self.gi, self.fj, self.gj
-        return f00 * gi * gj + f10 * fi * gj + f01 * gi * fj + f11 * fi * fj
+        # f00 * gi * gj + f10 * fi * gj + f01 * gi * fj + f11 * fi * fj, in that order;
+        # the corner indices are in range by construction
+        out, term = np.empty(fi.shape), np.empty(fi.shape)
+        np.take(flat, c00, out=out, mode="clip")
+        out *= gi
+        out *= gj
+        for corner, wi, wj in ((c10, fi, gj), (c01, gi, fj), (c11, fi, fj)):
+            np.take(flat, corner, out=term, mode="clip")
+            term *= wi
+            term *= wj
+            out += term
+        return out
 
 
 class FlowStencil:

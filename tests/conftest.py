@@ -19,6 +19,12 @@ def small_grid(n1=128, n2=16, x1_min=-2.4, x1_max=2.2):
     return Grid(n1=n1, n2=n2, x1_min=x1_min, x1_max=x1_max)
 
 
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns, so that signed zeros count."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def bilinear_oracle(f, x1p, x2p, grid):
     """Bilinear sample with 2D corner indexing: the reference for the stencil."""
     s = (x1p - grid.x1[0]) / grid.dx1

@@ -10,10 +10,12 @@ from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpe
                               init_perturbed_rarefaction, make_uniform_field,
                               max_signal_speed, run, step, total_mass,
                               transport_residual, vorticity)
+from rarewave.euler2d import _d1, _d2, _flat
 from rarewave.gas import PolytropicGas, density_from_sound_speed, sound_speed
+from rarewave.geometry import directional_derivative
 from rarewave.riemann1d import NumericalError
 
-from conftest import GAS2, fan_field, small_grid
+from conftest import GAS2, fan_field, same_bits, small_grid
 
 
 def rusanov_oracle_step(f, dt):
@@ -364,6 +366,47 @@ class TestTransportResidual:
             sel = (x1 > -0.1) & (x1 < 0.3)
             vals[n1] = np.max(np.abs(res[sel, :]))
         assert vals[128] / vals[256] > 1.3
+
+
+def d1_oracle(a, dx):
+    """Centered x1-derivative from whole-array slices: the reference for `_d1`."""
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * dx)
+    out[0] = (a[1] - a[0]) / dx
+    out[-1] = (a[-1] - a[-2]) / dx
+    return out
+
+
+def d2_oracle(a, dx):
+    """Centered periodic x2-derivative through np.roll: the reference for `_d2`."""
+    return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
+
+
+class TestDerivativeStencils:
+    @pytest.mark.parametrize("shape", [(8, 8), (40, 8), (24, 33)])
+    def test_match_whole_array_formulas(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        a[:, :3] = np.cumsum(a[:, :3], axis=0)
+        a[2:5] = [[0.0], [-0.0], [1.5]]
+        for got, want in ((_d1(a, 0.07), d1_oracle(a, 0.07)),
+                          (_d2(a, 0.13), d2_oracle(a, 0.13))):
+            assert same_bits(got, want)
+
+    def test_fortran_ordered_and_sliced_inputs(self):
+        grid = small_grid(n1=24, n2=16)
+        rng = np.random.default_rng(4)
+        a, e1, e2 = rng.standard_normal((3, grid.n1, grid.n2))
+        wide = rng.standard_normal((grid.n1, 2 * grid.n2))
+        wide[:, ::2] = a
+        for f in (np.asfortranarray(a), wide[:, ::2]):
+            assert not f.flags.c_contiguous
+            assert same_bits(_d1(f, grid.dx1), d1_oracle(a, grid.dx1))
+            assert same_bits(_d2(f, grid.dx2), d2_oracle(a, grid.dx2))
+            assert same_bits(directional_derivative(f, e1, e2, grid),
+                             e1 * d1_oracle(a, grid.dx1) + e2 * d2_oracle(a, grid.dx2))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _flat(np.asfortranarray(a))
 
 
 class TestVorticity:

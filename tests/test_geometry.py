@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowSt
                                structure_residuals)
 from rarewave.riemann1d import NumericalError
 
-from conftest import GAS2, bilinear_oracle, fan_field, small_grid
+from conftest import GAS2, bilinear_oracle, fan_field, same_bits, small_grid
 
 
 def analytic_fan_sequence(grid, times, u_glue=1.9):
@@ -66,6 +67,32 @@ class TestEvolveU:
         X1, _ = grid.mesh()
         with pytest.raises(NumericalError, match=r"t=0\.35 .*first at \(i=3, j=4\)"):
             evolve_u([s0, s1], 1.0 - X1 / 0.3)
+
+    @pytest.mark.parametrize("n2", [8, 16])
+    def test_matches_per_substep_reference(self, n2):
+        grid = small_grid(n1=48, n2=n2)
+        snaps = [manufactured_field(grid, t, amp=0.4) for t in (0.3, 0.34, 0.4)]
+        X1, X2 = grid.mesh()
+        u0 = 1.0 - X1 / 0.3 + 0.05 * np.sin(X2)
+        u0[:, 0] = u0[:, 1]  # a flat step along x2 for the zero branch of minmod
+        for got, want in zip(evolve_u(snaps, u0), evolve_u_oracle(snaps, u0)):
+            assert same_bits(got, want)
+
+    def test_peak_memory(self):
+        # one call at 128x32, counted in float64 planes of the grid: its
+        # scratch, the (v1, v2, c) planes of two snapshots and the three
+        # returned planes
+        grid = small_grid(n1=128, n2=32)
+        snaps = analytic_fan_sequence(grid, [0.3, 0.33, 0.36])
+        X1, _ = grid.mesh()
+        u0 = 1.0 - X1 / 0.3
+        tracemalloc.start()
+        try:
+            evolve_u(snaps, u0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / u0.nbytes <= 20.0
 
     def test_degenerate_gradient_detected(self):
         grid = small_grid(n1=32, n2=8)
@@ -373,17 +400,63 @@ def one_sided_oracle(u, dx, axis, grid_periodic):
     return back, fwd
 
 
+def hamiltonian_oracle(u, v1, v2, c, grid):
+    """Godunov Hamiltonian from per-cell ENO differences: the per-substep
+    reference for `_hamiltonian`."""
+    bx, fx = one_sided_oracle(u, grid.dx1, 0, grid_periodic=False)
+    by, fy = one_sided_oracle(u, grid.dx2, 1, grid_periodic=True)
+    adv = np.maximum(v1, 0.0) * bx + np.minimum(v1, 0.0) * fx \
+        + np.maximum(v2, 0.0) * by + np.minimum(v2, 0.0) * fy
+    grad_minus = np.sqrt(np.minimum(bx, 0.0) ** 2 + np.maximum(fx, 0.0) ** 2
+                         + np.minimum(by, 0.0) ** 2 + np.maximum(fy, 0.0) ** 2)
+    return adv - c * grad_minus
+
+
+def evolve_u_oracle(snapshots, u_init, cfl=0.45):
+    """Level-set transport with fresh arrays in every substep: the reference
+    for `evolve_u` on finite flows."""
+    grid = snapshots[0].grid
+    out = [u_init.copy()]
+    u = u_init.copy()
+    for s0, s1 in zip(snapshots[:-1], snapshots[1:]):
+        speed = max(np.max(np.abs(s.v1) + s.c) for s in (s0, s1))
+        speed2 = max(np.max(np.abs(s.v2) + s.c) for s in (s0, s1))
+        nsub = max(1, int(math.ceil((s1.time - s0.time)
+                                    / (cfl / (speed / grid.dx1 + speed2 / grid.dx2)))))
+        dt = (s1.time - s0.time) / nsub
+        for m in range(nsub):
+            w = (m + 0.5) / nsub
+            v1, v2, c = ((1.0 - w) * a + w * b for a, b in ((s0.v1, s1.v1), (s0.v2, s1.v2),
+                                                            (s0.c, s1.c)))
+            u = u - dt * hamiltonian_oracle(u, v1, v2, c, grid)
+        out.append(u.copy())
+    return out
+
+
 class TestSharedStencils:
     def test_one_sided_matches_per_cell_formula(self):
         rng = np.random.default_rng(5)
-        u = rng.standard_normal((40, 24))
-        # mixed smooth and rough columns exercise both minmod branches
-        u[:, :12] = np.cumsum(np.cumsum(u[:, :12], axis=0), axis=1)
-        for axis, dx, periodic in ((0, 0.07, False), (1, 0.13, True)):
-            got = _one_sided(u, dx, axis, periodic)
-            want = one_sided_oracle(u, dx, axis, periodic)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+        for n1, n2 in ((40, 24), (12, 8)):
+            u = rng.standard_normal((n1, n2))
+            # smooth and rough columns exercise both nonzero minmod branches;
+            # exactly linear and constant columns (with signed zeros), linear
+            # rows and a checkerboard of +0 and -0 its zero branch
+            u[:, :n2 // 2] = np.cumsum(np.cumsum(u[:, :n2 // 2], axis=0), axis=1)
+            u[:, -4:] = np.column_stack([0.25 * np.arange(n1) - 3.0, np.full(n1, 1.5),
+                                         np.zeros(n1), np.full(n1, -0.0)])
+            u[-3:] = 0.125 * np.arange(n2) - 1.0
+            u[-9:-3] = np.where(np.add.outer(range(6), range(n2)) % 2, 0.0, -0.0)
+            g = np.empty((n1 + 4, n2))
+            g[2:-2] = u
+            work = np.empty((3, (n1 + 2) * n2))
+            for axis, dx, periodic in ((0, 0.07, False), (1, 0.13, True)):
+                got = np.empty((2, n1, n2))
+                _one_sided(g, dx, axis, *got, work)
+                want = one_sided_oracle(u, dx, axis, periodic)
+                for a, b in zip(got, want):
+                    assert same_bits(a, b)
+            # the x1 ghost rows are np.pad's odd reflection
+            assert same_bits(g, np.pad(u, [(2, 2), (0, 0)], mode="reflect", reflect_type="odd"))
 
     def test_one_stencil_samples_fields_as_per_field_formula(self):
         grid = small_grid(n1=32, n2=16)
