@@ -32,6 +32,7 @@ __all__ = [
     "extract_level_curve",
     "apply_frame_derivative",
     "words_of_order",
+    "energies_of_slice",
     "EnergyAnalysis",
     "PredicateLine",
     "check_data_predicates",
@@ -248,17 +249,45 @@ class EnergyReport:
     epsilon: float
     rows: List[EnergyRow] = field(default_factory=list)
 
+    @classmethod
+    def from_slices(cls, slices: Sequence[Dict[Tuple[str, int, float], np.ndarray]],
+                    times: Sequence[float], t_indices: Sequence[int],
+                    epsilon: float) -> "EnergyReport":
+        """Rows at the slices t_indices from the `energies_of_slice` results
+        of every slice in time order: the energies as they are, the fluxes
+        as running trapezoid time integrals of their line integrals."""
+        ts = np.asarray(times)
+        rep = cls(epsilon=epsilon)
+        for psi, n, u in slices[0]:
+            series = np.stack([s[psi, n, u] for s in slices])  # (time, energy, column)
+            energy = series[:, :, 0]
+            flux = _cum_trapezoid(series[:, :, 1], ts, axis=0)
+            for k in t_indices:
+                e, f = energy[k].tolist(), flux[k].tolist()
+                row = EnergyRow(times[k], u, psi, n, e[0], e[1], f[0], f[1])
+                if len(e) == 3:
+                    row.E0ring, row.F0ring = e[2], f[2]
+                rep.rows.append(row)
+        return rep
 
-class EnergyAnalysis:
-    """Energies and fluxes of a snapshot/foliation sequence.
 
-    Generator derivatives use the forward snapshot pair at each time
-    (backward at the final time).  A report evaluates one time slice at a
-    time: the pair's invariants, the flow stencil of the generator
-    velocity, c, and the band weights and level curve (with its sampling
-    stencil) of each requested u are computed once per slice and shared by
-    every invariant, word and band value; only the
-    scalar energies and flux line integrals are kept across slices.
+def energies_of_slice(snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
+                      side: int, psis: Sequence[str], orders: Sequence[int],
+                      u_values: Sequence[float],
+                      u_min: float = 0.0) -> Dict[Tuple[str, int, float], np.ndarray]:
+    """Energies and flux line integrals of one time slice.
+
+    snapshots and foliations are the slice's generator pair in time order,
+    and the slice is snapshots[side].  The pair's invariants, the flow
+    stencil of the generator velocity, c, and the band weights and level
+    curve (with its sampling stencil) of each requested u are computed once
+    and shared by every invariant, word and band value.
+
+    For each (psi, n, u) the array has one row per energy: outgoing
+    (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
+    special (E0ring, F0ring).  Column 0 is the energy over the band
+    {u_min <= u' <= u}, column 1 the line integral of its flux density
+    along {u' = u}.  An order sums its words in `words_of_order` order.
 
     Fields entering the order >= 1 energies and the special
     tangential-stencil energy of wbar are reduced to their x2-fluctuation
@@ -267,6 +296,60 @@ class EnergyAnalysis:
     finite resolution they carry the x2-independent background error of the
     underlying 1D profile, which would otherwise mask the amplitude scaling
     these energies exist to measure.
+    """
+    grid, fol = snapshots[0].grid, foliations[side]
+    times = (snapshots[0].time, snapshots[1].time)
+    pair = (snapshots[0].invariants(), snapshots[1].invariants())
+    flow = FlowStencil(*generator_velocity(snapshots[0], foliations[0]),
+                       times[1] - times[0], grid)
+    c = snapshots[side].c
+    du = _cell_span(fol.u, grid)
+    bands = [(_band_weights(fol.u, du, u_min, u, grid),
+              extract_level_curve(fol.u, u, grid)) for u in u_values]
+    out = {}
+    for psi in psis:
+        idx = ("wbar", "w", "psi2").index(psi)
+        for n in orders:
+            sums = [np.zeros((2, 2)) for _ in u_values]
+            for op in words_of_order(n):
+                fields, valid = apply_frame_derivative(op, [inv[idx] for inv in pair],
+                                                       times, grid)
+                if n >= 1:
+                    fields = [_project(f) for f in fields]
+                lpsi = flow.derivative(*fields)
+                f = fields[side]
+                ok = (valid & flow.valid).astype(float)
+                grad = _gradient(f, grid)
+                xpsi, tpsi = _x_derivative(fol, grad), _t_derivative(fol, grad)
+                # only d2 f is kept, for the special energy of wbar
+                d2psi = grad[1]
+                del grad
+                int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
+                int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi, tpsi) * ok
+                g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
+                for acc, (w, curve) in zip(sums, bands):
+                    acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f)],
+                            [0.5 * float(np.sum(w * int_ebar)), curve.integral(g_fbar)]]
+            if psi == "wbar" and n == 0:
+                # special energy of wbar: the outgoing energy of the single
+                # order-0 word, with d2 in place of Xhat and L projected
+                lfluct = _project(lpsi)
+                int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
+                g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
+                sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
+                                         curve.integral(g_ring_l + g_ring_x)]])
+                        for acc, (w, curve) in zip(sums, bands)]
+            out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
+    return out
+
+
+class EnergyAnalysis:
+    """Energies and fluxes of a snapshot/foliation sequence.
+
+    Generator derivatives use the forward snapshot pair at each time
+    (backward at the final time).  A report evaluates one time slice at a
+    time with `energies_of_slice`; only the scalar energies and flux line
+    integrals are kept across slices.
     """
 
     def __init__(self, snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
@@ -277,82 +360,21 @@ class EnergyAnalysis:
             raise ValueError("need at least two snapshots for time derivatives")
         self.snapshots = list(snapshots)
         self.foliations = list(foliations)
-        self.grid = snapshots[0].grid
         self.times = [s.time for s in snapshots]
         self.u_min = u_min
 
     def slice_energies(self, k: int, psis: Sequence[str], orders: Sequence[int],
                        u_values: Sequence[float]) -> Dict[Tuple[str, int, float], np.ndarray]:
-        """Energies and flux line integrals of time slice k.
-
-        For each (psi, n, u) the array has one row per energy: outgoing
-        (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
-        special (E0ring, F0ring).  Column 0 is the energy over the band
-        {u_min <= u' <= u}, column 1 the line integral of its flux density
-        along {u' = u}.  An order sums its words in `words_of_order` order.
-        """
-        grid, fol = self.grid, self.foliations[k]
-        k0, k1 = (k, k + 1) if k + 1 < len(self.snapshots) else (k - 1, k)
-        times = (self.times[k0], self.times[k1])
-        pair = (self.snapshots[k0].invariants(), self.snapshots[k1].invariants())
-        flow = FlowStencil(*generator_velocity(self.snapshots[k0], self.foliations[k0]),
-                           times[1] - times[0], grid)
-        c = self.snapshots[k].c
-        du = _cell_span(fol.u, grid)
-        bands = [(_band_weights(fol.u, du, self.u_min, u, grid),
-                  extract_level_curve(fol.u, u, grid)) for u in u_values]
-        out = {}
-        for psi in psis:
-            idx = ("wbar", "w", "psi2").index(psi)
-            for n in orders:
-                sums = [np.zeros((2, 2)) for _ in u_values]
-                for op in words_of_order(n):
-                    fields, valid = apply_frame_derivative(op, [inv[idx] for inv in pair],
-                                                           times, grid)
-                    if n >= 1:
-                        fields = [_project(f) for f in fields]
-                    lpsi = flow.derivative(*fields)
-                    f = fields[k - k0]
-                    ok = (valid & flow.valid).astype(float)
-                    grad = _gradient(f, grid)
-                    xpsi, tpsi = _x_derivative(fol, grad), _t_derivative(fol, grad)
-                    # only d2 f is kept, for the special energy of wbar
-                    d2psi = grad[1]
-                    del grad
-                    int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
-                    int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi, tpsi) * ok
-                    g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
-                    for acc, (w, curve) in zip(sums, bands):
-                        acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f)],
-                                [0.5 * float(np.sum(w * int_ebar)), curve.integral(g_fbar)]]
-                if psi == "wbar" and n == 0:
-                    # special energy of wbar: the outgoing energy of the single
-                    # order-0 word, with d2 in place of Xhat and L projected
-                    lfluct = _project(lpsi)
-                    int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
-                    g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
-                    sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
-                                             curve.integral(g_ring_l + g_ring_x)]])
-                            for acc, (w, curve) in zip(sums, bands)]
-                out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
-        return out
+        """`energies_of_slice` of time slice k."""
+        k0 = k if k + 1 < len(self.snapshots) else k - 1
+        return energies_of_slice(self.snapshots[k0:k0 + 2], self.foliations[k0:k0 + 2],
+                                 k - k0, psis, orders, u_values, self.u_min)
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
                u_values: Sequence[float], epsilon: float) -> EnergyReport:
-        ts = np.asarray(self.times)
-        slices = [self.slice_energies(k, psis, orders, u_values) for k in range(len(ts))]
-        rep = EnergyReport(epsilon=epsilon)
-        for psi, n, u in slices[0]:
-            series = np.stack([s[psi, n, u] for s in slices])  # (time, energy, column)
-            energy = series[:, :, 0]
-            flux = _cum_trapezoid(series[:, :, 1], ts, axis=0)
-            for k in t_indices:
-                e, f = energy[k].tolist(), flux[k].tolist()
-                row = EnergyRow(self.times[k], u, psi, n, e[0], e[1], f[0], f[1])
-                if len(e) == 3:
-                    row.E0ring, row.F0ring = e[2], f[2]
-                rep.rows.append(row)
-        return rep
+        slices = [self.slice_energies(k, psis, orders, u_values) for k in range(len(self.times))]
+        return EnergyReport.from_slices(slices, self.times, t_indices, epsilon)
+
 
 def _project(a: np.ndarray) -> np.ndarray:
     """x2-fluctuation part of a field."""

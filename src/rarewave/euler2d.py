@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "max_signal_speed",
     "step",
     "run",
+    "iter_run",
     "advective_derivative",
     "diagonal_rhs",
     "transport_residual",
@@ -506,6 +507,13 @@ def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> Li
 
     With no snapshot times configured, returns just the state at t_end.
     """
+    return list(iter_run(f, config, t_end))
+
+
+def iter_run(f: FlowField, config: SolverConfig,
+             t_end: Optional[float] = None) -> Iterator[FlowField]:
+    """`run` one snapshot at a time: each snapshot is yielded as the solve
+    reaches its time and is held by the solve only until its next step."""
     times = sorted(config.snapshot_times) if config.snapshot_times else []
     if not times:
         if t_end is None:
@@ -514,7 +522,6 @@ def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> Li
     if times[0] < f.time - 1e-12:
         raise ValueError(f"snapshot time {times[0]} precedes field time {f.time}")
 
-    snapshots = []
     current = f
     cumulative_outflow = f.boundary_mass_flux
     dx_min = min(f.grid.dx1, f.grid.dx2)
@@ -530,8 +537,7 @@ def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> Li
             current = step(current, dt, config)
             cumulative_outflow += current.boundary_mass_flux
             current.boundary_mass_flux = cumulative_outflow
-        snapshots.append(current if abs(current.time - target) < 1e-12 else current.copy(time=target))
-    return snapshots
+        yield current if abs(current.time - target) < 1e-12 else current.copy(time=target)
 
 
 def total_mass(f: FlowField) -> float:

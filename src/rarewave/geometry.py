@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "DeformationComponents",
     "DegenerateFoliationError",
     "evolve_u",
+    "iter_evolve_u",
     "frame_fields",
     "second_frame",
     "advective_derivative",
@@ -48,6 +49,7 @@ __all__ = [
     "kslash",
     "chibar",
     "trace_characteristics",
+    "RayTrace",
 ]
 
 GRAD_FLOOR = 1e-8
@@ -59,7 +61,11 @@ class DegenerateFoliationError(RuntimeError):
 
 @dataclass
 class Foliation:
-    """Front-adapted frame data derived from u on one time slice."""
+    """Front-adapted frame data derived from u on one time slice.
+
+    xhat_v1, xhat_v2 and xhat_c are the tangential derivatives Xhat(v1),
+    Xhat(v2) and Xhat(c) of the slice's flow.
+    """
 
     time: float
     grid: Grid
@@ -68,12 +74,22 @@ class Foliation:
     mu: np.ndarray
     that1: np.ndarray
     that2: np.ndarray
-    xhat1: np.ndarray
-    xhat2: np.ndarray
     chi: np.ndarray
     zeta: np.ndarray
     eta: np.ndarray
     theta: np.ndarray
+    xhat_v1: np.ndarray
+    xhat_v2: np.ndarray
+    xhat_c: np.ndarray
+
+    # the unit tangent is the normal turned by -90 degrees; negation is exact
+    @property
+    def xhat1(self) -> np.ndarray:
+        return self.that2
+
+    @property
+    def xhat2(self) -> np.ndarray:
+        return -self.that1
 
 
 @dataclass
@@ -218,23 +234,34 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
     substeps at the given CFL number.  Returns u at every snapshot time;
     a non-finite velocity or sound speed in a snapshot raises NumericalError.
     """
-    if len(snapshots) < 1:
+    return [u for _, u in iter_evolve_u(snapshots, u_init, cfl)]
+
+
+def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
+                  cfl: float = 0.45) -> Iterator[Tuple[FlowField, np.ndarray]]:
+    """`evolve_u` over a stream: yields each field with u at its time.
+
+    Fields are read one at a time, and each field's v1, v2 and c once; any
+    object with the FlowField attributes time, grid, v1, v2 and c will do.
+    """
+    fields = iter(fields)
+    s0 = next(fields, None)
+    if s0 is None:
         raise ValueError("need at least one snapshot")
-    grid = snapshots[0].grid
+    grid = s0.grid
     n1, n2 = grid.n1, grid.n2
     if u_init.shape != (n1, n2):
         raise ValueError("u_init shape does not match the grid")
-    out = [u_init.copy()]
-    # scratch of this call: u lives in the interior rows of g
+    yield s0, u_init.copy()
+    # scratch of the stream: u lives in the interior rows of g
     g = np.empty((n1 + 4, n2))
     u = g[2:-2]
     u[...] = u_init
     diff = np.empty((4, n1, n2))
     work = np.empty((3, (n1 + 2) * n2))
-    # each snapshot's (v1, v2, c) planes are computed once and serve both of
-    # its intervals
-    start = (snapshots[0].v1, snapshots[0].v2, snapshots[0].c)
-    for s0, s1 in zip(snapshots[:-1], snapshots[1:]):
+    # each field's (v1, v2, c) planes serve both of its intervals
+    start = (s0.v1, s0.v2, s0.c)
+    for s1 in fields:
         t0, t1 = s0.time, s1.time
         end = (s1.v1, s1.v2, s1.c)
         # np.maximum propagates a NaN maximum, where the builtin max may drop it
@@ -255,9 +282,8 @@ def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
             h = _hamiltonian(g, (start, end), (m + 0.5) / nsub, grid, diff, work)
             h *= dt
             u -= h
-        out.append(u.copy())
-        start = end
-    return out
+        yield s1, u.copy()
+        s0, start = s1, end
 
 
 def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[float, float]] = None) -> Foliation:
@@ -265,7 +291,7 @@ def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[flo
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the expansion/torsion scalars from centered
-    tangential stencils.
+    tangential stencils.  The foliation keeps u itself, not a copy.
     """
     grid = field.grid
     du1 = _d1(u, grid.dx1)
@@ -289,8 +315,8 @@ def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[flo
     theta = xhat2 * xx1 - xhat1 * xx2
     zeta = -kappa * (-(that1 * xv1 + that2 * xv2) + xc)
     eta = zeta + xmu
-    return Foliation(field.time, grid, u.copy(), kappa, mu, that1, that2,
-                     xhat1, xhat2, chi, zeta, eta, theta)
+    return Foliation(field.time, grid, u, kappa, mu, that1, that2,
+                     chi, zeta, eta, theta, xv1, xv2, xc)
 
 
 def second_frame(field: FlowField) -> SecondFrame:
@@ -509,6 +535,8 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
                 m = -(gamma+1)/(gamma-1) * T(c),  e = -c^{-1} That^i L(v^i)
         that1, that2:  L(That^k) - (That^j Xhat(psi_j) + Xhat(c)) Xhat^k
         chi (leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
+
+    fol0 is the foliation of s0: its Xhat derivatives of the flow are reused.
     """
     gas, grid = s0.gas, s0.grid
     g = gas.gamma
@@ -527,9 +555,8 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
     e_coef = -(fol0.that1 * lv1 + fol0.that2 * lv2) / c0
     out["kappa"] = (l_kappa - (m_coef + e_coef * fol0.kappa), flow.valid)
 
-    xpsi = -(fol0.that1 * directional_derivative(s0.v1, *xhat)
-             + fol0.that2 * directional_derivative(s0.v2, *xhat))
-    drive = xpsi + directional_derivative(c0, *xhat)
+    xpsi = -(fol0.that1 * fol0.xhat_v1 + fol0.that2 * fol0.xhat_v2)
+    drive = xpsi + fol0.xhat_c
     for k, (th0, th1, xh) in enumerate(
             [(fol0.that1, fol1.that1, fol0.xhat1), (fol0.that2, fol1.that2, fol0.xhat2)], start=1):
         out[f"that{k}"] = (ld(th0, th1) - drive * xh, flow.valid)
@@ -557,26 +584,46 @@ def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[F
                           x1_start: np.ndarray, x2_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate sample rays of the front generator v - c*normal.
 
-    Cross-validation for the level-set transport: the characteristic value u
-    interpolated along each ray should stay constant.  Each snapshot interval
-    takes 8 midpoint substeps.  Returns the ray positions (n_times, n_rays, 2)
-    and u sampled along them.
+    Returns the ray positions (n_times, n_rays, 2) and u sampled along them;
+    see RayTrace.
     """
-    substeps = 8
-    grid = snapshots[0].grid
-    n_rays = len(x1_start)
-    x1 = np.asarray(x1_start, dtype=float).copy()
-    x2 = np.asarray(x2_start, dtype=float).copy()
-    pos = np.zeros((len(snapshots), n_rays, 2))
-    u_along = np.zeros((len(snapshots), n_rays))
-    pos[0] = np.stack([x1, x2], axis=-1)
-    u_along[0] = bilinear_sample(foliations[0].u, x1, x2, grid)
-    for k in range(len(snapshots) - 1):
-        s0, s1 = snapshots[k], snapshots[k + 1]
-        f0, f1 = foliations[k], foliations[k + 1]
-        a10, a20 = generator_velocity(s0, f0)
-        a11, a21 = generator_velocity(s1, f1)
-        dt = (s1.time - s0.time) / substeps
+    rays = RayTrace(snapshots[0], foliations[0], x1_start, x2_start)
+    for s, fol in zip(snapshots[1:], foliations[1:]):
+        rays.advance(s, fol)
+    return np.stack(rays.positions), np.stack(rays.u_along)
+
+
+class RayTrace:
+    """Sample rays of the front generator v - c*normal, one slice at a time.
+
+    Cross-validation for the level-set transport: the characteristic value u
+    interpolated along each ray should stay constant.  Each slice interval
+    takes 8 midpoint substeps.  `positions` ((n_rays, 2) each) and
+    `u_along` gain one entry per slice; of the flow only the generator
+    velocity of the latest slice is kept.
+    """
+
+    def __init__(self, field: FlowField, fol: Foliation, x1_start: np.ndarray,
+                 x2_start: np.ndarray):
+        self.x1 = np.asarray(x1_start, dtype=float).copy()
+        self.x2 = np.asarray(x2_start, dtype=float).copy()
+        self.positions: List[np.ndarray] = []
+        self.u_along: List[np.ndarray] = []
+        self._sample(field, fol, generator_velocity(field, fol))
+
+    def _sample(self, field: FlowField, fol: Foliation, velocity):
+        self.time, self.velocity = field.time, velocity
+        self.positions.append(np.stack([self.x1, self.x2], axis=-1))
+        self.u_along.append(bilinear_sample(fol.u, self.x1, self.x2, field.grid))
+
+    def advance(self, field: FlowField, fol: Foliation):
+        """Integrate the rays to the next slice and sample u there."""
+        substeps = 8
+        grid = field.grid
+        x1, x2 = self.x1, self.x2
+        velocity = generator_velocity(field, fol)
+        (a10, a20), (a11, a21) = self.velocity, velocity
+        dt = (field.time - self.time) / substeps
         for m in range(substeps):
             w = (m + 0.5) / substeps
             at = BilinearStencil(x1, x2, grid)
@@ -584,9 +631,8 @@ def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[F
             v2 = (1.0 - w) * at(a20) + w * at(a21)
             x1 = x1 + dt * v1
             x2 = np.mod(x2 + dt * v2, 2.0 * math.pi)
-        pos[k + 1] = np.stack([x1, x2], axis=-1)
-        u_along[k + 1] = bilinear_sample(f1.u, x1, x2, grid)
-    return pos, u_along
+        self.x1, self.x2 = x1, x2
+        self._sample(field, fol, velocity)
 
 
 def sign_monitors(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,

@@ -24,8 +24,10 @@ import numpy as np
 from . import __version__
 from . import energies as en
 from . import geometry as geo
-from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
-                      clamped_fan_profile, init_perturbed_rarefaction, run, total_mass)
+# `run` is unused here but re-exported: the benchmark tracer patches it in this module
+from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,  # noqa: F401
+                      clamped_fan_profile, init_perturbed_rarefaction, iter_run, run,
+                      total_mass)
 from .gas import PolytropicGas, density_from_sound_speed
 from .snapshot_io import write_csv, write_planes, write_snapshot
 
@@ -274,11 +276,10 @@ def _band(cfg: RunConfig, u: np.ndarray) -> np.ndarray:
     return geo.band_mask(u, cfg.u_lo, cfg.u_star)
 
 
-def _x2_variation(snapshots: Sequence[FlowField]) -> float:
-    worst = 0.0
-    for s in snapshots:
-        for a in (s.rho, s.m1, s.m2):
-            worst = max(worst, float(np.max(np.abs(a - a[:, :1]))))
+def _x2_variation(s: FlowField, worst: float) -> float:
+    """worst, raised to the largest x2 variation of a conserved plane of s."""
+    for a in (s.rho, s.m1, s.m2):
+        worst = max(worst, float(np.max(np.abs(a - a[:, :1]))))
     return worst
 
 
@@ -348,65 +349,171 @@ def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
     os.replace(tmp, path)
 
 
+class _Slice:
+    """One time slice of a run, held while a consumer still needs it.
+
+    It stands in for its snapshot in the analysis functions, which read
+    gas, grid, time, v1, v2, c and invariants() from it; the three planes
+    are computed once, here.  The foliation (which holds u) and the band
+    mask are added once they are formed.
+    """
+
+    invariants = FlowField.invariants
+
+    def __init__(self, snapshot: FlowField):
+        self.snapshot = snapshot
+        self.gas, self.grid, self.time = snapshot.gas, snapshot.grid, snapshot.time
+        self.v1, self.v2, self.c = snapshot.v1, snapshot.v2, snapshot.c
+        self.foliation: Optional[geo.Foliation] = None
+        self.band: Optional[np.ndarray] = None
+
+
+def _band_rows(rec: _Slice):
+    """kappa and frame statistics over the band of a base slice, or None
+    when the band is empty."""
+    m, fol, c = rec.band, rec.foliation, rec.c
+    if not np.any(m):
+        return None
+    return ([rec.time,
+             float(np.max(np.abs(fol.kappa[m] / rec.time - 1.0))),
+             float(np.max(np.abs(fol.mu[m] - c[m] * fol.kappa[m])))],
+            [rec.time,
+             float(np.max(np.abs(fol.that1[m] + 1.0))),
+             float(np.max(np.abs(fol.that2[m]))),
+             float(np.max(np.abs(fol.chi[m]))),
+             float(np.max(np.abs(fol.zeta[m]))),
+             float(np.max(np.abs(fol.eta[m])))])
+
+
+def _pair_rows(r0: _Slice, r1: _Slice, rb: _Slice):
+    """Sign-monitor, second-frame and residual rows of the slice pair
+    (r0, r1) in time order, whose base slice rb is one of them; None when
+    the band of r0 is empty."""
+    m = r0.band
+    if not np.any(m):
+        return None
+    mon = geo.sign_monitors(r0, r1, r0.foliation, r1.foliation, m)
+    monitor = [rb.time, mon["L_mu"][0], mon["L_mu"][1], mon["T_wbar"][0], mon["T_wbar"][1],
+               mon["Lbar_wbar"][0], mon["Lbar_wbar"][1]]
+    frame = geo.second_frame(rb)
+    mb = rb.band
+    yscale = [rb.time, float(np.max(np.abs(frame.yt[mb]))), float(np.max(np.abs(frame.zt[mb]))),
+              float(np.max(np.abs(frame.y[mb]))), float(np.max(np.abs(frame.z[mb])))]
+    ry = geo.commutation_residual_y(r0, r1)
+    rz = geo.commutation_residual_z(r0, r1)
+    struct = geo.structure_residuals(r0, r1, r0.foliation, r1.foliation)
+    residual = [rb.time, float(np.max(np.abs(ry[m]))), float(np.max(np.abs(rz[m])))]
+    for name in ("kappa", "that1", "that2", "chi"):
+        res, ok = struct[name]
+        sel = m & ok
+        residual.append(float(np.max(np.abs(res[sel]))) if np.any(sel) else float("nan"))
+    return monitor, yscale, residual
+
+
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
+    """One pass over the slices in time order.
+
+    Each slice's record (snapshot, u, foliation) is formed as the solve
+    reaches it and serves every consumer: rays, band statistics, pair
+    diagnostics, energies, predicates and bookkeeping.  A record is dropped
+    once the last pair reaching back to it has passed, so at most (largest
+    base-to-partner index gap + 1) records are alive; only scalars are kept
+    across the run.
+    """
     gas, grid = cfg.gas(), cfg.grid()
-    spec = cfg.perturbation()
-    solver = cfg.solver()
-    _, base_idx, pair_idx = cfg.ladder()
+    ladder, base_idx, pair_idx = cfg.ladder()
+    last = len(ladder) - 1
+    # (first, second, base) slice of each pair, in base order
+    pairs = [(min(kb, kp), max(kb, kp), kb) for kb, kp in zip(base_idx, pair_idx)]
+    lookahead = max(k1 - k0 for k0, k1, _ in pairs)
+    banded = set(base_idx) | {k0 for k0, _, _ in pairs}
+    seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
+    x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
+    x2_seed = np.full_like(x1_seed, math.pi)
+    u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels)) \
+        if cfg.u_levels > 1 else [cfg.u_star]
+    energy_args = dict(psis=("wbar", "w", "psi2"), orders=list(range(cfg.orders + 1)),
+                       u_values=u_values, u_min=cfg.u_lo)
 
-    field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0), spec,
-                                        u_glue=cfg.u_glue)
-    snapshots = run(field0, solver)
-    times = [s.time for s in snapshots]
+    field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0),
+                                        cfg.perturbation(), u_glue=cfg.u_glue)
+    u_init = (cfg.v0 + cfg.c0) - grid.mesh()[0] / cfg.delta
+    records = geo.iter_evolve_u(map(_Slice, iter_run(field0, cfg.solver())), u_init, cfl=cfg.cfl)
 
-    X1, _ = grid.mesh()
-    u_init = (cfg.v0 + cfg.c0) - X1 / cfg.delta
-    u_seq = geo.evolve_u(snapshots, u_init, cfl=cfg.cfl)
-    foliations = [geo.frame_fields(s, u, check_band=(cfg.u_lo, cfg.u_star))
-                  for s, u in zip(snapshots, u_seq)]
+    window: Dict[int, _Slice] = {}
+    times, conservation, kappa_rows, frame_rows, energy_slices = [], [], [], [], []
+    pair_rows = {}
+    x2_variation = 0.0
+    for k, (rec, u) in enumerate(records):
+        rec.foliation = geo.frame_fields(rec, u, check_band=(cfg.u_lo, cfg.u_star))
+        if k in banded:
+            rec.band = _band(cfg, u)
+        window[k] = rec
+        s = rec.snapshot
+        times.append(rec.time)
+
+        # conservation and symmetry bookkeeping, initial-slice predicates, and
+        # the ray-traced cross-check of the level-set transport: u along a few
+        # generator rays seeded across the band should stay constant
+        x2_variation = _x2_variation(s, x2_variation)
+        mass = total_mass(s)
+        if k == 0:
+            mass0 = mass
+            predicate_lines = en.check_data_predicates(rec, rec.foliation, cfg.epsilon,
+                                                       cfg.delta, cfg.u_star)
+            rays = geo.RayTrace(rec, rec.foliation, x1_seed, x2_seed)
+        else:
+            rays.advance(rec, rec.foliation)
+        conservation.append([s.time, mass, s.boundary_mass_flux,
+                             mass + s.boundary_mass_flux - mass0])
+
+        # pointwise foliation statistics over the tracked band at base times
+        for _ in range(base_idx.count(k)):  # merged base times share a slice
+            rows = _band_rows(rec)
+            if rows is not None:
+                kappa_rows.append(rows[0])
+                frame_rows.append(rows[1])
+
+        # sign monitors, second-frame extrema and residuals per (base, partner)
+        # pair; each pair spans a few cell-crossing times so the two-time
+        # derivatives refine with the grid
+        for j, (k0, k1, kb) in enumerate(pairs):
+            if k1 == k:
+                pair_rows[j] = _pair_rows(window[k0], rec, window[kb])
+
+        # energies of each slice, from its forward pair (backward at the end)
+        if k > 0:
+            prev = window[k - 1]
+            for side in ((0, 1) if k == last else (0,)):
+                energy_slices.append(en.energies_of_slice(
+                    (prev, rec), (prev.foliation, rec.foliation), side, **energy_args))
+
+        if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
+            write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
+        if k == last:
+            l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
+            if cfg.save_snapshots != "none":
+                fol = rec.foliation
+                write_planes(grid, fol.time, gas,
+                             {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
+                              "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
+                              "zeta": fol.zeta, "eta": fol.eta},
+                             out / "foliation_final.rwl")
+        window.pop(k - lookahead, None)
 
     report: dict = {
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash,
         "times": [times[k] for k in base_idx],
         "cached": False,
+        "x2_variation": x2_variation,
+        "mass_drift": [row[3] for row in conservation],
     }
-
-    # conservation and symmetry bookkeeping
-    report["x2_variation"] = _x2_variation(snapshots)
-    mass0 = total_mass(snapshots[0])
-    report["mass_drift"] = [
-        total_mass(s) + s.boundary_mass_flux - mass0 for s in snapshots]
-    write_csv(out / "conservation.csv", ["t", "mass", "boundary_outflow", "drift"],
-              [[s.time, total_mass(s), s.boundary_mass_flux, d]
-               for s, d in zip(snapshots, report["mass_drift"])])
-    report["l1_fan_error_final"] = (_l1_fan_error(cfg, snapshots[-1])
-                                    if cfg.epsilon == 0.0 else None)
-
-    # ray-traced cross-check of the level-set transport: u along a few
-    # generator rays seeded across the band should stay constant
-    seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
-    x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
-    x2_seed = np.full_like(x1_seed, math.pi)
-    _, u_along = geo.trace_characteristics(snapshots, foliations, x1_seed, x2_seed)
+    write_csv(out / "conservation.csv", ["t", "mass", "boundary_outflow", "drift"], conservation)
+    report["l1_fan_error_final"] = l1_fan_error
+    u_along = np.stack(rays.u_along)
     report["ray_u_drift"] = float(np.max(np.abs(u_along - u_along[0])))
 
-    # pointwise foliation statistics over the tracked band at base times
-    kappa_rows, frame_rows = [], []
-    for k in base_idx:
-        s, fol = snapshots[k], foliations[k]
-        m = _band(cfg, fol.u)
-        if not np.any(m):
-            continue
-        kappa_rows.append([s.time,
-                           float(np.max(np.abs(fol.kappa[m] / s.time - 1.0))),
-                           float(np.max(np.abs(fol.mu[m] - s.c[m] * fol.kappa[m])))])
-        frame_rows.append([s.time,
-                           float(np.max(np.abs(fol.that1[m] + 1.0))),
-                           float(np.max(np.abs(fol.that2[m]))),
-                           float(np.max(np.abs(fol.chi[m]))),
-                           float(np.max(np.abs(fol.zeta[m]))),
-                           float(np.max(np.abs(fol.eta[m])))])
     report["kappa_stats"] = kappa_rows
     report["frame_stats"] = frame_rows
     write_csv(out / "kappa_stats.csv", ["t", "max_kappa_over_t_dev", "max_mu_identity_dev"],
@@ -414,39 +521,9 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     write_csv(out / "frame_stats.csv",
               ["t", "max_that1p1", "max_that2", "max_chi", "max_zeta", "max_eta"], frame_rows)
 
-    # sign monitors, second-frame extrema and residuals per (base, partner)
-    # pair; each pair spans a few cell-crossing times so the two-time
-    # derivatives refine with the grid
-    monitor_rows = []
-    yscale_rows = []
-    residual_rows = []
-    for kb, kp in zip(base_idx, pair_idx):
-        k0, k1 = (kb, kp) if times[kp] > times[kb] else (kp, kb)
-        s0, s1 = snapshots[k0], snapshots[k1]
-        m = _band(cfg, foliations[k0].u)
-        if not np.any(m):
-            continue
-        mon = geo.sign_monitors(s0, s1, foliations[k0], foliations[k1], m)
-        monitor_rows.append([snapshots[kb].time,
-                             mon["L_mu"][0], mon["L_mu"][1],
-                             mon["T_wbar"][0], mon["T_wbar"][1],
-                             mon["Lbar_wbar"][0], mon["Lbar_wbar"][1]])
-        frame = geo.second_frame(snapshots[kb])
-        mb = _band(cfg, foliations[kb].u)
-        yscale_rows.append([snapshots[kb].time,
-                            float(np.max(np.abs(frame.yt[mb]))),
-                            float(np.max(np.abs(frame.zt[mb]))),
-                            float(np.max(np.abs(frame.y[mb]))),
-                            float(np.max(np.abs(frame.z[mb])))])
-        ry = geo.commutation_residual_y(s0, s1)
-        rz = geo.commutation_residual_z(s0, s1)
-        struct = geo.structure_residuals(s0, s1, foliations[k0], foliations[k1])
-        row = [snapshots[kb].time, float(np.max(np.abs(ry[m]))), float(np.max(np.abs(rz[m])))]
-        for name in ("kappa", "that1", "that2", "chi"):
-            res, ok = struct[name]
-            sel = m & ok
-            row.append(float(np.max(np.abs(res[sel]))) if np.any(sel) else float("nan"))
-        residual_rows.append(row)
+    monitor_rows, yscale_rows, residual_rows = (
+        [pair_rows[j][i] for j in sorted(pair_rows) if pair_rows[j] is not None]
+        for i in range(3))
     report["monitors"] = monitor_rows
     report["second_frame_stats"] = yscale_rows
     report["residuals"] = residual_rows
@@ -459,19 +536,11 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
               ["t", "commutation_y", "commutation_z", "structure_kappa",
                "structure_that1", "structure_that2", "structure_chi"], residual_rows)
 
-    # initial-slice predicates
-    predicate_lines = en.check_data_predicates(snapshots[0], foliations[0], cfg.epsilon,
-                                               cfg.delta, cfg.u_star)
     report["data_predicates"] = [[p.name, p.measured, p.scale, p.passed]
                                  for p in predicate_lines]
 
     # energies
-    analysis = en.EnergyAnalysis(snapshots, foliations, u_min=cfg.u_lo)
-    u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels)) \
-        if cfg.u_levels > 1 else [cfg.u_star]
-    energy_report = analysis.report(
-        psis=("wbar", "w", "psi2"), orders=list(range(cfg.orders + 1)),
-        t_indices=base_idx, u_values=u_values, epsilon=cfg.epsilon)
+    energy_report = en.EnergyReport.from_slices(energy_slices, times, base_idx, cfg.epsilon)
     energy_rows = [[r.t, r.u, r.psi, r.n, r.E, r.Ebar, r.F, r.Fbar,
                     r.E0ring if r.E0ring is not None else "",
                     r.F0ring if r.F0ring is not None else ""]
@@ -482,19 +551,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
               energy_rows)
 
     # measured growth-lemma instance at order 0 for w (fit + verdict)
-    gron = _measured_gronwall(cfg, energy_report, [times[k] for k in base_idx])
-    report["gronwall_fit"] = gron
-
-    if cfg.save_snapshots != "none":
-        chosen = snapshots if cfg.save_snapshots == "all" else [snapshots[0], snapshots[-1]]
-        for s in chosen:
-            write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
-        fol = foliations[-1]
-        write_planes(grid, fol.time, gas,
-                     {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
-                      "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
-                      "zeta": fol.zeta, "eta": fol.eta},
-                     out / "foliation_final.rwl")
+    report["gronwall_fit"] = _measured_gronwall(cfg, energy_report, [times[k] for k in base_idx])
     return report
 
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,91 @@ class TestRunSingle:
         for name in ("energies.csv", "monitors.csv", "residuals.csv"):
             assert (tmp_path / "a" / "r" / name).read_bytes() \
                 == (tmp_path / "b" / "r" / name).read_bytes()
+
+
+STREAMED = """
+[grid]
+n1 = 128
+n2 = 32
+[time]
+delta = 0.2
+[solver]
+snapshots = 9
+[analysis]
+orders = 1
+u_levels = 2
+save_snapshots = all
+"""
+
+# SHA-256 of the outputs of STREAMED at seed 2024, recorded from the
+# unstreamed pipeline that kept every slice of the run alive
+STREAMED_DIGESTS = {
+    "conservation.csv": "ce430ba5933f1daeb7e9b51f9b0b4f00c6b34ff4e8f981016ad8b94d40a29004",
+    "energies.csv": "d0c23dc2a28455778e44bd40ee1ccebb5f29db3de78709b10642ed676fda603e",
+    "foliation_final.rwl": "f30b94c96046cbe194858dfd3b9fa21a390c4b881205119d0c2cad257f3e5bb6",
+    "frame_stats.csv": "afa27ea73f76da45f798bfc781912120e06c16815c8689fdd26613b924a04d5a",
+    "kappa_stats.csv": "882e71166acb940dbe97c86eea1c909efa8fea673785a283252c17ea3fa30b54",
+    "monitors.csv": "2819881879d6627af33b1cd198c517c74e47b8548f108c72db4ea6620e252c79",
+    "residuals.csv": "3373ae94e8f518352c27f2492b8c8bb53bcbeebb29e43aa39cff6c2081d5097b",
+    "second_frame.csv": "fe59546c8976c0879d1f53523143b5e43403f6192b3a7fd1c4bc41dbe9669a93",
+    "snapshot_t0.2000.rwl": "d68c7559e77264298d8328cc274a3c55364a8e59c94eb445ba3f10c7653cc0c3",
+    "snapshot_t0.2446.rwl": "e5f1aa84dfe8cf5e9d71d7a5b7335290ea965bd5c747eb99e522e5ed9d34835f",
+    "snapshot_t0.2991.rwl": "be04da7ef2a644113b338e317cb486ba294a331bba21bd981f20ce975ee2c2c6",
+    "snapshot_t0.3438.rwl": "35441ee0b793aa9cc5475a1d5ee3c931c7ccb1e5bf532af301162982a236065a",
+    "snapshot_t0.3657.rwl": "11401adf167fa24afbb327eb2f7c089f7310eb6650fd15afba7bd777a89a6579",
+    "snapshot_t0.3883.rwl": "1ca92ff2a771b63e9ee4a218515f5a35ef669dfe30e408e394d542e459b2be88",
+    "snapshot_t0.4428.rwl": "a01e52e8e3e660e11a289727959d400e7255c26a371f1bdbd6217ee77ee2d73b",
+    "snapshot_t0.5095.rwl": "81c9cb7cfaa5ac325f9a6d76a62bd791e719ec6426279f495f5dae113f8d7cb4",
+    "snapshot_t0.5469.rwl": "b19504d725435f1840154bbfce9a7b9215bf940a8b0db0669ed634218687006c",
+    "snapshot_t0.5910.rwl": "8ba4277b7c73506105df5a9683557f1465225d02c865928f67e5d0e21b1f5a79",
+    "snapshot_t0.6687.rwl": "cca022dfca095021c05e11cbeb4ccb7cab67900f789891f61a1a3a846eaaa050",
+    "snapshot_t0.6906.rwl": "81f8ec97f89a4f9e3ff2b9618435f05be11ba67caa7bc05abd73d0379010b42b",
+    "snapshot_t0.8125.rwl": "9c72bb0c5860ce2880421f6b6dbcd2a497a858e96bf2108fd86fe0364bdea994",
+    "snapshot_t0.8562.rwl": "0f6aa407e08e457e9ce2a638c600e77ed34fad9690aabd72ea18e15a6d17aac5",
+    "snapshot_t0.9615.rwl": "bc03a6a32b4085d9e3088909efbc24da14720817595e73922257738dcce26f81",
+    "snapshot_t1.0000.rwl": "fb07000d2423533ec6d11cda45856e16a41e5a41ce4e8c5679c59fb4b87ff3af",
+}
+
+
+@pytest.fixture(scope="module")
+def streamed_run(tmp_path_factory):
+    """STREAMED run once, counting the foliations alive at each moment."""
+    import rarewave.harness as harness
+
+    live, peak = [0], [0]
+    frame_fields = harness.geo.frame_fields
+
+    def dropped():
+        live[0] -= 1
+
+    def tracked(*args, **kwargs):
+        fol = frame_fields(*args, **kwargs)
+        live[0] += 1
+        peak[0] = max(peak[0], live[0])
+        weakref.finalize(fol, dropped)
+        return fol
+
+    cfg = parse_config(STREAMED)
+    out = tmp_path_factory.mktemp("streamed")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.geo, "frame_fields", tracked)
+        run_single(cfg, out_dir=out)
+    return cfg, out, peak[0]
+
+
+class TestStreamedRun:
+    def test_window_bounds_live_foliations(self, streamed_run):
+        cfg, _, peak = streamed_run
+        times, base_idx, pair_idx = cfg.ladder()
+        gap = max(abs(kp - kb) for kb, kp in zip(base_idx, pair_idx))
+        assert len(times) > gap + 2  # a run that kept every slice would fail
+        assert peak <= gap + 2
+
+    def test_outputs_match_recorded_digests(self, streamed_run):
+        _, out, _ = streamed_run
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir()) if f.suffix in (".csv", ".rwl")}
+        assert got == STREAMED_DIGESTS
 
 
 class TestStudies:
