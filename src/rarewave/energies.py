@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
-from .geometry import BilinearStencil, FlowStencil, Foliation, generator_velocity
+from .geometry import BilinearStencil, Foliation, PairDiagnostics
 # re-exported: the benchmark tracer patches these two names in this module
 from .geometry import bilinear_sample, semi_lagrangian  # noqa: F401
 
@@ -299,9 +299,8 @@ def energies_of_slice(snapshots: Sequence[FlowField], foliations: Sequence[Folia
     """
     grid, fol = snapshots[0].grid, foliations[side]
     times = (snapshots[0].time, snapshots[1].time)
-    pair = (snapshots[0].invariants(), snapshots[1].invariants())
-    flow = FlowStencil(*generator_velocity(snapshots[0], foliations[0]),
-                       times[1] - times[0], grid)
+    diag = PairDiagnostics(*snapshots, *foliations)
+    pair, flow = diag.invariants, diag.generator
     c = snapshots[side].c
     du = _cell_span(fol.u, grid)
     bands = [(_band_weights(fol.u, du, u_min, u, grid),

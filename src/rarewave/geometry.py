@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "generator_velocity",
     "BilinearStencil",
     "FlowStencil",
+    "PairDiagnostics",
     "bilinear_sample",
     "semi_lagrangian",
     "commutation_residual_y",
@@ -428,72 +430,145 @@ def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float
     return flow.derivative(f0, f1), flow.valid
 
 
-def _mid_fields(s0: FlowField, s1: FlowField, use_euler_rhs: bool) -> dict:
-    """Midpoint quantities shared by the commutation residuals of a pair.
+class PairDiagnostics:
+    """Commutation residuals, structure residuals and sign monitors of one
+    slice pair (s0, s1) in time order with foliations fol0 and fol1, which
+    the commutation residuals do not need.
 
-    The inner L(wbar) is the Euler-equation value c*X(psi2)/2 with
-    use_euler_rhs, else the two-time advective derivative.
+    What several of them share is formed once, on first use: the invariants
+    of both slices, X(wbar) and T(wbar), the midpoint fields of the
+    commutation identities and the flow stencil of the front generator.
     """
-    grid = s0.grid
-    t = 0.5 * (s0.time + s1.time)
-    c = 0.5 * (s0.c + s1.c)
-    speed = 0.5 * (s0.v1 + s1.v1) + c
-    v2 = 0.5 * (s0.v2 + s1.v2)
-    inv0, inv1 = s0.invariants(), s1.invariants()
-    if use_euler_rhs:
-        wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
-        lwbar = diagonal_rhs("wbar", c, wbar_m, w_m, psi2_m, grid)
-    else:
-        lwbar = advective_derivative(inv0[0], inv1[0], speed, v2, s0.time, s1.time, grid)
-    frame = _second_frame(t, 0.5 * (s0.v1 + s0.c + s1.v1 + s1.c), v2, grid)
-    return {"t": t, "speed": speed, "v2": v2, "wbar": (inv0[0], inv1[0]),
-            "lwbar": lwbar, "frame": frame}
+
+    def __init__(self, s0: FlowField, s1: FlowField, fol0: Optional[Foliation] = None,
+                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True):
+        self.s0, self.s1, self.fol0, self.fol1 = s0, s1, fol0, fol1
+        self.use_euler_rhs = use_euler_rhs
+        self.grid, self.t = s0.grid, 0.5 * (s0.time + s1.time)
+
+    @cached_property
+    def invariants(self):
+        """(wbar, w, psi2) of s0 and of s1."""
+        return self.s0.invariants(), self.s1.invariants()
+
+    @cached_property
+    def xwbar(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """X(wbar) = d2(wbar) on s0, on s1 and their mean."""
+        xwbar0, xwbar1 = (_d2(inv[0], self.grid.dx2) for inv in self.invariants)
+        return xwbar0, xwbar1, 0.5 * (xwbar0 + xwbar1)
+
+    @cached_property
+    def twbar0(self) -> np.ndarray:
+        """T(wbar) = -t d1(wbar) on s0."""
+        return -self.s0.time * _d1(self.invariants[0][0], self.grid.dx1)
+
+    @cached_property
+    def midpoint(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, SecondFrame]:
+        """v1+c, v2, the inner L(wbar) and the second frame at the midpoint
+        time; L(wbar) is its Euler-equation value c*X(psi2)/2, which needs no
+        time differencing, with use_euler_rhs, else the advective derivative."""
+        s0, s1, grid = self.s0, self.s1, self.grid
+        c = 0.5 * (s0.c + s1.c)
+        speed = 0.5 * (s0.v1 + s1.v1) + c
+        v2 = 0.5 * (s0.v2 + s1.v2)
+        inv0, inv1 = self.invariants
+        if self.use_euler_rhs:
+            wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
+            lwbar = diagonal_rhs("wbar", c, wbar_m, w_m, psi2_m, grid)
+        else:
+            lwbar = advective_derivative(inv0[0], inv1[0], speed, v2, s0.time, s1.time, grid)
+        frame = _second_frame(self.t, 0.5 * (s0.v1 + s0.c + s1.v1 + s1.c), v2, grid)
+        return speed, v2, lwbar, frame
+
+    @cached_property
+    def generator(self) -> FlowStencil:
+        """Flow stencil of the front generator of s0 over the pair."""
+        return FlowStencil(*generator_velocity(self.s0, self.fol0),
+                           self.s1.time - self.s0.time, self.grid)
+
+    def commutation_residual_y(self) -> np.ndarray:
+        """Residual of the transverse commutation identity for y/t,
+        yt * T(wbar) = L(X(wbar)) - X(L(wbar)) + chi * X(wbar), with the frame
+        operators T = -t d1, X = d2 and L the advective derivative along (v1+c, v2)."""
+        s0, s1, grid = self.s0, self.s1, self.grid
+        speed, v2, lwbar, frame = self.midpoint
+        xwbar0, xwbar1, xwbar_m = self.xwbar
+        l_xwbar = advective_derivative(xwbar0, xwbar1, speed, v2, s0.time, s1.time, grid)
+        x_lwbar = _d2(lwbar, grid.dx2)
+        (wbar0, _, _), (wbar1, _, _) = self.invariants
+        twbar = -self.t * _d1(0.5 * (wbar0 + wbar1), grid.dx1)
+        return frame.yt * twbar - (l_xwbar - x_lwbar + frame.chi * xwbar_m)
+
+    def commutation_residual_z(self) -> np.ndarray:
+        """Residual of the normal commutation identity for z/t,
+        zt * T(wbar) = L(T(wbar)) - T(L(wbar)) + eta * X(wbar)."""
+        s0, s1, grid = self.s0, self.s1, self.grid
+        speed, v2, lwbar, frame = self.midpoint
+        twbar0 = self.twbar0
+        twbar1 = -s1.time * _d1(self.invariants[1][0], grid.dx1)
+        l_twbar = advective_derivative(twbar0, twbar1, speed, v2, s0.time, s1.time, grid)
+        t_lwbar = -self.t * _d1(lwbar, grid.dx1)
+        twbar_m = 0.5 * (twbar0 + twbar1)
+        return frame.zt * twbar_m - (l_twbar - t_lwbar + frame.eta * self.xwbar[2])
+
+    def structure_residuals(self) -> dict:
+        """Propagation-equation residuals along the front generator.
+
+        Derivatives along the generator (velocity v - c*normal) are two-time
+        semi-Lagrangian differences over its stencil.  Returns a dict of
+        (residual, valid-mask) pairs, all sharing one mask:
+
+            kappa:  L(kappa) - (m + e*kappa),
+                    m = -(gamma+1)/(gamma-1) * T(c),  e = -c^{-1} That^i L(v^i)
+            that1, that2:  L(That^k) - (That^j Xhat(psi_j) + Xhat(c)) Xhat^k
+            chi (leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
+
+        The Xhat derivatives of the flow are those kept in fol0.
+        """
+        s0, s1, fol0, fol1, grid = self.s0, self.s1, self.fol0, self.fol1, self.grid
+        g, c0 = s0.gas.gamma, s0.c
+        ld, valid = self.generator.derivative, self.generator.valid
+        xhat = (fol0.xhat1, fol0.xhat2, grid)
+
+        m_coef = -(g + 1.0) / (g - 1.0) * (
+            fol0.kappa * directional_derivative(c0, fol0.that1, fol0.that2, grid))
+        e_coef = -(fol0.that1 * ld(s0.v1, s1.v1) + fol0.that2 * ld(s0.v2, s1.v2)) / c0
+        drive = -(fol0.that1 * fol0.xhat_v1 + fol0.that2 * fol0.xhat_v2) + fol0.xhat_c
+        return {"kappa": (ld(fol0.kappa, fol1.kappa) - (m_coef + e_coef * fol0.kappa), valid),
+                "that1": (ld(fol0.that1, fol1.that1) - drive * fol0.xhat1, valid),
+                "that2": (ld(fol0.that2, fol1.that2) - drive * fol0.xhat2, valid),
+                "chi": (ld(fol0.chi, fol1.chi) + 0.5 * (g + 1.0) * directional_derivative(
+                    directional_derivative(c0 * c0 / (g - 1.0), *xhat), *xhat), valid)}
+
+    def sign_monitors(self, mask: np.ndarray) -> dict:
+        """Extrema over the tracked band of the coercivity quantities: L(mu) along
+        the generator, T(wbar) = -t d1(wbar) and the incoming-null derivative
+        2*T(wbar) + (t/c) L(wbar)."""
+        s0, s1 = self.s0, self.s1
+        (wbar0, _, _), (wbar1, _, _) = self.invariants
+        l_wbar, m_w = semi_lagrangian(wbar0, wbar1, s0.v1 + s0.c, s0.v2, s0.time, s1.time,
+                                      self.grid)
+        lbar_wbar = 2.0 * self.twbar0 + s0.time / s0.c * l_wbar
+        l_mu = self.generator.derivative(self.fol0.mu, self.fol1.mu)
+
+        def mm(a, sel):
+            vals = a[sel]
+            if vals.size == 0:
+                raise ValueError("tracked band is empty")
+            return float(vals.min()), float(vals.max())
+
+        return {"L_mu": mm(l_mu, mask & self.generator.valid), "T_wbar": mm(self.twbar0, mask),
+                "Lbar_wbar": mm(lbar_wbar, mask & m_w)}
 
 
 def commutation_residual_y(s0: FlowField, s1: FlowField, use_euler_rhs: bool = True) -> np.ndarray:
-    """Residual of the transverse commutation identity for y/t.
-
-    yt * T(wbar) = L(X(wbar)) - X(L(wbar)) + chi * X(wbar), with the frame
-    operators T = -t d1, X = d2 and L the advective derivative along
-    (v1+c, v2).  With use_euler_rhs the inner L(wbar) is replaced by its
-    Euler-equation value c*X(psi2)/2, which needs no time differencing.
-    """
-    grid = s0.grid
-    mid = _mid_fields(s0, s1, use_euler_rhs)
-    t, frame = mid["t"], mid["frame"]
-    wbar0, wbar1 = mid["wbar"]
-
-    xwbar0 = _d2(wbar0, grid.dx2)
-    xwbar1 = _d2(wbar1, grid.dx2)
-    l_xwbar = advective_derivative(xwbar0, xwbar1, mid["speed"], mid["v2"],
-                                   s0.time, s1.time, grid)
-    x_lwbar = _d2(mid["lwbar"], grid.dx2)
-
-    xwbar_m = 0.5 * (xwbar0 + xwbar1)
-    twbar = -t * _d1(0.5 * (wbar0 + wbar1), grid.dx1)
-    return frame.yt * twbar - (l_xwbar - x_lwbar + frame.chi * xwbar_m)
+    """`PairDiagnostics.commutation_residual_y` of the pair (s0, s1)."""
+    return PairDiagnostics(s0, s1, use_euler_rhs=use_euler_rhs).commutation_residual_y()
 
 
 def commutation_residual_z(s0: FlowField, s1: FlowField, use_euler_rhs: bool = True) -> np.ndarray:
-    """Residual of the normal commutation identity for z/t.
-
-    zt * T(wbar) = L(T(wbar)) - T(L(wbar)) + eta * X(wbar); with
-    use_euler_rhs the inner L(wbar) is the Euler value c*X(psi2)/2.
-    """
-    grid = s0.grid
-    mid = _mid_fields(s0, s1, use_euler_rhs)
-    t, frame = mid["t"], mid["frame"]
-    wbar0, wbar1 = mid["wbar"]
-
-    twbar0 = -s0.time * _d1(wbar0, grid.dx1)
-    twbar1 = -s1.time * _d1(wbar1, grid.dx1)
-    l_twbar = advective_derivative(twbar0, twbar1, mid["speed"], mid["v2"],
-                                   s0.time, s1.time, grid)
-    t_lwbar = -t * _d1(mid["lwbar"], grid.dx1)
-
-    xwbar_m = 0.5 * (_d2(wbar0, grid.dx2) + _d2(wbar1, grid.dx2))
-    twbar_m = 0.5 * (twbar0 + twbar1)
-    return frame.zt * twbar_m - (l_twbar - t_lwbar + frame.eta * xwbar_m)
+    """`PairDiagnostics.commutation_residual_z` of the pair (s0, s1)."""
+    return PairDiagnostics(s0, s1, use_euler_rhs=use_euler_rhs).commutation_residual_z()
 
 
 def deformation_components(frame: SecondFrame, field: FlowField, commutator: str) -> DeformationComponents:
@@ -525,46 +600,8 @@ def deformation_components(frame: SecondFrame, field: FlowField, commutator: str
 
 
 def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation):
-    """Propagation-equation residuals along the front generator.
-
-    Derivatives along the generator (velocity v - c*normal) are formed by
-    two-time semi-Lagrangian differencing over one stencil of the pair.
-    Returns a dict of (residual, valid-mask) pairs, all sharing one mask:
-
-        kappa:  L(kappa) - (m + e*kappa),
-                m = -(gamma+1)/(gamma-1) * T(c),  e = -c^{-1} That^i L(v^i)
-        that1, that2:  L(That^k) - (That^j Xhat(psi_j) + Xhat(c)) Xhat^k
-        chi (leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
-
-    fol0 is the foliation of s0: its Xhat derivatives of the flow are reused.
-    """
-    gas, grid = s0.gas, s0.grid
-    g = gas.gamma
-    flow = FlowStencil(*generator_velocity(s0, fol0), s1.time - s0.time, grid)
-    ld = flow.derivative
-
-    out = {}
-    c0 = s0.c
-    xhat = (fol0.xhat1, fol0.xhat2, grid)
-
-    l_kappa = ld(fol0.kappa, fol1.kappa)
-    lv1 = ld(s0.v1, s1.v1)
-    lv2 = ld(s0.v2, s1.v2)
-    tc = fol0.kappa * directional_derivative(c0, fol0.that1, fol0.that2, grid)
-    m_coef = -(g + 1.0) / (g - 1.0) * tc
-    e_coef = -(fol0.that1 * lv1 + fol0.that2 * lv2) / c0
-    out["kappa"] = (l_kappa - (m_coef + e_coef * fol0.kappa), flow.valid)
-
-    xpsi = -(fol0.that1 * fol0.xhat_v1 + fol0.that2 * fol0.xhat_v2)
-    drive = xpsi + fol0.xhat_c
-    for k, (th0, th1, xh) in enumerate(
-            [(fol0.that1, fol1.that1, fol0.xhat1), (fol0.that2, fol1.that2, fol0.xhat2)], start=1):
-        out[f"that{k}"] = (ld(th0, th1) - drive * xh, flow.valid)
-
-    h0 = c0 * c0 / (g - 1.0)
-    out["chi"] = (ld(fol0.chi, fol1.chi) + 0.5 * (g + 1.0)
-                  * directional_derivative(directional_derivative(h0, *xhat), *xhat), flow.valid)
-    return out
+    """`PairDiagnostics.structure_residuals` of the pair (s0, s1)."""
+    return PairDiagnostics(s0, s1, fol0, fol1).structure_residuals()
 
 
 def kslash(fol: Foliation, field: FlowField) -> np.ndarray:
@@ -637,31 +674,5 @@ class RayTrace:
 
 def sign_monitors(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,
                   mask: np.ndarray) -> dict:
-    """Extrema of the coercivity quantities over the tracked band.
-
-    Reports min/max of L(mu) along the generator, of T(wbar) = -t d1(wbar),
-    and of the incoming-null derivative 2*T(wbar) + (t/c) L(wbar).
-    """
-    grid = s0.grid
-    a1, a2 = generator_velocity(s0, fol0)
-    l_mu, m_mu = semi_lagrangian(fol0.mu, fol1.mu, a1, a2, s0.time, s1.time, grid)
-
-    wbar0, _, _ = s0.invariants()
-    wbar1, _, _ = s1.invariants()
-    twbar = -s0.time * _d1(wbar0, grid.dx1)
-    speed = s0.v1 + s0.c
-    l_wbar, m_w = semi_lagrangian(wbar0, wbar1, speed, s0.v2, s0.time, s1.time, grid)
-    lbar_wbar = 2.0 * twbar + s0.time / s0.c * l_wbar
-
-    def mm(a, valid):
-        sel = a[mask & valid]
-        if sel.size == 0:
-            raise ValueError("tracked band is empty")
-        return float(sel.min()), float(sel.max())
-
-    full = np.ones_like(mask)
-    report = {}
-    report["L_mu"] = mm(l_mu, m_mu)
-    report["T_wbar"] = mm(twbar, full)
-    report["Lbar_wbar"] = mm(lbar_wbar, m_w)
-    return report
+    """`PairDiagnostics.sign_monitors` of the pair (s0, s1) over mask."""
+    return PairDiagnostics(s0, s1, fol0, fol1).sign_monitors(mask)

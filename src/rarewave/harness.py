@@ -272,10 +272,6 @@ def default_config() -> RunConfig:
 # ---------------------------------------------------------------------------
 # single run
 
-def _band(cfg: RunConfig, u: np.ndarray) -> np.ndarray:
-    return geo.band_mask(u, cfg.u_lo, cfg.u_star)
-
-
 def _x2_variation(s: FlowField, worst: float) -> float:
     """worst, raised to the largest x2 variation of a conserved plane of s."""
     for a in (s.rho, s.m1, s.m2):
@@ -392,22 +388,17 @@ def _pair_rows(r0: _Slice, r1: _Slice, rb: _Slice):
     m = r0.band
     if not np.any(m):
         return None
-    mon = geo.sign_monitors(r0, r1, r0.foliation, r1.foliation, m)
-    monitor = [rb.time, mon["L_mu"][0], mon["L_mu"][1], mon["T_wbar"][0], mon["T_wbar"][1],
-               mon["Lbar_wbar"][0], mon["Lbar_wbar"][1]]
-    frame = geo.second_frame(rb)
-    mb = rb.band
+    pair = geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation)
+    mon = pair.sign_monitors(m)
+    structure = [float(np.max(np.abs(res[sel]))) if np.any(sel := m & ok) else float("nan")
+                 for res, ok in pair.structure_residuals().values()]  # kappa, that1, that2, chi
+    del pair.generator  # frees its eight planes: the commutation residuals do not use it
+    residual = [rb.time, float(np.max(np.abs(pair.commutation_residual_y()[m]))),
+                float(np.max(np.abs(pair.commutation_residual_z()[m]))), *structure]
+    frame, mb = geo.second_frame(rb), rb.band
     yscale = [rb.time, float(np.max(np.abs(frame.yt[mb]))), float(np.max(np.abs(frame.zt[mb]))),
               float(np.max(np.abs(frame.y[mb]))), float(np.max(np.abs(frame.z[mb])))]
-    ry = geo.commutation_residual_y(r0, r1)
-    rz = geo.commutation_residual_z(r0, r1)
-    struct = geo.structure_residuals(r0, r1, r0.foliation, r1.foliation)
-    residual = [rb.time, float(np.max(np.abs(ry[m]))), float(np.max(np.abs(rz[m])))]
-    for name in ("kappa", "that1", "that2", "chi"):
-        res, ok = struct[name]
-        sel = m & ok
-        residual.append(float(np.max(np.abs(res[sel]))) if np.any(sel) else float("nan"))
-    return monitor, yscale, residual
+    return [rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale, residual
 
 
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
@@ -426,7 +417,6 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     # (first, second, base) slice of each pair, in base order
     pairs = [(min(kb, kp), max(kb, kp), kb) for kb, kp in zip(base_idx, pair_idx)]
     lookahead = max(k1 - k0 for k0, k1, _ in pairs)
-    banded = set(base_idx) | {k0 for k0, _, _ in pairs}
     seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
@@ -446,8 +436,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     x2_variation = 0.0
     for k, (rec, u) in enumerate(records):
         rec.foliation = geo.frame_fields(rec, u, check_band=(cfg.u_lo, cfg.u_star))
-        if k in banded:
-            rec.band = _band(cfg, u)
+        rec.band = geo.band_mask(u, cfg.u_lo, cfg.u_star)
         window[k] = rec
         s = rec.snapshot
         times.append(rec.time)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rarewave.euler2d import FlowField, Grid, clamped_fan_profile
+from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
+                              clamped_fan_profile, init_perturbed_rarefaction, run)
 from rarewave.gas import PolytropicGas, density_from_sound_speed
 
 GAS2 = PolytropicGas(2.0, 0.5)
@@ -17,6 +18,18 @@ def fan_field(gas, grid, t, v0=0.0, c0=1.0, u_glue=1.9):
 
 def small_grid(n1=128, n2=16, x1_min=-2.4, x1_max=2.2):
     return Grid(n1=n1, n2=n2, x1_min=x1_min, x1_max=x1_max)
+
+
+def perturbed_pair(n1, n2):
+    """Snapshots at t = 0.5 and 0.54 of a simulated perturbed fan, and a
+    characteristic function with an x2 ripple on each."""
+    spec = PerturbationSpec(epsilon=0.02, modes=(PerturbationMode(2, 1, 1.0, 0.3),),
+                            strip=(-0.5, 1.1))
+    grid = small_grid(n1=n1, n2=n2)
+    f = init_perturbed_rarefaction(GAS2, grid, 0.2, (0.0, 1.0), spec, u_glue=1.9)
+    X1, X2 = grid.mesh()
+    return [(s, 1.0 - X1 / s.time + 0.02 * np.sin(X1 + X2))
+            for s in run(f, SolverConfig(snapshot_times=(0.5, 0.54)))]
 
 
 def same_bits(a, b):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,7 +14,10 @@ from rarewave.harness import (ConfigError, RunConfig, StudySpec, default_config,
                               emit_plots, parse_config, run_single, run_study, slope_fit)
 from rarewave.snapshot_io import read_planes, read_snapshot, write_planes, write_snapshot
 
-from conftest import GAS2, fan_field, small_grid
+import rarewave.geometry as geo
+import rarewave.harness as harness
+
+from conftest import GAS2, fan_field, perturbed_pair, small_grid
 
 TINY = """
 [grid]
@@ -277,6 +281,53 @@ class TestStreamedRun:
         got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted(out.iterdir()) if f.suffix in (".csv", ".rwl")}
         assert got == STREAMED_DIGESTS
+
+
+@pytest.fixture(scope="module")
+def pair_records():
+    """Slice records of a perturbed 128x32 pair, with foliation and band as a
+    run forms them."""
+    records = []
+    for s, u in perturbed_pair(128, 32):
+        rec = harness._Slice(s)
+        rec.foliation = geo.frame_fields(rec, u)
+        rec.band = geo.band_mask(u, 0.3, 1.3)
+        records.append(rec)
+    return records
+
+
+class TestPairRows:
+    def test_shared_work_formed_once(self, pair_records, monkeypatch):
+        counts = dict.fromkeys(["invariants", "FlowStencil", "_second_frame", "diagonal_rhs"], 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(harness._Slice, "invariants",
+                            counting("invariants", harness._Slice.invariants))
+        for name in ("FlowStencil", "_second_frame", "diagonal_rhs"):
+            monkeypatch.setattr(geo, name, counting(name, getattr(geo, name)))
+        r0, r1 = pair_records
+        assert harness._pair_rows(r0, r1, r0) is not None
+        # one invariant triple per slice, the generator stencil and the
+        # (v1+c, v2) stencil, the base and midpoint frames, one Euler L(wbar)
+        assert counts == {"invariants": 2, "FlowStencil": 2, "_second_frame": 2,
+                          "diagonal_rhs": 1}
+
+    def test_peak_memory(self, pair_records):
+        # the planes a pair shares live no longer than their last consumer
+        # needs them, so sharing does not raise the peak
+        r0, r1 = pair_records
+        tracemalloc.start()
+        try:
+            harness._pair_rows(r0, r1, r0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / r0.c.nbytes <= 36.0
 
 
 class TestStudies:
