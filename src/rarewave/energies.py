@@ -271,17 +271,15 @@ class EnergyReport:
         return rep
 
 
-def energies_of_slice(snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
-                      side: int, psis: Sequence[str], orders: Sequence[int],
-                      u_values: Sequence[float],
+def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
+                      orders: Sequence[int], u_values: Sequence[float],
                       u_min: float = 0.0) -> Dict[Tuple[str, int, float], np.ndarray]:
     """Energies and flux line integrals of one time slice.
 
-    snapshots and foliations are the slice's generator pair in time order,
-    and the slice is snapshots[side].  The pair's invariants, the flow
-    stencil of the generator velocity, c, and the band weights and level
-    curve (with its sampling stencil) of each requested u are computed once
-    and shared by every invariant, word and band value.
+    pair evaluates the slice's generator pair, and the slice is its s0
+    (side 0) or s1 (side 1).  The pair's invariants and generator flow
+    stencil, c, and the band weights and level curve (with its sampling
+    stencil) of each requested u are shared by every invariant, word and band.
 
     For each (psi, n, u) the array has one row per energy: outgoing
     (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
@@ -297,11 +295,10 @@ def energies_of_slice(snapshots: Sequence[FlowField], foliations: Sequence[Folia
     underlying 1D profile, which would otherwise mask the amplitude scaling
     these energies exist to measure.
     """
-    grid, fol = snapshots[0].grid, foliations[side]
-    times = (snapshots[0].time, snapshots[1].time)
-    diag = PairDiagnostics(*snapshots, *foliations)
-    pair, flow = diag.invariants, diag.generator
-    c = snapshots[side].c
+    grid, fol = pair.grid, (pair.fol0, pair.fol1)[side]
+    times = (pair.s0.time, pair.s1.time)
+    invariants, flow = pair.invariants, pair.generator
+    c = (pair.s0, pair.s1)[side].c
     du = _cell_span(fol.u, grid)
     bands = [(_band_weights(fol.u, du, u_min, u, grid),
               extract_level_curve(fol.u, u, grid)) for u in u_values]
@@ -311,7 +308,7 @@ def energies_of_slice(snapshots: Sequence[FlowField], foliations: Sequence[Folia
         for n in orders:
             sums = [np.zeros((2, 2)) for _ in u_values]
             for op in words_of_order(n):
-                fields, valid = apply_frame_derivative(op, [inv[idx] for inv in pair],
+                fields, valid = apply_frame_derivative(op, [inv[idx] for inv in invariants],
                                                        times, grid)
                 if n >= 1:
                     fields = [_project(f) for f in fields]
@@ -366,8 +363,8 @@ class EnergyAnalysis:
                        u_values: Sequence[float]) -> Dict[Tuple[str, int, float], np.ndarray]:
         """`energies_of_slice` of time slice k."""
         k0 = k if k + 1 < len(self.snapshots) else k - 1
-        return energies_of_slice(self.snapshots[k0:k0 + 2], self.foliations[k0:k0 + 2],
-                                 k - k0, psis, orders, u_values, self.u_min)
+        pair = PairDiagnostics(*self.snapshots[k0:k0 + 2], *self.foliations[k0:k0 + 2])
+        return energies_of_slice(pair, k - k0, psis, orders, u_values, self.u_min)
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
                u_values: Sequence[float], epsilon: float) -> EnergyReport:

@@ -47,6 +47,11 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending line when known."""
 
 
+# each snapshot gets a partner this many cell-crossing times later, so that
+# two-time derivatives refine with the grid
+PAIR_CELLS = 4
+
+
 @dataclass
 class RunConfig:
     # gas / background fan
@@ -73,11 +78,9 @@ class RunConfig:
     modes: Tuple[Tuple[int, int, float], ...] = ((0, 1, 1.0), (0, 2, 0.5))
     strip_lo: float = -0.35
     strip_hi: float = 1.95
-    # solver; each snapshot gets a partner a few cell-crossing times later so
-    # two-time derivatives refine with the grid
+    # solver
     cfl: float = 0.45
     snapshots: int = 21
-    pair_cells: int = 4
     # analysis
     orders: int = 1
     u_levels: int = 4
@@ -122,6 +125,8 @@ class RunConfig:
             raise ConfigError("perturbation strip must sit inside the x1 domain")
         if self.orders < 0 or self.orders > en.ORDER_CAP:
             raise ConfigError(f"orders must lie in [0, {en.ORDER_CAP}]")
+        if self.u_levels < 1:
+            raise ConfigError("u_levels must be at least 1")
         if self.save_snapshots not in ("none", "ends", "all"):
             raise ConfigError(f"unknown save_snapshots {self.save_snapshots!r}")
         if self.workers < 1:
@@ -149,17 +154,14 @@ class RunConfig:
         ratio = self.t_star / self.delta
         return self.delta * ratio ** (np.arange(self.snapshots) / (self.snapshots - 1.0))
 
-    def pair_gap(self) -> float:
-        return self.pair_cells * self.grid().dx1 / (self.v0 + self.c0)
-
     def ladder(self):
         """(all snapshot times, base indices, partner indices).
 
-        Each base time gets a partner one pair_gap later (earlier for the
-        final time); near-coincident points are merged.
+        Each base time gets a partner PAIR_CELLS cell-crossing times later
+        (earlier for the final time); near-coincident points are merged.
         """
         base = self.base_times()
-        gap = self.pair_gap()
+        gap = PAIR_CELLS * self.grid().dx1 / (self.v0 + self.c0)
         pts = list(base)
         for t in base:
             pts.append(t + gap if t + gap <= self.t_star + 1e-12 else t - gap)
@@ -217,13 +219,20 @@ _SECTIONS = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_modes(text: str):
     modes = []
     for part in text.split(","):
         bits = part.strip().split(":")
         if len(bits) != 3:
             raise ValueError(f"mode {part!r} is not k1:k2:amplitude")
-        modes.append((int(bits[0]), int(bits[1]), float(bits[2])))
+        modes.append((int(bits[0]), int(bits[1]), _finite(bits[2])))
     return tuple(modes)
 
 
@@ -251,7 +260,7 @@ def parse_config(text: str) -> RunConfig:
         kind = spec[key]
         try:
             if kind is float:
-                values[key] = float(val)
+                values[key] = _finite(val)
             elif kind is int:
                 values[key] = int(val)
             elif kind is str:
@@ -381,32 +390,35 @@ def _band_rows(rec: _Slice):
              float(np.max(np.abs(fol.eta[m])))])
 
 
-def _pair_rows(r0: _Slice, r1: _Slice, rb: _Slice):
-    """Sign-monitor, second-frame and residual rows of the slice pair
-    (r0, r1) in time order, whose base slice rb is one of them; None when
-    the band of r0 is empty."""
-    m = r0.band
-    if not np.any(m):
-        return None
-    pair = geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation)
+def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
+    """Sign-monitor, second-frame and residual rows of the evaluator's slice
+    pair, one per base slice in bases (each one of the pair's slices); none
+    when bases or the band of the pair's first slice is empty."""
+    m = pair.s0.band
+    if not (bases and np.any(m)):
+        return
     mon = pair.sign_monitors(m)
     structure = [float(np.max(np.abs(res[sel]))) if np.any(sel := m & ok) else float("nan")
                  for res, ok in pair.structure_residuals().values()]  # kappa, that1, that2, chi
     del pair.generator  # frees its eight planes: the commutation residuals do not use it
-    residual = [rb.time, float(np.max(np.abs(pair.commutation_residual_y()[m]))),
-                float(np.max(np.abs(pair.commutation_residual_z()[m]))), *structure]
-    frame, mb = geo.second_frame(rb), rb.band
-    yscale = [rb.time, float(np.max(np.abs(frame.yt[mb]))), float(np.max(np.abs(frame.zt[mb]))),
-              float(np.max(np.abs(frame.y[mb]))), float(np.max(np.abs(frame.z[mb])))]
-    return [rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale, residual
+    commutation = [float(np.max(np.abs(pair.commutation_residual_y()[m]))),
+                   float(np.max(np.abs(pair.commutation_residual_z()[m])))]
+    for rb in bases:
+        frame, mb = geo.second_frame(rb), rb.band
+        yscale = [rb.time, float(np.max(np.abs(frame.yt[mb]))),
+                  float(np.max(np.abs(frame.zt[mb]))), float(np.max(np.abs(frame.y[mb]))),
+                  float(np.max(np.abs(frame.z[mb])))]
+        yield ([rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale,
+               [rb.time, *commutation, *structure])
 
 
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     """One pass over the slices in time order.
 
     Each slice's record (snapshot, u, foliation) is formed as the solve
-    reaches it and serves every consumer: rays, band statistics, pair
-    diagnostics, energies, predicates and bookkeeping.  A record is dropped
+    reaches it and serves every consumer: rays, band statistics, predicates,
+    bookkeeping and the one `PairDiagnostics` of each slice pair it closes,
+    which the energies and the pair diagnostics share.  A record is dropped
     once the last pair reaching back to it has passed, so at most (largest
     base-to-partner index gap + 1) records are alive; only scalars are kept
     across the run.
@@ -414,14 +426,16 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     gas, grid = cfg.gas(), cfg.grid()
     ladder, base_idx, pair_idx = cfg.ladder()
     last = len(ladder) - 1
-    # (first, second, base) slice of each pair, in base order
-    pairs = [(min(kb, kp), max(kb, kp), kb) for kb, kp in zip(base_idx, pair_idx)]
-    lookahead = max(k1 - k0 for k0, k1, _ in pairs)
+    # the run's distinct slice pairs by later slice: closes[k1][k0] lists the base
+    # entries whose diagnostics use (k0, k1); the energies use every (k - 1, k)
+    closes: Dict[int, Dict[int, List[int]]] = {k: {k - 1: []} for k in range(1, last + 1)}
+    for j, (kb, kp) in enumerate(zip(base_idx, pair_idx)):
+        closes[max(kb, kp)].setdefault(min(kb, kp), []).append(j)
+    lookahead = max(k1 - k0 for k1, pairs in closes.items() for k0 in pairs)
     seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
-    u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels)) \
-        if cfg.u_levels > 1 else [cfg.u_star]
+    u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels))
     energy_args = dict(psis=("wbar", "w", "psi2"), orders=list(range(cfg.orders + 1)),
                        u_values=u_values, u_min=cfg.u_lo)
 
@@ -463,19 +477,16 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
                 kappa_rows.append(rows[0])
                 frame_rows.append(rows[1])
 
-        # sign monitors, second-frame extrema and residuals per (base, partner)
-        # pair; each pair spans a few cell-crossing times so the two-time
-        # derivatives refine with the grid
-        for j, (k0, k1, kb) in enumerate(pairs):
-            if k1 == k:
-                pair_rows[j] = _pair_rows(window[k0], rec, window[kb])
-
-        # energies of each slice, from its forward pair (backward at the end)
-        if k > 0:
-            prev = window[k - 1]
-            for side in ((0, 1) if k == last else (0,)):
-                energy_slices.append(en.energies_of_slice(
-                    (prev, rec), (prev.foliation, rec.foliation), side, **energy_args))
+        # one evaluator per pair closing here serves the energies of slice k-1 (and of
+        # k at the end), then each (base, partner) pair mapping to it, which spans a few
+        # cell-crossing times so that the two-time derivatives refine with the grid
+        for k0, js in closes.get(k, {}).items():
+            pair = geo.PairDiagnostics(window[k0], rec, window[k0].foliation, rec.foliation)
+            if k0 == k - 1:
+                for side in ((0, 1) if k == last else (0,)):
+                    energy_slices.append(en.energies_of_slice(pair, side, **energy_args))
+            pair_rows.update(zip(js, _pair_rows(pair, [window[base_idx[j]] for j in js])))
+            del pair  # its planes must not outlive the pair into the next slice
 
         if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
             write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
@@ -511,8 +522,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
               ["t", "max_that1p1", "max_that2", "max_chi", "max_zeta", "max_eta"], frame_rows)
 
     monitor_rows, yscale_rows, residual_rows = (
-        [pair_rows[j][i] for j in sorted(pair_rows) if pair_rows[j] is not None]
-        for i in range(3))
+        [pair_rows[j][i] for j in sorted(pair_rows)] for i in range(3))
     report["monitors"] = monitor_rows
     report["second_frame_stats"] = yscale_rows
     report["residuals"] = residual_rows

@@ -84,7 +84,15 @@ class TestParse:
          "line 2: unknown key 'with_fluxes'"),
         (lambda: RunConfig(n1=4).validate(), "at least 8"),
         (lambda: RunConfig(epsilon=-1).validate(), "epsilon"),
-    ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon"])
+        (lambda: parse_config("[perturbation]\nepsilon = nan\n"),
+         "line 2: bad value for epsilon: 'nan' is not finite"),
+        (lambda: parse_config("[fan]\nv0 = nan\n"), "line 2: bad value for v0"),
+        (lambda: parse_config("[perturbation]\nmodes = 0:1:nan\n"),
+         "line 2: bad value for modes"),
+        (lambda: parse_config("[analysis]\nu_levels = 0\n"), "u_levels"),
+        (lambda: parse_config("[analysis]\nu_levels = -2\n"), "u_levels"),
+    ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon", "epsilon_nan", "v0_nan",
+            "mode_amplitude_nan", "u_levels_0", "u_levels_negative"])
     def test_rejected_configs(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
@@ -296,22 +304,33 @@ def pair_records():
     return records
 
 
+def count_calls(monkeypatch, geometry_names):
+    """Call counts of _Slice.invariants and of the named geometry functions,
+    filled in as the code under test runs."""
+    counts = dict.fromkeys(["invariants", *geometry_names], 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(harness._Slice, "invariants",
+                        counting("invariants", harness._Slice.invariants))
+    for name in geometry_names:
+        monkeypatch.setattr(geo, name, counting(name, getattr(geo, name)))
+    return counts
+
+
+def pair_of(r0, r1):
+    return geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation)
+
+
 class TestPairRows:
     def test_shared_work_formed_once(self, pair_records, monkeypatch):
-        counts = dict.fromkeys(["invariants", "FlowStencil", "_second_frame", "diagonal_rhs"], 0)
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(harness._Slice, "invariants",
-                            counting("invariants", harness._Slice.invariants))
-        for name in ("FlowStencil", "_second_frame", "diagonal_rhs"):
-            monkeypatch.setattr(geo, name, counting(name, getattr(geo, name)))
+        counts = count_calls(monkeypatch, ["FlowStencil", "_second_frame", "diagonal_rhs"])
         r0, r1 = pair_records
-        assert harness._pair_rows(r0, r1, r0) is not None
+        assert len(list(harness._pair_rows(pair_of(r0, r1), [r0]))) == 1
         # one invariant triple per slice, the generator stencil and the
         # (v1+c, v2) stencil, the base and midpoint frames, one Euler L(wbar)
         assert counts == {"invariants": 2, "FlowStencil": 2, "_second_frame": 2,
@@ -323,11 +342,23 @@ class TestPairRows:
         r0, r1 = pair_records
         tracemalloc.start()
         try:
-            harness._pair_rows(r0, r1, r0)
+            list(harness._pair_rows(pair_of(r0, r1), [r0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak / r0.c.nbytes <= 36.0
+
+    def test_one_evaluator_per_distinct_pair(self, tmp_path, monkeypatch):
+        # 9 slices: 8 energy pairs (k - 1, k), 3 of them also (base, partner)
+        # pairs, and 2 more (base, partner) pairs; each pair forms the invariants
+        # of its two slices and its generator stencil once, and each of the 5
+        # (base, partner) pairs also its (v1+c, v2) stencil
+        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"])
+        cfg = parse_config("[grid]\nn1 = 128\nn2 = 32\n[time]\ndelta = 0.2\n"
+                           "[solver]\nsnapshots = 5\n")
+        run_single(cfg, out_dir=tmp_path)
+        # the predicates add the invariants of slice 0
+        assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15}
 
 
 class TestStudies:
