@@ -9,15 +9,18 @@ ladders into JSON/CSV reports with gnuplot-ready data files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -305,13 +308,16 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-def run_single(cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
+def run_single(cfg: RunConfig, out_dir: Optional[Path] = None, *,
+               concurrent_runs: int = 1) -> dict:
     """Simulate, reconstruct the foliation, measure everything, write reports.
 
     Returns the report dict; also persists report.json, CSV tables and a
     MANIFEST under out_dir (skipping the work when a completed manifest
     with the same config hash, package version and source digest is
-    already present).
+    already present).  concurrent_runs is the number of runs the calling
+    process tree runs at once (a pooled study passes its pool size); it
+    only decides where the flow solve runs (`_solve_plan`).
     """
     cfg.validate()
     key = {"config_hash": cfg.content_hash(), "version": __version__,
@@ -326,14 +332,16 @@ def run_single(cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
         if report is not None:
             report["cached"] = True
             return report
-    _write_json(manifest_path, {"status": "running", **key})
+    solve = _solve_plan(concurrent_runs)
+    _write_json(manifest_path, {"status": "running", **key, "solve": solve})
     try:
-        report = _run_single_inner(cfg, out, key["config_hash"])
+        report = _run_single_inner(cfg, out, key["config_hash"], solve["process"])
     except Exception as exc:
-        _write_json(manifest_path, {"status": "failed", **key, "error": repr(exc)})
+        _write_json(manifest_path, {"status": "failed", **key, "solve": solve,
+                                    "error": repr(exc)})
         raise
     _write_json(report_path, report, indent=1)
-    _write_json(manifest_path, {"status": "completed", **key})
+    _write_json(manifest_path, {"status": "completed", **key, "solve": solve})
     return report
 
 
@@ -352,6 +360,104 @@ def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(obj, indent=indent))
     os.replace(tmp, path)
+
+
+# ---------------------------------------------------------------------------
+# the flow solve: inline, or one slice ahead in a forked child
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _solve_plan(concurrent_runs: int) -> dict:
+    """Where a run's flow solve runs, and the CPU count that decided it.
+
+    The solve runs one slice ahead in a forked child when the usable CPUs
+    are at least twice the runs this process tree runs at once, so that the
+    child has a core of its own; a child per member of a pool that already
+    fills the cores costs more wall time than it saves.
+    """
+    cpus = _usable_cpus()
+    forked = (cpus >= 2 * concurrent_runs
+              and "fork" in multiprocessing.get_all_start_methods()
+              and not multiprocessing.current_process().daemon)  # daemons may not fork
+    return {"process": "forked" if forked else "inline", "cpus": cpus}
+
+
+def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -> None:
+    """Body of the forked solve: for each snapshot of iter_run, its time and
+    boundary mass flux, then its rho, m1 and m2 planes as raw bytes; after
+    the last, None.  A solver error is sent in place of the rest."""
+    # with the inherited read end closed, a send fails once the parent has
+    # gone (killed, say), instead of blocking forever
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends this process
+    try:
+        for s in iter_run(field0, solver):
+            conn.send((s.time, s.boundary_mass_flux))
+            for plane in (s.rho, s.m1, s.m2):
+                conn.send_bytes(np.ascontiguousarray(plane))
+        conn.send(None)
+    except BrokenPipeError:  # nobody reads the rest
+        return
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _received_snapshots(conn, child, field0: FlowField) -> Iterator[FlowField]:
+    """The snapshots `_send_snapshots` sends, each over one fresh (3, n1, n2)
+    buffer with copies of field0's frozen ghosts; a solver error is raised
+    at the point of the stream where the solve stopped."""
+    grid = field0.grid
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"the solver process ended with exit code {child.exitcode} "
+                               "before sending every snapshot") from None
+        if msg is None:
+            return
+        if isinstance(msg, BaseException):
+            raise msg
+        time, boundary_mass_flux = msg
+        planes = np.empty((3, grid.n1, grid.n2))
+        for plane in planes:  # into a flat byte view: the receive counts bytes
+            conn.recv_bytes_into(plane.reshape(-1).view(np.uint8))
+        s = FlowField(field0.gas, grid, time, *planes,
+                      field0.ghost_lo.copy(), field0.ghost_hi.copy())
+        s.boundary_mass_flux = boundary_mass_flux
+        yield s
+
+
+@contextlib.contextmanager
+def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
+    """The snapshot stream of iter_run(field0, solver), solved in this
+    process ("inline") or in a forked child ("forked").
+
+    The child blocks on the pipe until the parent reads, so it runs at most
+    about one snapshot ahead.  It is ended on every exit from the block,
+    an exception included, before that exception leaves the block.
+    """
+    if process == "inline":
+        yield iter_run(field0, solver)
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_snapshots, args=(child_end, conn, field0, solver),
+                        name="rarewave-solve", daemon=True)
+    child.start()
+    child_end.close()
+    try:
+        yield _received_snapshots(conn, child, field0)
+    finally:
+        child.terminate()
+        child.join()
+        conn.close()
 
 
 class _Slice:
@@ -412,8 +518,9 @@ def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
                [rb.time, *commutation, *structure])
 
 
-def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
-    """One pass over the slices in time order.
+def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str) -> dict:
+    """One pass over the slices in time order, the solve running `process`
+    (see `_snapshots`).
 
     Each slice's record (snapshot, u, foliation) is formed as the solve
     reaches it and serves every consumer: rays, band statistics, predicates,
@@ -442,64 +549,65 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str) -> dict:
     field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0),
                                         cfg.perturbation(), u_glue=cfg.u_glue)
     u_init = (cfg.v0 + cfg.c0) - grid.mesh()[0] / cfg.delta
-    records = geo.iter_evolve_u(map(_Slice, iter_run(field0, cfg.solver())), u_init, cfl=cfg.cfl)
 
     window: Dict[int, _Slice] = {}
     times, conservation, kappa_rows, frame_rows, energy_slices = [], [], [], [], []
     pair_rows = {}
     x2_variation = 0.0
-    for k, (rec, u) in enumerate(records):
-        rec.foliation = geo.frame_fields(rec, u, check_band=(cfg.u_lo, cfg.u_star))
-        rec.band = geo.band_mask(u, cfg.u_lo, cfg.u_star)
-        window[k] = rec
-        s = rec.snapshot
-        times.append(rec.time)
+    with _snapshots(field0, cfg.solver(), process) as snapshots:
+        records = geo.iter_evolve_u(map(_Slice, snapshots), u_init, cfl=cfg.cfl)
+        for k, (rec, u) in enumerate(records):
+            rec.foliation = geo.frame_fields(rec, u, check_band=(cfg.u_lo, cfg.u_star))
+            rec.band = geo.band_mask(u, cfg.u_lo, cfg.u_star)
+            window[k] = rec
+            s = rec.snapshot
+            times.append(rec.time)
 
-        # conservation and symmetry bookkeeping, initial-slice predicates, and
-        # the ray-traced cross-check of the level-set transport: u along a few
-        # generator rays seeded across the band should stay constant
-        x2_variation = _x2_variation(s, x2_variation)
-        mass = total_mass(s)
-        if k == 0:
-            mass0 = mass
-            predicate_lines = en.check_data_predicates(rec, rec.foliation, cfg.epsilon,
-                                                       cfg.delta, cfg.u_star)
-            rays = geo.RayTrace(rec, rec.foliation, x1_seed, x2_seed)
-        else:
-            rays.advance(rec, rec.foliation)
-        conservation.append([s.time, mass, s.boundary_mass_flux,
-                             mass + s.boundary_mass_flux - mass0])
+            # conservation and symmetry bookkeeping, initial-slice predicates, and
+            # the ray-traced cross-check of the level-set transport: u along a few
+            # generator rays seeded across the band should stay constant
+            x2_variation = _x2_variation(s, x2_variation)
+            mass = total_mass(s)
+            if k == 0:
+                mass0 = mass
+                predicate_lines = en.check_data_predicates(rec, rec.foliation, cfg.epsilon,
+                                                           cfg.delta, cfg.u_star)
+                rays = geo.RayTrace(rec, rec.foliation, x1_seed, x2_seed)
+            else:
+                rays.advance(rec, rec.foliation)
+            conservation.append([s.time, mass, s.boundary_mass_flux,
+                                 mass + s.boundary_mass_flux - mass0])
 
-        # pointwise foliation statistics over the tracked band at base times
-        for _ in range(base_idx.count(k)):  # merged base times share a slice
-            rows = _band_rows(rec)
-            if rows is not None:
-                kappa_rows.append(rows[0])
-                frame_rows.append(rows[1])
+            # pointwise foliation statistics over the tracked band at base times
+            for _ in range(base_idx.count(k)):  # merged base times share a slice
+                rows = _band_rows(rec)
+                if rows is not None:
+                    kappa_rows.append(rows[0])
+                    frame_rows.append(rows[1])
 
-        # one evaluator per pair closing here serves the energies of slice k-1 (and of
-        # k at the end), then each (base, partner) pair mapping to it, which spans a few
-        # cell-crossing times so that the two-time derivatives refine with the grid
-        for k0, js in closes.get(k, {}).items():
-            pair = geo.PairDiagnostics(window[k0], rec, window[k0].foliation, rec.foliation)
-            if k0 == k - 1:
-                for side in ((0, 1) if k == last else (0,)):
-                    energy_slices.append(en.energies_of_slice(pair, side, **energy_args))
-            pair_rows.update(zip(js, _pair_rows(pair, [window[base_idx[j]] for j in js])))
-            del pair  # its planes must not outlive the pair into the next slice
+            # one evaluator per pair closing here serves the energies of slice k-1 (and of
+            # k at the end), then each (base, partner) pair mapping to it, which spans a few
+            # cell-crossing times so that the two-time derivatives refine with the grid
+            for k0, js in closes.get(k, {}).items():
+                pair = geo.PairDiagnostics(window[k0], rec, window[k0].foliation, rec.foliation)
+                if k0 == k - 1:
+                    for side in ((0, 1) if k == last else (0,)):
+                        energy_slices.append(en.energies_of_slice(pair, side, **energy_args))
+                pair_rows.update(zip(js, _pair_rows(pair, [window[base_idx[j]] for j in js])))
+                del pair  # its planes must not outlive the pair into the next slice
 
-        if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
-            write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
-        if k == last:
-            l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
-            if cfg.save_snapshots != "none":
-                fol = rec.foliation
-                write_planes(grid, fol.time, gas,
-                             {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
-                              "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
-                              "zeta": fol.zeta, "eta": fol.eta},
-                             out / "foliation_final.rwl")
-        window.pop(k - lookahead, None)
+            if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
+                write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
+            if k == last:
+                l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
+                if cfg.save_snapshots != "none":
+                    fol = rec.foliation
+                    write_planes(grid, fol.time, gas,
+                                 {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
+                                  "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
+                                  "zeta": fol.zeta, "eta": fol.eta},
+                                 out / "foliation_final.rwl")
+            window.pop(k - lookahead, None)
 
     report: dict = {
         "config": dataclasses.asdict(cfg),
@@ -592,8 +700,8 @@ def _member_config(cfg: RunConfig, kind: str, value: float) -> RunConfig:
 
 
 def _run_member(args):
-    cfg, out_dir = args
-    return run_single(cfg, out_dir=Path(out_dir))
+    cfg, out_dir, concurrent_runs = args
+    return run_single(cfg, out_dir=Path(out_dir), concurrent_runs=concurrent_runs)
 
 
 def run_study(spec: StudySpec, cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
@@ -607,7 +715,7 @@ def run_study(spec: StudySpec, cfg: RunConfig, out_dir: Optional[Path] = None) -
     members = [("single", cfg)] if spec.kind == "single" else [
         (f"{spec.kind}-{v:g}", _member_config(cfg, spec.kind, v)) for v in spec.ladder]
 
-    jobs = [(mc, str(out / name)) for name, mc in members]
+    jobs = [(mc, str(out / name), min(cfg.workers, len(members))) for name, mc in members]
     results: List[Optional[dict]] = [None] * len(jobs)
     failures: List[str] = []
     if cfg.workers > 1:
@@ -629,14 +737,21 @@ def run_study(spec: StudySpec, cfg: RunConfig, out_dir: Optional[Path] = None) -
              "members": [m[0] for m in members],
              "reports": [r for r in results]}
     if spec.kind == "convergence" and all(r is not None for r in results):
-        study["convergence"] = _convergence_metrics(results)
+        study["convergence"] = _null_nonfinite(_convergence_metrics(results))
     if spec.kind == "epsilon_scaling" and all(r is not None for r in results):
-        study["epsilon_scaling"] = _epsilon_metrics(results, spec.ladder)
+        study["epsilon_scaling"] = _null_nonfinite(_epsilon_metrics(results, spec.ladder))
     if spec.kind == "delta_robustness" and all(r is not None for r in results):
-        study["delta_robustness"] = _delta_metrics(results)
+        study["delta_robustness"] = _null_nonfinite(_delta_metrics(results))
     _write_json(out / "study.json", study, indent=1)
     emit_plots(study, out)
     return study
+
+
+def _null_nonfinite(metrics: Dict[str, list]) -> Dict[str, list]:
+    """A study metric block with each NaN or inf as None, which JSON writes as
+    null: json.dumps would write bare NaN tokens that strict parsers reject."""
+    return {name: [v if not isinstance(v, float) or math.isfinite(v) else None for v in vals]
+            for name, vals in metrics.items()}
 
 
 def _final_residual(report: dict, col: int) -> float:

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,15 @@ def bilinear_oracle(f, x1p, x2p, grid):
 @pytest.fixture
 def gas2():
     return GAS2
+
+
+@pytest.fixture(autouse=True)
+def no_processes_left_running():
+    """Fail a test after which a child process of the test run is still
+    running (it is ended first, so that it cannot leak into later tests)."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"processes left running after the test: {left}"

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import re
 import struct
 import tracemalloc
 import weakref
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from rarewave.cli import main as cli_main
-from rarewave.euler2d import FlowField, Grid
+from rarewave.euler2d import FlowField, Grid, NumericalError, SolverConfig
 from rarewave.harness import (ConfigError, RunConfig, StudySpec, default_config,
                               emit_plots, parse_config, run_single, run_study, slope_fit)
 from rarewave.snapshot_io import read_planes, read_snapshot, write_planes, write_snapshot
@@ -276,6 +278,11 @@ def streamed_run(tmp_path_factory):
     return cfg, out, peak[0]
 
 
+def output_digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(out.iterdir()) if f.suffix in (".csv", ".rwl")}
+
+
 class TestStreamedRun:
     def test_window_bounds_live_foliations(self, streamed_run):
         cfg, _, peak = streamed_run
@@ -286,9 +293,128 @@ class TestStreamedRun:
 
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
-        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-               for f in sorted(out.iterdir()) if f.suffix in (".csv", ".rwl")}
-        assert got == STREAMED_DIGESTS
+        assert output_digests(out) == STREAMED_DIGESTS
+
+
+# the solve path a run takes with each CPU count, when it is the only run
+SOLVE_PATHS = pytest.mark.parametrize("cpus, process", [(2, "forked"), (1, "inline")],
+                                      ids=["forked", "inline"])
+
+
+def solve_manifest(out):
+    return json.loads((out / "MANIFEST.json").read_text())
+
+
+class TestSolvePaths:
+    @SOLVE_PATHS
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, cpus, process):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        run_single(parse_config(STREAMED), out_dir=tmp_path)
+        assert output_digests(tmp_path) == STREAMED_DIGESTS
+        assert solve_manifest(tmp_path)["solve"] == {"process": process, "cpus": cpus}
+
+    @SOLVE_PATHS
+    def test_solver_error_surfaces_unchanged(self, tmp_path, monkeypatch, cpus, process):
+        import rarewave.euler2d as euler2d
+
+        message = "non-positive or NaN density at t=0.2375: 1 cells, first at (i=7, j=3)"
+        calls, step = [0], euler2d.step
+
+        def failing_step(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 6:
+                raise NumericalError(message)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(euler2d, "step", failing_step)
+        with pytest.raises(NumericalError, match=re.escape(message)) as info:
+            run_single(parse_config(STREAMED), out_dir=tmp_path)
+        assert str(info.value) == message
+        manifest = solve_manifest(tmp_path)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == repr(NumericalError(message))
+        assert manifest["solve"]["process"] == process
+        assert multiprocessing.active_children() == []
+
+    def test_analysis_error_ends_the_child_first(self, tmp_path, monkeypatch):
+        # the traceback held by pytest.raises keeps the snapshot generator alive,
+        # so the child must have been ended by the run, not by the generator's close
+        calls, frame_fields = [0], geo.frame_fields
+
+        def failing_frame_fields(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise ValueError("synthetic analysis failure")
+            return frame_fields(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(geo, "frame_fields", failing_frame_fields)
+        with pytest.raises(ValueError, match="synthetic analysis failure") as info:
+            run_single(parse_config(STREAMED), out_dir=tmp_path)
+        assert multiprocessing.active_children() == []
+        assert solve_manifest(tmp_path)["solve"]["process"] == "forked"
+
+    def test_solver_process_death_is_reported(self, tmp_path, monkeypatch):
+        import os
+
+        import rarewave.euler2d as euler2d
+
+        calls, step = [0], euler2d.step
+
+        def dying_step(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 6:
+                os._exit(3)  # as a process killed for want of memory would end
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(euler2d, "step", dying_step)
+        with pytest.raises(RuntimeError, match="exit code 3 before sending every snapshot"):
+            run_single(parse_config(STREAMED), out_dir=tmp_path)
+
+    def test_solver_process_ends_when_the_run_has_gone(self):
+        # a run killed outright runs no clean-up: its solver must not block
+        # forever on a pipe that nobody reads
+        ctx = multiprocessing.get_context("fork")
+        conn, child_end = ctx.Pipe(duplex=False)
+        field0 = fan_field(GAS2, small_grid(128, 32), 0.4)
+        child = ctx.Process(target=harness._send_snapshots, daemon=True,
+                            args=(child_end, conn, field0, SolverConfig(snapshot_times=(0.5, 0.6))))
+        child.start()
+        child_end.close()
+        conn.close()
+        child.join(timeout=30)
+        alive = child.is_alive()
+        child.terminate()
+        child.join()
+        assert not alive
+        assert child.exitcode == 0
+
+    def test_daemonic_process_solves_inline(self, monkeypatch):
+        # a multiprocessing.Pool worker is daemonic and may not fork
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            plan = pool.apply(harness._solve_plan, (1,))
+        finally:
+            pool.close()
+            pool.join()
+        assert plan == {"process": "inline", "cpus": 2}
+
+    @pytest.mark.parametrize("cpus, process", [(2, "inline"), (4, "forked")])
+    def test_pooled_members_fork_only_with_a_core_each(self, tmp_path, monkeypatch,
+                                                       cpus, process):
+        # two members in a pool of two run at once: each forks its solve only
+        # when the CPUs leave a second core for every member
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        cfg = tiny_config(tmp_path, workers=2)
+        study = run_study(StudySpec("epsilon_scaling", (0.02, 0.01)), cfg,
+                          out_dir=tmp_path / "p")
+        assert study["failures"] == []
+        for name in study["members"]:
+            assert solve_manifest(tmp_path / "p" / name)["solve"] == {
+                "process": process, "cpus": cpus}
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +511,17 @@ class TestStudies:
         es = study["epsilon_scaling"]
         assert es["epsilon"] == [0.02, 0.01]
         assert len(es["E0_w_ratios"]) == 1
+
+    def test_study_json_is_strict_json(self, tmp_path):
+        # orders = 0 leaves the order-1 energies of the metric block NaN
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        cfg = tiny_config(tmp_path, orders=0)
+        study = run_study(StudySpec("epsilon_scaling", (0.02, 0.01)), cfg,
+                          out_dir=tmp_path / "e")
+        assert study["epsilon_scaling"]["E1_w"] == [None, None]
+        json.loads((tmp_path / "e" / "study.json").read_text(), parse_constant=reject)
 
     def test_bad_ladder_rejected(self):
         with pytest.raises(ConfigError):
