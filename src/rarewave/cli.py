@@ -20,8 +20,9 @@ import numpy as np
 
 from .energies import GronwallHypothesisError, GronwallInstance, gronwall_verify
 from .gas import PolytropicGas, PrimitiveState
+from .geometry import DegenerateFoliationError
 from .harness import ConfigError, StudySpec, parse_config, run_single, run_study
-from .riemann1d import RiemannProblem1D, solve_riemann
+from .riemann1d import NumericalError, RiemannProblem1D, solve_riemann
 
 
 def _load_config(path: str):
@@ -142,6 +143,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (NumericalError, DegenerateFoliationError) as exc:
+        print(f"analysis failure: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

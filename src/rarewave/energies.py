@@ -15,8 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _d1, _d2, diagonal_rhs
-from .geometry import BilinearStencil, Foliation, PairDiagnostics
+from .euler2d import FlowField, Grid, _d2, diagonal_rhs
+from .geometry import (PAIR_DEPTH, BilinearStencil, Foliation, PairDiagnostics, check_rows,
+                       stencil_reach)
+from .riemann1d import NumericalError
 # re-exported: the benchmark tracer patches these two names in this module
 from .geometry import bilinear_sample, semi_lagrangian  # noqa: F401
 
@@ -33,6 +35,7 @@ __all__ = [
     "apply_frame_derivative",
     "words_of_order",
     "energies_of_slice",
+    "band_window",
     "EnergyAnalysis",
     "PredicateLine",
     "check_data_predicates",
@@ -48,7 +51,7 @@ ORDER_CAP = 3
 
 def _cell_span(u: np.ndarray, grid: Grid) -> np.ndarray:
     """Linearized variation of u across each cell."""
-    du = np.abs(_d1(u, grid.dx1)) * grid.dx1 + np.abs(_d2(u, grid.dx2)) * grid.dx2
+    du = np.abs(grid.d1(u)) * grid.dx1 + np.abs(_d2(u, grid.dx2)) * grid.dx2
     return np.maximum(du, 1e-300)
 
 
@@ -66,6 +69,65 @@ def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.
     which keeps the quadrature monotone in u_max.
     """
     return _band_weights(u, _cell_span(u, grid), u_min, u_max, grid)
+
+
+def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
+    """Rows [lo, hi) that the band results of fol.u read: the hull of the rows
+    with a nonzero band weight at the largest u value and of the rows that
+    the level curve of each u value crosses or samples; (0, 0) when none.
+
+    Whole-row bounds of u find them without forming a whole plane.  A row
+    can hold a band cell only if its u comes within twice the spread of u
+    over it and its neighbour rows (a bound on the cell span) of the band;
+    the weights are formed on the hull of those rows.  The squares between
+    rows r and r+1 cross a level exactly when u in the two rows lies on both
+    sides of it; the curve's sampling stencil then reads rows r-1 to r+2.
+    """
+    u, grid = fol.u, fol.grid
+    lo_u, hi_u = u.min(axis=1), u.max(axis=1)
+    if np.isnan(lo_u).any():
+        raise NumericalError(f"u is NaN at t={fol.time:.6g}, row "
+                             f"{np.flatnonzero(np.isnan(lo_u))[0]}")
+    u_max = max(u_values)
+    nb_lo = np.minimum(lo_u, np.minimum(np.r_[lo_u[:1], lo_u[:-1]], np.r_[lo_u[1:], lo_u[-1:]]))
+    nb_hi = np.maximum(hi_u, np.maximum(np.r_[hi_u[:1], hi_u[:-1]], np.r_[hi_u[1:], hi_u[-1:]]))
+    reach = 2.0 * (nb_hi - nb_lo)
+    near = np.flatnonzero((lo_u <= u_max + reach) & (hi_u >= u_min - reach))
+    rows = []
+    if near.size:
+        # the block's first and last rows lack a neighbour unless they are grid edges
+        a, b = max(near[0] - 1, 0), min(near[-1] + 2, grid.n1)
+        w = _band_weights(u[a:b], _cell_span(u[a:b], grid), u_min, u_max, grid)
+        held = np.flatnonzero(w[near[0] - a:near[-1] + 1 - a].any(axis=1)) + near[0]
+        rows += [held[0], held[-1]] if held.size else []
+    for level in u_values:
+        crossed = np.flatnonzero((np.minimum(lo_u[:-1], lo_u[1:]) < level)
+                                 & (np.maximum(hi_u[:-1], hi_u[1:]) >= level))
+        if crossed.size:
+            rows += [max(crossed[0] - 1, 0), min(crossed[-1] + 2, grid.n1 - 1)]
+    return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
+
+
+def band_window(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,
+                u_min: float, u_values: Sequence[float], orders: Sequence[int]) -> Grid:
+    """The rows on which the evaluator of the slice pair (s0, s1) forms its
+    planes: those that the energies of either slice over the bands
+    {u_min <= u <= u_value} read, and with them the pair diagnostics over
+    the band masks of s0 and s1 up to the largest u value.
+
+    It is the hull of the `_read_rows` of both slices plus a halo: one row
+    per x1 derivative chained before a band row is read (the T letters of a
+    word and the gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of the
+    pair's flow stencils.  Returns the slices' grid when no row is read.
+    """
+    grid = s0.grid
+    hulls = [h for h in (_read_rows(f, u_min, u_values) for f in (fol0, fol1)) if h[0] < h[1]]
+    if not hulls:
+        return grid
+    lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
+    halo = (max(max(orders) + 1, PAIR_DEPTH)
+            + stencil_reach(s0, s1, fol0, slice(lo, hi)))
+    return grid.window(max(lo - halo, 0), min(hi + halo, grid.n1))
 
 
 def _outgoing_density(kappa, c, l_psi, x_psi):
@@ -87,7 +149,7 @@ def _flux_densities(kappa, c, l_psi, x_psi):
 
 def _gradient(f: np.ndarray, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """(d1 f, d2 f), taken once and shared by every frame derivative of f."""
-    return _d1(f, grid.dx1), _d2(f, grid.dx2)
+    return grid.d1(f), _d2(f, grid.dx2)
 
 
 def _x_derivative(fol: Foliation, grad: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -129,6 +191,8 @@ def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
     straight segment, saddle squares are split by the center value.  Only
     squares whose corners disagree on u < level are evaluated; segments come
     in row-major square order, the saddle squares' pairs after the rest.
+    u holds the rows of grid, which may be a window of a grid: the squares
+    are those between its rows.
     """
     below = u < level
     below_r = np.roll(below, -1, axis=1)
@@ -136,7 +200,7 @@ def extract_level_curve(u: np.ndarray, level: float, grid: Grid) -> LevelCurve:
                        | (below_r[1:] != below_r[:-1]))
     cr = np.mod(cl + 1, grid.n2)
     A, B, C, D = u[r, cl], u[r + 1, cl], u[r + 1, cr], u[r, cr]
-    x1 = grid.x1[r]
+    x1 = grid.x1[grid.rows][r]
     x2 = grid.x2[cl]
     dx1, dx2 = grid.dx1, grid.dx2
 
@@ -210,7 +274,8 @@ def apply_frame_derivative(op: FrameDerivativeOp, fields: Sequence[np.ndarray],
     """Apply the word to a field sequence (innermost letter first).
 
     Returns (derived sequence, valid mask); each normal application costs
-    one stencil column at the x1 edges, recorded in the mask.
+    one stencil column at the x1 edges of the grid, recorded in the mask.
+    The fields and the mask hold the rows of grid, which may be a window.
     """
     out = [np.asarray(f) for f in fields]
     erode = 0
@@ -218,12 +283,10 @@ def apply_frame_derivative(op: FrameDerivativeOp, fields: Sequence[np.ndarray],
         if letter == "X":
             out = [_d2(f, grid.dx2) for f in out]
         else:
-            out = [-t * _d1(f, grid.dx1) for f, t in zip(out, times)]
+            out = [-t * grid.d1(f) for f, t in zip(out, times)]
             erode += 1
-    valid = np.ones((grid.n1, grid.n2), dtype=bool)
-    if erode:
-        valid[:erode, :] = False
-        valid[-erode:, :] = False
+    rows = np.arange(grid.n1)[grid.rows, None]
+    valid = np.repeat((rows >= erode) & (rows < grid.n1 - erode), grid.n2, axis=1)
     return out, valid
 
 
@@ -280,6 +343,9 @@ def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
     (side 0) or s1 (side 1).  The pair's invariants and generator flow
     stencil, c, and the band weights and level curve (with its sampling
     stencil) of each requested u are shared by every invariant, word and band.
+    Every plane holds the rows of the pair's grid; the rows that the band
+    and the level curves read (`_read_rows`) must be among them, and a band
+    result that reads a NaN raises NumericalError naming the time and row.
 
     For each (psi, n, u) the array has one row per energy: outgoing
     (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
@@ -295,13 +361,39 @@ def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
     underlying 1D profile, which would otherwise mask the amplitude scaling
     these energies exist to measure.
     """
-    grid, fol = pair.grid, (pair.fol0, pair.fol1)[side]
+    grid, fol = pair.grid, pair.foliations[side]
     times = (pair.s0.time, pair.s1.time)
     invariants, flow = pair.invariants, pair.generator
-    c = (pair.s0, pair.s1)[side].c
+    c = pair.slices[side].c
+    lo, hi = _read_rows((pair.fol0, pair.fol1)[side], u_min, u_values)
+    check_rows(lo, hi, grid, fol.time, "the band")
+    # the products of a band area are written into a zero plane of the whole
+    # grid, so that its sum adds the same terms in the same order however
+    # many rows the window holds; outside [lo, hi) every product is +0
+    whole = np.zeros((grid.n1, grid.n2))
+    read = slice(lo - grid.rows.start, hi - grid.rows.start)
     du = _cell_span(fol.u, grid)
-    bands = [(_band_weights(fol.u, du, u_min, u, grid),
+    bands = [(_band_weights(fol.u, du, u_min, u, grid)[read],
               extract_level_curve(fol.u, u, grid)) for u in u_values]
+
+    def nan_at(row):
+        return NumericalError(f"a band energy is NaN at t={fol.time:.6g}, row {row}, of the "
+                              f"rows {grid.rows.start}..{grid.rows.stop - 1} it is formed on")
+
+    def area(w, density):
+        np.multiply(w, density[read], out=whole[lo:hi])
+        total = float(np.sum(whole))
+        if math.isnan(total):
+            raise nan_at(lo + np.flatnonzero(np.isnan(whole[lo:hi]).any(axis=1))[0])
+        return 0.5 * total
+
+    def line(curve, density):
+        total = curve.integral(density)
+        if math.isnan(total):
+            k = np.flatnonzero(np.isnan(curve.stencil(density)))[0]
+            raise nan_at(int((curve.mid_x1[k] - grid.x1[0]) // grid.dx1))
+        return total
+
     out = {}
     for psi in psis:
         idx = ("wbar", "w", "psi2").index(psi)
@@ -324,16 +416,15 @@ def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
                 int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi, tpsi) * ok
                 g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
                 for acc, (w, curve) in zip(sums, bands):
-                    acc += [[0.5 * float(np.sum(w * int_e)), curve.integral(g_f)],
-                            [0.5 * float(np.sum(w * int_ebar)), curve.integral(g_fbar)]]
+                    acc += [[area(w, int_e), line(curve, g_f)],
+                            [area(w, int_ebar), line(curve, g_fbar)]]
             if psi == "wbar" and n == 0:
                 # special energy of wbar: the outgoing energy of the single
                 # order-0 word, with d2 in place of Xhat and L projected
                 lfluct = _project(lpsi)
                 int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
                 g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
-                sums = [np.vstack([acc, [0.5 * float(np.sum(w * int_ring)),
-                                         curve.integral(g_ring_l + g_ring_x)]])
+                sums = [np.vstack([acc, [area(w, int_ring), line(curve, g_ring_l + g_ring_x)]])
                         for acc, (w, curve) in zip(sums, bands)]
             out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
     return out

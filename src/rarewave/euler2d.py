@@ -20,6 +20,7 @@ from .riemann1d import CenteredFan, NumericalError
 
 __all__ = [
     "Grid",
+    "RowWindow",
     "FlowField",
     "PerturbationMode",
     "PerturbationSpec",
@@ -72,6 +73,51 @@ class Grid:
 
     def mesh(self):
         return np.meshgrid(self.x1, self.x2, indexing="ij")
+
+    @property
+    def rows(self) -> slice:
+        """The x1 rows that planes on this grid hold: all of them."""
+        return slice(0, self.n1)
+
+    def d1(self, a: np.ndarray) -> np.ndarray:
+        """Centered x1-derivative of a plane on this grid."""
+        return _d1(a, self.dx1)
+
+    def window(self, lo: int, hi: int) -> "RowWindow":
+        """The rows [lo, hi) of this grid."""
+        return RowWindow(self.n1, self.n2, self.x1_min, self.x1_max, lo, hi)
+
+
+@dataclass(frozen=True)
+class RowWindow(Grid):
+    """The x1 rows [lo, hi) of a grid, for planes that hold only those rows.
+
+    Coordinates, spacings and sizes are those of the whole grid, so a
+    window's x1 centres are the grid's own.  An x1 derivative at a window
+    edge that is not a grid edge lacks its outer neighbour and is NaN there,
+    and so is everything computed from it: a value that needs rows past the
+    window reads as NaN instead of as a wrong number.
+    """
+
+    lo: int
+    hi: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.lo <= self.hi - 2 <= self.n1 - 2:
+            raise ValueError(f"rows [{self.lo}, {self.hi}) are not a window of {self.n1} rows")
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.lo, self.hi)
+
+    def d1(self, a: np.ndarray) -> np.ndarray:
+        out = _d1(a, self.dx1)
+        if self.lo > 0:
+            out[0] = np.nan
+        if self.hi < self.n1:
+            out[-1] = np.nan
+        return out
 
 
 @dataclass
@@ -127,11 +173,11 @@ class FlowField:
     def c(self) -> np.ndarray:
         return sound_speed(self.gas, self.rho)
 
-    def invariants(self):
-        """(wbar, w, psi2) arrays."""
-        s = 2.0 * self.c / (self.gas.gamma - 1.0)
-        v1 = self.v1
-        return 0.5 * (s + v1), 0.5 * (s - v1), -self.v2
+    def invariants(self, rows: slice = slice(None)):
+        """(wbar, w, psi2) arrays, on the x1 rows `rows`."""
+        s = 2.0 * self.c[rows] / (self.gas.gamma - 1.0)
+        v1 = self.v1[rows]
+        return 0.5 * (s + v1), 0.5 * (s - v1), -self.v2[rows]
 
     def copy(self, time=None):
         out = FlowField(self.gas, self.grid, self.time if time is None else time,
@@ -573,7 +619,7 @@ def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: 
     """d/dt + a1 d1 + a2 d2 of a field pair, centered at the midpoint time."""
     dt = t1 - t0
     fm = 0.5 * (f0 + f1)
-    return (f1 - f0) / dt + a1 * _d1(fm, grid.dx1) + a2 * _d2(fm, grid.dx2)
+    return (f1 - f0) / dt + a1 * grid.d1(fm) + a2 * _d2(fm, grid.dx2)
 
 
 def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:

@@ -15,7 +15,7 @@ residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -40,6 +40,10 @@ __all__ = [
     "BilinearStencil",
     "FlowStencil",
     "PairDiagnostics",
+    "PAIR_DEPTH",
+    "stencil_reach",
+    "band_values",
+    "check_rows",
     "bilinear_sample",
     "semi_lagrangian",
     "commutation_residual_y",
@@ -55,6 +59,11 @@ __all__ = [
 ]
 
 GRAD_FLOOR = 1e-8
+
+# x1 derivatives chained before a pair diagnostic reads a band row: T(wbar) and
+# then the advective derivative's d1 in the z commutation residual, and the
+# nested directional derivatives of the chi structure residual
+PAIR_DEPTH = 2
 
 
 class DegenerateFoliationError(RuntimeError):
@@ -92,6 +101,14 @@ class Foliation:
     @property
     def xhat2(self) -> np.ndarray:
         return -self.that1
+
+    def restricted(self, grid: Grid) -> "Foliation":
+        """This foliation on the rows of grid, a window of its grid; the
+        planes are views."""
+        rows = grid.rows
+        planes = {f.name: getattr(self, f.name)[rows] for f in fields(self)
+                  if f.name not in ("time", "grid")}
+        return Foliation(self.time, grid, **planes)
 
 
 @dataclass
@@ -321,25 +338,28 @@ def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[flo
                      chi, zeta, eta, theta, xv1, xv2, xc)
 
 
-def second_frame(field: FlowField) -> SecondFrame:
-    """Transverse gradients of the maximal characteristic speed and of v2."""
+def second_frame(field: FlowField, grid: Optional[Grid] = None) -> SecondFrame:
+    """Transverse gradients of the maximal characteristic speed and of v2, on
+    the rows of grid (a window of the field's grid; all of it by default)."""
     if field.time <= 0.0:
         raise ValueError("second frame requires t > 0")
-    return _second_frame(field.time, field.v1 + field.c, field.v2, field.grid)
+    grid = field.grid if grid is None else grid
+    rows = grid.rows
+    return _second_frame(field.time, field.v1[rows] + field.c[rows], field.v2[rows], grid)
 
 
 def _second_frame(t: float, speed: np.ndarray, v2: np.ndarray, grid: Grid) -> SecondFrame:
     """Second-frame gradients from the time, v1+c and v2."""
     y = _d2(speed, grid.dx2)
-    z = 1.0 - t * _d1(speed, grid.dx1)
+    z = 1.0 - t * grid.d1(speed)
     chi = _d2(v2, grid.dx2)
-    eta = -t * _d1(v2, grid.dx1)
+    eta = -t * grid.d1(v2)
     return SecondFrame(t, y, z, y / t, z / t, chi, eta)
 
 
 def directional_derivative(f: np.ndarray, e1, e2, grid: Grid) -> np.ndarray:
     """Derivative of f along the direction (e1, e2): e1 d1(f) + e2 d2(f)."""
-    return e1 * _d1(f, grid.dx1) + e2 * _d2(f, grid.dx2)
+    return e1 * grid.d1(f) + e2 * _d2(f, grid.dx2)
 
 
 def generator_velocity(field: FlowField, fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,9 +372,12 @@ class BilinearStencil:
     """Bilinear interpolation stencil of a point set on the cell-center
     lattice, periodic in x2, clamped in x1.
 
-    Holds the four flat corner indices into a raveled (n1, n2) field and the
-    weights fi, 1 - fi, fj, 1 - fj, so one stencil samples any number of
-    fields; `inside` marks the points whose x1-cell needed no clamping.
+    Holds the four flat corner indices into a raveled field on the rows of
+    grid (a grid or a `RowWindow` of one) and the weights fi, 1 - fi, fj,
+    1 - fj, so one stencil samples any number of fields; `inside` marks the
+    points whose x1-cell needed no clamping.  Cells and clamping are those of
+    the whole grid; a point with a corner row outside a window's rows
+    samples as NaN.
     """
 
     def __init__(self, x1p: np.ndarray, x2p: np.ndarray, grid: Grid):
@@ -368,10 +391,12 @@ class BilinearStencil:
         fj = r - j0
         j0 = np.mod(j0, grid.n2)
         j1 = np.mod(j0 + 1, grid.n2)
-        row0 = i0 * grid.n2
+        lo, hi = grid.rows.start, grid.rows.stop
+        row0 = (i0 - lo) * grid.n2
         row1 = row0 + grid.n2
         self.corners = (row0 + j0, row1 + j0, row0 + j1, row1 + j1)
         self.fi, self.gi, self.fj, self.gj = fi, 1 - fi, fj, 1 - fj
+        self.outside = np.flatnonzero((i0 < lo) | (i0 + 2 > hi))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         """Sample the cell-centered field f at the stencil's points."""
@@ -379,7 +404,7 @@ class BilinearStencil:
         c00, c10, c01, c11 = self.corners
         fi, gi, fj, gj = self.fi, self.gi, self.fj, self.gj
         # f00 * gi * gj + f10 * fi * gj + f01 * gi * fj + f11 * fi * fj, in that order;
-        # the corner indices are in range by construction
+        # the corner indices are in range but for the points outside, which read NaN
         out, term = np.empty(fi.shape), np.empty(fi.shape)
         np.take(flat, c00, out=out, mode="clip")
         out *= gi
@@ -389,21 +414,23 @@ class BilinearStencil:
             term *= wi
             term *= wj
             out += term
+        out.flat[self.outside] = np.nan
         return out
 
 
 class FlowStencil:
     """End points of the forward integral curves of (a1, a2) over dt from
-    every cell center, and their bilinear stencil.
+    every cell center of the rows of grid, and their bilinear stencil.
 
     `derivative` differences a field pair along these curves; `valid`
     masks the cells whose curve leaves the x1 range.
     """
 
     def __init__(self, a1, a2, dt: float, grid: Grid):
-        shape = (grid.n1, grid.n2)
+        rows = grid.rows
+        shape = (rows.stop - rows.start, grid.n2)
         self.dt = dt
-        self.end = BilinearStencil(grid.x1[:, None] + np.broadcast_to(a1, shape) * dt,
+        self.end = BilinearStencil(grid.x1[rows, None] + np.broadcast_to(a1, shape) * dt,
                                    grid.x2[None, :] + np.broadcast_to(a2, shape) * dt, grid)
         self.valid = self.end.inside
 
@@ -430,10 +457,65 @@ def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float
     return flow.derivative(f0, f1), flow.valid
 
 
+class _SliceRows:
+    """Time, gas and the v1, v2 and c planes of a flow slice on the rows of
+    grid: views where the slice keeps its planes, else formed on each read."""
+
+    def __init__(self, s: FlowField, grid: Grid):
+        self.slice, self.rows = s, grid.rows
+        self.time, self.gas, self.grid = s.time, s.gas, grid
+
+    v1 = property(lambda self: self.slice.v1[self.rows])
+    v2 = property(lambda self: self.slice.v2[self.rows])
+    c = property(lambda self: self.slice.c[self.rows])
+
+
+def band_values(a: np.ndarray, sel: np.ndarray, grid: Grid, time: float, what: str) -> np.ndarray:
+    """a[sel]: the values of a plane on the rows of grid that a band result
+    reads.  A NaN among them raises NumericalError naming the time and the
+    row; it is a value that needs rows past a window, or a NaN of the flow."""
+    vals = a[sel]
+    if np.isnan(vals).any():
+        row = grid.rows.start + int(np.argwhere(np.isnan(a) & sel)[0][0])
+        raise NumericalError(f"{what} is NaN at t={time:.6g}, row {row}, of the rows "
+                             f"{grid.rows.start}..{grid.rows.stop - 1} it is formed on")
+    return vals
+
+
+def check_rows(lo: int, hi: int, grid: Grid, time: float, what: str) -> None:
+    """Raise NumericalError naming the time and the row when the rows
+    [lo, hi) that a result needs are not all rows of grid."""
+    rows = grid.rows
+    if lo < hi and (lo < rows.start or hi > rows.stop):
+        row = lo if lo < rows.start else hi - 1
+        raise NumericalError(f"{what} at t={time:.6g} needs row {row}, outside the rows "
+                             f"{rows.start}..{rows.stop - 1} it is formed on")
+
+
+def stencil_reach(s0: FlowField, s1: FlowField, fol0: Foliation, rows: slice) -> int:
+    """x1 rows that the flow stencils of the pair (s0, s1) reach from the
+    cells of rows: ceil(max|a1| dt / dx1) + 2 (the second corner row, and
+    rounding), for the larger of the front generator v - c*That and the
+    characteristic (v1 + c, v2) of `sign_monitors`.  The two are applied side
+    by side, never one to the output of the other."""
+    v1, c = s0.v1[rows], s0.c[rows]
+    speed = max(np.max(np.abs(v1 - c * fol0.that1[rows])), np.max(np.abs(v1 + c)))
+    cells = speed * (s1.time - s0.time) / s0.grid.dx1
+    if not np.isfinite(cells):
+        raise NumericalError(f"non-finite flow speed at t={s0.time:.6g} in the rows "
+                             f"{rows.start}..{rows.stop - 1}")
+    return math.ceil(cells) + 2
+
+
 class PairDiagnostics:
     """Commutation residuals, structure residuals and sign monitors of one
     slice pair (s0, s1) in time order with foliations fol0 and fol1, which
     the commutation residuals do not need.
+
+    Every plane is formed on the rows of grid: the slices' grid, or a
+    `RowWindow` of it that holds the rows a caller reads plus a halo (see
+    `energies.band_window`).  Planes and masks that methods take or return
+    hold those rows; a value that would need rows past a window is NaN.
 
     What several of them share is formed once, on first use: the invariants
     of both slices, X(wbar) and T(wbar), the midpoint fields of the
@@ -441,15 +523,21 @@ class PairDiagnostics:
     """
 
     def __init__(self, s0: FlowField, s1: FlowField, fol0: Optional[Foliation] = None,
-                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True):
+                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True,
+                 grid: Optional[Grid] = None):
         self.s0, self.s1, self.fol0, self.fol1 = s0, s1, fol0, fol1
         self.use_euler_rhs = use_euler_rhs
-        self.grid, self.t = s0.grid, 0.5 * (s0.time + s1.time)
+        self.grid = s0.grid if grid is None else grid
+        self.t = 0.5 * (s0.time + s1.time)
+        self.slices = _SliceRows(s0, self.grid), _SliceRows(s1, self.grid)
+        if fol0 is not None:
+            self.foliations = fol0.restricted(self.grid), fol1.restricted(self.grid)
 
     @cached_property
     def invariants(self):
         """(wbar, w, psi2) of s0 and of s1."""
-        return self.s0.invariants(), self.s1.invariants()
+        rows = self.grid.rows
+        return self.s0.invariants(rows), self.s1.invariants(rows)
 
     @cached_property
     def xwbar(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,14 +548,14 @@ class PairDiagnostics:
     @cached_property
     def twbar0(self) -> np.ndarray:
         """T(wbar) = -t d1(wbar) on s0."""
-        return -self.s0.time * _d1(self.invariants[0][0], self.grid.dx1)
+        return -self.s0.time * self.grid.d1(self.invariants[0][0])
 
     @cached_property
     def midpoint(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, SecondFrame]:
         """v1+c, v2, the inner L(wbar) and the second frame at the midpoint
         time; L(wbar) is its Euler-equation value c*X(psi2)/2, which needs no
         time differencing, with use_euler_rhs, else the advective derivative."""
-        s0, s1, grid = self.s0, self.s1, self.grid
+        (s0, s1), grid = self.slices, self.grid
         c = 0.5 * (s0.c + s1.c)
         speed = 0.5 * (s0.v1 + s1.v1) + c
         v2 = 0.5 * (s0.v2 + s1.v2)
@@ -483,8 +571,9 @@ class PairDiagnostics:
     @cached_property
     def generator(self) -> FlowStencil:
         """Flow stencil of the front generator of s0 over the pair."""
-        return FlowStencil(*generator_velocity(self.s0, self.fol0),
-                           self.s1.time - self.s0.time, self.grid)
+        s0, s1 = self.slices
+        return FlowStencil(*generator_velocity(s0, self.foliations[0]), s1.time - s0.time,
+                           self.grid)
 
     def commutation_residual_y(self) -> np.ndarray:
         """Residual of the transverse commutation identity for y/t,
@@ -496,7 +585,7 @@ class PairDiagnostics:
         l_xwbar = advective_derivative(xwbar0, xwbar1, speed, v2, s0.time, s1.time, grid)
         x_lwbar = _d2(lwbar, grid.dx2)
         (wbar0, _, _), (wbar1, _, _) = self.invariants
-        twbar = -self.t * _d1(0.5 * (wbar0 + wbar1), grid.dx1)
+        twbar = -self.t * grid.d1(0.5 * (wbar0 + wbar1))
         return frame.yt * twbar - (l_xwbar - x_lwbar + frame.chi * xwbar_m)
 
     def commutation_residual_z(self) -> np.ndarray:
@@ -505,9 +594,9 @@ class PairDiagnostics:
         s0, s1, grid = self.s0, self.s1, self.grid
         speed, v2, lwbar, frame = self.midpoint
         twbar0 = self.twbar0
-        twbar1 = -s1.time * _d1(self.invariants[1][0], grid.dx1)
+        twbar1 = -s1.time * grid.d1(self.invariants[1][0])
         l_twbar = advective_derivative(twbar0, twbar1, speed, v2, s0.time, s1.time, grid)
-        t_lwbar = -self.t * _d1(lwbar, grid.dx1)
+        t_lwbar = -self.t * grid.d1(lwbar)
         twbar_m = 0.5 * (twbar0 + twbar1)
         return frame.zt * twbar_m - (l_twbar - t_lwbar + frame.eta * self.xwbar[2])
 
@@ -525,7 +614,7 @@ class PairDiagnostics:
 
         The Xhat derivatives of the flow are those kept in fol0.
         """
-        s0, s1, fol0, fol1, grid = self.s0, self.s1, self.fol0, self.fol1, self.grid
+        (s0, s1), (fol0, fol1), grid = self.slices, self.foliations, self.grid
         g, c0 = s0.gas.gamma, s0.c
         ld, valid = self.generator.derivative, self.generator.valid
         xhat = (fol0.xhat1, fol0.xhat2, grid)
@@ -544,21 +633,23 @@ class PairDiagnostics:
         """Extrema over the tracked band of the coercivity quantities: L(mu) along
         the generator, T(wbar) = -t d1(wbar) and the incoming-null derivative
         2*T(wbar) + (t/c) L(wbar)."""
-        s0, s1 = self.s0, self.s1
+        s0, s1 = self.slices
         (wbar0, _, _), (wbar1, _, _) = self.invariants
         l_wbar, m_w = semi_lagrangian(wbar0, wbar1, s0.v1 + s0.c, s0.v2, s0.time, s1.time,
                                       self.grid)
         lbar_wbar = 2.0 * self.twbar0 + s0.time / s0.c * l_wbar
-        l_mu = self.generator.derivative(self.fol0.mu, self.fol1.mu)
+        fol0, fol1 = self.foliations
+        l_mu = self.generator.derivative(fol0.mu, fol1.mu)
 
-        def mm(a, sel):
-            vals = a[sel]
+        def mm(name, a, sel):
+            vals = band_values(a, sel, self.grid, s0.time, name)
             if vals.size == 0:
                 raise ValueError("tracked band is empty")
             return float(vals.min()), float(vals.max())
 
-        return {"L_mu": mm(l_mu, mask & self.generator.valid), "T_wbar": mm(self.twbar0, mask),
-                "Lbar_wbar": mm(lbar_wbar, mask & m_w)}
+        return {"L_mu": mm("L_mu", l_mu, mask & self.generator.valid),
+                "T_wbar": mm("T_wbar", self.twbar0, mask),
+                "Lbar_wbar": mm("Lbar_wbar", lbar_wbar, mask & m_w)}
 
 
 def commutation_residual_y(s0: FlowField, s1: FlowField, use_euler_rhs: bool = True) -> np.ndarray:

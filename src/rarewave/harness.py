@@ -496,24 +496,38 @@ def _band_rows(rec: _Slice):
              float(np.max(np.abs(fol.eta[m])))])
 
 
+def _windowed_band(rec: _Slice, grid: Grid) -> np.ndarray:
+    """The band mask of a slice on the rows of grid, which must hold all of
+    its rows."""
+    rows = np.flatnonzero(rec.band.any(axis=1))
+    if rows.size:
+        geo.check_rows(rows[0], rows[-1] + 1, grid, rec.time, "the band mask")
+    return rec.band[grid.rows]
+
+
 def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
     """Sign-monitor, second-frame and residual rows of the evaluator's slice
     pair, one per base slice in bases (each one of the pair's slices); none
     when bases or the band of the pair's first slice is empty."""
-    m = pair.s0.band
-    if not (bases and np.any(m)):
+    if not (bases and np.any(pair.s0.band)):
         return
+    grid = pair.grid
+
+    def max_abs(a, sel, rec, what):
+        return float(np.max(np.abs(geo.band_values(a, sel, grid, rec.time, what))))
+
+    m = _windowed_band(pair.s0, grid)
     mon = pair.sign_monitors(m)
-    structure = [float(np.max(np.abs(res[sel]))) if np.any(sel := m & ok) else float("nan")
-                 for res, ok in pair.structure_residuals().values()]  # kappa, that1, that2, chi
+    structure = [max_abs(res, sel, pair.s0, f"structure residual {name}")
+                 if np.any(sel := m & ok) else float("nan")
+                 for name, (res, ok) in pair.structure_residuals().items()]
     del pair.generator  # frees its eight planes: the commutation residuals do not use it
-    commutation = [float(np.max(np.abs(pair.commutation_residual_y()[m]))),
-                   float(np.max(np.abs(pair.commutation_residual_z()[m])))]
+    commutation = [max_abs(pair.commutation_residual_y(), m, pair.s0, "commutation residual y"),
+                   max_abs(pair.commutation_residual_z(), m, pair.s0, "commutation residual z")]
     for rb in bases:
-        frame, mb = geo.second_frame(rb), rb.band
-        yscale = [rb.time, float(np.max(np.abs(frame.yt[mb]))),
-                  float(np.max(np.abs(frame.zt[mb]))), float(np.max(np.abs(frame.y[mb]))),
-                  float(np.max(np.abs(frame.z[mb])))]
+        frame, mb = geo.second_frame(rb, grid), _windowed_band(rb, grid)
+        yscale = [rb.time, *(max_abs(a, mb, rb, "second frame")
+                             for a in (frame.yt, frame.zt, frame.y, frame.z))]
         yield ([rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale,
                [rb.time, *commutation, *structure])
 
@@ -543,8 +557,8 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
     u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels))
-    energy_args = dict(psis=("wbar", "w", "psi2"), orders=list(range(cfg.orders + 1)),
-                       u_values=u_values, u_min=cfg.u_lo)
+    band_args = dict(orders=list(range(cfg.orders + 1)), u_values=u_values, u_min=cfg.u_lo)
+    energy_args = dict(psis=("wbar", "w", "psi2"), **band_args)
 
     field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0),
                                         cfg.perturbation(), u_glue=cfg.u_glue)
@@ -587,9 +601,12 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
 
             # one evaluator per pair closing here serves the energies of slice k-1 (and of
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
-            # cell-crossing times so that the two-time derivatives refine with the grid
+            # cell-crossing times so that the two-time derivatives refine with the grid; its
+            # planes hold only the rows of its band window
             for k0, js in closes.get(k, {}).items():
-                pair = geo.PairDiagnostics(window[k0], rec, window[k0].foliation, rec.foliation)
+                s0 = window[k0]
+                pair = geo.PairDiagnostics(s0, rec, s0.foliation, rec.foliation, grid=en.band_window(
+                    s0, rec, s0.foliation, rec.foliation, **band_args))
                 if k0 == k - 1:
                     for side in ((0, 1) if k == last else (0,)):
                         energy_slices.append(en.energies_of_slice(pair, side, **energy_args))

@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,21 @@ def test_tracer_targets_resolve():
         if owner is None:
             missing.append(f"{module}.{attr_path}")
     assert not missing, f"perfbench/tracer.py patches undefined names {missing}"
+
+
+def test_runtime_needs_numpy_only():
+    # a fresh interpreter imports every module of the package; the top-level
+    # modules that this adds must come from the standard library or numpy
+    # (modules a site hook imports at start-up are not the package's, and
+    # __mp_main__ is the name multiprocessing gives __main__)
+    code = ("import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import rarewave\n"
+            "for m in pkgutil.iter_modules(rarewave.__path__):\n"
+            "    importlib.import_module('rarewave.' + m.name)\n"
+            "print(' '.join({n.split('.')[0] for n in set(sys.modules) - before}))\n")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "numpy" in added
+    foreign = set(added) - set(sys.stdlib_module_names) - {"numpy", "rarewave", "__mp_main__"}
+    assert not foreign, f"importing rarewave loads non-numpy dependencies {sorted(foreign)}"

@@ -9,17 +9,21 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarewave.cli import main as cli_main
-from rarewave.euler2d import FlowField, Grid, NumericalError, SolverConfig
+from rarewave.euler2d import (FlowField, Grid, NumericalError, PerturbationMode,
+                              PerturbationSpec, SolverConfig, init_perturbed_rarefaction,
+                              iter_run)
 from rarewave.harness import (ConfigError, RunConfig, StudySpec, default_config,
                               emit_plots, parse_config, run_single, run_study, slope_fit)
 from rarewave.snapshot_io import read_planes, read_snapshot, write_planes, write_snapshot
 
+import rarewave.energies as en
 import rarewave.geometry as geo
 import rarewave.harness as harness
 
-from conftest import GAS2, fan_field, perturbed_pair, small_grid
+from conftest import GAS2, fan_field, perturbed_pair, same_bits, small_grid
 
 TINY = """
 [grid]
@@ -487,6 +491,118 @@ class TestPairRows:
         assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15}
 
 
+U_LO, U_STAR = 0.3, 1.5
+U_VALUES = [0.375, 0.75, 1.125, 1.5]
+
+
+def run_records(n1, n2, times):
+    """Slice records of a perturbed run at the given times (the first is
+    the start time), with foliation and band as a run forms them."""
+    spec = PerturbationSpec(epsilon=0.02, modes=(PerturbationMode(2, 1, 1.0, 0.3),),
+                            strip=(-0.5, 1.1))
+    grid = small_grid(n1=n1, n2=n2)
+    f = init_perturbed_rarefaction(GAS2, grid, times[0], (0.0, 1.0), spec, u_glue=1.9)
+    snapshots = map(harness._Slice, iter_run(f, SolverConfig(snapshot_times=times)))
+    records = []
+    for rec, u in geo.iter_evolve_u(snapshots, 1.0 - grid.mesh()[0] / times[0]):
+        rec.foliation = geo.frame_fields(rec, u, check_band=(U_LO, U_STAR))
+        rec.band = geo.band_mask(u, U_LO, U_STAR)
+        records.append(rec)
+    return records
+
+
+def evaluate(r0, r1, grid, orders):
+    """The energies of both slices and the pair rows of both as bases, of the
+    pair (r0, r1) formed on the rows of grid, as flat float arrays."""
+    pair = geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation, grid=grid)
+    energies = [en.energies_of_slice(pair, side, ("wbar", "w", "psi2"), orders, U_VALUES, U_LO)
+                for side in (0, 1)]
+    rows = [value for triple in harness._pair_rows(pair, [r0, r1]) for row in triple
+            for value in row]
+    return [np.concatenate([e[key].ravel() for key in sorted(e, key=str)]) for e in energies] \
+        + [np.array(rows)]
+
+
+def same_results(a, b):
+    return all(same_bits(x, y) for x, y in zip(a, b))
+
+
+def halo_window(r0, r1, halo):
+    """The rows that the band results of the pair read, plus halo rows."""
+    hulls = [en._read_rows(r.foliation, U_LO, U_VALUES) for r in (r0, r1)]
+    lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
+    return r0.grid.window(max(lo - halo, 0), min(hi + halo, r0.grid.n1))
+
+
+def contains(outer, inner):
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+@pytest.fixture(scope="module")
+def moving_band():
+    """A 128x32 perturbed run whose band moves and widens: it covers about
+    7 of the 128 x1 rows at the first slice and 20 at the last."""
+    return run_records(128, 32, (0.2, 0.26, 0.34, 0.45, 0.6))
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    return run_records(64, 16, (0.3, 0.36, 0.45, 0.6))
+
+
+class TestBandWindow:
+    @pytest.mark.parametrize("k0, k1", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4)])
+    def test_matches_whole_plane_bitwise(self, moving_band, k0, k1):
+        r0, r1 = moving_band[k0], moving_band[k1]
+        window = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, [0, 1])
+        assert 0 < window.lo and window.hi < r0.grid.n1  # a window inside the grid
+        assert same_results(evaluate(r0, r1, window, [0, 1]), evaluate(r0, r1, r0.grid, [0, 1]))
+
+    def test_band_moves(self, moving_band):
+        windows = [en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, [0, 1])
+                   for r0, r1 in zip(moving_band, moving_band[1:])]
+        assert all(b.hi > a.hi for a, b in zip(windows, windows[1:]))
+
+    # with order-0 words only, no x1 derivative precedes the flow stencils, so the
+    # reach of the stencils over the wide pair sets the smallest halo; with words of
+    # order 2 over a close pair, the chain of x1 derivatives sets it
+    @pytest.mark.parametrize("k0, k1, orders", [(2, 4, [0]), (2, 4, [0, 1]), (0, 1, [0, 1, 2])])
+    def test_halo_one_row_short_raises(self, moving_band, k0, k1, orders):
+        # the smallest halo that gives results is at most the derived one, and
+        # one row less gives NumericalError naming the time and row, not a number
+        r0, r1 = moving_band[k0], moving_band[k1]
+        derived = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, orders)
+        halo = 0
+        while True:
+            try:
+                results = evaluate(r0, r1, halo_window(r0, r1, halo), orders)
+                break
+            except NumericalError:
+                halo += 1
+        assert halo > 0 and contains(derived, halo_window(r0, r1, halo))
+        assert same_results(results, evaluate(r0, r1, r0.grid, orders))
+        with pytest.raises(NumericalError, match=rf"t=({r0.time:.6g}|{r1.time:.6g})\b.*\brow \d+"):
+            evaluate(r0, r1, halo_window(r0, r1, halo - 1), orders)
+
+    @settings(max_examples=8, deadline=None)
+    @given(k0=st.integers(0, 2), gap=st.integers(1, 2), order=st.integers(0, 2),
+           halo=st.integers(0, 14))
+    def test_any_halo_is_exact_or_raises(self, small_run, k0, gap, order, halo):
+        # a window at least as wide as the derived one gives the whole-plane
+        # bits; a narrower one gives them too, or raises NumericalError
+        r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
+        orders = list(range(order + 1))
+        window = halo_window(r0, r1, halo)
+        derived = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, orders)
+        whole = evaluate(r0, r1, r0.grid, orders)
+        try:
+            windowed = evaluate(r0, r1, window, orders)
+        except NumericalError:
+            assert not contains(window, derived)
+            return
+        assert same_results(windowed, whole)
+
+
 class TestStudies:
     def test_single_study_layout(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -576,6 +692,41 @@ class TestCLI:
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("[gas]\ngamma = 9\n")
         assert cli_main(["run", str(cfg_file)]) == 2
+
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        import rarewave.euler2d as euler2d
+
+        calls, step = [0], euler2d.step
+
+        def overlong_step(f, dt, config):
+            # the sixth step is a thousand times too long: the density goes negative
+            calls[0] += 1
+            return step(f, dt * (1e3 if calls[0] == 6 else 1.0), config)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(euler2d, "step", overlong_step)
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(TINY)
+        assert cli_main(["run", str(cfg_file), "--out", str(tmp_path / "r")]) == 1
+        assert re.fullmatch(r"analysis failure: non-positive or NaN density at t=[\d.]+: "
+                            r"\d+ cells, first at \(i=\d+, j=\d+\) with rho=\S+\n",
+                            capsys.readouterr().err)
+        assert solve_manifest(tmp_path / "r")["status"] == "failed"
+
+    def test_degenerate_foliation_exit_code(self, tmp_path, monkeypatch, capsys):
+        frame_fields = geo.frame_fields
+
+        def flat_frame_fields(field, u, check_band=None):
+            return frame_fields(field, np.ones_like(u), check_band)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(geo, "frame_fields", flat_frame_fields)
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(TINY)
+        assert cli_main(["run", str(cfg_file), "--out", str(tmp_path / "r")]) == 1
+        assert re.fullmatch(r"analysis failure: \|grad u\| < 1e-08 inside the tracked band "
+                            r"at t=0\.2\n", capsys.readouterr().err)
+        assert solve_manifest(tmp_path / "r")["status"] == "failed"
 
 
 class TestRemainingSurfaces:
