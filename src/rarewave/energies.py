@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 ORDER_CAP = 3
+A_INFLATION = 1.05  # factor on the least A that meets the hypothesis, in fit_gronwall_constants
 
 
 # ---------------------------------------------------------------------------
@@ -108,20 +109,20 @@ def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple
     return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
 
 
-def band_window(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,
-                u_min: float, u_values: Sequence[float], orders: Sequence[int]) -> Grid:
+def band_window(s0: FlowField, s1: FlowField, fol0: Foliation,
+                read_rows: Sequence[Tuple[int, int]], orders: Sequence[int]) -> Grid:
     """The rows on which the evaluator of the slice pair (s0, s1) forms its
     planes: those that the energies of either slice over the bands
     {u_min <= u <= u_value} read, and with them the pair diagnostics over
     the band masks of s0 and s1 up to the largest u value.
 
-    It is the hull of the `_read_rows` of both slices plus a halo: one row
-    per x1 derivative chained before a band row is read (the T letters of a
-    word and the gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of the
-    pair's flow stencils.  Returns the slices' grid when no row is read.
+    It is the hull of read_rows (the slices' `_read_rows`) plus a halo: one
+    row per x1 derivative chained before a band row is read (the T letters
+    of a word and the gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of
+    the pair's flow stencils.  Returns the slices' grid when no row is read.
     """
     grid = s0.grid
-    hulls = [h for h in (_read_rows(f, u_min, u_values) for f in (fol0, fol1)) if h[0] < h[1]]
+    hulls = [h for h in read_rows if h[0] < h[1]]
     if not hulls:
         return grid
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
@@ -334,8 +335,8 @@ class EnergyReport:
         return rep
 
 
-def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
-                      orders: Sequence[int], u_values: Sequence[float],
+def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, int],
+                      psis: Sequence[str], orders: Sequence[int], u_values: Sequence[float],
                       u_min: float = 0.0) -> Dict[Tuple[str, int, float], np.ndarray]:
     """Energies and flux line integrals of one time slice.
 
@@ -343,9 +344,9 @@ def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
     (side 0) or s1 (side 1).  The pair's invariants and generator flow
     stencil, c, and the band weights and level curve (with its sampling
     stencil) of each requested u are shared by every invariant, word and band.
-    Every plane holds the rows of the pair's grid; the rows that the band
-    and the level curves read (`_read_rows`) must be among them, and a band
-    result that reads a NaN raises NumericalError naming the time and row.
+    Every plane holds the rows of the pair's grid; read_rows (the slice's
+    `_read_rows`) must be among them, and a band result that reads a NaN
+    raises NumericalError naming the time and row.
 
     For each (psi, n, u) the array has one row per energy: outgoing
     (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
@@ -365,7 +366,7 @@ def energies_of_slice(pair: PairDiagnostics, side: int, psis: Sequence[str],
     times = (pair.s0.time, pair.s1.time)
     invariants, flow = pair.invariants, pair.generator
     c = pair.slices[side].c
-    lo, hi = _read_rows((pair.fol0, pair.fol1)[side], u_min, u_values)
+    lo, hi = read_rows
     check_rows(lo, hi, grid, fol.time, "the band")
     # the products of a band area are written into a zero plane of the whole
     # grid, so that its sum adds the same terms in the same order however
@@ -455,7 +456,8 @@ class EnergyAnalysis:
         """`energies_of_slice` of time slice k."""
         k0 = k if k + 1 < len(self.snapshots) else k - 1
         pair = PairDiagnostics(*self.snapshots[k0:k0 + 2], *self.foliations[k0:k0 + 2])
-        return energies_of_slice(pair, k - k0, psis, orders, u_values, self.u_min)
+        read_rows = _read_rows(self.foliations[k], self.u_min, u_values)
+        return energies_of_slice(pair, k - k0, read_rows, psis, orders, u_values, self.u_min)
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
                u_values: Sequence[float], epsilon: float) -> EnergyReport:
@@ -628,8 +630,8 @@ def gronwall_verify(inst: GronwallInstance, slack: Optional[float] = None) -> Gr
                            passed=ratio <= 1.0 + slack)
 
 
-def fit_gronwall_constants(E: np.ndarray, F: np.ndarray, t: np.ndarray, u: np.ndarray,
-                           inflate: float = 1.05) -> GronwallInstance:
+def fit_gronwall_constants(E: np.ndarray, F: np.ndarray, t: np.ndarray,
+                           u: np.ndarray) -> GronwallInstance:
     """Least-squares (A, B, C) for measured lattices, then inflate A until the
     hypothesis holds everywhere.  Used to report measured growth constants."""
     t = np.asarray(t, dtype=float)
@@ -648,5 +650,5 @@ def fit_gronwall_constants(E: np.ndarray, F: np.ndarray, t: np.ndarray, u: np.nd
     rhs_bc = B * int_f + C * int_e
     with np.errstate(divide="ignore", invalid="ignore"):
         need = (E + F - rhs_bc) / np.broadcast_to(t[:, None] ** 2, E.shape)
-    A = max(A, float(np.nanmax(need))) * inflate
+    A = max(A, float(np.nanmax(need))) * A_INFLATION
     return GronwallInstance(A=A, B=B, C=C, t=t, u=u, E=E, F=F)

@@ -173,11 +173,11 @@ class FlowField:
     def c(self) -> np.ndarray:
         return sound_speed(self.gas, self.rho)
 
-    def invariants(self, rows: slice = slice(None)):
-        """(wbar, w, psi2) arrays, on the x1 rows `rows`."""
-        s = 2.0 * self.c[rows] / (self.gas.gamma - 1.0)
-        v1 = self.v1[rows]
-        return 0.5 * (s + v1), 0.5 * (s - v1), -self.v2[rows]
+    def invariants(self):
+        """(wbar, w, psi2) arrays."""
+        s = 2.0 * self.c / (self.gas.gamma - 1.0)
+        v1 = self.v1
+        return 0.5 * (s + v1), 0.5 * (s - v1), -self.v2
 
     def copy(self, time=None):
         out = FlowField(self.gas, self.grid, self.time if time is None else time,
@@ -374,8 +374,7 @@ def clamped_fan_profile(gas: PolytropicGas, v0: float, c0: float, u_glue: float,
 
 def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
                                fan_params: Tuple[float, float],
-                               spec: PerturbationSpec,
-                               u_glue: Optional[float] = None) -> FlowField:
+                               spec: PerturbationSpec, u_glue: float) -> FlowField:
     """Flow field at t = delta: frozen fan profile plus the spec perturbation."""
     import warnings
 
@@ -384,8 +383,6 @@ def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
     if spec.epsilon > 0.05:
         warnings.warn(f"perturbation amplitude {spec.epsilon} is outside the small-amplitude regime")
     v0, c0 = fan_params
-    if u_glue is None:
-        u_glue = 0.4 + 0.5 * (gas.gamma + 1.0) / (gas.gamma - 1.0) * c0
     head = v0 + c0
     if not (grid.x1_min < (head - u_glue) * delta and grid.x1_max > head * delta):
         raise ValueError("fan data strip does not fit inside the grid")
@@ -633,8 +630,8 @@ def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
     if invariant == "wbar":
         return 0.5 * c * _d2(psi2, grid.dx2)
     if invariant == "w":
-        return 2.0 * c * _d1(w, grid.dx1) + 0.5 * c * _d2(psi2, grid.dx2)
-    return c * _d1(psi2, grid.dx1) + c * _d2(wbar + w, grid.dx2)
+        return 2.0 * c * grid.d1(w) + 0.5 * c * _d2(psi2, grid.dx2)
+    return c * grid.d1(psi2) + c * _d2(wbar + w, grid.dx2)
 
 
 def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np.ndarray:

@@ -338,14 +338,11 @@ def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[flo
                      chi, zeta, eta, theta, xv1, xv2, xc)
 
 
-def second_frame(field: FlowField, grid: Optional[Grid] = None) -> SecondFrame:
-    """Transverse gradients of the maximal characteristic speed and of v2, on
-    the rows of grid (a window of the field's grid; all of it by default)."""
+def second_frame(field: FlowField) -> SecondFrame:
+    """Transverse gradients of the maximal characteristic speed and of v2."""
     if field.time <= 0.0:
         raise ValueError("second frame requires t > 0")
-    grid = field.grid if grid is None else grid
-    rows = grid.rows
-    return _second_frame(field.time, field.v1[rows] + field.c[rows], field.v2[rows], grid)
+    return _second_frame(field.time, field.v1 + field.c, field.v2, field.grid)
 
 
 def _second_frame(t: float, speed: np.ndarray, v2: np.ndarray, grid: Grid) -> SecondFrame:
@@ -457,19 +454,6 @@ def semi_lagrangian(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float
     return flow.derivative(f0, f1), flow.valid
 
 
-class _SliceRows:
-    """Time, gas and the v1, v2 and c planes of a flow slice on the rows of
-    grid: views where the slice keeps its planes, else formed on each read."""
-
-    def __init__(self, s: FlowField, grid: Grid):
-        self.slice, self.rows = s, grid.rows
-        self.time, self.gas, self.grid = s.time, s.gas, grid
-
-    v1 = property(lambda self: self.slice.v1[self.rows])
-    v2 = property(lambda self: self.slice.v2[self.rows])
-    c = property(lambda self: self.slice.c[self.rows])
-
-
 def band_values(a: np.ndarray, sel: np.ndarray, grid: Grid, time: float, what: str) -> np.ndarray:
     """a[sel]: the values of a plane on the rows of grid that a band result
     reads.  A NaN among them raises NumericalError naming the time and the
@@ -512,10 +496,11 @@ class PairDiagnostics:
     slice pair (s0, s1) in time order with foliations fol0 and fol1, which
     the commutation residuals do not need.
 
-    Every plane is formed on the rows of grid: the slices' grid, or a
-    `RowWindow` of it that holds the rows a caller reads plus a halo (see
-    `energies.band_window`).  Planes and masks that methods take or return
-    hold those rows; a value that would need rows past a window is NaN.
+    Every plane is formed on the rows of the slices' and foliations' grid:
+    a whole grid, or a `RowWindow` of the rows a caller reads plus a halo
+    (a run restricts its records to `energies.band_window`).  Planes and
+    masks that methods take or return hold those rows; a value that would
+    need rows past a window is NaN.
 
     What several of them share is formed once, on first use: the invariants
     of both slices, X(wbar) and T(wbar), the midpoint fields of the
@@ -523,21 +508,17 @@ class PairDiagnostics:
     """
 
     def __init__(self, s0: FlowField, s1: FlowField, fol0: Optional[Foliation] = None,
-                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True,
-                 grid: Optional[Grid] = None):
-        self.s0, self.s1, self.fol0, self.fol1 = s0, s1, fol0, fol1
+                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True):
+        self.s0, self.s1 = self.slices = s0, s1
+        self.foliations = fol0, fol1
         self.use_euler_rhs = use_euler_rhs
-        self.grid = s0.grid if grid is None else grid
+        self.grid = s0.grid
         self.t = 0.5 * (s0.time + s1.time)
-        self.slices = _SliceRows(s0, self.grid), _SliceRows(s1, self.grid)
-        if fol0 is not None:
-            self.foliations = fol0.restricted(self.grid), fol1.restricted(self.grid)
 
     @cached_property
     def invariants(self):
         """(wbar, w, psi2) of s0 and of s1."""
-        rows = self.grid.rows
-        return self.s0.invariants(rows), self.s1.invariants(rows)
+        return self.s0.invariants(), self.s1.invariants()
 
     @cached_property
     def xwbar(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ ladders into JSON/CSV reports with gnuplot-ready data files.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import json
@@ -465,8 +466,9 @@ class _Slice:
 
     It stands in for its snapshot in the analysis functions, which read
     gas, grid, time, v1, v2, c and invariants() from it; the three planes
-    are computed once, here.  The foliation (which holds u) and the band
-    mask are added once they are formed.
+    are computed once, here.  `form_foliation` adds the foliation (which
+    holds u), the band mask and the rows its band results read; `on` alone
+    restricts a slice to the rows of a window.
     """
 
     invariants = FlowField.invariants
@@ -477,6 +479,28 @@ class _Slice:
         self.v1, self.v2, self.c = snapshot.v1, snapshot.v2, snapshot.c
         self.foliation: Optional[geo.Foliation] = None
         self.band: Optional[np.ndarray] = None
+        self.read_rows = (0, 0)
+
+    def form_foliation(self, u: np.ndarray, u_lo: float, u_star: float,
+                       u_values: Sequence[float]) -> None:
+        """The foliation of u, the band mask {u_lo <= u <= u_star} and the
+        rows that the energies over the bands up to each of u_values read."""
+        self.foliation = geo.frame_fields(self, u, check_band=(u_lo, u_star))
+        self.band = geo.band_mask(u, u_lo, u_star)
+        self.read_rows = en._read_rows(self.foliation, u_lo, u_values)
+
+    def on(self, grid: Grid) -> "_Slice":
+        """This slice on the rows of grid, a window of its grid that must
+        hold every row of its band; planes, band and foliation are views."""
+        band_rows = np.flatnonzero(self.band.any(axis=1))
+        if band_rows.size:
+            geo.check_rows(band_rows[0], band_rows[-1] + 1, grid, self.time, "the band mask")
+        rows = grid.rows
+        view = copy.copy(self)
+        view.grid = grid
+        view.v1, view.v2, view.c = self.v1[rows], self.v2[rows], self.c[rows]
+        view.band, view.foliation = self.band[rows], self.foliation.restricted(grid)
+        return view
 
 
 def _band_rows(rec: _Slice):
@@ -496,27 +520,17 @@ def _band_rows(rec: _Slice):
              float(np.max(np.abs(fol.eta[m])))])
 
 
-def _windowed_band(rec: _Slice, grid: Grid) -> np.ndarray:
-    """The band mask of a slice on the rows of grid, which must hold all of
-    its rows."""
-    rows = np.flatnonzero(rec.band.any(axis=1))
-    if rows.size:
-        geo.check_rows(rows[0], rows[-1] + 1, grid, rec.time, "the band mask")
-    return rec.band[grid.rows]
-
-
 def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
     """Sign-monitor, second-frame and residual rows of the evaluator's slice
     pair, one per base slice in bases (each one of the pair's slices); none
     when bases or the band of the pair's first slice is empty."""
-    if not (bases and np.any(pair.s0.band)):
+    m, grid = pair.s0.band, pair.grid
+    if not (bases and np.any(m)):
         return
-    grid = pair.grid
 
     def max_abs(a, sel, rec, what):
         return float(np.max(np.abs(geo.band_values(a, sel, grid, rec.time, what))))
 
-    m = _windowed_band(pair.s0, grid)
     mon = pair.sign_monitors(m)
     structure = [max_abs(res, sel, pair.s0, f"structure residual {name}")
                  if np.any(sel := m & ok) else float("nan")
@@ -525,8 +539,8 @@ def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
     commutation = [max_abs(pair.commutation_residual_y(), m, pair.s0, "commutation residual y"),
                    max_abs(pair.commutation_residual_z(), m, pair.s0, "commutation residual z")]
     for rb in bases:
-        frame, mb = geo.second_frame(rb, grid), _windowed_band(rb, grid)
-        yscale = [rb.time, *(max_abs(a, mb, rb, "second frame")
+        frame = geo.second_frame(rb)
+        yscale = [rb.time, *(max_abs(a, rb.band, rb, "second frame")
                              for a in (frame.yt, frame.zt, frame.y, frame.z))]
         yield ([rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale,
                [rb.time, *commutation, *structure])
@@ -557,8 +571,8 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
     u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels))
-    band_args = dict(orders=list(range(cfg.orders + 1)), u_values=u_values, u_min=cfg.u_lo)
-    energy_args = dict(psis=("wbar", "w", "psi2"), **band_args)
+    orders = list(range(cfg.orders + 1))
+    energy_args = dict(psis=("wbar", "w", "psi2"), orders=orders, u_values=u_values, u_min=cfg.u_lo)
 
     field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0),
                                         cfg.perturbation(), u_glue=cfg.u_glue)
@@ -571,8 +585,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     with _snapshots(field0, cfg.solver(), process) as snapshots:
         records = geo.iter_evolve_u(map(_Slice, snapshots), u_init, cfl=cfg.cfl)
         for k, (rec, u) in enumerate(records):
-            rec.foliation = geo.frame_fields(rec, u, check_band=(cfg.u_lo, cfg.u_star))
-            rec.band = geo.band_mask(u, cfg.u_lo, cfg.u_star)
+            rec.form_foliation(u, cfg.u_lo, cfg.u_star, u_values)
             window[k] = rec
             s = rec.snapshot
             times.append(rec.time)
@@ -601,17 +614,20 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
 
             # one evaluator per pair closing here serves the energies of slice k-1 (and of
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
-            # cell-crossing times so that the two-time derivatives refine with the grid; its
-            # planes hold only the rows of its band window
+            # cell-crossing times so that the two-time derivatives refine with the grid; it
+            # sees both slices only on the rows of their band window
             for k0, js in closes.get(k, {}).items():
-                s0 = window[k0]
-                pair = geo.PairDiagnostics(s0, rec, s0.foliation, rec.foliation, grid=en.band_window(
-                    s0, rec, s0.foliation, rec.foliation, **band_args))
+                r0 = window[k0]
+                rows = en.band_window(r0, rec, r0.foliation, (r0.read_rows, rec.read_rows), orders)
+                s0, s1 = r0.on(rows), rec.on(rows)
+                pair = geo.PairDiagnostics(s0, s1, s0.foliation, s1.foliation)
                 if k0 == k - 1:
                     for side in ((0, 1) if k == last else (0,)):
-                        energy_slices.append(en.energies_of_slice(pair, side, **energy_args))
-                pair_rows.update(zip(js, _pair_rows(pair, [window[base_idx[j]] for j in js])))
-                del pair  # its planes must not outlive the pair into the next slice
+                        energy_slices.append(en.energies_of_slice(
+                            pair, side, (r0, rec)[side].read_rows, **energy_args))
+                pair_rows.update(zip(js, _pair_rows(pair, [s0 if base_idx[j] == k0 else s1
+                                                           for j in js])))
+                del pair, s0, s1  # their planes must not outlive the pair into the next slice
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")

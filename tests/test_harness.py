@@ -428,16 +428,15 @@ def pair_records():
     records = []
     for s, u in perturbed_pair(128, 32):
         rec = harness._Slice(s)
-        rec.foliation = geo.frame_fields(rec, u)
-        rec.band = geo.band_mask(u, 0.3, 1.3)
+        rec.form_foliation(u, 0.3, 1.3, [1.3])
         records.append(rec)
     return records
 
 
-def count_calls(monkeypatch, geometry_names):
-    """Call counts of _Slice.invariants and of the named geometry functions,
-    filled in as the code under test runs."""
-    counts = dict.fromkeys(["invariants", *geometry_names], 0)
+def count_calls(monkeypatch, geometry_names, energies_names=()):
+    """Call counts of _Slice.invariants and of the named geometry and
+    energies functions, filled in as the code under test runs."""
+    counts = dict.fromkeys(["invariants", *geometry_names, *energies_names], 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -447,8 +446,9 @@ def count_calls(monkeypatch, geometry_names):
 
     monkeypatch.setattr(harness._Slice, "invariants",
                         counting("invariants", harness._Slice.invariants))
-    for name in geometry_names:
-        monkeypatch.setattr(geo, name, counting(name, getattr(geo, name)))
+    for module, names in ((geo, geometry_names), (en, energies_names)):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
 
@@ -482,13 +482,15 @@ class TestPairRows:
         # 9 slices: 8 energy pairs (k - 1, k), 3 of them also (base, partner)
         # pairs, and 2 more (base, partner) pairs; each pair forms the invariants
         # of its two slices and its generator stencil once, and each of the 5
-        # (base, partner) pairs also its (v1+c, v2) stencil
-        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"])
+        # (base, partner) pairs also its (v1+c, v2) stencil; each slice finds the
+        # rows its band results read once
+        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"], ["_read_rows"])
         cfg = parse_config("[grid]\nn1 = 128\nn2 = 32\n[time]\ndelta = 0.2\n"
                            "[solver]\nsnapshots = 5\n")
         run_single(cfg, out_dir=tmp_path)
         # the predicates add the invariants of slice 0
-        assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15}
+        assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15,
+                          "_read_rows": 9}
 
 
 U_LO, U_STAR = 0.3, 1.5
@@ -505,8 +507,7 @@ def run_records(n1, n2, times):
     snapshots = map(harness._Slice, iter_run(f, SolverConfig(snapshot_times=times)))
     records = []
     for rec, u in geo.iter_evolve_u(snapshots, 1.0 - grid.mesh()[0] / times[0]):
-        rec.foliation = geo.frame_fields(rec, u, check_band=(U_LO, U_STAR))
-        rec.band = geo.band_mask(u, U_LO, U_STAR)
+        rec.form_foliation(u, U_LO, U_STAR, U_VALUES)
         records.append(rec)
     return records
 
@@ -514,10 +515,12 @@ def run_records(n1, n2, times):
 def evaluate(r0, r1, grid, orders):
     """The energies of both slices and the pair rows of both as bases, of the
     pair (r0, r1) formed on the rows of grid, as flat float arrays."""
-    pair = geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation, grid=grid)
-    energies = [en.energies_of_slice(pair, side, ("wbar", "w", "psi2"), orders, U_VALUES, U_LO)
-                for side in (0, 1)]
-    rows = [value for triple in harness._pair_rows(pair, [r0, r1]) for row in triple
+    s0, s1 = r0.on(grid), r1.on(grid)
+    pair = geo.PairDiagnostics(s0, s1, s0.foliation, s1.foliation)
+    energies = [en.energies_of_slice(pair, side, r.read_rows, ("wbar", "w", "psi2"), orders,
+                                     U_VALUES, U_LO)
+                for side, r in enumerate((r0, r1))]
+    rows = [value for triple in harness._pair_rows(pair, [s0, s1]) for row in triple
             for value in row]
     return [np.concatenate([e[key].ravel() for key in sorted(e, key=str)]) for e in energies] \
         + [np.array(rows)]
@@ -529,9 +532,13 @@ def same_results(a, b):
 
 def halo_window(r0, r1, halo):
     """The rows that the band results of the pair read, plus halo rows."""
-    hulls = [en._read_rows(r.foliation, U_LO, U_VALUES) for r in (r0, r1)]
+    hulls = [r.read_rows for r in (r0, r1)]
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     return r0.grid.window(max(lo - halo, 0), min(hi + halo, r0.grid.n1))
+
+
+def band_window(r0, r1, orders):
+    return en.band_window(r0, r1, r0.foliation, (r0.read_rows, r1.read_rows), orders)
 
 
 def contains(outer, inner):
@@ -554,13 +561,12 @@ class TestBandWindow:
     @pytest.mark.parametrize("k0, k1", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4)])
     def test_matches_whole_plane_bitwise(self, moving_band, k0, k1):
         r0, r1 = moving_band[k0], moving_band[k1]
-        window = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, [0, 1])
+        window = band_window(r0, r1, [0, 1])
         assert 0 < window.lo and window.hi < r0.grid.n1  # a window inside the grid
         assert same_results(evaluate(r0, r1, window, [0, 1]), evaluate(r0, r1, r0.grid, [0, 1]))
 
     def test_band_moves(self, moving_band):
-        windows = [en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, [0, 1])
-                   for r0, r1 in zip(moving_band, moving_band[1:])]
+        windows = [band_window(r0, r1, [0, 1]) for r0, r1 in zip(moving_band, moving_band[1:])]
         assert all(b.hi > a.hi for a, b in zip(windows, windows[1:]))
 
     # with order-0 words only, no x1 derivative precedes the flow stencils, so the
@@ -571,7 +577,7 @@ class TestBandWindow:
         # the smallest halo that gives results is at most the derived one, and
         # one row less gives NumericalError naming the time and row, not a number
         r0, r1 = moving_band[k0], moving_band[k1]
-        derived = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, orders)
+        derived = band_window(r0, r1, orders)
         halo = 0
         while True:
             try:
@@ -593,7 +599,7 @@ class TestBandWindow:
         r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
         orders = list(range(order + 1))
         window = halo_window(r0, r1, halo)
-        derived = en.band_window(r0, r1, r0.foliation, r1.foliation, U_LO, U_VALUES, orders)
+        derived = band_window(r0, r1, orders)
         whole = evaluate(r0, r1, r0.grid, orders)
         try:
             windowed = evaluate(r0, r1, window, orders)
