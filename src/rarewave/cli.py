@@ -21,7 +21,7 @@ import numpy as np
 from .energies import GronwallHypothesisError, GronwallInstance, gronwall_verify
 from .gas import PolytropicGas, PrimitiveState
 from .geometry import DegenerateFoliationError
-from .harness import ConfigError, StudySpec, parse_config, run_single, run_study
+from .harness import STUDY_KINDS, ConfigError, StudySpec, parse_config, run_single, run_study
 from .riemann1d import NumericalError, RiemannProblem1D, solve_riemann
 
 
@@ -111,9 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=_cmd_run)
 
     p_study = sub.add_parser("study", help="execute a parameter study")
-    p_study.add_argument("kind",
-                         choices=["single", "convergence", "epsilon_scaling",
-                                  "delta_robustness"])
+    p_study.add_argument("kind", choices=list(STUDY_KINDS))
     p_study.add_argument("config")
     p_study.add_argument("--ladder", default="")
     p_study.add_argument("--out", default=None)

@@ -74,33 +74,21 @@ def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.
 
 def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
     """Rows [lo, hi) that the band results of fol.u read: the hull of the rows
-    with a nonzero band weight at the largest u value and of the rows that
-    the level curve of each u value crosses or samples; (0, 0) when none.
+    with a nonzero `region_weights` cell at the largest u value and of the
+    rows that the level curve of each u value crosses or samples; (0, 0)
+    when none.
 
-    Whole-row bounds of u find them without forming a whole plane.  A row
-    can hold a band cell only if its u comes within twice the spread of u
-    over it and its neighbour rows (a bound on the cell span) of the band;
-    the weights are formed on the hull of those rows.  The squares between
-    rows r and r+1 cross a level exactly when u in the two rows lies on both
-    sides of it; the curve's sampling stencil then reads rows r-1 to r+2.
+    The squares between rows r and r+1 cross a level exactly when u in the
+    two rows lies on both sides of it; the curve's sampling stencil then
+    reads rows r-1 to r+2.
     """
     u, grid = fol.u, fol.grid
     lo_u, hi_u = u.min(axis=1), u.max(axis=1)
     if np.isnan(lo_u).any():
         raise NumericalError(f"u is NaN at t={fol.time:.6g}, row "
                              f"{np.flatnonzero(np.isnan(lo_u))[0]}")
-    u_max = max(u_values)
-    nb_lo = np.minimum(lo_u, np.minimum(np.r_[lo_u[:1], lo_u[:-1]], np.r_[lo_u[1:], lo_u[-1:]]))
-    nb_hi = np.maximum(hi_u, np.maximum(np.r_[hi_u[:1], hi_u[:-1]], np.r_[hi_u[1:], hi_u[-1:]]))
-    reach = 2.0 * (nb_hi - nb_lo)
-    near = np.flatnonzero((lo_u <= u_max + reach) & (hi_u >= u_min - reach))
-    rows = []
-    if near.size:
-        # the block's first and last rows lack a neighbour unless they are grid edges
-        a, b = max(near[0] - 1, 0), min(near[-1] + 2, grid.n1)
-        w = _band_weights(u[a:b], _cell_span(u[a:b], grid), u_min, u_max, grid)
-        held = np.flatnonzero(w[near[0] - a:near[-1] + 1 - a].any(axis=1)) + near[0]
-        rows += [held[0], held[-1]] if held.size else []
+    held = np.flatnonzero(region_weights(u, u_min, max(u_values), grid).any(axis=1))
+    rows = [held[0], held[-1]] if held.size else []
     for level in u_values:
         crossed = np.flatnonzero((np.minimum(lo_u[:-1], lo_u[1:]) < level)
                                  & (np.maximum(hi_u[:-1], hi_u[1:]) >= level))

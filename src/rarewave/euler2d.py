@@ -25,6 +25,7 @@ __all__ = [
     "PerturbationMode",
     "PerturbationSpec",
     "SolverConfig",
+    "check_fan_strip",
     "clamped_fan_profile",
     "init_perturbed_rarefaction",
     "make_uniform_field",
@@ -372,6 +373,12 @@ def clamped_fan_profile(gas: PolytropicGas, v0: float, c0: float, u_glue: float,
     return fan.state_at_slope(xi)
 
 
+def check_fan_strip(grid: Grid, delta: float, head: float, u_glue: float) -> None:
+    """Raise ValueError unless the fan data strip at t = delta fits inside the grid."""
+    if not (grid.x1_min < (head - u_glue) * delta and grid.x1_max > head * delta):
+        raise ValueError("fan data strip does not fit inside the grid")
+
+
 def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
                                fan_params: Tuple[float, float],
                                spec: PerturbationSpec, u_glue: float) -> FlowField:
@@ -383,9 +390,7 @@ def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
     if spec.epsilon > 0.05:
         warnings.warn(f"perturbation amplitude {spec.epsilon} is outside the small-amplitude regime")
     v0, c0 = fan_params
-    head = v0 + c0
-    if not (grid.x1_min < (head - u_glue) * delta and grid.x1_max > head * delta):
-        raise ValueError("fan data strip does not fit inside the grid")
+    check_fan_strip(grid, delta, v0 + c0, u_glue)
 
     X1, X2 = grid.mesh()
     v1, c = clamped_fan_profile(gas, v0, c0, u_glue, X1, delta)

@@ -305,22 +305,21 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
         s0, start = s1, end
 
 
-def frame_fields(field: FlowField, u: np.ndarray, check_band: Optional[Tuple[float, float]] = None) -> Foliation:
+def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = None) -> Foliation:
     """Frame quantities on one slice from the flow field and u.
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the expansion/torsion scalars from centered
-    tangential stencils.  The foliation keeps u itself, not a copy.
+    tangential stencils.  The foliation keeps u itself, not a copy.  A
+    collapsed gradient inside the band mask raises DegenerateFoliationError.
     """
     grid = field.grid
     du1 = _d1(u, grid.dx1)
     du2 = _d2(u, grid.dx2)
     gnorm = np.hypot(du1, du2)
-    if check_band is not None:
-        m = band_mask(u, *check_band)
-        if np.any(gnorm[m] < GRAD_FLOOR):
-            raise DegenerateFoliationError(
-                f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={field.time}")
+    if band is not None and np.any(gnorm[band] < GRAD_FLOOR):
+        raise DegenerateFoliationError(
+            f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={field.time}")
     safe = np.maximum(gnorm, GRAD_FLOOR)
     kappa = 1.0 / safe
     that1, that2 = du1 / safe, du2 / safe

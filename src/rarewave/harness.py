@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -30,8 +31,8 @@ from . import energies as en
 from . import geometry as geo
 # `run` is unused here but re-exported: the benchmark tracer patches it in this module
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,  # noqa: F401
-                      clamped_fan_profile, init_perturbed_rarefaction, iter_run, run,
-                      total_mass)
+                      check_fan_strip, clamped_fan_profile, init_perturbed_rarefaction,
+                      iter_run, run, total_mass)
 from .gas import PolytropicGas, density_from_sound_speed
 from .snapshot_io import write_csv, write_planes, write_snapshot
 
@@ -39,6 +40,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "StudySpec",
+    "STUDY_KINDS",
     "parse_config",
     "default_config",
     "run_single",
@@ -94,24 +96,25 @@ class RunConfig:
     out_dir: str = "runs"
 
     def validate(self):
-        # the gas, grid, perturbation and solver objects check their own fields
-        try:
-            self.gas()
-            dx1 = self.grid().dx1
-            self.perturbation()
-            SolverConfig(cfl=self.cfl)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.c0 <= 0.0:
             raise ConfigError("c0 must be positive")
         if self.v0 + self.c0 <= 0.0:
             raise ConfigError("fan head speed v0 + c0 must be positive")
         if self.delta <= 0.0:
             raise ConfigError("delta must be positive")
-        if self.delta < 4.0 * dx1 / (self.v0 + self.c0):
+        # the gas, grid, fan strip, perturbation and solver objects check their own fields
+        try:
+            self.gas()
+            grid = self.grid()
+            check_fan_strip(grid, self.delta, self.v0 + self.c0, self.u_glue)
+            self.perturbation()
+            SolverConfig(cfl=self.cfl)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.delta < 4.0 * grid.dx1 / (self.v0 + self.c0):
             raise ConfigError(
                 f"delta = {self.delta} under-resolves the fan: needs at least "
-                f"4*dx1/(v0+c0) = {4.0 * dx1 / (self.v0 + self.c0):.4g}")
+                f"4*dx1/(v0+c0) = {4.0 * grid.dx1 / (self.v0 + self.c0):.4g}")
         if not self.delta < self.t_star <= 1.0:
             raise ConfigError("need delta < t_star <= 1")
         vacuum = (self.gamma + 1.0) / (self.gamma - 1.0) * self.c0
@@ -125,6 +128,10 @@ class RunConfig:
             raise ConfigError("u_lo must lie in [0, u_star)")
         if self.snapshots < 2:
             raise ConfigError("need at least 2 snapshots")
+        first = self.ladder()[0][0]
+        if first < self.delta:
+            raise ConfigError(f"the snapshot ladder starts at t = {first:.4g}, before "
+                              f"delta = {self.delta}: a partner time precedes the start")
         if not (self.x1_min < self.strip_lo and self.strip_hi < self.x1_max):
             raise ConfigError("perturbation strip must sit inside the x1 domain")
         if self.orders < 0 or self.orders > en.ORDER_CAP:
@@ -195,15 +202,16 @@ class RunConfig:
 
 @dataclass
 class StudySpec:
-    kind: str  # single | convergence | epsilon_scaling | delta_robustness
+    kind: str  # a key of STUDY_KINDS
     ladder: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        kinds = ("single", "convergence", "epsilon_scaling", "delta_robustness")
-        if self.kind not in kinds:
+        if self.kind not in STUDY_KINDS:
             raise ConfigError(f"unknown study kind {self.kind!r}")
-        if self.kind != "single" and len(self.ladder) < 2:
+        if STUDY_KINDS[self.kind] is not None and len(self.ladder) < 2:
             raise ConfigError(f"{self.kind} study needs a ladder of at least 2 values")
+        if not all(map(math.isfinite, self.ladder)):
+            raise ConfigError(f"ladder values must be finite: {self.ladder}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +475,8 @@ class _Slice:
     It stands in for its snapshot in the analysis functions, which read
     gas, grid, time, v1, v2, c and invariants() from it; the three planes
     are computed once, here.  `form_foliation` adds the foliation (which
-    holds u), the band mask and the rows its band results read; `on` alone
-    restricts a slice to the rows of a window.
+    holds u), the band mask with the hull of its rows, and the rows its band
+    results read; `on` alone restricts a slice to the rows of a window.
     """
 
     invariants = FlowField.invariants
@@ -479,22 +487,22 @@ class _Slice:
         self.v1, self.v2, self.c = snapshot.v1, snapshot.v2, snapshot.c
         self.foliation: Optional[geo.Foliation] = None
         self.band: Optional[np.ndarray] = None
-        self.read_rows = (0, 0)
+        self.band_rows = self.read_rows = (0, 0)
 
     def form_foliation(self, u: np.ndarray, u_lo: float, u_star: float,
                        u_values: Sequence[float]) -> None:
-        """The foliation of u, the band mask {u_lo <= u <= u_star} and the
-        rows that the energies over the bands up to each of u_values read."""
-        self.foliation = geo.frame_fields(self, u, check_band=(u_lo, u_star))
+        """The band mask {u_lo <= u <= u_star} and its rows [lo, hi), the foliation
+        of u and the rows that the energies over the bands up to u_values read."""
         self.band = geo.band_mask(u, u_lo, u_star)
+        rows = np.flatnonzero(self.band.any(axis=1))
+        self.band_rows = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        self.foliation = geo.frame_fields(self, u, band=self.band)
         self.read_rows = en._read_rows(self.foliation, u_lo, u_values)
 
     def on(self, grid: Grid) -> "_Slice":
         """This slice on the rows of grid, a window of its grid that must
         hold every row of its band; planes, band and foliation are views."""
-        band_rows = np.flatnonzero(self.band.any(axis=1))
-        if band_rows.size:
-            geo.check_rows(band_rows[0], band_rows[-1] + 1, grid, self.time, "the band mask")
+        geo.check_rows(*self.band_rows, grid, self.time, "the band mask")
         rows = grid.rows
         view = copy.copy(self)
         view.grid = grid
@@ -503,7 +511,7 @@ class _Slice:
         return view
 
 
-def _band_rows(rec: _Slice):
+def _band_stats(rec: _Slice):
     """kappa and frame statistics over the band of a base slice, or None
     when the band is empty."""
     m, fol, c = rec.band, rec.foliation, rec.c
@@ -607,7 +615,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
 
             # pointwise foliation statistics over the tracked band at base times
             for _ in range(base_idx.count(k)):  # merged base times share a slice
-                rows = _band_rows(rec)
+                rows = _band_stats(rec)
                 if rows is not None:
                     kappa_rows.append(rows[0])
                     frame_rows.append(rows[1])
@@ -723,13 +731,12 @@ def _measured_gronwall(cfg: RunConfig, energy_report: en.EnergyReport, times) ->
 # studies
 
 def _member_config(cfg: RunConfig, kind: str, value: float) -> RunConfig:
-    if kind == "convergence":
-        return dataclasses.replace(cfg, n1=int(value))
-    if kind == "epsilon_scaling":
-        return dataclasses.replace(cfg, epsilon=float(value))
-    if kind == "delta_robustness":
-        return dataclasses.replace(cfg, delta=float(value))
-    return cfg
+    """The validated config of the member of a kind's study at a ladder value."""
+    name = STUDY_KINDS[kind][0]
+    typed = type(getattr(RunConfig, name))(value)  # the default's type: n1 is an int
+    if typed != value:
+        raise ConfigError(f"ladder value {value:g} is not a valid {name}")
+    return dataclasses.replace(cfg, **{name: typed}).validate()
 
 
 def _run_member(args):
@@ -740,41 +747,36 @@ def _run_member(args):
 def run_study(spec: StudySpec, cfg: RunConfig, out_dir: Optional[Path] = None) -> dict:
     """Execute the study members and aggregate their reports.
 
-    Failures of individual members are recorded and the study continues.
+    Every member config is validated before any member runs; failures of
+    individual runs are recorded and the study continues.
     """
     cfg.validate()
+    kind = STUDY_KINDS[spec.kind]
+    members = [(spec.kind, cfg)] if kind is None else [
+        (f"{spec.kind}-{v:g}", _member_config(cfg, spec.kind, v)) for v in spec.ladder]
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir) / f"study-{spec.kind}"
     out.mkdir(parents=True, exist_ok=True)
-    members = [("single", cfg)] if spec.kind == "single" else [
-        (f"{spec.kind}-{v:g}", _member_config(cfg, spec.kind, v)) for v in spec.ladder]
 
     jobs = [(mc, str(out / name), min(cfg.workers, len(members))) for name, mc in members]
     results: List[Optional[dict]] = [None] * len(jobs)
     failures: List[str] = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_run_member, j) for j in jobs]
-            for i, f in enumerate(futs):
-                try:
-                    results[i] = f.result()
-                except Exception as exc:
-                    failures.append(f"{members[i][0]}: {exc!r}")
-    else:
-        for i, j in enumerate(jobs):
+    with contextlib.ExitStack() as stack:
+        if cfg.workers > 1:  # every member is submitted before the first result is read
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+            calls = [pool.submit(_run_member, j).result for j in jobs]
+        else:
+            calls = [functools.partial(_run_member, j) for j in jobs]
+        for i, call in enumerate(calls):
             try:
-                results[i] = _run_member(j)
+                results[i] = call()
             except Exception as exc:
                 failures.append(f"{members[i][0]}: {exc!r}")
 
     study = {"kind": spec.kind, "ladder": list(spec.ladder), "failures": failures,
              "members": [m[0] for m in members],
              "reports": [r for r in results]}
-    if spec.kind == "convergence" and all(r is not None for r in results):
-        study["convergence"] = _null_nonfinite(_convergence_metrics(results))
-    if spec.kind == "epsilon_scaling" and all(r is not None for r in results):
-        study["epsilon_scaling"] = _null_nonfinite(_epsilon_metrics(results, spec.ladder))
-    if spec.kind == "delta_robustness" and all(r is not None for r in results):
-        study["delta_robustness"] = _null_nonfinite(_delta_metrics(results))
+    if kind is not None and all(r is not None for r in results):
+        study[spec.kind] = _null_nonfinite(kind[1](results))
     _write_json(out / "study.json", study, indent=1)
     emit_plots(study, out)
     return study
@@ -787,11 +789,11 @@ def _null_nonfinite(metrics: Dict[str, list]) -> Dict[str, list]:
             for name, vals in metrics.items()}
 
 
-def _final_residual(report: dict, col: int) -> float:
-    rows = report["residuals"]
-    vals = [r[col] for r in rows if r[0] >= 2.0 * report["config"]["delta"]
-            and np.isfinite(r[col])]
-    return float(np.max(vals)) if vals else float("nan")
+def _late_max(report: dict, table: str, col: int) -> float:
+    """Max of the finite values of a report column at t >= 2*delta, or NaN if none."""
+    vals = [row[col] for row in report[table]
+            if row[0] >= 2.0 * report["config"]["delta"] and math.isfinite(row[col])]
+    return float(max(vals)) if vals else float("nan")
 
 
 def _convergence_metrics(results: Sequence[dict]) -> dict:
@@ -804,7 +806,7 @@ def _convergence_metrics(results: Sequence[dict]) -> dict:
     names = {"commutation_y": 1, "commutation_z": 2, "structure_kappa": 3,
              "structure_that1": 4, "structure_that2": 5}
     for name, col in names.items():
-        vals = [_final_residual(r, col) for r in results]
+        vals = [_late_max(r, "residuals", col) for r in results]
         out[name] = vals
         out[name + "_ratios"] = _ratios(vals)
     return out
@@ -813,12 +815,6 @@ def _convergence_metrics(results: Sequence[dict]) -> dict:
 def _ratios(vals: Sequence[float]) -> List[float]:
     return [vals[i] / vals[i + 1] if vals[i + 1] else float("nan")
             for i in range(len(vals) - 1)]
-
-
-def _late_max(report: dict, table: str, col: int) -> float:
-    """Max of a report table column over the rows at t >= 2*delta."""
-    return float(np.max([row[col] for row in report[table]
-                         if row[0] >= 2 * report["config"]["delta"]]))
 
 
 def _energy_at(report: dict, psi: str, n: int, ring: bool = False) -> float:
@@ -834,7 +830,7 @@ def _energy_at(report: dict, psi: str, n: int, ring: bool = False) -> float:
     return float("nan")
 
 
-def _epsilon_metrics(results: Sequence[dict], ladder) -> dict:
+def _epsilon_metrics(results: Sequence[dict]) -> dict:
     quantities = {
         "max_that1p1": lambda r: _late_max(r, "frame_stats", 1),
         "max_that2": lambda r: _late_max(r, "frame_stats", 2),
@@ -846,7 +842,7 @@ def _epsilon_metrics(results: Sequence[dict], ladder) -> dict:
         "E1_psi2": lambda r: _energy_at(r, "psi2", 1),
         "max_yt": lambda r: _late_max(r, "second_frame_stats", 1),
     }
-    out = {"epsilon": list(ladder)}
+    out = {"epsilon": [r["config"]["epsilon"] for r in results]}
     for name, fn in quantities.items():
         vals = [fn(r) for r in results]
         out[name] = vals
@@ -863,6 +859,16 @@ def _delta_metrics(results: Sequence[dict]) -> dict:
         e = _energy_at(r, "w", 0)
         out["E0_w_over_eps2t2"].append(e / (eps ** 2 * t ** 2) if eps > 0 else float("nan"))
     return out
+
+
+# each study kind: the RunConfig field its ladder sets and the metrics of its
+# members' reports; None for the kind whose one member is the config itself
+STUDY_KINDS = {
+    "single": None,
+    "convergence": ("n1", _convergence_metrics),
+    "epsilon_scaling": ("epsilon", _epsilon_metrics),
+    "delta_robustness": ("delta", _delta_metrics),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ class TestEvolveU:
         f = make_uniform_field(GAS2, grid, c=1.0, time=0.3)
         u_flat = np.full((grid.n1, grid.n2), 0.5)
         with pytest.raises(DegenerateFoliationError):
-            frame_fields(f, u_flat, check_band=(0.0, 1.0))
+            frame_fields(f, u_flat, band=band_mask(u_flat, 0.0, 1.0))
 
 
 class TestFrameFields:

@@ -97,8 +97,16 @@ class TestParse:
          "line 2: bad value for modes"),
         (lambda: parse_config("[analysis]\nu_levels = 0\n"), "u_levels"),
         (lambda: parse_config("[analysis]\nu_levels = -2\n"), "u_levels"),
+        # the fan data strip [1.1*delta, 3*delta] ends past x1_max = 2.2
+        (lambda: parse_config("[fan]\nv0 = 2.0\n[grid]\nn1 = 64\nn2 = 16\n[time]\ndelta = 0.9\n"
+                              "[solver]\nsnapshots = 3\n"),
+         "fan data strip does not fit inside the grid"),
+        # the middle base time's partner, 4 cell-crossing times earlier, precedes delta
+        (lambda: parse_config("[grid]\nn1 = 64\n[time]\ndelta = 0.6\n[solver]\nsnapshots = 3\n"),
+         r"ladder starts at t = 0\.4871, before delta = 0\.6"),
     ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon", "epsilon_nan", "v0_nan",
-            "mode_amplitude_nan", "u_levels_0", "u_levels_negative"])
+            "mode_amplitude_nan", "u_levels_0", "u_levels_negative", "fan_strip",
+            "ladder_before_delta"])
     def test_rejected_configs(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
@@ -557,6 +565,21 @@ def small_run():
     return run_records(64, 16, (0.3, 0.36, 0.45, 0.6))
 
 
+class TestReadRows:
+    @pytest.mark.parametrize("run", ["moving_band", "small_run"])
+    def test_hold_band_cells_and_level_curve_stencils(self, run, request):
+        # the rows with a whole-grid band weight and the corner rows of each
+        # level curve's sampling stencil, for every u value, are read rows
+        for rec in request.getfixturevalue(run):
+            fol, grid = rec.foliation, rec.grid
+            lo, hi = rec.read_rows
+            for u in U_VALUES:
+                held = np.flatnonzero(en.region_weights(fol.u, U_LO, u, grid).any(axis=1))
+                corners = np.concatenate(en.extract_level_curve(fol.u, u, grid).stencil.corners)
+                rows = np.concatenate([held, corners // grid.n2])
+                assert rows.size and lo <= rows.min() and rows.max() < hi
+
+
 class TestBandWindow:
     @pytest.mark.parametrize("k0, k1", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4)])
     def test_matches_whole_plane_bitwise(self, moving_band, k0, k1):
@@ -648,6 +671,30 @@ class TestStudies:
     def test_bad_ladder_rejected(self):
         with pytest.raises(ConfigError):
             StudySpec("convergence", (128.0,))
+        with pytest.raises(ConfigError, match="finite"):
+            StudySpec("convergence", (128.0, math.inf))
+
+    @pytest.mark.parametrize("kind, ladder, match", [
+        ("convergence", "128,100.7", "ladder value 100.7 is not a valid n1"),
+        ("delta_robustness", "0.2,0.7", "need delta < t_star"),
+    ], ids=["fractional_n1", "delta_past_t_star"])
+    def test_bad_member_config_fails_before_any_member_runs(self, tmp_path, capsys, kind,
+                                                            ladder, match):
+        cfg_file = tmp_path / "tiny.cfg"
+        cfg_file.write_text(TINY)
+        out = tmp_path / "s"
+        assert cli_main(["study", kind, str(cfg_file), "--ladder", ladder, "--out", str(out)]) == 2
+        assert match in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_member_without_late_rows(self, tmp_path):
+        # delta = 0.35 > t_star / 2 leaves that member no row at t >= 2 delta
+        cfg = tiny_config(tmp_path)
+        run_study(StudySpec("delta_robustness", (0.2, 0.35)), cfg, out_dir=tmp_path / "d")
+        study = json.loads((tmp_path / "d" / "study.json").read_text())
+        assert study["failures"] == []
+        kappa_dev = study["delta_robustness"]["max_kappa_dev"]
+        assert kappa_dev[0] > 0 and kappa_dev[1] is None
 
     def test_emit_plots_file_count(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -722,8 +769,8 @@ class TestCLI:
     def test_degenerate_foliation_exit_code(self, tmp_path, monkeypatch, capsys):
         frame_fields = geo.frame_fields
 
-        def flat_frame_fields(field, u, check_band=None):
-            return frame_fields(field, np.ones_like(u), check_band)
+        def flat_frame_fields(field, u, band=None):
+            return frame_fields(field, np.ones_like(u), band)
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(geo, "frame_fields", flat_frame_fields)
