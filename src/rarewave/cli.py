@@ -21,7 +21,8 @@ import numpy as np
 from .energies import GronwallHypothesisError, GronwallInstance, gronwall_verify
 from .gas import PolytropicGas, PrimitiveState
 from .geometry import DegenerateFoliationError
-from .harness import STUDY_KINDS, ConfigError, StudySpec, parse_config, run_single, run_study
+from .harness import (STUDY_KINDS, ConfigError, StudySpec, parse_config, run_single, run_study,
+                      table_records)
 from .riemann1d import NumericalError, RiemannProblem1D, solve_riemann
 
 
@@ -39,11 +40,11 @@ def _cmd_run(args) -> int:
         report = run_single(cfg, out_dir=Path(args.out))
     else:
         report = run_single(cfg)
-    bad = [p for p in report["data_predicates"] if not p[3]]
+    bad = [p for p in table_records(report, "data_predicates") if not p["passed"]]
     print(json.dumps({"config_hash": report["config_hash"],
                       "cached": report["cached"],
                       "x2_variation": report["x2_variation"],
-                      "failed_predicates": [p[0] for p in bad]}, indent=1))
+                      "failed_predicates": [p["name"] for p in bad]}, indent=1))
     return 1 if bad else 0
 
 

@@ -298,18 +298,16 @@ class EnergyRow:
 
 @dataclass
 class EnergyReport:
-    epsilon: float
     rows: List[EnergyRow] = field(default_factory=list)
 
     @classmethod
     def from_slices(cls, slices: Sequence[Dict[Tuple[str, int, float], np.ndarray]],
-                    times: Sequence[float], t_indices: Sequence[int],
-                    epsilon: float) -> "EnergyReport":
+                    times: Sequence[float], t_indices: Sequence[int]) -> "EnergyReport":
         """Rows at the slices t_indices from the `energies_of_slice` results
         of every slice in time order: the energies as they are, the fluxes
         as running trapezoid time integrals of their line integrals."""
         ts = np.asarray(times)
-        rep = cls(epsilon=epsilon)
+        rep = cls()
         for psi, n, u in slices[0]:
             series = np.stack([s[psi, n, u] for s in slices])  # (time, energy, column)
             energy = series[:, :, 0]
@@ -448,9 +446,9 @@ class EnergyAnalysis:
         return energies_of_slice(pair, k - k0, read_rows, psis, orders, u_values, self.u_min)
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
-               u_values: Sequence[float], epsilon: float) -> EnergyReport:
+               u_values: Sequence[float]) -> EnergyReport:
         slices = [self.slice_energies(k, psis, orders, u_values) for k in range(len(self.times))]
-        return EnergyReport.from_slices(slices, self.times, t_indices, epsilon)
+        return EnergyReport.from_slices(slices, self.times, t_indices)
 
 
 def _project(a: np.ndarray) -> np.ndarray:

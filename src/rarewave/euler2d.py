@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -507,7 +507,7 @@ def _check_positive(rho, time):
         f"first at (i={i}, j={j}) with rho={rho[i, j]:.3e}")
 
 
-def step(f: FlowField, dt: float, config: SolverConfig) -> FlowField:
+def step(f: FlowField, dt: float) -> FlowField:
     """One conservative update of size dt; dt = 0 returns a copy.
 
     The result's rho, m1 and m2 are disjoint views of one new buffer.
@@ -550,23 +550,17 @@ def step(f: FlowField, dt: float, config: SolverConfig) -> FlowField:
     return result
 
 
-def run(f: FlowField, config: SolverConfig, t_end: Optional[float] = None) -> List[FlowField]:
-    """Advance to each requested snapshot time (exact hit by dt clipping).
-
-    With no snapshot times configured, returns just the state at t_end.
-    """
-    return list(iter_run(f, config, t_end))
+def run(f: FlowField, config: SolverConfig) -> List[FlowField]:
+    """Advance to each requested snapshot time (exact hit by dt clipping)."""
+    return list(iter_run(f, config))
 
 
-def iter_run(f: FlowField, config: SolverConfig,
-             t_end: Optional[float] = None) -> Iterator[FlowField]:
+def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
     """`run` one snapshot at a time: each snapshot is yielded as the solve
     reaches its time and is held by the solve only until its next step."""
-    times = sorted(config.snapshot_times) if config.snapshot_times else []
+    times = sorted(config.snapshot_times)
     if not times:
-        if t_end is None:
-            raise ValueError("need snapshot times or an explicit horizon")
-        times = [t_end]
+        raise ValueError("need at least one snapshot time")
     if times[0] < f.time - 1e-12:
         raise ValueError(f"snapshot time {times[0]} precedes field time {f.time}")
 
@@ -582,7 +576,7 @@ def iter_run(f: FlowField, config: SolverConfig,
                 raise NumericalError(f"non-finite state at t={current.time:.6g}, "
                                      f"first at (i={i}, j={j})")
             dt = min(config.cfl * dx_min / speed, target - current.time)
-            current = step(current, dt, config)
+            current = step(current, dt)
             cumulative_outflow += current.boundary_mass_flux
             current.boundary_mass_flux = cumulative_outflow
         yield current if abs(current.time - target) < 1e-12 else current.copy(time=target)

@@ -20,9 +20,9 @@ import multiprocessing
 import os
 import signal
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,11 +41,13 @@ __all__ = [
     "RunConfig",
     "StudySpec",
     "STUDY_KINDS",
+    "TABLES",
     "parse_config",
     "default_config",
     "run_single",
     "run_study",
     "emit_plots",
+    "table_records",
 ]
 
 
@@ -56,6 +58,8 @@ class ConfigError(ValueError):
 # each snapshot gets a partner this many cell-crossing times later, so that
 # two-time derivatives refine with the grid
 PAIR_CELLS = 4
+# the Riemann invariants whose energies a run measures, in report order
+PSIS = ("wbar", "w", "psi2")
 
 
 @dataclass
@@ -217,18 +221,20 @@ class StudySpec:
 # ---------------------------------------------------------------------------
 # config text parsing
 
+# each section's keys; a key names the RunConfig field it sets, whose
+# default's type gives the type of its value
 _SECTIONS = {
-    "gas": {"gamma": float, "k0": float},
-    "fan": {"v0": float, "c0": float},
-    "grid": {"n1": int, "n2": int, "x1_min": float, "x1_max": float},
-    "time": {"delta": float, "t_star": float},
-    "band": {"u_star": float, "u_lo": float, "u_glue": float},
-    "perturbation": {"epsilon": float, "seed": int, "modes": "modes",
-                     "strip_lo": float, "strip_hi": float},
-    "solver": {"cfl": float, "snapshots": int},
-    "analysis": {"orders": int, "u_levels": int, "save_snapshots": str, "workers": int},
-    "output": {"dir": "out_dir"},
+    "gas": ("gamma", "k0"),
+    "fan": ("v0", "c0"),
+    "grid": ("n1", "n2", "x1_min", "x1_max"),
+    "time": ("delta", "t_star"),
+    "band": ("u_star", "u_lo", "u_glue"),
+    "perturbation": ("epsilon", "seed", "modes", "strip_lo", "strip_hi"),
+    "solver": ("cfl", "snapshots"),
+    "analysis": ("orders", "u_levels", "save_snapshots", "workers"),
+    "output": ("dir",),
 }
+_FIELD_OF_KEY = {"dir": "out_dir"}
 
 
 def _finite(text: str) -> float:
@@ -246,6 +252,10 @@ def _parse_modes(text: str):
             raise ValueError(f"mode {part!r} is not k1:k2:amplitude")
         modes.append((int(bits[0]), int(bits[1]), _finite(bits[2])))
     return tuple(modes)
+
+
+# the parser of a config value, by the type of its field's default
+_PARSERS = {float: _finite, int: int, str: str, tuple: _parse_modes}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -266,21 +276,13 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, val = (s.strip() for s in line.split("=", 1))
-        spec = _SECTIONS[section]
-        if key not in spec:
+        if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        kind = spec[key]
+        name = _FIELD_OF_KEY.get(key, key)
+        if name in values:
+            raise ConfigError(f"line {lineno}: {key} is given twice")
         try:
-            if kind is float:
-                values[key] = _finite(val)
-            elif kind is int:
-                values[key] = int(val)
-            elif kind is str:
-                values[key] = val
-            elif kind == "modes":
-                values["modes"] = _parse_modes(val)
-            elif kind == "out_dir":
-                values["out_dir"] = val
+            values[name] = _PARSERS[type(getattr(RunConfig, name))](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return RunConfig(**values).validate()
@@ -511,21 +513,48 @@ class _Slice:
         return view
 
 
+class Table(NamedTuple):
+    csv: Optional[str]  # its CSV file; None for a table that only report.json holds
+    columns: Tuple[str, ...]
+    in_report: bool = True  # whether report.json holds it, under its name
+
+
+# every table of a run, in report order, each row a list in column order; only
+# the code that builds a row places values by position, every reader finds a
+# column by name (`table_records`)
+TABLES = {
+    "conservation": Table("conservation.csv", ("t", "mass", "boundary_outflow", "drift"),
+                          in_report=False),
+    "kappa_stats": Table("kappa_stats.csv", ("t", "max_kappa_over_t_dev", "max_mu_identity_dev")),
+    "frame_stats": Table("frame_stats.csv",
+                         ("t", "max_that1p1", "max_that2", "max_chi", "max_zeta", "max_eta")),
+    "monitors": Table("monitors.csv", ("t", "min_L_mu", "max_L_mu", "min_T_wbar", "max_T_wbar",
+                                       "min_Lbar_wbar", "max_Lbar_wbar")),
+    "second_frame_stats": Table("second_frame.csv", ("t", "max_yt", "max_zt", "max_y", "max_z")),
+    "residuals": Table("residuals.csv", ("t", "commutation_y", "commutation_z", "structure_kappa",
+                                         "structure_that1", "structure_that2", "structure_chi")),
+    "data_predicates": Table(None, tuple(f.name for f in dataclasses.fields(en.PredicateLine))),
+    "energies": Table("energies.csv", tuple(f.name for f in dataclasses.fields(en.EnergyRow))),
+}
+
+
+def table_records(report: dict, table: str) -> List[dict]:
+    """A run report's table (empty if it lacks it) as {column: value} dicts."""
+    return [dict(zip(TABLES[table].columns, row)) for row in report.get(table, [])]
+
+
 def _band_stats(rec: _Slice):
-    """kappa and frame statistics over the band of a base slice, or None
+    """The kappa_stats and frame_stats rows of a base slice's band; none
     when the band is empty."""
     m, fol, c = rec.band, rec.foliation, rec.c
     if not np.any(m):
-        return None
-    return ([rec.time,
-             float(np.max(np.abs(fol.kappa[m] / rec.time - 1.0))),
-             float(np.max(np.abs(fol.mu[m] - c[m] * fol.kappa[m])))],
-            [rec.time,
-             float(np.max(np.abs(fol.that1[m] + 1.0))),
-             float(np.max(np.abs(fol.that2[m]))),
-             float(np.max(np.abs(fol.chi[m]))),
-             float(np.max(np.abs(fol.zeta[m]))),
-             float(np.max(np.abs(fol.eta[m])))])
+        return ()
+
+    def row(*values):
+        return [rec.time, *(float(np.max(np.abs(a))) for a in values)]
+
+    return (row(fol.kappa[m] / rec.time - 1.0, fol.mu[m] - c[m] * fol.kappa[m]),
+            row(fol.that1[m] + 1.0, fol.that2[m], fol.chi[m], fol.zeta[m], fol.eta[m]))
 
 
 def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
@@ -580,15 +609,15 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     x2_seed = np.full_like(x1_seed, math.pi)
     u_values = list(np.linspace(cfg.u_star / cfg.u_levels, cfg.u_star, cfg.u_levels))
     orders = list(range(cfg.orders + 1))
-    energy_args = dict(psis=("wbar", "w", "psi2"), orders=orders, u_values=u_values, u_min=cfg.u_lo)
+    energy_args = dict(psis=PSIS, orders=orders, u_values=u_values, u_min=cfg.u_lo)
 
     field0 = init_perturbed_rarefaction(gas, grid, cfg.delta, (cfg.v0, cfg.c0),
                                         cfg.perturbation(), u_glue=cfg.u_glue)
     u_init = (cfg.v0 + cfg.c0) - grid.mesh()[0] / cfg.delta
 
     window: Dict[int, _Slice] = {}
-    times, conservation, kappa_rows, frame_rows, energy_slices = [], [], [], [], []
-    pair_rows = {}
+    tables: Dict[str, list] = {name: [] for name in TABLES}
+    times, energy_slices, pair_rows = [], [], {}
     x2_variation = 0.0
     with _snapshots(field0, cfg.solver(), process) as snapshots:
         records = geo.iter_evolve_u(map(_Slice, snapshots), u_init, cfl=cfg.cfl)
@@ -610,15 +639,13 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                 rays = geo.RayTrace(rec, rec.foliation, x1_seed, x2_seed)
             else:
                 rays.advance(rec, rec.foliation)
-            conservation.append([s.time, mass, s.boundary_mass_flux,
-                                 mass + s.boundary_mass_flux - mass0])
+            tables["conservation"].append([s.time, mass, s.boundary_mass_flux,
+                                           mass + s.boundary_mass_flux - mass0])
 
             # pointwise foliation statistics over the tracked band at base times
             for _ in range(base_idx.count(k)):  # merged base times share a slice
-                rows = _band_stats(rec)
-                if rows is not None:
-                    kappa_rows.append(rows[0])
-                    frame_rows.append(rows[1])
+                for name, row in zip(("kappa_stats", "frame_stats"), _band_stats(rec)):
+                    tables[name].append(row)
 
             # one evaluator per pair closing here serves the energies of slice k-1 (and of
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
@@ -650,56 +677,32 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                                  out / "foliation_final.rwl")
             window.pop(k - lookahead, None)
 
+    for j in sorted(pair_rows):
+        for name, row in zip(("monitors", "second_frame_stats", "residuals"), pair_rows[j]):
+            tables[name].append(row)
+    tables["data_predicates"] = [list(dataclasses.astuple(p)) for p in predicate_lines]
+    energy_report = en.EnergyReport.from_slices(energy_slices, times, base_idx)
+    tables["energies"] = [["" if v is None else v for v in dataclasses.astuple(r)]
+                          for r in energy_report.rows]  # a row without rings leaves them ""
+
+    u_along = np.stack(rays.u_along)
     report: dict = {
         "config": dataclasses.asdict(cfg),
         "config_hash": config_hash,
         "times": [times[k] for k in base_idx],
         "cached": False,
         "x2_variation": x2_variation,
-        "mass_drift": [row[3] for row in conservation],
+        "mass_drift": [r["drift"] for r in table_records(tables, "conservation")],
+        "l1_fan_error_final": l1_fan_error,
+        "ray_u_drift": float(np.max(np.abs(u_along - u_along[0]))),
     }
-    write_csv(out / "conservation.csv", ["t", "mass", "boundary_outflow", "drift"], conservation)
-    report["l1_fan_error_final"] = l1_fan_error
-    u_along = np.stack(rays.u_along)
-    report["ray_u_drift"] = float(np.max(np.abs(u_along - u_along[0])))
-
-    report["kappa_stats"] = kappa_rows
-    report["frame_stats"] = frame_rows
-    write_csv(out / "kappa_stats.csv", ["t", "max_kappa_over_t_dev", "max_mu_identity_dev"],
-              kappa_rows)
-    write_csv(out / "frame_stats.csv",
-              ["t", "max_that1p1", "max_that2", "max_chi", "max_zeta", "max_eta"], frame_rows)
-
-    monitor_rows, yscale_rows, residual_rows = (
-        [pair_rows[j][i] for j in sorted(pair_rows)] for i in range(3))
-    report["monitors"] = monitor_rows
-    report["second_frame_stats"] = yscale_rows
-    report["residuals"] = residual_rows
-    write_csv(out / "monitors.csv",
-              ["t", "min_L_mu", "max_L_mu", "min_T_wbar", "max_T_wbar",
-               "min_Lbar_wbar", "max_Lbar_wbar"], monitor_rows)
-    write_csv(out / "second_frame.csv",
-              ["t", "max_yt", "max_zt", "max_y", "max_z"], yscale_rows)
-    write_csv(out / "residuals.csv",
-              ["t", "commutation_y", "commutation_z", "structure_kappa",
-               "structure_that1", "structure_that2", "structure_chi"], residual_rows)
-
-    report["data_predicates"] = [[p.name, p.measured, p.scale, p.passed]
-                                 for p in predicate_lines]
-
-    # energies
-    energy_report = en.EnergyReport.from_slices(energy_slices, times, base_idx, cfg.epsilon)
-    energy_rows = [[r.t, r.u, r.psi, r.n, r.E, r.Ebar, r.F, r.Fbar,
-                    r.E0ring if r.E0ring is not None else "",
-                    r.F0ring if r.F0ring is not None else ""]
-                   for r in energy_report.rows]
-    report["energies"] = energy_rows
-    write_csv(out / "energies.csv",
-              ["t", "u", "psi", "n", "E", "Ebar", "F", "Fbar", "E0ring", "F0ring"],
-              energy_rows)
-
+    for name, table in TABLES.items():
+        if table.csv is not None:
+            write_csv(out / table.csv, table.columns, tables[name])
+        if table.in_report:
+            report[name] = tables[name]
     # measured growth-lemma instance at order 0 for w (fit + verdict)
-    report["gronwall_fit"] = _measured_gronwall(cfg, energy_report, [times[k] for k in base_idx])
+    report["gronwall_fit"] = _measured_gronwall(cfg, energy_report, report["times"])
     return report
 
 
@@ -789,10 +792,10 @@ def _null_nonfinite(metrics: Dict[str, list]) -> Dict[str, list]:
             for name, vals in metrics.items()}
 
 
-def _late_max(report: dict, table: str, col: int) -> float:
+def _late_max(report: dict, table: str, column: str) -> float:
     """Max of the finite values of a report column at t >= 2*delta, or NaN if none."""
-    vals = [row[col] for row in report[table]
-            if row[0] >= 2.0 * report["config"]["delta"] and math.isfinite(row[col])]
+    vals = [r[column] for r in table_records(report, table)
+            if r["t"] >= 2.0 * report["config"]["delta"] and math.isfinite(r[column])]
     return float(max(vals)) if vals else float("nan")
 
 
@@ -803,10 +806,9 @@ def _convergence_metrics(results: Sequence[dict]) -> dict:
     if all(e is not None for e in errs):
         out["l1_fan_error"] = errs
         out["l1_ratios"] = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    names = {"commutation_y": 1, "commutation_z": 2, "structure_kappa": 3,
-             "structure_that1": 4, "structure_that2": 5}
-    for name, col in names.items():
-        vals = [_late_max(r, "residuals", col) for r in results]
+    for name in ("commutation_y", "commutation_z", "structure_kappa", "structure_that1",
+                 "structure_that2"):
+        vals = [_late_max(r, "residuals", name) for r in results]
         out[name] = vals
         out[name + "_ratios"] = _ratios(vals)
     return out
@@ -817,30 +819,34 @@ def _ratios(vals: Sequence[float]) -> List[float]:
             for i in range(len(vals) - 1)]
 
 
+def _at_largest(records: List[dict], column: str) -> List[dict]:
+    """The records at the largest value of a column, in row order: of the
+    energy records, the final time ("t") or the widest band ("u")."""
+    top = max(r[column] for r in records)
+    return [r for r in records if r[column] == top]
+
+
 def _energy_at(report: dict, psi: str, n: int, ring: bool = False) -> float:
     """Energy at the final time and widest band from a report's rows."""
-    rows = report["energies"]
-    best_t = max(r[0] for r in rows)
-    best_u = max(r[1] for r in rows)
-    for r in rows:
-        if r[0] == best_t and r[1] == best_u and r[2] == psi and r[3] == n:
+    for r in _at_largest(_at_largest(table_records(report, "energies"), "t"), "u"):
+        if r["psi"] == psi and r["n"] == n:
             if ring:
-                return float(r[8]) if r[8] != "" else float("nan")
-            return float(r[4]) + float(r[5])
+                return float(r["E0ring"]) if r["E0ring"] != "" else float("nan")
+            return r["E"] + r["Ebar"]
     return float("nan")
 
 
 def _epsilon_metrics(results: Sequence[dict]) -> dict:
     quantities = {
-        "max_that1p1": lambda r: _late_max(r, "frame_stats", 1),
-        "max_that2": lambda r: _late_max(r, "frame_stats", 2),
+        "max_that1p1": lambda r: _late_max(r, "frame_stats", "max_that1p1"),
+        "max_that2": lambda r: _late_max(r, "frame_stats", "max_that2"),
         "E0_w": lambda r: _energy_at(r, "w", 0),
         "E0_psi2": lambda r: _energy_at(r, "psi2", 0),
         "E0ring_wbar": lambda r: _energy_at(r, "wbar", 0, ring=True),
         "E1_wbar": lambda r: _energy_at(r, "wbar", 1),
         "E1_w": lambda r: _energy_at(r, "w", 1),
         "E1_psi2": lambda r: _energy_at(r, "psi2", 1),
-        "max_yt": lambda r: _late_max(r, "second_frame_stats", 1),
+        "max_yt": lambda r: _late_max(r, "second_frame_stats", "max_yt"),
     }
     out = {"epsilon": [r["config"]["epsilon"] for r in results]}
     for name, fn in quantities.items():
@@ -852,7 +858,7 @@ def _epsilon_metrics(results: Sequence[dict]) -> dict:
 
 def _delta_metrics(results: Sequence[dict]) -> dict:
     out = {"delta": [r["config"]["delta"] for r in results]}
-    out["max_kappa_dev"] = [_late_max(r, "kappa_stats", 1) for r in results]
+    out["max_kappa_dev"] = [_late_max(r, "kappa_stats", "max_kappa_over_t_dev") for r in results]
     out["E0_w_over_eps2t2"] = []
     for r in results:
         eps, t = r["config"]["epsilon"], r["times"][-1]
@@ -873,13 +879,6 @@ STUDY_KINDS = {
 
 # ---------------------------------------------------------------------------
 # plot-data emission
-
-def _two_column(path: Path, xs, ys):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g} {y:.17g}\n")
-
 
 def slope_fit(xs, ys) -> dict:
     """Least-squares slope of log(y) vs log(x) with its R**2."""
@@ -903,44 +902,42 @@ def emit_plots(report: dict, out_dir) -> List[Path]:
     out = Path(out_dir)
     written: List[Path] = []
 
+    def emit(path: Path, points):
+        if not points:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as fh:
+            for x, y in points:
+                fh.write(f"{x:.17g} {y:.17g}\n")
+        written.append(path)
+
     def emit_run(run_report: dict, prefix: Path):
-        rows = run_report.get("energies", [])
+        """Write a run's data files; return its (t, E + Ebar) points of w at
+        order 0 on the widest band, if it has energies."""
+        rows = table_records(run_report, "energies")
+        series = {}
         if rows:
-            best_u = max(r[1] for r in rows)
-            for psi in ("wbar", "w", "psi2"):
-                for n in sorted({r[3] for r in rows}):
-                    pts = [(r[0], r[4] + r[5]) for r in rows
-                           if r[2] == psi and r[3] == n and r[1] == best_u]
-                    if pts and any(p[1] > 0 for p in pts):
-                        p = prefix / f"energy_{psi}_n{n}.dat"
-                        _two_column(p, [q[0] for q in pts], [q[1] for q in pts])
-                        written.append(p)
-            pts = [(r[1], r[6]) for r in rows
-                   if r[2] == "w" and r[3] == 0 and r[0] == max(q[0] for q in rows)]
-            if pts:
-                p = prefix / "flux_vs_u.dat"
-                _two_column(p, [q[0] for q in pts], [q[1] for q in pts])
-                written.append(p)
-        for table, name in (("kappa_stats", "kappa_profile.dat"),
-                            ("monitors", "sign_monitors.dat"), ("residuals", "residuals.dat")):
-            if run_report.get(table):
-                p = prefix / name
-                _two_column(p, [r[0] for r in run_report[table]],
-                            [r[1] for r in run_report[table]])
-                written.append(p)
+            widest = _at_largest(rows, "u")
+            for psi in PSIS:
+                for n in sorted({r["n"] for r in rows}):
+                    pts = series[psi, n] = [(r["t"], r["E"] + r["Ebar"]) for r in widest
+                                            if r["psi"] == psi and r["n"] == n]
+                    if any(e > 0 for _, e in pts):
+                        emit(prefix / f"energy_{psi}_n{n}.dat", pts)
+            emit(prefix / "flux_vs_u.dat", [(r["u"], r["F"]) for r in _at_largest(rows, "t")
+                                             if r["psi"] == "w" and r["n"] == 0])
+        for table, column, name in (("kappa_stats", "max_kappa_over_t_dev", "kappa_profile.dat"),
+                                    ("monitors", "min_L_mu", "sign_monitors.dat"),
+                                    ("residuals", "commutation_y", "residuals.dat")):
+            emit(prefix / name, [(r["t"], r[column]) for r in table_records(run_report, table)])
+        return series.get(("w", 0))
 
     if "reports" in report:
         fits = {}
         for name, sub in zip(report["members"], report["reports"]):
-            if sub is None:
-                continue
-            emit_run(sub, out / name)
-            rows = [r for r in sub.get("energies", []) if r[2] == "w" and r[3] == 0]
-            if rows:
-                best_u = max(r[1] for r in rows)
-                ts = [r[0] for r in rows if r[1] == best_u]
-                es = [r[4] + r[5] for r in rows if r[1] == best_u]
-                fits[name] = slope_fit(ts, es)
+            pts = emit_run(sub, out / name) if sub is not None else None
+            if pts:
+                fits[name] = slope_fit(*zip(*pts))
         _write_json(out / "slope_fits.json", fits, indent=1)
         written.append(out / "slope_fits.json")
     else:

@@ -203,7 +203,7 @@ class TestEnergies:
         ana = EnergyAnalysis(snaps, fols, u_min=0.1)
         psis, orders, u_values = ["wbar", "w", "psi2"], [0, 1], [0.8, 1.3]
         slices = [ana.slice_energies(k, psis, orders, u_values) for k in range(3)]
-        rep = ana.report(psis, orders, [0, 1, 2], u_values, epsilon=0.0)
+        rep = ana.report(psis, orders, [0, 1, 2], u_values)
         assert len(rep.rows) == 3 * 2 * 2 * 3
         for row in rep.rows:
             k = ana.times.index(row.t)
@@ -244,7 +244,7 @@ class TestEnergies:
     def test_flux_of_invariant_w_is_floor(self):
         grid, snaps, fols = fan_setup()
         ana = EnergyAnalysis(snaps, fols, u_min=0.1)
-        rep = ana.report(["w"], [0], [1], [1.0], epsilon=0.0)
+        rep = ana.report(["w"], [0], [1], [1.0])
         row = rep.rows[0]
         assert row.F < 1e-16
         assert row.Fbar < 1e-16

@@ -152,29 +152,27 @@ def same_state(a, b):
 
 class TestStep:
     def test_uniform_state_exact(self):
-        cfg = SolverConfig(snapshot_times=())
         f = make_uniform_field(GAS2, small_grid(n1=32, n2=8), c=1.0, v1=0.3, v2=-0.2)
         g = f
         for _ in range(50):
-            g = step(g, 1e-3, cfg)
+            g = step(g, 1e-3)
         assert np.max(np.abs(g.rho - f.rho)) < 1e-13
         assert np.max(np.abs(g.m1 - f.m1)) < 1e-13
         assert np.max(np.abs(g.m2 - f.m2)) < 1e-13
 
     def test_mass_conservation_per_step(self):
         f = fan_field(GAS2, small_grid(), 0.3)
-        cfg = SolverConfig()
         dt = 0.4 * f.grid.dx1 / max_signal_speed(f)
         g = f
         for _ in range(10):
             before = total_mass(g)
-            g = step(g, dt, cfg)
+            g = step(g, dt)
             drift = total_mass(g) + g.boundary_mass_flux - before
             assert abs(drift) < 1e-12 * max(1.0, before)
 
     def test_zero_dt_identity(self):
         f = fan_field(GAS2, small_grid(), 0.3)
-        g = step(f, 0.0, SolverConfig())
+        g = step(f, 0.0)
         assert np.array_equal(g.rho, f.rho) and g.time == f.time
 
     def test_negative_density_abort(self):
@@ -184,7 +182,7 @@ class TestStep:
         m1[10:20] = 1.0  # enormous velocity on near-vacuum density
         f = FlowField(GAS2, grid, 0.0, rho, m1, np.zeros_like(rho))
         with pytest.raises(NumericalError, match="density"):
-            step(f, 0.05, SolverConfig())
+            step(f, 0.05)
 
     def test_nan_momentum_names_time_and_cell(self):
         # a NaN momentum spreads NaN into the densities it touches; the
@@ -193,7 +191,7 @@ class TestStep:
         f = make_uniform_field(GAS2, small_grid(n1=32, n2=16), c=1.0, time=0.5)
         f.m1[16, 8] = np.nan
         with pytest.raises(NumericalError, match=r"t=0\.51: \d+ cells, first at \(i=\d+, j=\d+\)"):
-            step(f, 0.01, SolverConfig())
+            step(f, 0.01)
         with pytest.raises(NumericalError, match=r"t=0\.5, first at \(i=16, j=8\)"):
             run(f, SolverConfig(snapshot_times=(0.6,)))
 
@@ -232,7 +230,7 @@ class TestStep:
         ghost_hi = np.stack(state((2, 16), (0.1, 0.5)), axis=-1)
         f = FlowField(gas, grid, 0.2, rho, m1, m2, ghost_lo, ghost_hi)
         dt = 0.3 * grid.dx1 / max_signal_speed(f)
-        g = step(f, dt, SolverConfig())
+        g = step(f, dt)
         q, outflow = rusanov_oracle_step(f, dt)
         for k, a in enumerate((g.rho, g.m1, g.m2)):
             assert np.max(np.abs(a - q[..., k])) <= 1e-13 * np.max(np.abs(q[..., k]))
@@ -245,7 +243,7 @@ class TestStep:
         dt = 0.4 * f.grid.dx1 / max_signal_speed(f)
         tracemalloc.start()
         try:
-            step(f, dt, SolverConfig())
+            step(f, dt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -253,11 +251,10 @@ class TestStep:
 
     def test_x2_independence_preserved(self):
         f = fan_field(GAS2, small_grid(), 0.3)
-        cfg = SolverConfig()
         dt = 0.4 * f.grid.dx1 / max_signal_speed(f)
         g = f
         for _ in range(20):
-            g = step(g, dt, cfg)
+            g = step(g, dt)
         for a in (g.rho, g.m1, g.m2):
             assert np.max(np.abs(a - a[:, :1])) == 0.0
 
@@ -265,9 +262,8 @@ class TestStep:
         grid = small_grid(n1=64, n2=16)
         f = init_perturbed_rarefaction(GAS2, grid, 0.3, (0.0, 1.0),
                                        one_mode_spec(0.02), u_glue=1.9)
-        cfg = SolverConfig()
         dt = 0.3 * grid.dx1 / max_signal_speed(f)
-        assert same_state(reflected(step(f, dt, cfg)), step(reflected(f), dt, cfg))
+        assert same_state(reflected(step(f, dt)), step(reflected(f), dt))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), gamma=st.floats(1.1, 2.9), k=st.integers(1, 15))
@@ -280,10 +276,9 @@ class TestStep:
         f = FlowField(PolytropicGas(gamma, 0.5), grid, 0.3, rho,
                       rho * rng.uniform(-0.5, 0.5, rho.shape),
                       rho * rng.uniform(-0.5, 0.5, rho.shape))
-        cfg = SolverConfig()
         dt = 0.3 * min(grid.dx1, grid.dx2) / max_signal_speed(f)
         for transform in (lambda g: rolled(g, k), reflected):
-            assert same_state(transform(step(f, dt, cfg)), step(transform(f), dt, cfg))
+            assert same_state(transform(step(f, dt)), step(transform(f), dt))
 
 
 class TestRun:
@@ -294,11 +289,10 @@ class TestRun:
         assert len(snaps) == 1 and snaps[0].time == 0.3
         assert np.array_equal(snaps[0].rho, f.rho)
 
-    def test_empty_snapshots_returns_horizon(self):
+    def test_empty_snapshots_raise(self):
         f = fan_field(GAS2, small_grid(), 0.3)
-        snaps = run(f, SolverConfig(snapshot_times=()), t_end=0.35)
-        assert len(snaps) == 1
-        assert snaps[0].time == pytest.approx(0.35, abs=1e-12)
+        with pytest.raises(ValueError, match="snapshot time"):
+            run(f, SolverConfig(snapshot_times=()))
 
     def test_fan_edges_track_exact_slopes(self):
         grid = small_grid(n1=512)
@@ -325,8 +319,8 @@ class TestRun:
     def test_one_step_call_per_time_step(self, monkeypatch):
         calls = []
 
-        def counting_step(field, dt, config):
-            out = step(field, dt, config)
+        def counting_step(field, dt):
+            out = step(field, dt)
             calls.append((field, out))
             return out
 

@@ -104,9 +104,15 @@ class TestParse:
         # the middle base time's partner, 4 cell-crossing times earlier, precedes delta
         (lambda: parse_config("[grid]\nn1 = 64\n[time]\ndelta = 0.6\n[solver]\nsnapshots = 3\n"),
          r"ladder starts at t = 0\.4871, before delta = 0\.6"),
+        # a key given twice is an error, not a silent override, in a repeated section too
+        (lambda: parse_config("[grid]\nn1 = 256\n[grid]\nn1 = 512\n"),
+         "line 4: n1 is given twice"),
+        (lambda: parse_config("[output]\ndir = a\n\ndir = b\n"),
+         "line 4: dir is given twice"),
+        (lambda: parse_config("[grid]\nn1 = 256.0\n"), "line 2: bad value for n1"),
     ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon", "epsilon_nan", "v0_nan",
             "mode_amplitude_nan", "u_levels_0", "u_levels_negative", "fan_strip",
-            "ladder_before_delta"])
+            "ladder_before_delta", "repeated_key", "repeated_output_dir", "fractional_int"])
     def test_rejected_configs(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
@@ -116,6 +122,12 @@ class TestParse:
         assert cfg.modes == ((1, 1, 0.5), (2, 3, 0.25))
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[perturbation]\nmodes = 1:1\n")
+
+    def test_values_take_the_type_of_their_default(self):
+        cfg = parse_config("[grid]\nn1 = 2048\nx1_min = -3\n[analysis]\nsave_snapshots = all\n"
+                           "[output]\ndir = out/x\n")
+        assert (cfg.n1, cfg.x1_min, cfg.save_snapshots, cfg.out_dir) == (2048, -3.0, "all", "out/x")
+        assert type(cfg.n1) is int and type(cfg.x1_min) is float
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\n[gas]\ngamma = 1.8  # inline\n")
@@ -262,6 +274,9 @@ STREAMED_DIGESTS = {
     "snapshot_t0.9615.rwl": "bc03a6a32b4085d9e3088909efbc24da14720817595e73922257738dcce26f81",
     "snapshot_t1.0000.rwl": "fb07000d2423533ec6d11cda45856e16a41e5a41ce4e8c5679c59fb4b87ff3af",
 }
+# SHA-256 of the report.json of STREAMED at seed 2024 (its config keeps the
+# default out_dir), recorded before the report tables were declared in one table
+STREAMED_REPORT_DIGEST = "95d6dd9c36e53cf8b12846f0f903373663ab1973710627bf197f8cbcb1d5dc57"
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +321,11 @@ class TestStreamedRun:
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
         assert output_digests(out) == STREAMED_DIGESTS
+
+    def test_report_matches_recorded_digest(self, streamed_run):
+        _, out, _ = streamed_run
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() \
+            == STREAMED_REPORT_DIGEST
 
 
 # the solve path a run takes with each CPU count, when it is the only run
@@ -632,7 +652,43 @@ class TestBandWindow:
         assert same_results(windowed, whole)
 
 
+# SHA-256 of the study-level files and plot data of an epsilon_scaling study of
+# TINY over (0.02, 0.01), recorded before the report tables were declared in one
+# table; TINY's config keeps the default out_dir, which the member reports carry
+EPS_STUDY_DIGESTS = {
+    "epsilon_scaling-0.01/energy_psi2_n0.dat": "a9a7cb0ddf8764f6030713983bf9461cebdcd642d40354b96d0adbecf9ba2211",
+    "epsilon_scaling-0.01/energy_psi2_n1.dat": "c963049492a68be14676caaac5da788f14ce7679559ac469e974b5fb4b468a3f",
+    "epsilon_scaling-0.01/energy_w_n0.dat": "73c0efdc7c0770bbc4a7f5dc3e4594cb4e7935b5387caf9fd3f07384081fa3fc",
+    "epsilon_scaling-0.01/energy_w_n1.dat": "f3f890b2dc4dc7d460bdd387e834ee4723669d64abd52031c9131743db838f92",
+    "epsilon_scaling-0.01/energy_wbar_n0.dat": "f88a2003e9efe6bf9bb0b2bc008596657f9eaf9ae0a22cae59db633abaa6d898",
+    "epsilon_scaling-0.01/energy_wbar_n1.dat": "4ff2e0d4c99c8cbaa3f6a0773a36637923b035986d8105205812423cca11bf9f",
+    "epsilon_scaling-0.01/flux_vs_u.dat": "f165125df55f9e9d065e0ad6f02ccb29e79077bd592bac58a03633a66cb0a638",
+    "epsilon_scaling-0.01/kappa_profile.dat": "acb6e954af27f249b86c913d3117a4dcf1e4ff13493c808d10bf8d21edaec304",
+    "epsilon_scaling-0.01/residuals.dat": "e3dea24a8a66e8c2ee368a74554b5da6ef510e7300070735f0f38b288ab2630a",
+    "epsilon_scaling-0.01/sign_monitors.dat": "7f71f51af8d69a84885141d957275b267414d3de96387e02d53ffe8bff3813cc",
+    "epsilon_scaling-0.02/energy_psi2_n0.dat": "fbbf8a8c1eabf5aa1b81f75cf2de9e245e138fa95ad690c955ff5a03af37416b",
+    "epsilon_scaling-0.02/energy_psi2_n1.dat": "d83cddb6c2adbc310c956b1e0e51ffd278372547ee736151a69756e92c9d938f",
+    "epsilon_scaling-0.02/energy_w_n0.dat": "bfe6c7d54c99c53ef501cf882239253cd0b1b869b2190ba656b8f8811a900f34",
+    "epsilon_scaling-0.02/energy_w_n1.dat": "40ad8c79b39e0039e82977b135092c04d4032c3de221f78640092360e54a7fe3",
+    "epsilon_scaling-0.02/energy_wbar_n0.dat": "9b2abcb5cafdd5993ae2638744d0be307677b7d936f9f9c8a10403c11f33dbeb",
+    "epsilon_scaling-0.02/energy_wbar_n1.dat": "6b416090d471e3a3ea91ff0635d4e442431aa2f340fdbe535b6d9a2827fd262e",
+    "epsilon_scaling-0.02/flux_vs_u.dat": "6fe0e860554f11d66932e9b9ca53c6687f18770575ee9b0ce5ad9a10dbd63e22",
+    "epsilon_scaling-0.02/kappa_profile.dat": "082acb31cb73b8c2844dc7d10f57ecb5cfd13712c91aa5fdaa2109e2c2d63b10",
+    "epsilon_scaling-0.02/residuals.dat": "122ea1c4c6da1218cacf6fb40c79a46eb174ea36426c43ebf9cd37720e441f15",
+    "epsilon_scaling-0.02/sign_monitors.dat": "66bbc6de257ce24c39c91a0daf696fb28577ddcaf423feaa666e30090b28f53d",
+    "slope_fits.json": "18726729ca627f067a194f26b5f6e1884eea27764fe1fb5a3fd8c1855bbe50a7",
+    "study.json": "1a1c9717e21db8ee2db51120855cf08fe51255a9af6ccb3bbc13440b8d22f0aa",
+}
+
+
 class TestStudies:
+    def test_epsilon_study_outputs_match_recorded_digests(self, tmp_path):
+        run_study(StudySpec("epsilon_scaling", (0.02, 0.01)), parse_config(TINY), out_dir=tmp_path)
+        assert {f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(tmp_path.rglob("*"))
+                if f.suffix == ".dat" or f.name in ("study.json", "slope_fits.json")} \
+            == EPS_STUDY_DIGESTS
+
     def test_single_study_layout(self, tmp_path):
         cfg = tiny_config(tmp_path)
         study = run_study(StudySpec("single"), cfg, out_dir=tmp_path / "s")
@@ -751,10 +807,10 @@ class TestCLI:
 
         calls, step = [0], euler2d.step
 
-        def overlong_step(f, dt, config):
+        def overlong_step(f, dt):
             # the sixth step is a thousand times too long: the density goes negative
             calls[0] += 1
-            return step(f, dt * (1e3 if calls[0] == 6 else 1.0), config)
+            return step(f, dt * (1e3 if calls[0] == 6 else 1.0))
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(euler2d, "step", overlong_step)
