@@ -10,9 +10,9 @@ __version__ = "0.1.0"  # before the submodule imports: the run cache keys on it
 
 from .gas import (PolytropicGas, PrimitiveState, RiemannInvariants, enthalpy,
                   from_invariants, sound_speed, to_invariants)
-from .riemann1d import (CenteredFan, RiemannProblem1D, WaveFan, centered_fan,
-                        evaluate_fan, geometric_profile, lax_admissible,
-                        shock_jump_residual, solve_riemann)
+from .riemann1d import (CenteredFan, RiemannProblem1D, WaveFan, evaluate_fan,
+                        geometric_profile, lax_admissible, shock_jump_residual,
+                        solve_riemann)
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
                       init_perturbed_rarefaction, max_signal_speed, run, step,
                       transport_residual, vorticity)

@@ -40,6 +40,9 @@ __all__ = [
     "total_mass",
 ]
 
+RAMP = 0.2  # width of the quintic ramps of a k1 = 0 perturbation profile
+SUP_SAMPLING_DX = 1e-3  # sampling step of velocity_third_derivative_bound
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -81,8 +84,31 @@ class Grid:
         return slice(0, self.n1)
 
     def d1(self, a: np.ndarray) -> np.ndarray:
-        """Centered x1-derivative of a plane on this grid."""
-        return _d1(a, self.dx1)
+        """Centered x1-derivative of a plane on this grid, one-sided at its edges."""
+        dx = self.dx1
+        out = np.empty(a.shape)
+        inner = np.subtract(a[2:], a[:-2], out=out[1:-1])
+        inner /= 2.0 * dx
+        np.subtract(a[1], a[0], out=out[0])
+        np.subtract(a[-1], a[-2], out=out[-1])
+        out[0] /= dx
+        out[-1] /= dx
+        return out
+
+    def d2(self, a: np.ndarray) -> np.ndarray:
+        """Centered periodic x2-derivative of a plane on this grid."""
+        a = np.ascontiguousarray(a)
+        out = np.empty(a.shape)
+        flat = _flat(a)
+        np.subtract(flat[2:], flat[:-2], out=_flat(out)[1:-1])
+        np.subtract(a[:, 1], a[:, -1], out=out[:, 0])
+        np.subtract(a[:, 0], a[:, -2], out=out[:, -1])
+        out /= 2.0 * self.dx2
+        return out
+
+    def grad(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(d1 a, d2 a)."""
+        return self.d1(a), self.d2(a)
 
     def window(self, lo: int, hi: int) -> "RowWindow":
         """The rows [lo, hi) of this grid."""
@@ -113,7 +139,7 @@ class RowWindow(Grid):
         return slice(self.lo, self.hi)
 
     def d1(self, a: np.ndarray) -> np.ndarray:
-        out = _d1(a, self.dx1)
+        out = super().d1(a)
         if self.lo > 0:
             out[0] = np.nan
         if self.hi < self.n1:
@@ -222,10 +248,11 @@ class PerturbationSpec:
     with S = P'.  Two mode families share this structure:
 
     * k1 = 0: S is a smooth plateau equal to 1 on the strip interior with
-      quintic ramps of width ramp at both ends.  The x1-uniform interior
-      means the perturbation carries no normal gradients into the wave
-      region, so the transverse structure of the maximal characteristic
-      speed develops only through the genuine 2D coupling.
+      quintic ramps of width RAMP at both ends, so the strip must be at
+      least 2 * RAMP wide.  The x1-uniform interior means the perturbation
+      carries no normal gradients into the wave region, so the transverse
+      structure of the maximal characteristic speed develops only through
+      the genuine 2D coupling.
     * k1 >= 1: S oscillates, d/dx of a C^2 bump times sin(pi*k1*s),
       normalized to max|S| = 1.
 
@@ -239,15 +266,14 @@ class PerturbationSpec:
     epsilon: float
     modes: Tuple[PerturbationMode, ...] = ()
     strip: Tuple[float, float] = (-0.35, 1.95)
-    ramp: float = 0.2
 
     def __post_init__(self):
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
         if self.strip[1] <= self.strip[0]:
             raise ValueError("empty perturbation strip")
-        if not 0.0 < self.ramp <= 0.5 * (self.strip[1] - self.strip[0]):
-            raise ValueError("ramp width must be positive and fit the strip")
+        if not RAMP <= 0.5 * (self.strip[1] - self.strip[0]):
+            raise ValueError(f"the strip is narrower than its two ramps of width {RAMP}")
 
     def _bump(self, x, deriv=0):
         a, b = self.strip
@@ -265,7 +291,7 @@ class PerturbationSpec:
         x = np.asarray(x, dtype=float)
         a, b = self.strip
         if mode.k1 == 0:
-            r = self.ramp
+            r = RAMP
             up = (x - a) / r
             dn = (b - x) / r
             if deriv == 1:
@@ -323,13 +349,14 @@ class PerturbationSpec:
                 * np.cos(m.k2 * np.asarray(x2) + m.phase) * np.ones_like(dv1)
         return dv1, self.epsilon * dv2
 
-    def velocity_third_derivative_bound(self, dx=1e-3):
+    def velocity_third_derivative_bound(self):
         """Dense-sampled sup bound on third partials of the velocity perturbation.
 
         The discrete-curl Taylor bound needs third derivatives of grad(phi),
-        i.e. fourth derivatives of the potential.
+        i.e. fourth derivatives of the potential, sampled SUP_SAMPLING_DX apart.
         """
         a, b = self.strip
+        dx = SUP_SAMPLING_DX
         xs = np.arange(a - 5 * dx, b + 5 * dx, dx)
         best = 0.0
         for m in self.modes:
@@ -586,36 +613,12 @@ def total_mass(f: FlowField) -> float:
     return float(f.rho.sum()) * f.grid.dx1 * f.grid.dx2
 
 
-def _d1(a, dx):
-    """Centered x1-derivative, one-sided at the edges."""
-    out = np.empty(a.shape)
-    inner = np.subtract(a[2:], a[:-2], out=out[1:-1])
-    inner /= 2.0 * dx
-    np.subtract(a[1], a[0], out=out[0])
-    np.subtract(a[-1], a[-2], out=out[-1])
-    out[0] /= dx
-    out[-1] /= dx
-    return out
-
-
-def _d2(a, dx):
-    """Centered periodic x2-derivative."""
-    a = np.ascontiguousarray(a)
-    out = np.empty(a.shape)
-    flat = _flat(a)
-    np.subtract(flat[2:], flat[:-2], out=_flat(out)[1:-1])
-    np.subtract(a[:, 1], a[:, -1], out=out[:, 0])
-    np.subtract(a[:, 0], a[:, -2], out=out[:, -1])
-    out /= 2.0 * dx
-    return out
-
-
 def advective_derivative(f0: np.ndarray, f1: np.ndarray, a1, a2, t0: float, t1: float,
                          grid: Grid) -> np.ndarray:
     """d/dt + a1 d1 + a2 d2 of a field pair, centered at the midpoint time."""
     dt = t1 - t0
     fm = 0.5 * (f0 + f1)
-    return (f1 - f0) / dt + a1 * grid.d1(fm) + a2 * _d2(fm, grid.dx2)
+    return (f1 - f0) / dt + a1 * grid.d1(fm) + a2 * grid.d2(fm)
 
 
 def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
@@ -627,10 +630,10 @@ def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
         psi2:  c * d1(psi2) + c * d2(w + wbar)
     """
     if invariant == "wbar":
-        return 0.5 * c * _d2(psi2, grid.dx2)
+        return 0.5 * c * grid.d2(psi2)
     if invariant == "w":
-        return 2.0 * c * grid.d1(w) + 0.5 * c * _d2(psi2, grid.dx2)
-    return c * grid.d1(psi2) + c * _d2(wbar + w, grid.dx2)
+        return 2.0 * c * grid.d1(w) + 0.5 * c * grid.d2(psi2)
+    return c * grid.d1(psi2) + c * grid.d2(wbar + w)
 
 
 def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np.ndarray:
@@ -660,4 +663,4 @@ def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np
 
 def vorticity(f: FlowField) -> np.ndarray:
     """Centered-difference curl d1(v2) - d2(v1)."""
-    return _d1(f.v2, f.grid.dx1) - _d2(f.v1, f.grid.dx2)
+    return f.grid.d1(f.v2) - f.grid.d2(f.v1)

@@ -21,8 +21,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import (FlowField, Grid, _d1, _d2, _flat, advective_derivative,
-                      diagonal_rhs)
+from .euler2d import FlowField, Grid, _flat, advective_derivative, diagonal_rhs
 from .riemann1d import NumericalError
 
 __all__ = [
@@ -311,15 +310,17 @@ def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = N
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the expansion/torsion scalars from centered
     tangential stencils.  The foliation keeps u itself, not a copy.  A
-    collapsed gradient inside the band mask raises DegenerateFoliationError.
+    collapsed gradient inside the band mask raises DegenerateFoliationError
+    naming the time and the first collapsed cell.
     """
     grid = field.grid
-    du1 = _d1(u, grid.dx1)
-    du2 = _d2(u, grid.dx2)
+    du1, du2 = grid.grad(u)
     gnorm = np.hypot(du1, du2)
     if band is not None and np.any(gnorm[band] < GRAD_FLOOR):
+        i, j = np.argwhere(band & (gnorm < GRAD_FLOOR))[0]
         raise DegenerateFoliationError(
-            f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={field.time}")
+            f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={field.time:.6g}, "
+            f"first at (i={i}, j={j})")
     safe = np.maximum(gnorm, GRAD_FLOOR)
     kappa = 1.0 / safe
     that1, that2 = du1 / safe, du2 / safe
@@ -327,7 +328,7 @@ def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = N
     c = field.c
     mu = c * kappa
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
-    xv1, xv2, xc, xx1, xx2, xmu = (directional_derivative(a, xhat1, xhat2, grid)
+    xv1, xv2, xc, xx1, xx2, xmu = (directional_derivative(grid.grad(a), xhat1, xhat2)
                                    for a in (field.v1, field.v2, c, xhat1, xhat2, mu))
     chi = (xhat1 * xv1 + xhat2 * xv2) - c * xhat2 * xx1 + c * xhat1 * xx2
     theta = xhat2 * xx1 - xhat1 * xx2
@@ -346,16 +347,17 @@ def second_frame(field: FlowField) -> SecondFrame:
 
 def _second_frame(t: float, speed: np.ndarray, v2: np.ndarray, grid: Grid) -> SecondFrame:
     """Second-frame gradients from the time, v1+c and v2."""
-    y = _d2(speed, grid.dx2)
+    y = grid.d2(speed)
     z = 1.0 - t * grid.d1(speed)
-    chi = _d2(v2, grid.dx2)
+    chi = grid.d2(v2)
     eta = -t * grid.d1(v2)
     return SecondFrame(t, y, z, y / t, z / t, chi, eta)
 
 
-def directional_derivative(f: np.ndarray, e1, e2, grid: Grid) -> np.ndarray:
-    """Derivative of f along the direction (e1, e2): e1 d1(f) + e2 d2(f)."""
-    return e1 * grid.d1(f) + e2 * _d2(f, grid.dx2)
+def directional_derivative(grad: Tuple[np.ndarray, np.ndarray], e1, e2) -> np.ndarray:
+    """Derivative of f along the direction (e1, e2) from grad = `Grid.grad(f)`:
+    e1 d1(f) + e2 d2(f).  Every frame derivative of a plane is this rule."""
+    return e1 * grad[0] + e2 * grad[1]
 
 
 def generator_velocity(field: FlowField, fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
@@ -522,7 +524,7 @@ class PairDiagnostics:
     @cached_property
     def xwbar(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """X(wbar) = d2(wbar) on s0, on s1 and their mean."""
-        xwbar0, xwbar1 = (_d2(inv[0], self.grid.dx2) for inv in self.invariants)
+        xwbar0, xwbar1 = (self.grid.d2(inv[0]) for inv in self.invariants)
         return xwbar0, xwbar1, 0.5 * (xwbar0 + xwbar1)
 
     @cached_property
@@ -563,7 +565,7 @@ class PairDiagnostics:
         speed, v2, lwbar, frame = self.midpoint
         xwbar0, xwbar1, xwbar_m = self.xwbar
         l_xwbar = advective_derivative(xwbar0, xwbar1, speed, v2, s0.time, s1.time, grid)
-        x_lwbar = _d2(lwbar, grid.dx2)
+        x_lwbar = grid.d2(lwbar)
         (wbar0, _, _), (wbar1, _, _) = self.invariants
         twbar = -self.t * grid.d1(0.5 * (wbar0 + wbar1))
         return frame.yt * twbar - (l_xwbar - x_lwbar + frame.chi * xwbar_m)
@@ -597,17 +599,19 @@ class PairDiagnostics:
         (s0, s1), (fol0, fol1), grid = self.slices, self.foliations, self.grid
         g, c0 = s0.gas.gamma, s0.c
         ld, valid = self.generator.derivative, self.generator.valid
-        xhat = (fol0.xhat1, fol0.xhat2, grid)
+
+        def xhat(f):
+            return directional_derivative(grid.grad(f), fol0.xhat1, fol0.xhat2)
 
         m_coef = -(g + 1.0) / (g - 1.0) * (
-            fol0.kappa * directional_derivative(c0, fol0.that1, fol0.that2, grid))
+            fol0.kappa * directional_derivative(grid.grad(c0), fol0.that1, fol0.that2))
         e_coef = -(fol0.that1 * ld(s0.v1, s1.v1) + fol0.that2 * ld(s0.v2, s1.v2)) / c0
         drive = -(fol0.that1 * fol0.xhat_v1 + fol0.that2 * fol0.xhat_v2) + fol0.xhat_c
         return {"kappa": (ld(fol0.kappa, fol1.kappa) - (m_coef + e_coef * fol0.kappa), valid),
                 "that1": (ld(fol0.that1, fol1.that1) - drive * fol0.xhat1, valid),
                 "that2": (ld(fol0.that2, fol1.that2) - drive * fol0.xhat2, valid),
-                "chi": (ld(fol0.chi, fol1.chi) + 0.5 * (g + 1.0) * directional_derivative(
-                    directional_derivative(c0 * c0 / (g - 1.0), *xhat), *xhat), valid)}
+                "chi": (ld(fol0.chi, fol1.chi)
+                        + 0.5 * (g + 1.0) * xhat(xhat(c0 * c0 / (g - 1.0))), valid)}
 
     def sign_monitors(self, mask: np.ndarray) -> dict:
         """Extrema over the tracked band of the coercivity quantities: L(mu) along
@@ -651,10 +655,10 @@ def deformation_components(frame: SecondFrame, field: FlowField, commutator: str
     t = frame.time
     c = field.c
     if commutator == "X":
-        zc = _d2(c, grid.dx2)
+        zc = grid.d2(c)
         lead, mixed = frame.y, frame.chi
     elif commutator == "T":
-        zc = -t * _d1(c, grid.dx1)
+        zc = -t * grid.d1(c)
         lead, mixed = frame.z, frame.eta
     else:
         raise ValueError("commutator must be 'X' or 'T'")
@@ -678,9 +682,9 @@ def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Fol
 def kslash(fol: Foliation, field: FlowField) -> np.ndarray:
     """Tangential component of the flow's second fundamental form,
     k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
-    xhat = (fol.xhat1, fol.xhat2, field.grid)
-    return (fol.xhat1 * directional_derivative(field.v1, *xhat)
-            + fol.xhat2 * directional_derivative(field.v2, *xhat)) / field.c
+    xv1, xv2 = (directional_derivative(field.grid.grad(v), fol.xhat1, fol.xhat2)
+                for v in (field.v1, field.v2))
+    return (fol.xhat1 * xv1 + fol.xhat2 * xv2) / field.c
 
 
 def chibar(fol: Foliation, field: FlowField) -> np.ndarray:

@@ -261,6 +261,7 @@ _PARSERS = {float: _finite, int: int, str: str, tuple: _parse_modes}
 def parse_config(text: str) -> RunConfig:
     """Parse key=value sections into a validated RunConfig."""
     values: Dict[str, object] = {}
+    given_on: Dict[str, int] = {}  # the line of each value
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -279,8 +280,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SECTIONS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         name = _FIELD_OF_KEY.get(key, key)
-        if name in values:
-            raise ConfigError(f"line {lineno}: {key} is given twice")
+        if name in given_on:
+            raise ConfigError(f"line {lineno}: {key} is given twice, first on line "
+                              f"{given_on[name]}")
+        given_on[name] = lineno
         try:
             values[name] = _PARSERS[type(getattr(RunConfig, name))](val)
         except ValueError as exc:

@@ -27,7 +27,6 @@ __all__ = [
     "WaveFan",
     "GeometricProfile1D",
     "CenteredFan",
-    "centered_fan",
     "shock_jump_residual",
     "lax_admissible",
     "solve_riemann",
@@ -38,6 +37,11 @@ __all__ = [
 
 # Waves weaker than this (in |c_m - c_side|) count as degenerate rarefactions.
 ZERO_STRENGTH = 1e-12
+# relative jump-condition residual up to which lax_admissible accepts a state pair
+JUMP_TOL = 1e-8
+# solve_riemann's Newton iteration: relative step that ends it, and its step budget
+NEWTON_TOL = 1e-14
+NEWTON_MAX_ITER = 200
 
 
 class NumericalError(RuntimeError):
@@ -68,10 +72,6 @@ class WaveDescriptor:
     head: float
     tail: float
     strength: float
-
-    @property
-    def speeds(self):
-        return (self.head, self.tail)
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class CenteredFan:
         raise ValueError("scalar (x, t) expected; use state_at_slope for arrays")
 
 
-def centered_fan(gas: PolytropicGas, v0: float, c0: float) -> CenteredFan:
-    return CenteredFan(gas, v0, c0)
-
-
 def shock_jump_residual(gas: PolytropicGas, left: PrimitiveState, right: PrimitiveState) -> float:
     """(v_l - v_r)**2 - (nu_r - nu_l) * (p_l - p_r), nu = 1/rho.
 
@@ -170,17 +166,16 @@ def _shock_speed(gas, left, right):
     return (rho_l * left.v1 - rho_r * right.v1) / (rho_l - rho_r)
 
 
-def lax_admissible(gas, left: PrimitiveState, right: PrimitiveState, family: int,
-                   jump_tol: float = 1e-8) -> bool:
+def lax_admissible(gas, left: PrimitiveState, right: PrimitiveState, family: int) -> bool:
     """Lax entropy condition: lambda_family(left) > s > lambda_family(right).
 
     left/right are in spatial order.  The pair must satisfy the jump
-    conditions; a zero-strength pair is reported as not admissible.
+    conditions to JUMP_TOL; a zero-strength pair is reported as not admissible.
     """
     if family not in (1, 2):
         raise ValueError("family must be 1 or 2")
     scale = max(1.0, left.c, right.c) ** 2
-    if abs(shock_jump_residual(gas, left, right)) > jump_tol * scale:
+    if abs(shock_jump_residual(gas, left, right)) > JUMP_TOL * scale:
         raise ValueError("states do not satisfy the jump conditions")
     if abs(left.c - right.c) <= ZERO_STRENGTH and abs(left.v1 - right.v1) <= ZERO_STRENGTH:
         return False
@@ -212,11 +207,12 @@ def _wave_velocity(gas, side: PrimitiveState, c_m: float, forward: bool):
     return side.v1 + sign * phi, sign * dq_drho * drho_dc / (2.0 * phi)
 
 
-def solve_riemann(problem: RiemannProblem1D, tol: float = 1e-14, max_iter: int = 200) -> WaveFan:
+def solve_riemann(problem: RiemannProblem1D) -> WaveFan:
     """Intersect the backward and forward wave curves in the (v, c) plane.
 
-    Safeguarded Newton iteration on the middle sound speed; bisection
-    fallback keeps the iterate inside a sign-changing bracket.  A middle
+    Safeguarded Newton iteration on the middle sound speed, to NEWTON_TOL
+    within NEWTON_MAX_ITER steps; bisection fallback keeps the iterate
+    inside a sign-changing bracket.  A middle
     state with wbar_m + w_m < 0 cannot exist and yields a vacuum fan.
     """
     gas, left, right = problem.gas, problem.left, problem.right
@@ -251,7 +247,7 @@ def solve_riemann(problem: RiemannProblem1D, tol: float = 1e-14, max_iter: int =
 
     c_m = 0.5 * (lo + hi)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         f, df = mismatch(c_m)
         if f > 0.0:
             lo = c_m
@@ -263,7 +259,7 @@ def solve_riemann(problem: RiemannProblem1D, tol: float = 1e-14, max_iter: int =
             step_ok = lo < c_next < hi
         if not step_ok:
             c_next = 0.5 * (lo + hi)
-        if abs(c_next - c_m) <= tol * max(1.0, abs(c_m)):
+        if abs(c_next - c_m) <= NEWTON_TOL * max(1.0, abs(c_m)):
             c_m = c_next
             converged = True
             break

@@ -11,7 +11,7 @@ from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpe
                               init_perturbed_rarefaction, make_uniform_field,
                               max_signal_speed, run, step, total_mass,
                               transport_residual, vorticity)
-from rarewave.euler2d import _d1, _d2, _flat
+from rarewave.euler2d import _flat
 from rarewave.gas import PolytropicGas, density_from_sound_speed, sound_speed
 from rarewave.geometry import directional_derivative
 from rarewave.riemann1d import NumericalError
@@ -383,7 +383,7 @@ class TestTransportResidual:
 
 
 def d1_oracle(a, dx):
-    """Centered x1-derivative from whole-array slices: the reference for `_d1`."""
+    """Centered x1-derivative from whole-array slices: the reference for `Grid.d1`."""
     out = np.empty_like(a)
     out[1:-1] = (a[2:] - a[:-2]) / (2.0 * dx)
     out[0] = (a[1] - a[0]) / dx
@@ -392,7 +392,7 @@ def d1_oracle(a, dx):
 
 
 def d2_oracle(a, dx):
-    """Centered periodic x2-derivative through np.roll: the reference for `_d2`."""
+    """Centered periodic x2-derivative through np.roll: the reference for `Grid.d2`."""
     return (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) / (2.0 * dx)
 
 
@@ -403,8 +403,9 @@ class TestDerivativeStencils:
         a = rng.standard_normal(shape)
         a[:, :3] = np.cumsum(a[:, :3], axis=0)
         a[2:5] = [[0.0], [-0.0], [1.5]]
-        for got, want in ((_d1(a, 0.07), d1_oracle(a, 0.07)),
-                          (_d2(a, 0.13), d2_oracle(a, 0.13))):
+        grid = Grid(*shape, -0.3, 0.07 * shape[0] - 0.3)
+        for got, want in ((grid.d1(a), d1_oracle(a, grid.dx1)),
+                          (grid.d2(a), d2_oracle(a, grid.dx2))):
             assert same_bits(got, want)
 
     def test_fortran_ordered_and_sliced_inputs(self):
@@ -415,12 +416,43 @@ class TestDerivativeStencils:
         wide[:, ::2] = a
         for f in (np.asfortranarray(a), wide[:, ::2]):
             assert not f.flags.c_contiguous
-            assert same_bits(_d1(f, grid.dx1), d1_oracle(a, grid.dx1))
-            assert same_bits(_d2(f, grid.dx2), d2_oracle(a, grid.dx2))
-            assert same_bits(directional_derivative(f, e1, e2, grid),
+            assert same_bits(grid.d1(f), d1_oracle(a, grid.dx1))
+            assert same_bits(grid.d2(f), d2_oracle(a, grid.dx2))
+            assert same_bits(directional_derivative(grid.grad(f), e1, e2),
                              e1 * d1_oracle(a, grid.dx1) + e2 * d2_oracle(a, grid.dx2))
         with pytest.raises(ValueError, match="C-contiguous"):
             _flat(np.asfortranarray(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_window_contract(self, n1, n2, data):
+        # on a window, every stencil gives the whole-grid bits on the rows that
+        # hold both x1 neighbours (or lie on a grid edge) and NaN at a window
+        # edge inside the grid, where the x1 neighbour is missing
+        lo = data.draw(st.integers(0, n1 - 2), label="lo")
+        hi = data.draw(st.integers(lo + 2, n1), label="hi")
+        grid = Grid(n1, n2, -1.0, 2.0)
+        window = grid.window(lo, hi)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        a, e1, e2 = rng.standard_normal((3, n1, n2))
+        rows = window.rows
+        whole, part = grid.grad(a), window.grad(a[rows])
+        stencils = {
+            "d1": (grid.d1(a), window.d1(a[rows])),
+            "d2": (grid.d2(a), window.d2(a[rows])),
+            "grad d1": (whole[0], part[0]),
+            "grad d2": (whole[1], part[1]),
+            "directional": (directional_derivative(whole, e1, e2),
+                            directional_derivative(part, e1[rows], e2[rows])),
+        }
+        cut = np.zeros(hi - lo, dtype=bool)
+        cut[0], cut[-1] = lo > 0, hi < n1
+        for name, (want, got) in stencils.items():
+            if name.endswith("d2"):
+                assert same_bits(got, want[rows]), name
+                continue
+            assert np.isnan(got[cut]).all(), name
+            assert same_bits(got[~cut], want[rows][~cut]), name
 
 
 class TestVorticity:

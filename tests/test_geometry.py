@@ -99,7 +99,7 @@ class TestEvolveU:
         grid = small_grid(n1=32, n2=8)
         f = make_uniform_field(GAS2, grid, c=1.0, time=0.3)
         u_flat = np.full((grid.n1, grid.n2), 0.5)
-        with pytest.raises(DegenerateFoliationError):
+        with pytest.raises(DegenerateFoliationError, match=r"t=0\.3.*first at \(i=0, j=0\)"):
             frame_fields(f, u_flat, band=band_mask(u_flat, 0.0, 1.0))
 
 

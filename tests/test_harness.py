@@ -106,9 +106,9 @@ class TestParse:
          r"ladder starts at t = 0\.4871, before delta = 0\.6"),
         # a key given twice is an error, not a silent override, in a repeated section too
         (lambda: parse_config("[grid]\nn1 = 256\n[grid]\nn1 = 512\n"),
-         "line 4: n1 is given twice"),
+         "line 4: n1 is given twice, first on line 2"),
         (lambda: parse_config("[output]\ndir = a\n\ndir = b\n"),
-         "line 4: dir is given twice"),
+         "line 4: dir is given twice, first on line 2"),
         (lambda: parse_config("[grid]\nn1 = 256.0\n"), "line 2: bad value for n1"),
     ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon", "epsilon_nan", "v0_nan",
             "mode_amplitude_nan", "u_levels_0", "u_levels_negative", "fan_strip",
@@ -834,7 +834,7 @@ class TestCLI:
         cfg_file.write_text(TINY)
         assert cli_main(["run", str(cfg_file), "--out", str(tmp_path / "r")]) == 1
         assert re.fullmatch(r"analysis failure: \|grad u\| < 1e-08 inside the tracked band "
-                            r"at t=0\.2\n", capsys.readouterr().err)
+                            r"at t=0\.2, first at \(i=\d+, j=\d+\)\n", capsys.readouterr().err)
         assert solve_manifest(tmp_path / "r")["status"] == "failed"
 
 

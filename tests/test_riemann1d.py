@@ -5,9 +5,9 @@ import pytest
 
 from rarewave.gas import PolytropicGas, PrimitiveState, sound_speed, to_invariants
 from rarewave.gas import density_from_sound_speed, pressure
-from rarewave.riemann1d import (CenteredFan, RiemannProblem1D, centered_fan,
-                                evaluate_fan, geometric_profile, lax_admissible,
-                                shock_jump_residual, solve_riemann)
+from rarewave.riemann1d import (CenteredFan, RiemannProblem1D, evaluate_fan,
+                                geometric_profile, lax_admissible, shock_jump_residual,
+                                solve_riemann)
 
 GAS2 = PolytropicGas(2.0, 0.5)
 
@@ -23,25 +23,25 @@ def hugoniot_partner(gas, left, rho_r, forward=True):
 
 class TestCenteredFan:
     def test_right_edge_matches_data(self):
-        fan = centered_fan(GAS2, 0.0, 1.0)
+        fan = CenteredFan(GAS2, 0.0, 1.0)
         s = fan(1.0, 1.0)
         assert (s.v1, s.c) == pytest.approx((0.0, 1.0), abs=1e-15)
 
     def test_interior_closed_form(self):
-        fan = centered_fan(GAS2, 0.0, 1.0)
+        fan = CenteredFan(GAS2, 0.0, 1.0)
         s = fan(0.0, 1.0)
         assert s.v1 == pytest.approx(-2.0 / 3.0, abs=1e-15)
         assert s.c == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_w_constant_through_fan(self):
-        fan = centered_fan(GAS2, 0.0, 1.0)
+        fan = CenteredFan(GAS2, 0.0, 1.0)
         for xi in np.linspace(fan.vacuum_slope, fan.head_slope, 57):
             v, c = fan.state_at_slope(xi)
             w = 0.5 * (2.0 * c / (GAS2.gamma - 1.0) - v)
             assert w == pytest.approx(1.0, abs=1e-14)
 
     def test_t_nonpositive_rejected(self):
-        fan = centered_fan(GAS2, 0.0, 1.0)
+        fan = CenteredFan(GAS2, 0.0, 1.0)
         with pytest.raises(ValueError):
             fan(0.1, 0.0)
 
@@ -50,7 +50,7 @@ class TestCenteredFan:
         for _ in range(1000):
             gas = PolytropicGas(rng.uniform(1.1, 2.9), rng.uniform(0.2, 2.0))
             v0, c0 = rng.uniform(-1, 1), rng.uniform(0.2, 2.0)
-            fan = centered_fan(gas, v0, c0)
+            fan = CenteredFan(gas, v0, c0)
             xi = rng.uniform(fan.vacuum_slope, fan.head_slope)
             v, c = fan.state_at_slope(xi)
             w_ref = 0.5 * (2.0 * c0 / (gas.gamma - 1.0) - v0)
@@ -60,7 +60,7 @@ class TestCenteredFan:
     def test_vacuum_threshold_value(self):
         # the forward fan reaches vacuum a parameter distance
         # (gamma+1)/(gamma-1)*c0 below the head slope
-        fan = centered_fan(GAS2, 0.0, 1.0)
+        fan = CenteredFan(GAS2, 0.0, 1.0)
         width = fan.head_slope - fan.vacuum_slope
         assert width == pytest.approx(3.0, abs=1e-14)
         _, c = fan.state_at_slope(fan.vacuum_slope)
