@@ -15,7 +15,8 @@ from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .gas import PolytropicGas, density_from_sound_speed, pressure, sound_speed
+from .gas import (PolytropicGas, RiemannInvariants, density_from_sound_speed, pressure,
+                  sound_speed, to_invariants)
 from .riemann1d import CenteredFan, NumericalError
 
 __all__ = [
@@ -200,11 +201,9 @@ class FlowField:
     def c(self) -> np.ndarray:
         return sound_speed(self.gas, self.rho)
 
-    def invariants(self):
+    def invariants(self) -> RiemannInvariants:
         """(wbar, w, psi2) arrays."""
-        s = 2.0 * self.c / (self.gas.gamma - 1.0)
-        v1 = self.v1
-        return 0.5 * (s + v1), 0.5 * (s - v1), -self.v2
+        return to_invariants(self.gas, self)
 
     def copy(self, time=None):
         out = FlowField(self.gas, self.grid, self.time if time is None else time,

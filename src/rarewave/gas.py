@@ -8,6 +8,7 @@ on demand via rho = (c**2 / (k0*gamma))**(1/(gamma-1)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class PrimitiveState:
     v2: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.c, self.v1, self.v2))):
+            raise ValueError(f"state must be finite, got {self}")
         if self.c < 0.0:
             raise ValueError(f"sound speed must be non-negative, got {self.c}")
 
@@ -56,9 +59,8 @@ class PrimitiveState:
         return self.c == 0.0
 
 
-@dataclass(frozen=True)
-class RiemannInvariants:
-    """Invariant triple (wbar, w, psi2).
+class RiemannInvariants(NamedTuple):
+    """Invariant triple (wbar, w, psi2), of scalars or of planes.
 
     wbar rides the forward (v+c) characteristic family, w the backward
     (v-c) family, and psi2 = -v2 completes the triple.
@@ -98,17 +100,14 @@ def enthalpy(gas: PolytropicGas, c):
     return h if h.ndim else float(h)
 
 
-def to_invariants(gas: PolytropicGas, state: PrimitiveState) -> RiemannInvariants:
-    """Map (c, v1, v2) to (wbar, w, psi2).
+def to_invariants(gas: PolytropicGas, state) -> RiemannInvariants:
+    """Map (c, v1, v2) to (wbar, w, psi2), for any state with those attributes.
 
     wbar = (2c/(gamma-1) + v1)/2, w = (2c/(gamma-1) - v1)/2, psi2 = -v2.
     """
     s = 2.0 * state.c / (gas.gamma - 1.0)
-    return RiemannInvariants(
-        wbar=0.5 * (s + state.v1),
-        w=0.5 * (s - state.v1),
-        psi2=-state.v2,
-    )
+    v1 = state.v1
+    return RiemannInvariants(wbar=0.5 * (s + v1), w=0.5 * (s - v1), psi2=-state.v2)
 
 
 def from_invariants(gas: PolytropicGas, inv: RiemannInvariants) -> PrimitiveState:

@@ -39,13 +39,10 @@ __all__ = [
 ZERO_STRENGTH = 1e-12
 # relative jump-condition residual up to which lax_admissible accepts a state pair
 JUMP_TOL = 1e-8
-# solve_riemann's Newton iteration: relative step that ends it, and its step budget
-NEWTON_TOL = 1e-14
-NEWTON_MAX_ITER = 200
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iterative solve fails to converge."""
+    """Raised when a numerical solve breaks down."""
 
 
 @dataclass(frozen=True)
@@ -186,34 +183,28 @@ def lax_admissible(gas, left: PrimitiveState, right: PrimitiveState, family: int
     return lam_l > s > lam_r
 
 
-def _wave_velocity(gas, side: PrimitiveState, c_m: float, forward: bool):
-    """Middle velocity and d v_m / d c_m along the wave curve through one state.
+def _wave_velocity(gas, side: PrimitiveState, c_m: float, forward: bool) -> float:
+    """Middle velocity on the wave curve through one state.
 
     forward=True gives the 2-family curve through the right state,
     forward=False the 1-family curve through the left state.
     """
-    g = gas.gamma
     sign = 1.0 if forward else -1.0
     if c_m <= side.c:
         # rarefaction branch: the opposite Riemann invariant is constant
-        return side.v1 + sign * 2.0 * (c_m - side.c) / (g - 1.0), sign * 2.0 / (g - 1.0)
+        return side.v1 + sign * 2.0 * (c_m - side.c) / (gas.gamma - 1.0)
     rho_s = density_from_sound_speed(gas, side.c)
     rho_m = density_from_sound_speed(gas, c_m)
     p_s, p_m = pressure(gas, rho_s), pressure(gas, rho_m)
-    q = (p_m - p_s) * (1.0 / rho_s - 1.0 / rho_m)
-    phi = np.sqrt(q)
-    dq_drho = c_m * c_m * (1.0 / rho_s - 1.0 / rho_m) + (p_m - p_s) / rho_m ** 2
-    drho_dc = 2.0 * rho_m / ((g - 1.0) * c_m)
-    return side.v1 + sign * phi, sign * dq_drho * drho_dc / (2.0 * phi)
+    return side.v1 + sign * np.sqrt((p_m - p_s) * (1.0 / rho_s - 1.0 / rho_m))
 
 
 def solve_riemann(problem: RiemannProblem1D) -> WaveFan:
     """Intersect the backward and forward wave curves in the (v, c) plane.
 
-    Safeguarded Newton iteration on the middle sound speed, to NEWTON_TOL
-    within NEWTON_MAX_ITER steps; bisection fallback keeps the iterate
-    inside a sign-changing bracket.  A middle
-    state with wbar_m + w_m < 0 cannot exist and yields a vacuum fan.
+    Bisection on the middle sound speed until the bracket holds two
+    adjacent floats.  A middle state with wbar_m + w_m < 0 cannot exist
+    and yields a vacuum fan.
     """
     gas, left, right = problem.gas, problem.left, problem.right
     g = gas.gamma
@@ -229,47 +220,29 @@ def solve_riemann(problem: RiemannProblem1D) -> WaveFan:
         return WaveFan(gas, left, right, wave1, wave2, middle=None)
 
     def mismatch(c_m):
-        v1m, d1 = _wave_velocity(gas, left, c_m, forward=False)
-        v2m, d2 = _wave_velocity(gas, right, c_m, forward=True)
-        return v1m - v2m, d1 - d2
+        return (_wave_velocity(gas, left, c_m, forward=False)
+                - _wave_velocity(gas, right, c_m, forward=True))
 
     # mismatch is strictly decreasing in c_m and >= 0 at c_m = 0
     lo = 0.0
     hi = max(left.c, right.c)
-    f_hi, _ = mismatch(hi)
     grow = 0
-    while f_hi > 0.0:
+    while mismatch(hi) > 0.0:
         hi *= 2.0
-        f_hi, _ = mismatch(hi)
         grow += 1
         if grow > 60:
             raise NumericalError(f"failed to bracket the middle state: {problem}")
 
-    c_m = 0.5 * (lo + hi)
-    converged = False
-    for _ in range(NEWTON_MAX_ITER):
-        f, df = mismatch(c_m)
-        if f > 0.0:
+    while lo < 0.5 * (lo + hi) < hi:
+        c_m = 0.5 * (lo + hi)
+        if mismatch(c_m) > 0.0:
             lo = c_m
         else:
             hi = c_m
-        step_ok = df != 0.0
-        if step_ok:
-            c_next = c_m - f / df
-            step_ok = lo < c_next < hi
-        if not step_ok:
-            c_next = 0.5 * (lo + hi)
-        if abs(c_next - c_m) <= NEWTON_TOL * max(1.0, abs(c_m)):
-            c_m = c_next
-            converged = True
-            break
-        c_m = c_next
-    if not converged:
-        raise NumericalError(
-            f"wave-curve intersection did not converge: c_m={c_m}, bracket=({lo},{hi})")
+    c_m = hi
 
-    v_m = 0.5 * (_wave_velocity(gas, left, c_m, forward=False)[0]
-                 + _wave_velocity(gas, right, c_m, forward=True)[0])
+    v_m = 0.5 * (_wave_velocity(gas, left, c_m, forward=False)
+                 + _wave_velocity(gas, right, c_m, forward=True))
     middle = PrimitiveState(c=c_m, v1=v_m)
 
     def describe(side, family):
@@ -288,34 +261,24 @@ def solve_riemann(problem: RiemannProblem1D) -> WaveFan:
 
 
 def evaluate_fan(fan: WaveFan, xi: float) -> PrimitiveState:
-    """Sample the self-similar solution at slope xi = x/t."""
-    g = fan.gas.gamma
-    left, right = fan.left, fan.right
+    """Sample the self-similar solution at slope xi = x/t.
+
+    A rarefaction interior is the CenteredFan through its outer state: the
+    forward fan itself, the backward one as its mirror image x -> -x.
+    """
     w1, w2 = fan.wave1, fan.wave2
-
     if xi < w1.head or (w1.kind == "rarefaction" and xi == w1.head):
-        return left
+        return fan.left
     if w1.kind == "rarefaction" and xi < w1.tail:
-        # backward fan interior: v - c = xi, wbar constant
-        wbar_l = to_invariants(fan.gas, left).wbar
-        c = (g - 1.0) / (g + 1.0) * (2.0 * wbar_l - xi)
-        if c > 0.0:
-            return PrimitiveState(c=c, v1=xi + c, v2=left.v2)
-        return PrimitiveState(c=0.0, v1=xi, v2=left.v2)
-
-    if xi >= w2.head:
-        return right
-    if w2.kind == "rarefaction" and xi > w2.tail:
-        # forward fan interior: v + c = xi, w constant
-        w_r = to_invariants(fan.gas, right).w
-        c = (g - 1.0) / (g + 1.0) * (2.0 * w_r + xi)
-        if c > 0.0:
-            return PrimitiveState(c=c, v1=xi - c, v2=right.v2)
-        return PrimitiveState(c=0.0, v1=xi, v2=right.v2)
-
-    if fan.has_vacuum:
-        return PrimitiveState(c=0.0, v1=xi)
-    return fan.middle
+        sign, side = -1.0, fan.left
+    elif xi >= w2.head:
+        return fan.right
+    elif w2.kind == "rarefaction" and xi > w2.tail:
+        sign, side = 1.0, fan.right
+    else:
+        return PrimitiveState(c=0.0, v1=xi) if fan.has_vacuum else fan.middle
+    v, c = CenteredFan(fan.gas, sign * side.v1, side.c).state_at_slope(sign * xi)
+    return PrimitiveState(c=float(c), v1=sign * float(v), v2=side.v2)
 
 
 def geometric_profile(gas: PolytropicGas, v0: float, c0: float, t: float, x: float) -> GeometricProfile1D:

@@ -44,6 +44,12 @@ def _unpack_header(raw: bytes):
     return n1, n2, x1_min, x1_max, t, gamma, k0
 
 
+def _check_size(path, raw: bytes, expected: int) -> None:
+    """Both formats share the header, so only the length tells them apart."""
+    if len(raw) != expected:
+        raise ValueError(f"{path} holds {len(raw)} bytes, its header implies {expected}")
+
+
 def write_snapshot(field: FlowField, path) -> None:
     path = Path(path)
     with path.open("wb") as fh:
@@ -57,6 +63,7 @@ def read_snapshot(path) -> FlowField:
     n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(raw)
     offset = 4 + _HEADER.size
     count = n1 * n2
+    _check_size(path, raw, offset + 3 * 8 * count)
     planes = []
     for k in range(3):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + 8 * count * k)
@@ -87,11 +94,12 @@ def read_planes(path):
     offset = 4 + _HEADER.size
     (nplanes,) = struct.unpack_from("<I", raw, offset)
     offset += 4
+    count = n1 * n2
+    _check_size(path, raw, offset + (16 + 8 * count) * nplanes)
     names = []
     for k in range(nplanes):
         names.append(raw[offset:offset + 16].rstrip(b"\0").decode("ascii"))
         offset += 16
-    count = n1 * n2
     planes = {}
     for k, name in enumerate(names):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + 8 * count * k)

@@ -137,13 +137,15 @@ class TestParse:
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
         f = fan_field(GAS2, small_grid(n1=32, n2=8), 0.4)
-        path = tmp_path / "snap.rwl"
+        f.m2[3, 5] = -0.0
+        path, again = tmp_path / "snap.rwl", tmp_path / "again.rwl"
         write_snapshot(f, path)
         g = read_snapshot(path)
         assert g.time == f.time
         assert g.gas == f.gas
-        np.testing.assert_array_equal(g.rho, f.rho)
-        np.testing.assert_array_equal(g.m2, f.m2)
+        assert all(same_bits(getattr(g, k), getattr(f, k)) for k in ("rho", "m1", "m2"))
+        write_snapshot(g, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_binary_layout_contract(self, tmp_path):
         f = fan_field(GAS2, small_grid(n1=32, n2=8), 0.4)
@@ -163,13 +165,27 @@ class TestSnapshotIO:
     def test_named_planes_round_trip(self, tmp_path):
         grid = small_grid(n1=16, n2=8)
         planes = {"u": np.random.default_rng(0).normal(size=(16, 8)),
-                  "kappa": np.ones((16, 8))}
-        path = tmp_path / "planes.rwl"
+                  "kappa": np.ones((16, 8)), "nan_and_zero": np.full((16, 8), np.nan)}
+        planes["nan_and_zero"][::2] = -0.0
+        path, again = tmp_path / "planes.rwl", tmp_path / "again.rwl"
         write_planes(grid, 0.3, GAS2, planes, path)
         meta, back = read_planes(path)
         assert meta["t"] == 0.3
-        assert set(back) == {"u", "kappa"}
-        np.testing.assert_array_equal(back["u"], planes["u"])
+        assert list(back) == list(planes)
+        assert all(same_bits(back[k], planes[k]) for k in planes)
+        write_planes(grid, meta["t"], GAS2, back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_cross_read_names_path_and_sizes(self, tmp_path):
+        grid = small_grid(n1=16, n2=8)
+        snap, named = tmp_path / "snap.rwl", tmp_path / "planes.rwl"
+        write_snapshot(fan_field(GAS2, grid, 0.4), snap)
+        write_planes(grid, 0.4, GAS2, {"u": np.ones((16, 8))}, named)
+        for reader, path, other in ((read_planes, snap, named), (read_snapshot, named, snap)):
+            size = path.stat().st_size
+            with pytest.raises(ValueError, match=rf"{re.escape(str(path))} holds {size} bytes"):
+                reader(path)
+            reader(other)
 
 
 class TestRunSingle:
@@ -775,6 +791,11 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert {"wave1", "wave2", "middle"} <= payload.keys()
         assert not payload["vacuum"]
+
+    @pytest.mark.parametrize("left", ["nan,1", "0,nan", "inf,1"])
+    def test_riemann_non_finite_state_exit_code(self, left, capsys):
+        assert cli_main(["riemann1d", "--left", left, "--right", "0.5,0.8"]) == 2
+        assert "state must be finite" in capsys.readouterr().err
 
     def test_verify_gronwall_pass_and_fail(self, tmp_path, capsys):
         t = list(np.linspace(0.05, 1.0, 10))

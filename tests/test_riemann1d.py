@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rarewave.gas import PolytropicGas, PrimitiveState, sound_speed, to_invariants
-from rarewave.gas import density_from_sound_speed, pressure
+from rarewave.gas import (PolytropicGas, PrimitiveState, RiemannInvariants, density_from_sound_speed,
+                          from_invariants, pressure, sound_speed, to_invariants)
 from rarewave.riemann1d import (CenteredFan, RiemannProblem1D, evaluate_fan,
                                 geometric_profile, lax_admissible, shock_jump_residual,
                                 solve_riemann)
@@ -162,6 +162,35 @@ class TestSolve:
                         assert abs(lo.v1 - hi.v1) < 1e-9
 
 
+    def test_two_rarefaction_middle_to_round_off(self):
+        # the middle state of two rarefactions has wbar_l and w_r as its invariants;
+        # both sides keep c >= 0.5, so the invariants do not swamp the middle c
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for k in range(3000):
+            gas = PolytropicGas(rng.uniform(1.5, 2.5), rng.uniform(0.3, 1.0))
+            spread = 4.0 if k % 5 == 0 else 1.5
+            left = PrimitiveState(c=rng.uniform(0.5, 1.5), v1=rng.uniform(-spread, spread))
+            right = PrimitiveState(c=rng.uniform(0.5, 1.5), v1=rng.uniform(-spread, spread))
+            inv = RiemannInvariants(to_invariants(gas, left).wbar, to_invariants(gas, right).w)
+            if not 0.0 < inv.wbar + inv.w:
+                continue
+            ref = from_invariants(gas, inv).c
+            if ref >= min(left.c, right.c):
+                continue
+            fan = solve_riemann(RiemannProblem1D(gas, left, right))
+            assert fan.wave1.kind == fan.wave2.kind == "rarefaction"
+            worst = max(worst, abs(fan.middle.c - ref) / np.spacing(ref))
+        assert worst <= 256
+
+    def test_exact_middle_state(self):
+        # wbar_l = 1 and w_r = 0.55 give c_m = 0.775, a root that the wave curves hit exactly
+        left, right = PrimitiveState(c=1.0, v1=0.0), PrimitiveState(c=0.8, v1=0.5)
+        fan = solve_riemann(RiemannProblem1D(GAS2, left, right))
+        assert fan.middle.c == 0.775
+        assert fan.middle.v1 == pytest.approx(0.45, abs=1e-15)
+
+
 class TestEvaluateFan:
     def setup_method(self):
         left = PrimitiveState(c=0.8, v1=-0.4)
@@ -183,6 +212,16 @@ class TestEvaluateFan:
             assert got.v1 == pytest.approx(float(v), abs=1e-14)
             assert got.c == pytest.approx(float(c), abs=1e-14)
         assert mid.c < self.fan.right.c
+
+    def test_backward_fan_interior_matches_closed_form(self):
+        assert self.fan.wave1.kind == "rarefaction"
+        g = GAS2.gamma
+        wbar_l = to_invariants(GAS2, self.fan.left).wbar
+        for xi in np.linspace(self.fan.wave1.head + 1e-9, self.fan.wave1.tail - 1e-9, 11):
+            got = evaluate_fan(self.fan, xi)
+            c = (g - 1.0) / (g + 1.0) * (2.0 * wbar_l - xi)
+            assert got.c == pytest.approx(c, abs=1e-14)
+            assert got.v1 == pytest.approx(xi + c, abs=1e-14)
 
     def test_self_similarity(self):
         for x, t in ((0.3, 0.5), (0.6, 1.0)):
