@@ -32,6 +32,7 @@ __all__ = [
     "evolve_u",
     "iter_evolve_u",
     "frame_fields",
+    "torsions",
     "second_frame",
     "advective_derivative",
     "directional_derivative",
@@ -71,10 +72,11 @@ class DegenerateFoliationError(RuntimeError):
 
 @dataclass
 class Foliation:
-    """Front-adapted frame data derived from u on one time slice.
+    """Front-adapted frame data derived from u on one time slice: the planes
+    that the pair diagnostics and energies read.
 
     xhat_v1, xhat_v2 and xhat_c are the tangential derivatives Xhat(v1),
-    Xhat(v2) and Xhat(c) of the slice's flow.
+    Xhat(v2) and Xhat(c) of the slice's flow; `torsions` derives zeta and eta.
     """
 
     time: float
@@ -85,9 +87,6 @@ class Foliation:
     that1: np.ndarray
     that2: np.ndarray
     chi: np.ndarray
-    zeta: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
     xhat_v1: np.ndarray
     xhat_v2: np.ndarray
     xhat_c: np.ndarray
@@ -308,10 +307,10 @@ def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = N
     """Frame quantities on one slice from the flow field and u.
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
-    tangent its rotation, and the expansion/torsion scalars from centered
-    tangential stencils.  The foliation keeps u itself, not a copy.  A
-    collapsed gradient inside the band mask raises DegenerateFoliationError
-    naming the time and the first collapsed cell.
+    tangent its rotation, and the tangential derivatives of the flow and the
+    expansion chi from centered stencils.  The foliation keeps u itself, not
+    a copy.  A collapsed gradient inside the band mask raises
+    DegenerateFoliationError naming the time and the first collapsed cell.
     """
     grid = field.grid
     du1, du2 = grid.grad(u)
@@ -328,14 +327,22 @@ def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = N
     c = field.c
     mu = c * kappa
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
-    xv1, xv2, xc, xx1, xx2, xmu = (directional_derivative(grid.grad(a), xhat1, xhat2)
-                                   for a in (field.v1, field.v2, c, xhat1, xhat2, mu))
+    xv1, xv2, xc, xx1, xx2 = (directional_derivative(grid.grad(a), xhat1, xhat2)
+                              for a in (field.v1, field.v2, c, xhat1, xhat2))
     chi = (xhat1 * xv1 + xhat2 * xv2) - c * xhat2 * xx1 + c * xhat1 * xx2
-    theta = xhat2 * xx1 - xhat1 * xx2
-    zeta = -kappa * (-(that1 * xv1 + that2 * xv2) + xc)
-    eta = zeta + xmu
-    return Foliation(field.time, grid, u, kappa, mu, that1, that2,
-                     chi, zeta, eta, theta, xv1, xv2, xc)
+    return Foliation(field.time, grid, u, kappa, mu, that1, that2, chi, xv1, xv2, xc)
+
+
+def torsions(fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
+    """The torsions (zeta, eta) of a foliation on its grid:
+
+        zeta = -kappa * (Xhat(c) - That . Xhat(v)),   eta = zeta + Xhat(mu).
+
+    No pair diagnostic reads them, so a foliation derives them on demand
+    instead of holding them.
+    """
+    zeta = -fol.kappa * (-(fol.that1 * fol.xhat_v1 + fol.that2 * fol.xhat_v2) + fol.xhat_c)
+    return zeta, zeta + directional_derivative(fol.grid.grad(fol.mu), fol.xhat1, fol.xhat2)
 
 
 def second_frame(field: FlowField) -> SecondFrame:

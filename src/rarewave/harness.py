@@ -475,19 +475,19 @@ def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
 
 
 class _Slice:
-    """One time slice of a run, held while a consumer still needs it.
+    """One time slice of a run, held while a later pair still reads it.
 
     It stands in for its snapshot in the analysis functions, which read
     gas, grid, time, v1, v2, c and invariants() from it; the three planes
-    are computed once, here.  `form_foliation` adds the foliation (which
-    holds u), the band mask with the hull of its rows, and the rows its band
-    results read; `on` alone restricts a slice to the rows of a window.
+    are computed once, here, and the snapshot itself is not kept.
+    `form_foliation` adds the foliation (which holds u), the band mask with
+    the hull of its rows, and the rows its band results read; `on` alone
+    restricts a slice to the rows of a window.
     """
 
     invariants = FlowField.invariants
 
     def __init__(self, snapshot: FlowField):
-        self.snapshot = snapshot
         self.gas, self.grid, self.time = snapshot.gas, snapshot.grid, snapshot.time
         self.v1, self.v2, self.c = snapshot.v1, snapshot.v2, snapshot.c
         self.foliation: Optional[geo.Foliation] = None
@@ -552,12 +552,13 @@ def _band_stats(rec: _Slice):
     m, fol, c = rec.band, rec.foliation, rec.c
     if not np.any(m):
         return ()
+    zeta, eta = geo.torsions(fol)
 
     def row(*values):
         return [rec.time, *(float(np.max(np.abs(a))) for a in values)]
 
     return (row(fol.kappa[m] / rec.time - 1.0, fol.mu[m] - c[m] * fol.kappa[m]),
-            row(fol.that1[m] + 1.0, fol.that2[m], fol.chi[m], fol.zeta[m], fol.eta[m]))
+            row(fol.that1[m] + 1.0, fol.that2[m], fol.chi[m], zeta[m], eta[m]))
 
 
 def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
@@ -590,13 +591,15 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     """One pass over the slices in time order, the solve running `process`
     (see `_snapshots`).
 
-    Each slice's record (snapshot, u, foliation) is formed as the solve
-    reaches it and serves every consumer: rays, band statistics, predicates,
-    bookkeeping and the one `PairDiagnostics` of each slice pair it closes,
-    which the energies and the pair diagnostics share.  A record is dropped
-    once the last pair reaching back to it has passed, so at most (largest
-    base-to-partner index gap + 1) records are alive; only scalars are kept
-    across the run.
+    Each slice's record (`_Slice`: v1, v2, c, band mask and foliation) is
+    formed as the solve reaches it and serves every consumer: rays, band
+    statistics, predicates and the one `PairDiagnostics` of each slice pair
+    it closes, which the energies and the pair diagnostics share.  The
+    snapshot itself serves only the bookkeeping and the file of its own
+    iteration, and the torsions only the band statistics and the final
+    foliation file, so neither is kept.  A record is dropped at the end of
+    the iteration of the last slice that closes a pair with it; only scalars
+    are kept across the run.
     """
     gas, grid = cfg.gas(), cfg.grid()
     ladder, base_idx, pair_idx = cfg.ladder()
@@ -606,7 +609,8 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     closes: Dict[int, Dict[int, List[int]]] = {k: {k - 1: []} for k in range(1, last + 1)}
     for j, (kb, kp) in enumerate(zip(base_idx, pair_idx)):
         closes[max(kb, kp)].setdefault(min(kb, kp), []).append(j)
-    lookahead = max(k1 - k0 for k1, pairs in closes.items() for k0 in pairs)
+    # the last slice that closes a pair with each earlier slice
+    last_use = {k0: k1 for k1, pairs in closes.items() for k0 in pairs}
     seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
@@ -623,11 +627,15 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     times, energy_slices, pair_rows = [], [], {}
     x2_variation = 0.0
     with _snapshots(field0, cfg.solver(), process) as snapshots:
-        records = geo.iter_evolve_u(map(_Slice, snapshots), u_init, cfl=cfg.cfl)
-        for k, (rec, u) in enumerate(records):
+        # the level set reads each record as the loop forms it, so that the loop,
+        # not the record, holds the snapshot
+        arrived: List[_Slice] = []
+        level_set = geo.iter_evolve_u(iter(arrived.pop, None), u_init, cfl=cfg.cfl)
+        for k, s in enumerate(snapshots):
+            rec = window[k] = _Slice(s)
+            arrived.append(rec)
+            _, u = next(level_set)
             rec.form_foliation(u, cfg.u_lo, cfg.u_star, u_values)
-            window[k] = rec
-            s = rec.snapshot
             times.append(rec.time)
 
             # conservation and symmetry bookkeeping, initial-slice predicates, and
@@ -665,7 +673,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                             pair, side, (r0, rec)[side].read_rows, **energy_args))
                 pair_rows.update(zip(js, _pair_rows(pair, [s0 if base_idx[j] == k0 else s1
                                                            for j in js])))
-                del pair, s0, s1  # their planes must not outlive the pair into the next slice
+                del pair, s0, s1, r0  # their planes must not outlive the pair into the next slice
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
@@ -673,12 +681,15 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                 l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
                 if cfg.save_snapshots != "none":
                     fol = rec.foliation
+                    zeta, eta = geo.torsions(fol)
                     write_planes(grid, fol.time, gas,
                                  {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
                                   "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
-                                  "zeta": fol.zeta, "eta": fol.eta},
+                                  "zeta": zeta, "eta": eta},
                                  out / "foliation_final.rwl")
-            window.pop(k - lookahead, None)
+            for k0 in closes.get(k, {}):
+                if last_use[k0] == k:
+                    del window[k0]
 
     for j in sorted(pair_rows):
         for name, row in zip(("monitors", "second_frame_stats", "residuals"), pair_rows[j]):

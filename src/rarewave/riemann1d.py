@@ -8,6 +8,7 @@ profile (foliation densities and diagonal variables) inside a forward fan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,13 +191,17 @@ def _wave_velocity(gas, side: PrimitiveState, c_m: float, forward: bool) -> floa
     forward=False the 1-family curve through the left state.
     """
     sign = 1.0 if forward else -1.0
+    g, k0 = gas.gamma, gas.k0
     if c_m <= side.c:
         # rarefaction branch: the opposite Riemann invariant is constant
-        return side.v1 + sign * 2.0 * (c_m - side.c) / (gas.gamma - 1.0)
-    rho_s = density_from_sound_speed(gas, side.c)
-    rho_m = density_from_sound_speed(gas, c_m)
-    p_s, p_m = pressure(gas, rho_s), pressure(gas, rho_m)
-    return side.v1 + sign * np.sqrt((p_m - p_s) * (1.0 / rho_s - 1.0 / rho_m))
+        return side.v1 + sign * 2.0 * (c_m - side.c) / (g - 1.0)
+    # shock branch: density_from_sound_speed and pressure without their array
+    # wrappers, as the bisection calls this about 55 times per solve; their bits
+    # are a float's ** for the density and the np.power ufunc for the pressure
+    rho_s = (side.c * side.c / (k0 * g)) ** (1.0 / (g - 1.0))
+    rho_m = (c_m * c_m / (k0 * g)) ** (1.0 / (g - 1.0))
+    p_s, p_m = k0 * np.power(rho_s, g), k0 * np.power(rho_m, g)
+    return side.v1 + sign * math.sqrt((p_m - p_s) * (1.0 / rho_s - 1.0 / rho_m))
 
 
 def solve_riemann(problem: RiemannProblem1D) -> WaveFan:

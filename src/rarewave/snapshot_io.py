@@ -37,11 +37,18 @@ def _pack_header(grid: Grid, t: float, gas: PolytropicGas) -> bytes:
                                 t, gas.gamma, gas.k0)
 
 
-def _unpack_header(raw: bytes):
+def _unpack_header(path, raw: bytes):
     if raw[:4] != MAGIC:
-        raise ValueError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    _check_room(path, raw, 4 + _HEADER.size, "the header")
     n1, n2, x1_min, x1_max, t, gamma, k0 = _HEADER.unpack_from(raw, 4)
     return n1, n2, x1_min, x1_max, t, gamma, k0
+
+
+def _check_room(path, raw: bytes, needed: int, what: str) -> None:
+    """A file that ends inside a fixed-size field is cut short."""
+    if len(raw) < needed:
+        raise ValueError(f"{path} holds {len(raw)} bytes, fewer than the {needed} of {what}")
 
 
 def _check_size(path, raw: bytes, expected: int) -> None:
@@ -60,7 +67,7 @@ def write_snapshot(field: FlowField, path) -> None:
 
 def read_snapshot(path) -> FlowField:
     raw = Path(path).read_bytes()
-    n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(raw)
+    n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(path, raw)
     offset = 4 + _HEADER.size
     count = n1 * n2
     _check_size(path, raw, offset + 3 * 8 * count)
@@ -90,8 +97,9 @@ def write_planes(grid: Grid, t: float, gas: PolytropicGas,
 
 def read_planes(path):
     raw = Path(path).read_bytes()
-    n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(raw)
+    n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(path, raw)
     offset = 4 + _HEADER.size
+    _check_room(path, raw, offset + 4, "the header and plane count")
     (nplanes,) = struct.unpack_from("<I", raw, offset)
     offset += 4
     count = n1 * n2

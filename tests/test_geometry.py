@@ -11,12 +11,19 @@ from rarewave.gas import PolytropicGas, density_from_sound_speed
 from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
                                PairDiagnostics, _one_sided, band_mask, bilinear_sample,
                                commutation_residual_y, commutation_residual_z,
-                               deformation_components, evolve_u, frame_fields,
-                               second_frame, semi_lagrangian, sign_monitors,
-                               structure_residuals)
+                               deformation_components, directional_derivative, evolve_u,
+                               frame_fields, second_frame, semi_lagrangian, sign_monitors,
+                               structure_residuals, torsions)
 from rarewave.riemann1d import NumericalError
 
 from conftest import GAS2, bilinear_oracle, fan_field, perturbed_pair, same_bits, small_grid
+
+
+def theta(fol):
+    """The tangent's turning xhat2 Xhat(xhat1) - xhat1 Xhat(xhat2) of a foliation."""
+    x1, x2 = fol.xhat1, fol.xhat2
+    xx1, xx2 = (directional_derivative(fol.grid.grad(a), x1, x2) for a in (x1, x2))
+    return x2 * xx1 - x1 * xx2
 
 
 def analytic_fan_sequence(grid, times, u_glue=1.9):
@@ -114,7 +121,7 @@ class TestFrameFields:
         assert np.max(np.abs(fol.that2)) < 1e-12
         assert np.max(np.abs(fol.xhat1)) < 1e-12
         assert np.max(np.abs(fol.xhat2 - 1.0)) < 1e-12
-        for arr in (fol.chi, fol.zeta, fol.eta, fol.theta):
+        for arr in (fol.chi, *torsions(fol), theta(fol)):
             assert np.max(np.abs(arr)) < 1e-12
         assert np.max(np.abs(fol.kappa - 0.5)) < 1e-12
 
@@ -400,7 +407,7 @@ class TestDerivedConnectionFields:
         u = 1.0 - X1 / 0.4 + 0.2 * np.sin(X2) * np.cos(0.8 * X1)
         fol = frame_fields(f, u)
         lhs = fol.chi
-        rhs = f.c * (kslash(fol, f) - fol.theta)
+        rhs = f.c * (kslash(fol, f) - theta(fol))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -187,6 +188,23 @@ class TestSnapshotIO:
                 reader(path)
             reader(other)
 
+    # what a file of the magic and header alone lacks, for each reader
+    @pytest.mark.parametrize("reader, header_only", [
+        (read_snapshot, "its header implies 3124"),
+        (read_planes, "fewer than the 56 of the header and plane count")],
+        ids=["snapshot", "planes"])
+    def test_short_file_names_path_and_sizes(self, tmp_path, reader, header_only):
+        grid = small_grid(n1=16, n2=8)
+        write_planes(grid, 0.4, GAS2, {}, tmp_path / "empty.rwl")
+        header = (tmp_path / "empty.rwl").read_bytes()[:52]
+        for raw, lacks in ((b"RWL1" + bytes(6), "fewer than the 52 of the header"),
+                           (header, header_only)):
+            path = tmp_path / "short.rwl"
+            path.write_bytes(raw)
+            with pytest.raises(ValueError,
+                               match=rf"{re.escape(str(path))} holds {len(raw)} bytes, {lacks}"):
+                reader(path)
+
 
 class TestRunSingle:
     def test_unperturbed_run_report(self, tmp_path):
@@ -295,6 +313,15 @@ STREAMED_DIGESTS = {
 STREAMED_REPORT_DIGEST = "95d6dd9c36e53cf8b12846f0f903373663ab1973710627bf197f8cbcb1d5dc57"
 
 
+# the solve path a run takes with each CPU count, when it is the only run
+SOLVE_PATHS = pytest.mark.parametrize("cpus, process", [(2, "forked"), (1, "inline")],
+                                      ids=["forked", "inline"])
+
+
+def solve_manifest(out):
+    return json.loads((out / "MANIFEST.json").read_text())
+
+
 @pytest.fixture(scope="module")
 def streamed_run(tmp_path_factory):
     """STREAMED run once, counting the foliations alive at each moment."""
@@ -328,11 +355,68 @@ def output_digests(out):
 
 class TestStreamedRun:
     def test_window_bounds_live_foliations(self, streamed_run):
+        # each slice lives until the last slice that closes a pair with it: its
+        # energy pair (k, k + 1) or one of its (base, partner) pairs
         cfg, _, peak = streamed_run
         times, base_idx, pair_idx = cfg.ladder()
-        gap = max(abs(kp - kb) for kb, kp in zip(base_idx, pair_idx))
-        assert len(times) > gap + 2  # a run that kept every slice would fail
-        assert peak <= gap + 2
+        last = len(times) - 1
+        last_use = {k: k + 1 for k in range(last)}
+        last_use[last] = last
+        for kb, kp in zip(base_idx, pair_idx):
+            k0, k1 = sorted((kb, kp))
+            last_use[k0] = max(last_use[k0], k1)
+        alive = [sum(last_use[j] >= k for j in range(k + 1)) for k in range(last + 1)]
+        assert len(times) > max(alive) + 2  # a run that kept every slice would fail
+        assert peak == max(alive)
+
+    @SOLVE_PATHS
+    def test_snapshot_freed_after_its_iteration(self, tmp_path, monkeypatch, cpus, process):
+        # a slice's snapshot serves only its own iteration: it is gone before the
+        # next slice's foliation is formed (but for the initial field, which an
+        # inline solve holds throughout)
+        formed, freed_at = [0], {}  # the foliations formed when each snapshot was freed
+        snapshots, frame_fields = harness._snapshots, geo.frame_fields
+
+        def counted_frame_fields(*args, **kwargs):
+            formed[0] += 1
+            return frame_fields(*args, **kwargs)
+
+        def freed(k):
+            freed_at[k] = formed[0]
+
+        @contextlib.contextmanager
+        def tracked_snapshots(*args):
+            def tracked(stream):
+                for k, s in enumerate(stream):
+                    weakref.finalize(s, freed, k)
+                    yield s
+            with snapshots(*args) as stream:
+                yield tracked(stream)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_snapshots", tracked_snapshots)
+        monkeypatch.setattr(geo, "frame_fields", counted_frame_fields)
+        run_single(parse_config(STREAMED), out_dir=tmp_path)
+        assert solve_manifest(tmp_path)["solve"]["process"] == process
+        slices = len(parse_config(STREAMED).ladder()[0])
+        assert sorted(freed_at) == list(range(slices))
+        assert all(freed_at[k] <= k + 1 for k in range(1, slices)), freed_at
+
+    def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
+        # at most 4 records of 12 planes alive at once, with the solver's and
+        # the level set's scratch and one pair's temporaries (90 planes); records
+        # of 18 planes, with their snapshot, torsions and theta, kept for the
+        # largest base-to-partner gap took 136
+        cfg = parse_config(STREAMED)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # the solve runs traced
+        tracemalloc.start()
+        try:
+            run_single(cfg, out_dir=tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solve_manifest(tmp_path)["solve"]["process"] == "inline"
+        assert peak / (cfg.n1 * cfg.n2 * 8) <= 100.0
 
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
@@ -342,15 +426,6 @@ class TestStreamedRun:
         _, out, _ = streamed_run
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() \
             == STREAMED_REPORT_DIGEST
-
-
-# the solve path a run takes with each CPU count, when it is the only run
-SOLVE_PATHS = pytest.mark.parametrize("cpus, process", [(2, "forked"), (1, "inline")],
-                                      ids=["forked", "inline"])
-
-
-def solve_manifest(out):
-    return json.loads((out / "MANIFEST.json").read_text())
 
 
 class TestSolvePaths:
