@@ -16,7 +16,7 @@ from .riemann1d import (CenteredFan, RiemannProblem1D, WaveFan, evaluate_fan,
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
                       init_perturbed_rarefaction, max_signal_speed, run, step,
                       transport_residual, vorticity)
-from .geometry import (Foliation, SecondFrame, commutation_residual_y,
+from .geometry import (SecondFrame, Slice, commutation_residual_y,
                        commutation_residual_z, deformation_components, evolve_u,
                        frame_fields, second_frame, sign_monitors, structure_residuals)
 from .energies import (EnergyAnalysis, EnergyReport, FrameDerivativeOp, GronwallInstance,

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, diagonal_rhs
-from .geometry import (PAIR_DEPTH, BilinearStencil, Foliation, PairDiagnostics, check_rows,
+from .euler2d import Grid, diagonal_rhs
+from .geometry import (PAIR_DEPTH, BilinearStencil, PairDiagnostics, Slice, check_rows,
                        directional_derivative, stencil_reach)
 from .riemann1d import NumericalError
 # re-exported: the benchmark tracer patches these two names in this module
@@ -35,6 +35,7 @@ __all__ = [
     "apply_frame_derivative",
     "words_of_order",
     "energies_of_slice",
+    "read_rows",
     "band_window",
     "EnergyAnalysis",
     "PredicateLine",
@@ -72,8 +73,8 @@ def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.
     return _band_weights(u, _cell_span(u, grid), u_min, u_max, grid)
 
 
-def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
-    """Rows [lo, hi) that the band results of fol.u read: the hull of the rows
+def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
+    """Rows [lo, hi) that the band results of a framed slice read: the hull of the rows
     with a nonzero `region_weights` cell at the largest u value and of the
     rows that the level curve of each u value crosses or samples; (0, 0)
     when none.
@@ -82,10 +83,10 @@ def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple
     two rows lies on both sides of it; the curve's sampling stencil then
     reads rows r-1 to r+2.
     """
-    u, grid = fol.u, fol.grid
+    u, grid = sl.u, sl.grid
     lo_u, hi_u = u.min(axis=1), u.max(axis=1)
     if np.isnan(lo_u).any():
-        raise NumericalError(f"u is NaN at t={fol.time:.6g}, row "
+        raise NumericalError(f"u is NaN at t={sl.time:.6g}, row "
                              f"{np.flatnonzero(np.isnan(lo_u))[0]}")
     held = np.flatnonzero(region_weights(u, u_min, max(u_values), grid).any(axis=1))
     rows = [held[0], held[-1]] if held.size else []
@@ -97,14 +98,14 @@ def _read_rows(fol: Foliation, u_min: float, u_values: Sequence[float]) -> Tuple
     return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
 
 
-def band_window(s0: FlowField, s1: FlowField, fol0: Foliation,
-                read_rows: Sequence[Tuple[int, int]], orders: Sequence[int]) -> Grid:
-    """The rows on which the evaluator of the slice pair (s0, s1) forms its
+def band_window(s0: Slice, s1: Slice, read_rows: Sequence[Tuple[int, int]],
+                orders: Sequence[int]) -> Grid:
+    """The rows on which the evaluator of the framed slice pair (s0, s1) forms its
     planes: those that the energies of either slice over the bands
     {u_min <= u <= u_value} read, and with them the pair diagnostics over
     the band masks of s0 and s1 up to the largest u value.
 
-    It is the hull of read_rows (the slices' `_read_rows`) plus a halo: one
+    It is the hull of read_rows (the slices' `read_rows`) plus a halo: one
     row per x1 derivative chained before a band row is read (the T letters
     of a word and the gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of
     the pair's flow stencils.  Returns the slices' grid when no row is read.
@@ -115,7 +116,7 @@ def band_window(s0: FlowField, s1: FlowField, fol0: Foliation,
         return grid
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     halo = (max(max(orders) + 1, PAIR_DEPTH)
-            + stencil_reach(s0, s1, fol0, slice(lo, hi)))
+            + stencil_reach(s0, s1, slice(lo, hi)))
     return grid.window(max(lo - halo, 0), min(hi + halo, grid.n1))
 
 
@@ -308,15 +309,15 @@ class EnergyReport:
 
 def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, int],
                       psis: Sequence[str], orders: Sequence[int], u_values: Sequence[float],
-                      u_min: float = 0.0) -> Dict[Tuple[str, int, float], np.ndarray]:
-    """Energies and flux line integrals of one time slice.
+                      u_min: float) -> Dict[Tuple[str, int, float], np.ndarray]:
+    """Energies and flux line integrals of one framed time slice.
 
     pair evaluates the slice's generator pair, and the slice is its s0
     (side 0) or s1 (side 1).  The pair's invariants and generator flow
     stencil, c, and the band weights and level curve (with its sampling
     stencil) of each requested u are shared by every invariant, word and band.
     Every plane holds the rows of the pair's grid; read_rows (the slice's
-    `_read_rows`) must be among them, and a band result that reads a NaN
+    `read_rows`) must be among them, and a band result that reads a NaN
     raises NumericalError naming the time and row.
 
     For each (psi, n, u) the array has one row per energy: outgoing
@@ -333,23 +334,23 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
     underlying 1D profile, which would otherwise mask the amplitude scaling
     these energies exist to measure.
     """
-    grid, fol = pair.grid, pair.foliations[side]
+    grid, sl = pair.grid, pair.slices[side]
     times = (pair.s0.time, pair.s1.time)
     invariants, flow = pair.invariants, pair.generator
-    c = pair.slices[side].c
+    c = sl.c
     lo, hi = read_rows
-    check_rows(lo, hi, grid, fol.time, "the band")
+    check_rows(lo, hi, grid, sl.time, "the band")
     # the products of a band area are written into a zero plane of the whole
     # grid, so that its sum adds the same terms in the same order however
     # many rows the window holds; outside [lo, hi) every product is +0
     whole = np.zeros((grid.n1, grid.n2))
     read = slice(lo - grid.rows.start, hi - grid.rows.start)
-    du = _cell_span(fol.u, grid)
-    bands = [(_band_weights(fol.u, du, u_min, u, grid)[read],
-              extract_level_curve(fol.u, u, grid)) for u in u_values]
+    du = _cell_span(sl.u, grid)
+    bands = [(_band_weights(sl.u, du, u_min, u, grid)[read],
+              extract_level_curve(sl.u, u, grid)) for u in u_values]
 
     def nan_at(row):
-        return NumericalError(f"a band energy is NaN at t={fol.time:.6g}, row {row}, of the "
+        return NumericalError(f"a band energy is NaN at t={sl.time:.6g}, row {row}, of the "
                               f"rows {grid.rows.start}..{grid.rows.stop - 1} it is formed on")
 
     def area(w, density):
@@ -381,14 +382,14 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
                 ok = (valid & flow.valid).astype(float)
                 # grad f is taken once, for Xhat f and T f = kappa That.grad f
                 grad = grid.grad(f)
-                xpsi = directional_derivative(grad, fol.xhat1, fol.xhat2)
-                tpsi = fol.kappa * directional_derivative(grad, fol.that1, fol.that2)
+                xpsi = directional_derivative(grad, sl.xhat1, sl.xhat2)
+                tpsi = sl.kappa * directional_derivative(grad, sl.that1, sl.that2)
                 # only d2 f is kept, for the special energy of wbar
                 d2psi = grad[1]
                 del grad
-                int_e = _outgoing_density(fol.kappa, c, lpsi, xpsi) * ok
-                int_ebar = _incoming_density(fol.kappa, c, lpsi, xpsi, tpsi) * ok
-                g_f, g_fbar = _flux_densities(fol.kappa, c, lpsi, xpsi)
+                int_e = _outgoing_density(sl.kappa, c, lpsi, xpsi) * ok
+                int_ebar = _incoming_density(sl.kappa, c, lpsi, xpsi, tpsi) * ok
+                g_f, g_fbar = _flux_densities(sl.kappa, c, lpsi, xpsi)
                 for acc, (w, curve) in zip(sums, bands):
                     acc += [[area(w, int_e), line(curve, g_f)],
                             [area(w, int_ebar), line(curve, g_fbar)]]
@@ -396,8 +397,8 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
                 # special energy of wbar: the outgoing energy of the single
                 # order-0 word, with d2 in place of Xhat and L projected
                 lfluct = _project(lpsi)
-                int_ring = _outgoing_density(fol.kappa, c, lfluct, d2psi) * ok
-                g_ring_l, g_ring_x = _flux_densities(fol.kappa, c, lfluct, d2psi)
+                int_ring = _outgoing_density(sl.kappa, c, lfluct, d2psi) * ok
+                g_ring_l, g_ring_x = _flux_densities(sl.kappa, c, lfluct, d2psi)
                 sums = [np.vstack([acc, [area(w, int_ring), line(curve, g_ring_l + g_ring_x)]])
                         for acc, (w, curve) in zip(sums, bands)]
             out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
@@ -405,32 +406,28 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
 
 
 class EnergyAnalysis:
-    """Energies and fluxes of a snapshot/foliation sequence.
+    """Energies and fluxes of a sequence of framed slices.
 
-    Generator derivatives use the forward snapshot pair at each time
+    Generator derivatives use the forward slice pair at each time
     (backward at the final time).  A report evaluates one time slice at a
     time with `energies_of_slice`; only the scalar energies and flux line
     integrals are kept across slices.
     """
 
-    def __init__(self, snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
-                 u_min: float = 0.0):
-        if len(snapshots) != len(foliations):
-            raise ValueError("snapshot/foliation sequences differ in length")
-        if len(snapshots) < 2:
-            raise ValueError("need at least two snapshots for time derivatives")
-        self.snapshots = list(snapshots)
-        self.foliations = list(foliations)
-        self.times = [s.time for s in snapshots]
+    def __init__(self, slices: Sequence[Slice], u_min: float):
+        if len(slices) < 2:
+            raise ValueError("need at least two slices for time derivatives")
+        self.slices = list(slices)
+        self.times = [s.time for s in slices]
         self.u_min = u_min
 
     def slice_energies(self, k: int, psis: Sequence[str], orders: Sequence[int],
                        u_values: Sequence[float]) -> Dict[Tuple[str, int, float], np.ndarray]:
         """`energies_of_slice` of time slice k."""
-        k0 = k if k + 1 < len(self.snapshots) else k - 1
-        pair = PairDiagnostics(*self.snapshots[k0:k0 + 2], *self.foliations[k0:k0 + 2])
-        read_rows = _read_rows(self.foliations[k], self.u_min, u_values)
-        return energies_of_slice(pair, k - k0, read_rows, psis, orders, u_values, self.u_min)
+        k0 = k if k + 1 < len(self.slices) else k - 1
+        pair = PairDiagnostics(*self.slices[k0:k0 + 2])
+        rows = read_rows(self.slices[k], self.u_min, u_values)
+        return energies_of_slice(pair, k - k0, rows, psis, orders, u_values, self.u_min)
 
     def report(self, psis: Sequence[str], orders: Sequence[int], t_indices: Sequence[int],
                u_values: Sequence[float]) -> EnergyReport:
@@ -454,20 +451,20 @@ class PredicateLine:
     passed: bool
 
 
-def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delta: float,
+def check_data_predicates(sl: Slice, epsilon: float, delta: float,
                           u_star: float) -> List[PredicateLine]:
-    """Measure the initial-slice smallness predicates over the tracked band.
+    """Measure the smallness predicates of the framed initial slice over the tracked band.
 
     Each line reports the measured sup-norm, its expected scale, and a pass
     flag tested against 10 * (scale + discretization floor).  The band is
     eroded by two cell widths at both u-edges so the corner stencils of the
     clamped profile stay out of the sup.
     """
-    gas, grid = field.gas, field.grid
+    gas, grid = sl.gas, sl.grid
     g = gas.gamma
     cap = 10.0
-    pad = 2.0 * grid.dx1 / max(field.time, delta)
-    mask = (fol.u >= pad) & (fol.u <= u_star - pad)
+    pad = 2.0 * grid.dx1 / max(sl.time, delta)
+    mask = (sl.u >= pad) & (sl.u <= u_star - pad)
     if not np.any(mask):
         raise ValueError("eroded band is empty; grid too coarse for this delta")
     floor = grid.dx1
@@ -476,22 +473,22 @@ def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delt
         return float(np.max(np.abs(a[mask])))
 
     lines: List[PredicateLine] = []
-    wbar, w, psi2 = field.invariants()
+    wbar, w, psi2 = sl.invariants()
     grads = {name: grid.grad(arr) for name, arr in (("wbar", wbar), ("w", w), ("psi2", psi2))}
-    c = field.c
-    shift1 = -c * (fol.that1 + 1.0)
-    shift2 = -c * fol.that2
+    c = sl.c
+    shift1 = -c * (sl.that1 + 1.0)
+    shift2 = -c * sl.that2
     for name, grad in grads.items():
         # generator derivative from the diagonal system: no time differencing
         lpsi = diagonal_rhs(name, c, wbar, w, psi2, grid) + shift1 * grad[0] + shift2 * grad[1]
-        xpsi = directional_derivative(grad, fol.xhat1, fol.xhat2)
+        xpsi = directional_derivative(grad, sl.xhat1, sl.xhat2)
         v = sup(lpsi)
         lines.append(PredicateLine(f"sup|L {name}|", v, epsilon, v <= cap * (epsilon + floor)))
         v = sup(xpsi)
         lines.append(PredicateLine(f"sup|Xhat {name}|", v, epsilon, v <= cap * (epsilon + floor)))
 
     scale_td = epsilon * delta
-    tder = {name: fol.kappa * directional_derivative(grad, fol.that1, fol.that2)
+    tder = {name: sl.kappa * directional_derivative(grad, sl.that1, sl.that2)
             for name, grad in grads.items()}
     for name in ("w", "psi2"):
         v = sup(tder[name])
@@ -501,12 +498,12 @@ def check_data_predicates(field: FlowField, fol: Foliation, epsilon: float, delt
     lines.append(PredicateLine("sup|T wbar + 2/(gamma+1)|", anomaly, scale_td,
                                anomaly <= cap * (scale_td + floor)))
 
-    kdev = sup(fol.kappa / delta - 1.0)
+    kdev = sup(sl.kappa / delta - 1.0)
     lines.append(PredicateLine("sup|kappa/delta - 1|", kdev, scale_td,
                                kdev <= cap * (scale_td + floor / delta)))
-    t2 = sup(fol.that2)
+    t2 = sup(sl.that2)
     lines.append(PredicateLine("sup|That2|", t2, scale_td, t2 <= cap * (scale_td + floor)))
-    t1 = sup(fol.that1 + 1.0)
+    t1 = sup(sl.that1 + 1.0)
     lines.append(PredicateLine("sup|That1 + 1|", t1, (epsilon * delta) ** 2,
                                t1 <= cap * ((epsilon * delta) ** 2 + floor ** 2 + t2 ** 2)))
 

@@ -221,12 +221,10 @@ class PerturbationMode:
     phase: float = 0.0
 
 
-def _smoothstep(s, deriv=0):
+def _smoothstep(s):
     """Quintic ramp with two vanishing derivatives at both ends."""
     s = np.clip(s, 0.0, 1.0)
-    if deriv == 0:
-        return s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
-    return 30.0 * s ** 2 * (1.0 - s) ** 2
+    return s ** 3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
 def _smoothstep_integral(s):
@@ -583,7 +581,8 @@ def run(f: FlowField, config: SolverConfig) -> List[FlowField]:
 
 def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
     """`run` one snapshot at a time: each snapshot is yielded as the solve
-    reaches its time and is held by the solve only until its next step."""
+    reaches its time and is held by the solve only until its next step (f
+    too, which is the first snapshot when its time is the first)."""
     times = sorted(config.snapshot_times)
     if not times:
         raise ValueError("need at least one snapshot time")
@@ -593,6 +592,7 @@ def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
     current = f
     cumulative_outflow = f.boundary_mass_flux
     dx_min = min(f.grid.dx1, f.grid.dx2)
+    del f
     for target in times:
         while current.time < target - 1e-13:
             speed = max_signal_speed(current)

@@ -14,8 +14,9 @@ residuals.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -25,7 +26,7 @@ from .euler2d import FlowField, Grid, _flat, advective_derivative, diagonal_rhs
 from .riemann1d import NumericalError
 
 __all__ = [
-    "Foliation",
+    "Slice",
     "SecondFrame",
     "DeformationComponents",
     "DegenerateFoliationError",
@@ -70,26 +71,27 @@ class DegenerateFoliationError(RuntimeError):
     """The level-set gradient collapsed inside the tracked band."""
 
 
-@dataclass
-class Foliation:
-    """Front-adapted frame data derived from u on one time slice: the planes
-    that the pair diagnostics and energies read.
+class Slice:
+    """One time slice of a flow: its gas, grid and time and its v1, v2 and c
+    planes, each computed once from the field it is built from (any object
+    with the FlowField attributes gas, grid, time, v1, v2 and c).
 
-    xhat_v1, xhat_v2 and xhat_c are the tangential derivatives Xhat(v1),
-    Xhat(v2) and Xhat(c) of the slice's flow; `torsions` derives zeta and eta.
+    Every analysis function reads a slice in place of its field,
+    invariants() included.  `frame_fields` frames a slice by u: it adds u,
+    kappa, mu, the unit normal (that1, that2), the expansion chi and the
+    tangential derivatives xhat_v1, xhat_v2 and xhat_c of the flow, the
+    planes that the pair diagnostics and energies read (`torsions` derives
+    zeta and eta), and the band mask with the hull [lo, hi) of its rows.
+    `on` alone restricts a slice to the rows of a window.
     """
 
-    time: float
-    grid: Grid
-    u: np.ndarray
-    kappa: np.ndarray
-    mu: np.ndarray
-    that1: np.ndarray
-    that2: np.ndarray
-    chi: np.ndarray
-    xhat_v1: np.ndarray
-    xhat_v2: np.ndarray
-    xhat_c: np.ndarray
+    invariants = FlowField.invariants
+    band: Optional[np.ndarray] = None  # an unframed slice, or one framed without a band
+    band_rows = (0, 0)
+
+    def __init__(self, field):
+        self.gas, self.grid, self.time = field.gas, field.grid, field.time
+        self.v1, self.v2, self.c = field.v1, field.v2, field.c
 
     # the unit tangent is the normal turned by -90 degrees; negation is exact
     @property
@@ -100,13 +102,16 @@ class Foliation:
     def xhat2(self) -> np.ndarray:
         return -self.that1
 
-    def restricted(self, grid: Grid) -> "Foliation":
-        """This foliation on the rows of grid, a window of its grid; the
-        planes are views."""
-        rows = grid.rows
-        planes = {f.name: getattr(self, f.name)[rows] for f in fields(self)
-                  if f.name not in ("time", "grid")}
-        return Foliation(self.time, grid, **planes)
+    def on(self, grid: Grid) -> "Slice":
+        """This slice on the rows of grid, a window of its grid that must hold
+        every row of its band; every plane, the band mask among them, is a view."""
+        check_rows(*self.band_rows, grid, self.time, "the band mask")
+        view = copy.copy(self)
+        view.grid = grid
+        for name, a in vars(self).items():
+            if isinstance(a, np.ndarray):
+                setattr(view, name, a[grid.rows])
+        return view
 
 
 @dataclass
@@ -303,46 +308,54 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
         s0, start = s1, end
 
 
-def frame_fields(field: FlowField, u: np.ndarray, band: Optional[np.ndarray] = None) -> Foliation:
-    """Frame quantities on one slice from the flow field and u.
+def frame_fields(field, u: np.ndarray, band: Optional[np.ndarray] = None) -> Slice:
+    """The slice of field (a `Slice` or any field it is built from) framed by u.
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the tangential derivatives of the flow and the
-    expansion chi from centered stencils.  The foliation keeps u itself, not
-    a copy.  A collapsed gradient inside the band mask raises
+    expansion chi from centered stencils.  The slice keeps u and the band
+    mask themselves, not copies, and shares the flow planes of a `Slice`
+    field.  A collapsed gradient inside the band mask raises
     DegenerateFoliationError naming the time and the first collapsed cell.
     """
-    grid = field.grid
+    sl = Slice(field)
+    grid = sl.grid
     du1, du2 = grid.grad(u)
     gnorm = np.hypot(du1, du2)
-    if band is not None and np.any(gnorm[band] < GRAD_FLOOR):
-        i, j = np.argwhere(band & (gnorm < GRAD_FLOOR))[0]
-        raise DegenerateFoliationError(
-            f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={field.time:.6g}, "
-            f"first at (i={i}, j={j})")
+    if band is not None:
+        if np.any(gnorm[band] < GRAD_FLOOR):
+            i, j = np.argwhere(band & (gnorm < GRAD_FLOOR))[0]
+            raise DegenerateFoliationError(
+                f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={sl.time:.6g}, "
+                f"first at (i={i}, j={j})")
+        rows = np.flatnonzero(band.any(axis=1))
+        sl.band = band
+        sl.band_rows = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
     safe = np.maximum(gnorm, GRAD_FLOOR)
     kappa = 1.0 / safe
     that1, that2 = du1 / safe, du2 / safe
     xhat1, xhat2 = that2, -that1
-    c = field.c
+    c = sl.c
     mu = c * kappa
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
     xv1, xv2, xc, xx1, xx2 = (directional_derivative(grid.grad(a), xhat1, xhat2)
-                              for a in (field.v1, field.v2, c, xhat1, xhat2))
+                              for a in (sl.v1, sl.v2, c, xhat1, xhat2))
     chi = (xhat1 * xv1 + xhat2 * xv2) - c * xhat2 * xx1 + c * xhat1 * xx2
-    return Foliation(field.time, grid, u, kappa, mu, that1, that2, chi, xv1, xv2, xc)
+    sl.u, sl.kappa, sl.mu, sl.that1, sl.that2, sl.chi = u, kappa, mu, that1, that2, chi
+    sl.xhat_v1, sl.xhat_v2, sl.xhat_c = xv1, xv2, xc
+    return sl
 
 
-def torsions(fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
-    """The torsions (zeta, eta) of a foliation on its grid:
+def torsions(sl: Slice) -> Tuple[np.ndarray, np.ndarray]:
+    """The torsions (zeta, eta) of a framed slice on its grid:
 
         zeta = -kappa * (Xhat(c) - That . Xhat(v)),   eta = zeta + Xhat(mu).
 
-    No pair diagnostic reads them, so a foliation derives them on demand
-    instead of holding them.
+    No pair diagnostic reads them, so they are derived on demand instead of
+    held.
     """
-    zeta = -fol.kappa * (-(fol.that1 * fol.xhat_v1 + fol.that2 * fol.xhat_v2) + fol.xhat_c)
-    return zeta, zeta + directional_derivative(fol.grid.grad(fol.mu), fol.xhat1, fol.xhat2)
+    zeta = -sl.kappa * (-(sl.that1 * sl.xhat_v1 + sl.that2 * sl.xhat_v2) + sl.xhat_c)
+    return zeta, zeta + directional_derivative(sl.grid.grad(sl.mu), sl.xhat1, sl.xhat2)
 
 
 def second_frame(field: FlowField) -> SecondFrame:
@@ -367,10 +380,10 @@ def directional_derivative(grad: Tuple[np.ndarray, np.ndarray], e1, e2) -> np.nd
     return e1 * grad[0] + e2 * grad[1]
 
 
-def generator_velocity(field: FlowField, fol: Foliation) -> Tuple[np.ndarray, np.ndarray]:
-    """Velocity v - c*That of the front generator."""
-    c = field.c
-    return field.v1 - c * fol.that1, field.v2 - c * fol.that2
+def generator_velocity(sl: Slice) -> Tuple[np.ndarray, np.ndarray]:
+    """Velocity v - c*That of the front generator of a framed slice."""
+    c = sl.c
+    return sl.v1 - c * sl.that1, sl.v2 - c * sl.that2
 
 
 class BilinearStencil:
@@ -484,14 +497,14 @@ def check_rows(lo: int, hi: int, grid: Grid, time: float, what: str) -> None:
                              f"{rows.start}..{rows.stop - 1} it is formed on")
 
 
-def stencil_reach(s0: FlowField, s1: FlowField, fol0: Foliation, rows: slice) -> int:
+def stencil_reach(s0: Slice, s1: Slice, rows: slice) -> int:
     """x1 rows that the flow stencils of the pair (s0, s1) reach from the
     cells of rows: ceil(max|a1| dt / dx1) + 2 (the second corner row, and
     rounding), for the larger of the front generator v - c*That and the
     characteristic (v1 + c, v2) of `sign_monitors`.  The two are applied side
     by side, never one to the output of the other."""
     v1, c = s0.v1[rows], s0.c[rows]
-    speed = max(np.max(np.abs(v1 - c * fol0.that1[rows])), np.max(np.abs(v1 + c)))
+    speed = max(np.max(np.abs(v1 - c * s0.that1[rows])), np.max(np.abs(v1 + c)))
     cells = speed * (s1.time - s0.time) / s0.grid.dx1
     if not np.isfinite(cells):
         raise NumericalError(f"non-finite flow speed at t={s0.time:.6g} in the rows "
@@ -501,12 +514,13 @@ def stencil_reach(s0: FlowField, s1: FlowField, fol0: Foliation, rows: slice) ->
 
 class PairDiagnostics:
     """Commutation residuals, structure residuals and sign monitors of one
-    slice pair (s0, s1) in time order with foliations fol0 and fol1, which
-    the commutation residuals do not need.
+    slice pair (s0, s1) in time order.  The structure residuals and the sign
+    monitors read the frame planes of framed slices (`frame_fields`); the
+    commutation residuals read only the flow, of any fields.
 
-    Every plane is formed on the rows of the slices' and foliations' grid:
-    a whole grid, or a `RowWindow` of the rows a caller reads plus a halo
-    (a run restricts its records to `energies.band_window`).  Planes and
+    Every plane is formed on the rows of the slices' grid: a whole grid, or
+    a `RowWindow` of the rows a caller reads plus a halo (a run restricts
+    its slices to `energies.band_window` with `Slice.on`).  Planes and
     masks that methods take or return hold those rows; a value that would
     need rows past a window is NaN.
 
@@ -515,10 +529,8 @@ class PairDiagnostics:
     commutation identities and the flow stencil of the front generator.
     """
 
-    def __init__(self, s0: FlowField, s1: FlowField, fol0: Optional[Foliation] = None,
-                 fol1: Optional[Foliation] = None, use_euler_rhs: bool = True):
+    def __init__(self, s0: Slice, s1: Slice, use_euler_rhs: bool = True):
         self.s0, self.s1 = self.slices = s0, s1
-        self.foliations = fol0, fol1
         self.use_euler_rhs = use_euler_rhs
         self.grid = s0.grid
         self.t = 0.5 * (s0.time + s1.time)
@@ -561,8 +573,7 @@ class PairDiagnostics:
     def generator(self) -> FlowStencil:
         """Flow stencil of the front generator of s0 over the pair."""
         s0, s1 = self.slices
-        return FlowStencil(*generator_velocity(s0, self.foliations[0]), s1.time - s0.time,
-                           self.grid)
+        return FlowStencil(*generator_velocity(s0), s1.time - s0.time, self.grid)
 
     def commutation_residual_y(self) -> np.ndarray:
         """Residual of the transverse commutation identity for y/t,
@@ -601,23 +612,23 @@ class PairDiagnostics:
             that1, that2:  L(That^k) - (That^j Xhat(psi_j) + Xhat(c)) Xhat^k
             chi (leading order):  L(chi) + (gamma+1)/2 * Xhat(Xhat(h))
 
-        The Xhat derivatives of the flow are those kept in fol0.
+        The Xhat derivatives of the flow are those kept in s0.
         """
-        (s0, s1), (fol0, fol1), grid = self.slices, self.foliations, self.grid
+        (s0, s1), grid = self.slices, self.grid
         g, c0 = s0.gas.gamma, s0.c
         ld, valid = self.generator.derivative, self.generator.valid
 
         def xhat(f):
-            return directional_derivative(grid.grad(f), fol0.xhat1, fol0.xhat2)
+            return directional_derivative(grid.grad(f), s0.xhat1, s0.xhat2)
 
         m_coef = -(g + 1.0) / (g - 1.0) * (
-            fol0.kappa * directional_derivative(grid.grad(c0), fol0.that1, fol0.that2))
-        e_coef = -(fol0.that1 * ld(s0.v1, s1.v1) + fol0.that2 * ld(s0.v2, s1.v2)) / c0
-        drive = -(fol0.that1 * fol0.xhat_v1 + fol0.that2 * fol0.xhat_v2) + fol0.xhat_c
-        return {"kappa": (ld(fol0.kappa, fol1.kappa) - (m_coef + e_coef * fol0.kappa), valid),
-                "that1": (ld(fol0.that1, fol1.that1) - drive * fol0.xhat1, valid),
-                "that2": (ld(fol0.that2, fol1.that2) - drive * fol0.xhat2, valid),
-                "chi": (ld(fol0.chi, fol1.chi)
+            s0.kappa * directional_derivative(grid.grad(c0), s0.that1, s0.that2))
+        e_coef = -(s0.that1 * ld(s0.v1, s1.v1) + s0.that2 * ld(s0.v2, s1.v2)) / c0
+        drive = -(s0.that1 * s0.xhat_v1 + s0.that2 * s0.xhat_v2) + s0.xhat_c
+        return {"kappa": (ld(s0.kappa, s1.kappa) - (m_coef + e_coef * s0.kappa), valid),
+                "that1": (ld(s0.that1, s1.that1) - drive * s0.xhat1, valid),
+                "that2": (ld(s0.that2, s1.that2) - drive * s0.xhat2, valid),
+                "chi": (ld(s0.chi, s1.chi)
                         + 0.5 * (g + 1.0) * xhat(xhat(c0 * c0 / (g - 1.0))), valid)}
 
     def sign_monitors(self, mask: np.ndarray) -> dict:
@@ -629,8 +640,7 @@ class PairDiagnostics:
         l_wbar, m_w = semi_lagrangian(wbar0, wbar1, s0.v1 + s0.c, s0.v2, s0.time, s1.time,
                                       self.grid)
         lbar_wbar = 2.0 * self.twbar0 + s0.time / s0.c * l_wbar
-        fol0, fol1 = self.foliations
-        l_mu = self.generator.derivative(fol0.mu, fol1.mu)
+        l_mu = self.generator.derivative(s0.mu, s1.mu)
 
         def mm(name, a, sel):
             vals = band_values(a, sel, self.grid, s0.time, name)
@@ -681,34 +691,35 @@ def deformation_components(frame: SecondFrame, field: FlowField, commutator: str
     )
 
 
-def structure_residuals(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation):
-    """`PairDiagnostics.structure_residuals` of the pair (s0, s1)."""
-    return PairDiagnostics(s0, s1, fol0, fol1).structure_residuals()
+def structure_residuals(s0: Slice, s1: Slice):
+    """`PairDiagnostics.structure_residuals` of the framed pair (s0, s1)."""
+    return PairDiagnostics(s0, s1).structure_residuals()
 
 
-def kslash(fol: Foliation, field: FlowField) -> np.ndarray:
-    """Tangential component of the flow's second fundamental form,
-    k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
-    xv1, xv2 = (directional_derivative(field.grid.grad(v), fol.xhat1, fol.xhat2)
-                for v in (field.v1, field.v2))
-    return (fol.xhat1 * xv1 + fol.xhat2 * xv2) / field.c
+def kslash(sl: Slice) -> np.ndarray:
+    """Tangential component of the flow's second fundamental form on a
+    framed slice, k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
+    xv1, xv2 = (directional_derivative(sl.grid.grad(v), sl.xhat1, sl.xhat2)
+                for v in (sl.v1, sl.v2))
+    return (sl.xhat1 * xv1 + sl.xhat2 * xv2) / sl.c
 
 
-def chibar(fol: Foliation, field: FlowField) -> np.ndarray:
+def chibar(sl: Slice) -> np.ndarray:
     """Incoming-null expansion, (kappa/c) * (2 Xhat^j Xhat(v^j) - chi)."""
-    return fol.kappa / field.c * (2.0 * field.c * kslash(fol, field) - fol.chi)
+    return sl.kappa / sl.c * (2.0 * sl.c * kslash(sl) - sl.chi)
 
 
-def trace_characteristics(snapshots: Sequence[FlowField], foliations: Sequence[Foliation],
-                          x1_start: np.ndarray, x2_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate sample rays of the front generator v - c*normal.
+def trace_characteristics(slices: Sequence[Slice], x1_start: np.ndarray,
+                          x2_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate sample rays of the front generator v - c*normal through
+    framed slices.
 
     Returns the ray positions (n_times, n_rays, 2) and u sampled along them;
     see RayTrace.
     """
-    rays = RayTrace(snapshots[0], foliations[0], x1_start, x2_start)
-    for s, fol in zip(snapshots[1:], foliations[1:]):
-        rays.advance(s, fol)
+    rays = RayTrace(slices[0], x1_start, x2_start)
+    for sl in slices[1:]:
+        rays.advance(sl)
     return np.stack(rays.positions), np.stack(rays.u_along)
 
 
@@ -718,31 +729,30 @@ class RayTrace:
     Cross-validation for the level-set transport: the characteristic value u
     interpolated along each ray should stay constant.  Each slice interval
     takes 8 midpoint substeps.  `positions` ((n_rays, 2) each) and
-    `u_along` gain one entry per slice; of the flow only the generator
-    velocity of the latest slice is kept.
+    `u_along` gain one entry per framed slice; of the flow only the
+    generator velocity of the latest slice is kept.
     """
 
-    def __init__(self, field: FlowField, fol: Foliation, x1_start: np.ndarray,
-                 x2_start: np.ndarray):
+    def __init__(self, sl: Slice, x1_start: np.ndarray, x2_start: np.ndarray):
         self.x1 = np.asarray(x1_start, dtype=float).copy()
         self.x2 = np.asarray(x2_start, dtype=float).copy()
         self.positions: List[np.ndarray] = []
         self.u_along: List[np.ndarray] = []
-        self._sample(field, fol, generator_velocity(field, fol))
+        self._sample(sl, generator_velocity(sl))
 
-    def _sample(self, field: FlowField, fol: Foliation, velocity):
-        self.time, self.velocity = field.time, velocity
+    def _sample(self, sl: Slice, velocity):
+        self.time, self.velocity = sl.time, velocity
         self.positions.append(np.stack([self.x1, self.x2], axis=-1))
-        self.u_along.append(bilinear_sample(fol.u, self.x1, self.x2, field.grid))
+        self.u_along.append(bilinear_sample(sl.u, self.x1, self.x2, sl.grid))
 
-    def advance(self, field: FlowField, fol: Foliation):
+    def advance(self, sl: Slice):
         """Integrate the rays to the next slice and sample u there."""
         substeps = 8
-        grid = field.grid
+        grid = sl.grid
         x1, x2 = self.x1, self.x2
-        velocity = generator_velocity(field, fol)
+        velocity = generator_velocity(sl)
         (a10, a20), (a11, a21) = self.velocity, velocity
-        dt = (field.time - self.time) / substeps
+        dt = (sl.time - self.time) / substeps
         for m in range(substeps):
             w = (m + 0.5) / substeps
             at = BilinearStencil(x1, x2, grid)
@@ -751,10 +761,9 @@ class RayTrace:
             x1 = x1 + dt * v1
             x2 = np.mod(x2 + dt * v2, 2.0 * math.pi)
         self.x1, self.x2 = x1, x2
-        self._sample(field, fol, velocity)
+        self._sample(sl, velocity)
 
 
-def sign_monitors(s0: FlowField, s1: FlowField, fol0: Foliation, fol1: Foliation,
-                  mask: np.ndarray) -> dict:
-    """`PairDiagnostics.sign_monitors` of the pair (s0, s1) over mask."""
-    return PairDiagnostics(s0, s1, fol0, fol1).sign_monitors(mask)
+def sign_monitors(s0: Slice, s1: Slice, mask: np.ndarray) -> dict:
+    """`PairDiagnostics.sign_monitors` of the framed pair (s0, s1) over mask."""
+    return PairDiagnostics(s0, s1).sign_monitors(mask)

@@ -10,7 +10,6 @@ ladders into JSON/CSV reports with gnuplot-ready data files.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -422,11 +421,12 @@ def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -
         conn.send(exc)
 
 
-def _received_snapshots(conn, child, field0: FlowField) -> Iterator[FlowField]:
+def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid,
+                        ghosts: Tuple[np.ndarray, np.ndarray]) -> Iterator[FlowField]:
     """The snapshots `_send_snapshots` sends, each over one fresh (3, n1, n2)
-    buffer with copies of field0's frozen ghosts; a solver error is raised
-    at the point of the stream where the solve stopped."""
-    grid = field0.grid
+    buffer with copies of the initial field's frozen ghosts (ghost_lo,
+    ghost_hi); a solver error is raised at the point of the stream where the
+    solve stopped."""
     while True:
         try:
             msg = conn.recv()
@@ -442,8 +442,7 @@ def _received_snapshots(conn, child, field0: FlowField) -> Iterator[FlowField]:
         planes = np.empty((3, grid.n1, grid.n2))
         for plane in planes:  # into a flat byte view: the receive counts bytes
             conn.recv_bytes_into(plane.reshape(-1).view(np.uint8))
-        s = FlowField(field0.gas, grid, time, *planes,
-                      field0.ghost_lo.copy(), field0.ghost_hi.copy())
+        s = FlowField(gas, grid, time, *planes, *(g.copy() for g in ghosts))
         s.boundary_mass_flux = boundary_mass_flux
         yield s
 
@@ -455,65 +454,29 @@ def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
 
     The child blocks on the pipe until the parent reads, so it runs at most
     about one snapshot ahead.  It is ended on every exit from the block,
-    an exception included, before that exception leaves the block.
+    an exception included, before that exception leaves the block.  Neither
+    path keeps field0 past the first snapshot: an inline solve holds it until
+    its first step, and a forked one keeps its gas, grid and ghosts alone.
     """
     if process == "inline":
-        yield iter_run(field0, solver)
+        stream = iter_run(field0, solver)
+        del field0
+        yield stream
         return
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_snapshots, args=(child_end, conn, field0, solver),
                         name="rarewave-solve", daemon=True)
-    child.start()
+    child.start()  # which drops its args
     child_end.close()
+    frozen = field0.gas, field0.grid, (field0.ghost_lo, field0.ghost_hi)
+    del field0
     try:
-        yield _received_snapshots(conn, child, field0)
+        yield _received_snapshots(conn, child, *frozen)
     finally:
         child.terminate()
         child.join()
         conn.close()
-
-
-class _Slice:
-    """One time slice of a run, held while a later pair still reads it.
-
-    It stands in for its snapshot in the analysis functions, which read
-    gas, grid, time, v1, v2, c and invariants() from it; the three planes
-    are computed once, here, and the snapshot itself is not kept.
-    `form_foliation` adds the foliation (which holds u), the band mask with
-    the hull of its rows, and the rows its band results read; `on` alone
-    restricts a slice to the rows of a window.
-    """
-
-    invariants = FlowField.invariants
-
-    def __init__(self, snapshot: FlowField):
-        self.gas, self.grid, self.time = snapshot.gas, snapshot.grid, snapshot.time
-        self.v1, self.v2, self.c = snapshot.v1, snapshot.v2, snapshot.c
-        self.foliation: Optional[geo.Foliation] = None
-        self.band: Optional[np.ndarray] = None
-        self.band_rows = self.read_rows = (0, 0)
-
-    def form_foliation(self, u: np.ndarray, u_lo: float, u_star: float,
-                       u_values: Sequence[float]) -> None:
-        """The band mask {u_lo <= u <= u_star} and its rows [lo, hi), the foliation
-        of u and the rows that the energies over the bands up to u_values read."""
-        self.band = geo.band_mask(u, u_lo, u_star)
-        rows = np.flatnonzero(self.band.any(axis=1))
-        self.band_rows = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-        self.foliation = geo.frame_fields(self, u, band=self.band)
-        self.read_rows = en._read_rows(self.foliation, u_lo, u_values)
-
-    def on(self, grid: Grid) -> "_Slice":
-        """This slice on the rows of grid, a window of its grid that must
-        hold every row of its band; planes, band and foliation are views."""
-        geo.check_rows(*self.band_rows, grid, self.time, "the band mask")
-        rows = grid.rows
-        view = copy.copy(self)
-        view.grid = grid
-        view.v1, view.v2, view.c = self.v1[rows], self.v2[rows], self.c[rows]
-        view.band, view.foliation = self.band[rows], self.foliation.restricted(grid)
-        return view
 
 
 class Table(NamedTuple):
@@ -546,22 +509,22 @@ def table_records(report: dict, table: str) -> List[dict]:
     return [dict(zip(TABLES[table].columns, row)) for row in report.get(table, [])]
 
 
-def _band_stats(rec: _Slice):
+def _band_stats(rec: geo.Slice):
     """The kappa_stats and frame_stats rows of a base slice's band; none
     when the band is empty."""
-    m, fol, c = rec.band, rec.foliation, rec.c
+    m, c = rec.band, rec.c
     if not np.any(m):
         return ()
-    zeta, eta = geo.torsions(fol)
+    zeta, eta = geo.torsions(rec)
 
     def row(*values):
         return [rec.time, *(float(np.max(np.abs(a))) for a in values)]
 
-    return (row(fol.kappa[m] / rec.time - 1.0, fol.mu[m] - c[m] * fol.kappa[m]),
-            row(fol.that1[m] + 1.0, fol.that2[m], fol.chi[m], zeta[m], eta[m]))
+    return (row(rec.kappa[m] / rec.time - 1.0, rec.mu[m] - c[m] * rec.kappa[m]),
+            row(rec.that1[m] + 1.0, rec.that2[m], rec.chi[m], zeta[m], eta[m]))
 
 
-def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[_Slice]):
+def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[geo.Slice]):
     """Sign-monitor, second-frame and residual rows of the evaluator's slice
     pair, one per base slice in bases (each one of the pair's slices); none
     when bases or the band of the pair's first slice is empty."""
@@ -591,8 +554,9 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     """One pass over the slices in time order, the solve running `process`
     (see `_snapshots`).
 
-    Each slice's record (`_Slice`: v1, v2, c, band mask and foliation) is
-    formed as the solve reaches it and serves every consumer: rays, band
+    Each slice's record (a `geometry.Slice` framed by u: v1, v2, c, the
+    frame planes and the band mask) and the rows its band results read are
+    formed as the solve reaches it and serve every consumer: rays, band
     statistics, predicates and the one `PairDiagnostics` of each slice pair
     it closes, which the energies and the pair diagnostics share.  The
     snapshot itself serves only the bookkeeping and the file of its own
@@ -622,20 +586,22 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                                         cfg.perturbation(), u_glue=cfg.u_glue)
     u_init = (cfg.v0 + cfg.c0) - grid.mesh()[0] / cfg.delta
 
-    window: Dict[int, _Slice] = {}
+    window: Dict[int, geo.Slice] = {}
+    reads: Dict[int, Tuple[int, int]] = {}  # the rows that each record's band results read
     tables: Dict[str, list] = {name: [] for name in TABLES}
     times, energy_slices, pair_rows = [], [], {}
     x2_variation = 0.0
     with _snapshots(field0, cfg.solver(), process) as snapshots:
-        # the level set reads each record as the loop forms it, so that the loop,
-        # not the record, holds the snapshot
-        arrived: List[_Slice] = []
+        del field0  # the stream holds it until slice 0's iteration ends
+        # the level set reads each unframed slice as the loop forms it, so that
+        # the loop, not the slice, holds the snapshot
+        arrived: List[geo.Slice] = []
         level_set = geo.iter_evolve_u(iter(arrived.pop, None), u_init, cfl=cfg.cfl)
         for k, s in enumerate(snapshots):
-            rec = window[k] = _Slice(s)
-            arrived.append(rec)
-            _, u = next(level_set)
-            rec.form_foliation(u, cfg.u_lo, cfg.u_star, u_values)
+            arrived.append(geo.Slice(s))
+            flow, u = next(level_set)
+            rec = window[k] = geo.frame_fields(flow, u, band=geo.band_mask(u, cfg.u_lo, cfg.u_star))
+            reads[k] = en.read_rows(rec, cfg.u_lo, u_values)
             times.append(rec.time)
 
             # conservation and symmetry bookkeeping, initial-slice predicates, and
@@ -645,11 +611,11 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             mass = total_mass(s)
             if k == 0:
                 mass0 = mass
-                predicate_lines = en.check_data_predicates(rec, rec.foliation, cfg.epsilon,
-                                                           cfg.delta, cfg.u_star)
-                rays = geo.RayTrace(rec, rec.foliation, x1_seed, x2_seed)
+                predicate_lines = en.check_data_predicates(rec, cfg.epsilon, cfg.delta,
+                                                           cfg.u_star)
+                rays = geo.RayTrace(rec, x1_seed, x2_seed)
             else:
-                rays.advance(rec, rec.foliation)
+                rays.advance(rec)
             tables["conservation"].append([s.time, mass, s.boundary_mass_flux,
                                            mass + s.boundary_mass_flux - mass0])
 
@@ -663,33 +629,31 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             # cell-crossing times so that the two-time derivatives refine with the grid; it
             # sees both slices only on the rows of their band window
             for k0, js in closes.get(k, {}).items():
-                r0 = window[k0]
-                rows = en.band_window(r0, rec, r0.foliation, (r0.read_rows, rec.read_rows), orders)
-                s0, s1 = r0.on(rows), rec.on(rows)
-                pair = geo.PairDiagnostics(s0, s1, s0.foliation, s1.foliation)
+                rows = en.band_window(window[k0], rec, (reads[k0], reads[k]), orders)
+                s0, s1 = window[k0].on(rows), rec.on(rows)
+                pair = geo.PairDiagnostics(s0, s1)
                 if k0 == k - 1:
                     for side in ((0, 1) if k == last else (0,)):
                         energy_slices.append(en.energies_of_slice(
-                            pair, side, (r0, rec)[side].read_rows, **energy_args))
+                            pair, side, reads[(k0, k)[side]], **energy_args))
                 pair_rows.update(zip(js, _pair_rows(pair, [s0 if base_idx[j] == k0 else s1
                                                            for j in js])))
-                del pair, s0, s1, r0  # their planes must not outlive the pair into the next slice
+                del pair, s0, s1  # their planes must not outlive the pair into the next slice
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
             if k == last:
                 l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
                 if cfg.save_snapshots != "none":
-                    fol = rec.foliation
-                    zeta, eta = geo.torsions(fol)
-                    write_planes(grid, fol.time, gas,
-                                 {"u": fol.u, "kappa": fol.kappa, "mu": fol.mu,
-                                  "that1": fol.that1, "that2": fol.that2, "chi": fol.chi,
+                    zeta, eta = geo.torsions(rec)
+                    write_planes(grid, rec.time, gas,
+                                 {"u": rec.u, "kappa": rec.kappa, "mu": rec.mu,
+                                  "that1": rec.that1, "that2": rec.that2, "chi": rec.chi,
                                   "zeta": zeta, "eta": eta},
                                  out / "foliation_final.rwl")
             for k0 in closes.get(k, {}):
                 if last_use[k0] == k:
-                    del window[k0]
+                    del window[k0], reads[k0]
 
     for j in sorted(pair_rows):
         for name, row in zip(("monitors", "second_frame_stats", "residuals"), pair_rows[j]):

@@ -34,6 +34,12 @@ def perturbed_pair(n1, n2):
             for s in run(f, SolverConfig(snapshot_times=(0.5, 0.54)))]
 
 
+def rolled(s, k):
+    """The flow field s rolled by k whole cells along the periodic x2 axis."""
+    planes = (np.roll(a, k, axis=1) for a in (s.rho, s.m1, s.m2, s.ghost_lo, s.ghost_hi))
+    return FlowField(s.gas, s.grid, s.time, *planes)
+
+
 def same_bits(a, b):
     """Equal shapes and float64 bit patterns, so that signed zeros count."""
     a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))

@@ -3,38 +3,39 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypothesisError,
                                GronwallInstance, apply_frame_derivative,
-                               check_data_predicates, extract_level_curve,
-                               fit_gronwall_constants, gronwall_verify, region_weights,
-                               words_of_order)
+                               check_data_predicates, energies_of_slice, extract_level_curve,
+                               fit_gronwall_constants, gronwall_verify, read_rows,
+                               region_weights, words_of_order)
 from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
                               init_perturbed_rarefaction, make_uniform_field, run)
-from rarewave.geometry import evolve_u, frame_fields
+from rarewave.geometry import PairDiagnostics, evolve_u, frame_fields
 from rarewave.riemann1d import CenteredFan
 
-from conftest import GAS2, bilinear_oracle, fan_field, small_grid
+from conftest import GAS2, bilinear_oracle, fan_field, perturbed_pair, rolled, small_grid
 
 
 def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
     grid = small_grid(n1=n1, n2=n2)
     snaps = [fan_field(GAS2, grid, t + i * dt) for i in range(n_times)]
     X1, _ = grid.mesh()
-    fols = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
-    return grid, snaps, fols
+    slices = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
+    return grid, snaps, slices
 
 
 class TestRegionQuadrature:
     def test_band_area(self):
-        grid, snaps, fols = fan_setup()
-        w = region_weights(fols[0].u, 0.2, 1.2, grid)
+        grid, snaps, slices = fan_setup()
+        w = region_weights(slices[0].u, 0.2, 1.2, grid)
         # u = 1 - x/t: the band is an x-slab of width (1.2 - 0.2) * t
         assert w.sum() == pytest.approx(1.0 * 0.5 * 2 * math.pi, rel=1e-3)
 
     def test_monotone_in_u(self):
-        grid, snaps, fols = fan_setup()
-        areas = [region_weights(fols[0].u, 0.0, um, grid).sum()
+        grid, snaps, slices = fan_setup()
+        areas = [region_weights(slices[0].u, 0.0, um, grid).sum()
                  for um in np.linspace(0.1, 1.4, 14)]
         assert np.all(np.diff(areas) > 0)
 
@@ -164,16 +165,16 @@ OUT, INC, RING = 0, 1, 2
 class TestEnergies:
     def test_zero_invariant_gives_zero_energies(self):
         # psi2 = v2 vanishes identically in the 1D fan
-        grid, snaps, fols = fan_setup()
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        grid, _, slices = fan_setup()
+        ana = EnergyAnalysis(slices, u_min=0.1)
         sl = ana.slice_energies(0, ["psi2"], [0, 1], [0.6, 1.2])
         assert len(sl) == 4
         for vals in sl.values():
             assert np.all(vals == 0.0)
 
     def test_unperturbed_fan_outgoing_of_w_is_floor(self):
-        grid, snaps, fols = fan_setup()
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        grid, _, slices = fan_setup()
+        ana = EnergyAnalysis(slices, u_min=0.1)
         e = ana.slice_energies(0, ["w"], [0], [1.3])["w", 0, 1.3][OUT, 0]
         assert e < 1e-20  # w is constant and L w = 0 in the exact fan
 
@@ -181,26 +182,26 @@ class TestEnergies:
         # closed form: Lbar(wbar) = -4/3, Xhat(wbar) = 0, kappa = t, so the
         # Cartesian integrand is (16/9)/t over an x-slab of width
         # (u_hi - u_lo) * t; independent arithmetic gives 16*pi*(du)/9
-        grid, snaps, fols = fan_setup(n1=512)
-        ana = EnergyAnalysis(snaps, fols, u_min=0.2)
+        grid, _, slices = fan_setup(n1=512)
+        ana = EnergyAnalysis(slices, u_min=0.2)
         ebar = ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][INC, 0]
         oracle = 0.5 * (16.0 / 9.0) * (1.2 - 0.2) * 2 * math.pi
         assert ebar == pytest.approx(oracle, rel=2e-2)
 
     def test_monotone_in_band_width(self):
-        grid, snaps, fols = fan_setup()
-        ana = EnergyAnalysis(snaps, fols, u_min=0.0)
+        grid, _, slices = fan_setup()
+        ana = EnergyAnalysis(slices, u_min=0.0)
         sl = ana.slice_energies(0, ["wbar"], [0], [0.4, 0.8, 1.2])
         vals = [sl["wbar", 0, um][INC, 0] for um in (0.4, 0.8, 1.2)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_report_matches_slice_energies_bitwise(self):
-        grid, snaps, fols = fan_setup(n_times=3)
+        grid, snaps, slices = fan_setup(n_times=3)
         X1, X2 = grid.mesh()
         # a transverse velocity wave makes the psi2 = v2 energies and fluxes nonzero
         snaps = [FlowField(s.gas, grid, s.time, s.rho, s.m1,
                            0.01 * s.rho * np.sin(X2 + 3.0 * X1 - s.time)) for s in snaps]
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        ana = EnergyAnalysis([frame_fields(s, sl.u) for s, sl in zip(snaps, slices)], u_min=0.1)
         psis, orders, u_values = ["wbar", "w", "psi2"], [0, 1], [0.8, 1.3]
         slices = [ana.slice_energies(k, psis, orders, u_values) for k in range(3)]
         rep = ana.report(psis, orders, [0, 1, 2], u_values)
@@ -221,18 +222,20 @@ class TestEnergies:
                    if row.psi == "psi2" and row.t > ana.times[0])
 
     def test_ring_energy_fan_floor_and_uniform_zero(self):
-        grid, snaps, fols = fan_setup()
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        grid, snaps, slices = fan_setup()
+        ana = EnergyAnalysis(slices, u_min=0.1)
         assert ana.slice_energies(0, ["wbar"], [0], [1.3])["wbar", 0, 1.3][RING, 0] < 1e-18
-        uniform = [make_uniform_field(GAS2, grid, 1.0, time=s.time) for s in snaps]
-        ana = EnergyAnalysis(uniform, fols, u_min=0.1)
+        # uniform flows framed by the fan's u
+        uniform = [frame_fields(make_uniform_field(GAS2, grid, 1.0, time=s.time), sl.u)
+                   for s, sl in zip(snaps, slices)]
+        ana = EnergyAnalysis(uniform, u_min=0.1)
         assert ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][RING, 0] == 0.0
 
     def test_slice_peak_memory(self):
         # one slice holds one flow stencil (eight planes) shared by every
         # (invariant, word) field; per-field stencils would raise the peak
-        grid, snaps, fols = fan_setup(n_times=6)
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        grid, snaps, slices = fan_setup(n_times=6)
+        ana = EnergyAnalysis(slices, u_min=0.1)
         tracemalloc.start()
         try:
             ana.slice_energies(2, ["wbar", "w", "psi2"], [0, 1], [0.75, 1.5])
@@ -242,12 +245,42 @@ class TestEnergies:
         assert peak / snaps[0].rho.nbytes <= 44.0
 
     def test_flux_of_invariant_w_is_floor(self):
-        grid, snaps, fols = fan_setup()
-        ana = EnergyAnalysis(snaps, fols, u_min=0.1)
+        grid, _, slices = fan_setup()
+        ana = EnergyAnalysis(slices, u_min=0.1)
         rep = ana.report(["w"], [0], [1], [1.0])
         row = rep.rows[0]
         assert row.F < 1e-16
         assert row.Fbar < 1e-16
+
+
+def rolled_energies(pair, k):
+    """`energies_of_slice` of both slices of the pair (snapshot, u) rolled by k
+    whole cells along x2, over two bands and orders 0 and 1."""
+    s0, s1 = (frame_fields(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
+    diag, u_values = PairDiagnostics(s0, s1), [0.75, 1.3]
+    return [energies_of_slice(diag, side, read_rows(sl, 0.3, u_values), ["wbar", "w", "psi2"],
+                              [0, 1], u_values, 0.3)
+            for side, sl in enumerate((s0, s1))]
+
+
+class TestX2Roll:
+    """A whole-cell roll along the periodic x2 axis leaves the slice energies
+    unchanged to round-off: they are sums over x2, in the rolled order, and
+    the level curves' sampling weights depend on x2."""
+
+    @pytest.fixture(scope="class")
+    def unrolled(self):
+        pair = perturbed_pair(64, 16)
+        return pair, rolled_energies(pair, 0)
+
+    @settings(max_examples=5, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=15))
+    def test_energies_of_slice(self, unrolled, k):
+        pair, energies = unrolled
+        for side, side_k in zip(energies, rolled_energies(pair, k)):
+            assert side.keys() == side_k.keys()
+            for key, e in side.items():
+                np.testing.assert_allclose(side_k[key], e, rtol=1e-12, atol=0.0, err_msg=str(key))
 
 
 class TestDataPredicates:
@@ -257,8 +290,7 @@ class TestDataPredicates:
         f = init_perturbed_rarefaction(GAS2, grid, delta, (0.0, 1.0),
                                        PerturbationSpec(epsilon=0.0), u_glue=1.9)
         X1, _ = grid.mesh()
-        fol = frame_fields(f, 1.0 - X1 / delta)
-        lines = check_data_predicates(f, fol, 0.0, delta, 1.5)
+        lines = check_data_predicates(frame_fields(f, 1.0 - X1 / delta), 0.0, delta, 1.5)
         byname = {p.name: p for p in lines}
         assert byname["sup|T wbar + 2/(gamma+1)|"].measured < 5 * grid.dx1
         assert byname["sup|L wbar|"].measured < 1e-12
@@ -277,8 +309,8 @@ class TestDataPredicates:
             f = init_perturbed_rarefaction(GAS2, grid, delta, (0.0, 1.0), cfgspec,
                                            u_glue=1.9)
             X1, _ = grid.mesh()
-            fol = frame_fields(f, 1.0 - X1 / delta)
-            lines = {p.name: p for p in check_data_predicates(f, fol, eps, delta, 1.5)}
+            sl = frame_fields(f, 1.0 - X1 / delta)
+            lines = {p.name: p for p in check_data_predicates(sl, eps, delta, 1.5)}
             sups[eps] = lines["sup|Xhat wbar|"].measured
         assert 1.7 < sups[0.02] / sups[0.01] < 2.3
 

@@ -9,20 +9,21 @@ from rarewave.euler2d import FlowField, Grid, SolverConfig, init_perturbed_raref
     make_uniform_field, run, PerturbationSpec, PerturbationMode
 from rarewave.gas import PolytropicGas, density_from_sound_speed
 from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
-                               PairDiagnostics, _one_sided, band_mask, bilinear_sample,
+                               PairDiagnostics, Slice, _one_sided, band_mask, bilinear_sample,
                                commutation_residual_y, commutation_residual_z,
                                deformation_components, directional_derivative, evolve_u,
-                               frame_fields, second_frame, semi_lagrangian, sign_monitors,
-                               structure_residuals, torsions)
+                               frame_fields, iter_evolve_u, second_frame, semi_lagrangian,
+                               sign_monitors, structure_residuals, torsions)
 from rarewave.riemann1d import NumericalError
 
-from conftest import GAS2, bilinear_oracle, fan_field, perturbed_pair, same_bits, small_grid
+from conftest import (GAS2, bilinear_oracle, fan_field, perturbed_pair, rolled, same_bits,
+                      small_grid)
 
 
-def theta(fol):
-    """The tangent's turning xhat2 Xhat(xhat1) - xhat1 Xhat(xhat2) of a foliation."""
-    x1, x2 = fol.xhat1, fol.xhat2
-    xx1, xx2 = (directional_derivative(fol.grid.grad(a), x1, x2) for a in (x1, x2))
+def theta(sl):
+    """The tangent's turning xhat2 Xhat(xhat1) - xhat1 Xhat(xhat2) of a framed slice."""
+    x1, x2 = sl.xhat1, sl.xhat2
+    xx1, xx2 = (directional_derivative(sl.grid.grad(a), x1, x2) for a in (x1, x2))
     return x2 * xx1 - x1 * xx2
 
 
@@ -298,43 +299,39 @@ class TestDeformation:
 
 
 class TestStructureResiduals:
-    def _fan_pair_with_foliations(self, n1=256, t=0.5, dt=0.02):
+    def _framed_fan_pair(self, n1=256, t=0.5, dt=0.02):
         grid = small_grid(n1=n1)
-        s0 = fan_field(GAS2, grid, t)
-        s1 = fan_field(GAS2, grid, t + dt)
         X1, _ = grid.mesh()
-        fol0 = frame_fields(s0, 1.0 - X1 / t)
-        fol1 = frame_fields(s1, 1.0 - X1 / (t + dt))
-        return grid, s0, s1, fol0, fol1
+        s0 = frame_fields(fan_field(GAS2, grid, t), 1.0 - X1 / t)
+        s1 = frame_fields(fan_field(GAS2, grid, t + dt), 1.0 - X1 / (t + dt))
+        return grid, s0, s1
 
     def test_unperturbed_fan_kappa_equation(self):
-        grid, s0, s1, fol0, fol1 = self._fan_pair_with_foliations()
-        out = structure_residuals(s0, s1, fol0, fol1)
+        grid, s0, s1 = self._framed_fan_pair()
+        out = structure_residuals(s0, s1)
         res, ok = out["kappa"]
-        m = band_mask(fol0.u, 0.2, 1.3) & ok
+        m = band_mask(s0.u, 0.2, 1.3) & ok
         assert np.max(np.abs(res[m])) < 0.05
         for name in ("that1", "that2"):
             res, okk = out[name]
-            sel = band_mask(fol0.u, 0.2, 1.3) & okk
+            sel = band_mask(s0.u, 0.2, 1.3) & okk
             assert np.max(np.abs(res[sel])) < 1e-10
 
     def test_uniform_state_zero(self):
         grid = small_grid(n1=64, n2=8)
-        s0 = make_uniform_field(GAS2, grid, c=1.0, time=0.5)
-        s1 = make_uniform_field(GAS2, grid, c=1.0, time=0.6)
         X1, _ = grid.mesh()
-        fol0 = frame_fields(s0, -X1 + 0.5)
-        fol1 = frame_fields(s1, -X1 + 0.6)
-        out = structure_residuals(s0, s1, fol0, fol1)
+        s0 = frame_fields(make_uniform_field(GAS2, grid, c=1.0, time=0.5), -X1 + 0.5)
+        s1 = frame_fields(make_uniform_field(GAS2, grid, c=1.0, time=0.6), -X1 + 0.6)
+        out = structure_residuals(s0, s1)
         res, ok = out["kappa"]
         assert np.max(np.abs(res[ok])) < 1e-12
 
 
 class TestSignMonitors:
     def test_unperturbed_fan_values(self):
-        grid, s0, s1, fol0, fol1 = TestStructureResiduals()._fan_pair_with_foliations()
-        m = band_mask(fol0.u, 0.2, 1.3)
-        rep = sign_monitors(s0, s1, fol0, fol1, m)
+        grid, s0, s1 = TestStructureResiduals()._framed_fan_pair()
+        m = band_mask(s0.u, 0.2, 1.3)
+        rep = sign_monitors(s0, s1, m)
         # L(mu) = c > 0 through the band; T(wbar) = -2/(gamma+1) = -2/3
         assert rep["L_mu"][0] > 0.0
         assert abs(rep["T_wbar"][0] + 2.0 / 3.0) < 1e-6
@@ -345,15 +342,10 @@ class TestSignMonitors:
 def shifted_pair_diagnostics(pair, k):
     """Commutation residuals, structure residuals and sign monitors of the
     pair (snapshot, u) rolled by k whole cells along x2."""
-    slices = []
-    for s, u in pair:
-        planes = (np.roll(a, k, axis=1) for a in (s.rho, s.m1, s.m2, s.ghost_lo, s.ghost_hi))
-        f = FlowField(s.gas, s.grid, s.time, *planes)
-        slices.append((f, frame_fields(f, np.roll(u, k, axis=1))))
-    (s0, fol0), (s1, fol1) = slices
-    diag = PairDiagnostics(s0, s1, fol0, fol1)
+    s0, s1 = (frame_fields(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
+    diag = PairDiagnostics(s0, s1)
     return (diag.commutation_residual_y(), diag.commutation_residual_z(),
-            diag.structure_residuals(), diag.sign_monitors(band_mask(fol0.u, 0.3, 1.3)))
+            diag.structure_residuals(), diag.sign_monitors(band_mask(s0.u, 0.3, 1.3)))
 
 
 class TestPairShift:
@@ -388,6 +380,59 @@ class TestPairShift:
             np.testing.assert_allclose(monitors_k[name], extrema, rtol=1e-12, atol=0.0)
 
 
+def planes_of(sl):
+    """The planes a slice holds, by attribute name."""
+    return {name: a for name, a in vars(sl).items() if isinstance(a, np.ndarray)}
+
+
+class TestSlice:
+    def test_on_restricts_every_plane(self):
+        (s, u), _ = perturbed_pair(64, 16)
+        sl = frame_fields(Slice(s), u, band=band_mask(u, 0.3, 1.3))
+        lo, hi = sl.band_rows
+        window = sl.grid.window(lo - 2, hi + 3)
+        view = sl.on(window)
+        assert view.grid is window and view.time == sl.time
+        # 12 planes and the band mask, each a view of the window's rows
+        assert set(planes_of(view)) == {"v1", "v2", "c", "u", "kappa", "mu", "that1", "that2",
+                                        "chi", "xhat_v1", "xhat_v2", "xhat_c", "band"}
+        for name, a in planes_of(view).items():
+            whole = getattr(sl, name)
+            assert a.shape == (window.hi - window.lo, sl.grid.n2), name
+            assert np.shares_memory(a, whole), name
+            assert same_bits(a, whole[window.lo:window.hi]), name
+        with pytest.raises(NumericalError, match=rf"t=0\.5 needs row {hi - 1},"):
+            sl.on(sl.grid.window(lo, hi - 1))
+
+
+class TestX2Roll:
+    """A whole-cell roll along the periodic x2 axis commutes with the level-set
+    transport and the frame fields bit for bit: each stencil is a periodic
+    shift, and the wrap columns are recomputed from their periodic partners."""
+
+    @pytest.fixture(scope="class")
+    def transported(self):
+        grid = small_grid(n1=48, n2=16)
+        fields = [manufactured_field(grid, t, amp=0.4) for t in (0.3, 0.34, 0.4)]
+        X1, X2 = grid.mesh()
+        u0 = 1.0 - X1 / 0.3 + 0.05 * np.sin(X2) + 0.02 * np.cos(3.0 * X2 + X1)
+        return fields, u0, [(f, u) for f, u in iter_evolve_u(fields, u0)]
+
+    @settings(max_examples=5, deadline=None)
+    @given(k=st.integers(min_value=1, max_value=15))
+    def test_level_set_and_frame_fields(self, transported, k):
+        fields, u0, unrolled = transported
+        for (f, u), (f_k, u_k) in zip(unrolled, iter_evolve_u([rolled(f, k) for f in fields],
+                                                              np.roll(u0, k, axis=1))):
+            assert same_bits(np.roll(u, k, axis=1), u_k)
+            band = band_mask(u, 0.3, 1.3)
+            framed = planes_of(frame_fields(f, u, band=band))
+            framed_k = planes_of(frame_fields(f_k, u_k, band=np.roll(band, k, axis=1)))
+            assert framed.keys() == framed_k.keys()
+            for name, a in framed.items():
+                assert same_bits(np.roll(a, k, axis=1), framed_k[name]), name
+
+
 class TestDerivedConnectionFields:
     def test_vanish_on_1d_data(self):
         from rarewave.geometry import chibar, kslash
@@ -395,8 +440,8 @@ class TestDerivedConnectionFields:
         f = fan_field(GAS2, grid, 0.5)
         X1, _ = grid.mesh()
         fol = frame_fields(f, 1.0 - X1 / 0.5)
-        assert np.max(np.abs(kslash(fol, f))) < 1e-12
-        assert np.max(np.abs(chibar(fol, f))) < 1e-12
+        assert np.max(np.abs(kslash(fol))) < 1e-12
+        assert np.max(np.abs(chibar(fol))) < 1e-12
 
     def test_chi_decomposition_on_generic_fields(self):
         # chi = c * (kslash - theta) ties the three tangential scalars together
@@ -407,7 +452,7 @@ class TestDerivedConnectionFields:
         u = 1.0 - X1 / 0.4 + 0.2 * np.sin(X2) * np.cos(0.8 * X1)
         fol = frame_fields(f, u)
         lhs = fol.chi
-        rhs = f.c * (kslash(fol, f) - theta(fol))
+        rhs = f.c * (kslash(fol) - theta(fol))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -418,11 +463,11 @@ class TestRayTracing:
         times = 0.2 * (1.0 / 0.2) ** (np.arange(17) / 16.0)
         snaps = analytic_fan_sequence(grid, times)
         X1, _ = grid.mesh()
-        fols = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
+        slices = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
         seeds_u = np.array([0.4, 0.8, 1.2])
         x1s = (1.0 - seeds_u) * 0.2
         x2s = np.full_like(x1s, math.pi)
-        pos, u_along = trace_characteristics(snaps, fols, x1s, x2s)
+        pos, u_along = trace_characteristics(slices, x1s, x2s)
         # rays are straight lines x = (1 - u) t in the exact fan
         expect = (1.0 - seeds_u)[None, :] * np.asarray(times)[:, None]
         assert np.max(np.abs(pos[..., 0] - expect)) < 0.02

@@ -324,7 +324,7 @@ def solve_manifest(out):
 
 @pytest.fixture(scope="module")
 def streamed_run(tmp_path_factory):
-    """STREAMED run once, counting the foliations alive at each moment."""
+    """STREAMED run once, counting the framed slices alive at each moment."""
     import rarewave.harness as harness
 
     live, peak = [0], [0]
@@ -334,11 +334,11 @@ def streamed_run(tmp_path_factory):
         live[0] -= 1
 
     def tracked(*args, **kwargs):
-        fol = frame_fields(*args, **kwargs)
+        sl = frame_fields(*args, **kwargs)
         live[0] += 1
         peak[0] = max(peak[0], live[0])
-        weakref.finalize(fol, dropped)
-        return fol
+        weakref.finalize(sl, dropped)
+        return sl
 
     cfg = parse_config(STREAMED)
     out = tmp_path_factory.mktemp("streamed")
@@ -372,9 +372,8 @@ class TestStreamedRun:
     @SOLVE_PATHS
     def test_snapshot_freed_after_its_iteration(self, tmp_path, monkeypatch, cpus, process):
         # a slice's snapshot serves only its own iteration: it is gone before the
-        # next slice's foliation is formed (but for the initial field, which an
-        # inline solve holds throughout)
-        formed, freed_at = [0], {}  # the foliations formed when each snapshot was freed
+        # next slice is framed, the initial field (slice 0 of an inline solve) too
+        formed, freed_at = [0], {}  # the slices framed when each snapshot was freed
         snapshots, frame_fields = harness._snapshots, geo.frame_fields
 
         def counted_frame_fields(*args, **kwargs):
@@ -385,12 +384,15 @@ class TestStreamedRun:
             freed_at[k] = formed[0]
 
         @contextlib.contextmanager
-        def tracked_snapshots(*args):
+        def tracked_snapshots(field0, *args):
             def tracked(stream):
                 for k, s in enumerate(stream):
                     weakref.finalize(s, freed, k)
                     yield s
-            with snapshots(*args) as stream:
+            weakref.finalize(field0, freed, "field0")
+            block = snapshots(field0, *args)
+            del field0
+            with block as stream:
                 yield tracked(stream)
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
@@ -399,14 +401,15 @@ class TestStreamedRun:
         run_single(parse_config(STREAMED), out_dir=tmp_path)
         assert solve_manifest(tmp_path)["solve"]["process"] == process
         slices = len(parse_config(STREAMED).ladder()[0])
+        assert freed_at.pop("field0") <= 1, freed_at
         assert sorted(freed_at) == list(range(slices))
-        assert all(freed_at[k] <= k + 1 for k in range(1, slices)), freed_at
+        assert all(freed_at[k] <= k + 1 for k in range(slices)), freed_at
 
     def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
         # at most 4 records of 12 planes alive at once, with the solver's and
-        # the level set's scratch and one pair's temporaries (90 planes); records
-        # of 18 planes, with their snapshot, torsions and theta, kept for the
-        # largest base-to-partner gap took 136
+        # the level set's scratch and one pair's temporaries (78 planes); a level
+        # set that held a dropped record, frame and all, through the solve of
+        # the next slice would pass 85
         cfg = parse_config(STREAMED)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # the solve runs traced
         tracemalloc.start()
@@ -416,7 +419,7 @@ class TestStreamedRun:
         finally:
             tracemalloc.stop()
         assert solve_manifest(tmp_path)["solve"]["process"] == "inline"
-        assert peak / (cfg.n1 * cfg.n2 * 8) <= 100.0
+        assert peak / (cfg.n1 * cfg.n2 * 8) <= 85.0
 
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
@@ -542,18 +545,14 @@ class TestSolvePaths:
 
 @pytest.fixture(scope="module")
 def pair_records():
-    """Slice records of a perturbed 128x32 pair, with foliation and band as a
-    run forms them."""
-    records = []
-    for s, u in perturbed_pair(128, 32):
-        rec = harness._Slice(s)
-        rec.form_foliation(u, 0.3, 1.3, [1.3])
-        records.append(rec)
-    return records
+    """Slice records of a perturbed 128x32 pair, framed with a band as a run
+    frames them."""
+    return [geo.frame_fields(s, u, band=geo.band_mask(u, 0.3, 1.3))
+            for s, u in perturbed_pair(128, 32)]
 
 
 def count_calls(monkeypatch, geometry_names, energies_names=()):
-    """Call counts of _Slice.invariants and of the named geometry and
+    """Call counts of Slice.invariants and of the named geometry and
     energies functions, filled in as the code under test runs."""
     counts = dict.fromkeys(["invariants", *geometry_names, *energies_names], 0)
 
@@ -563,23 +562,18 @@ def count_calls(monkeypatch, geometry_names, energies_names=()):
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(harness._Slice, "invariants",
-                        counting("invariants", harness._Slice.invariants))
+    monkeypatch.setattr(geo.Slice, "invariants", counting("invariants", geo.Slice.invariants))
     for module, names in ((geo, geometry_names), (en, energies_names)):
         for name in names:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return counts
 
 
-def pair_of(r0, r1):
-    return geo.PairDiagnostics(r0, r1, r0.foliation, r1.foliation)
-
-
 class TestPairRows:
     def test_shared_work_formed_once(self, pair_records, monkeypatch):
         counts = count_calls(monkeypatch, ["FlowStencil", "_second_frame", "diagonal_rhs"])
         r0, r1 = pair_records
-        assert len(list(harness._pair_rows(pair_of(r0, r1), [r0]))) == 1
+        assert len(list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0]))) == 1
         # one invariant triple per slice, the generator stencil and the
         # (v1+c, v2) stencil, the base and midpoint frames, one Euler L(wbar)
         assert counts == {"invariants": 2, "FlowStencil": 2, "_second_frame": 2,
@@ -591,7 +585,7 @@ class TestPairRows:
         r0, r1 = pair_records
         tracemalloc.start()
         try:
-            list(harness._pair_rows(pair_of(r0, r1), [r0]))
+            list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -603,13 +597,13 @@ class TestPairRows:
         # of its two slices and its generator stencil once, and each of the 5
         # (base, partner) pairs also its (v1+c, v2) stencil; each slice finds the
         # rows its band results read once
-        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"], ["_read_rows"])
+        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"], ["read_rows"])
         cfg = parse_config("[grid]\nn1 = 128\nn2 = 32\n[time]\ndelta = 0.2\n"
                            "[solver]\nsnapshots = 5\n")
         run_single(cfg, out_dir=tmp_path)
         # the predicates add the invariants of slice 0
         assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15,
-                          "_read_rows": 9}
+                          "read_rows": 9}
 
 
 U_LO, U_STAR = 0.3, 1.5
@@ -618,27 +612,29 @@ U_VALUES = [0.375, 0.75, 1.125, 1.5]
 
 def run_records(n1, n2, times):
     """Slice records of a perturbed run at the given times (the first is
-    the start time), with foliation and band as a run forms them."""
+    the start time), framed with a band as a run frames them."""
     spec = PerturbationSpec(epsilon=0.02, modes=(PerturbationMode(2, 1, 1.0, 0.3),),
                             strip=(-0.5, 1.1))
     grid = small_grid(n1=n1, n2=n2)
     f = init_perturbed_rarefaction(GAS2, grid, times[0], (0.0, 1.0), spec, u_glue=1.9)
-    snapshots = map(harness._Slice, iter_run(f, SolverConfig(snapshot_times=times)))
-    records = []
-    for rec, u in geo.iter_evolve_u(snapshots, 1.0 - grid.mesh()[0] / times[0]):
-        rec.form_foliation(u, U_LO, U_STAR, U_VALUES)
-        records.append(rec)
-    return records
+    snapshots = map(geo.Slice, iter_run(f, SolverConfig(snapshot_times=times)))
+    return [geo.frame_fields(flow, u, band=geo.band_mask(u, U_LO, U_STAR))
+            for flow, u in geo.iter_evolve_u(snapshots, 1.0 - grid.mesh()[0] / times[0])]
+
+
+def read_rows(*records):
+    """The rows that the band results of each record read, as a run finds them."""
+    return [en.read_rows(r, U_LO, U_VALUES) for r in records]
 
 
 def evaluate(r0, r1, grid, orders):
     """The energies of both slices and the pair rows of both as bases, of the
     pair (r0, r1) formed on the rows of grid, as flat float arrays."""
     s0, s1 = r0.on(grid), r1.on(grid)
-    pair = geo.PairDiagnostics(s0, s1, s0.foliation, s1.foliation)
-    energies = [en.energies_of_slice(pair, side, r.read_rows, ("wbar", "w", "psi2"), orders,
+    pair = geo.PairDiagnostics(s0, s1)
+    energies = [en.energies_of_slice(pair, side, rows, ("wbar", "w", "psi2"), orders,
                                      U_VALUES, U_LO)
-                for side, r in enumerate((r0, r1))]
+                for side, rows in enumerate(read_rows(r0, r1))]
     rows = [value for triple in harness._pair_rows(pair, [s0, s1]) for row in triple
             for value in row]
     return [np.concatenate([e[key].ravel() for key in sorted(e, key=str)]) for e in energies] \
@@ -651,13 +647,9 @@ def same_results(a, b):
 
 def halo_window(r0, r1, halo):
     """The rows that the band results of the pair read, plus halo rows."""
-    hulls = [r.read_rows for r in (r0, r1)]
+    hulls = read_rows(r0, r1)
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     return r0.grid.window(max(lo - halo, 0), min(hi + halo, r0.grid.n1))
-
-
-def band_window(r0, r1, orders):
-    return en.band_window(r0, r1, r0.foliation, (r0.read_rows, r1.read_rows), orders)
 
 
 def contains(outer, inner):
@@ -682,11 +674,11 @@ class TestReadRows:
         # the rows with a whole-grid band weight and the corner rows of each
         # level curve's sampling stencil, for every u value, are read rows
         for rec in request.getfixturevalue(run):
-            fol, grid = rec.foliation, rec.grid
-            lo, hi = rec.read_rows
+            grid = rec.grid
+            (lo, hi), = read_rows(rec)
             for u in U_VALUES:
-                held = np.flatnonzero(en.region_weights(fol.u, U_LO, u, grid).any(axis=1))
-                corners = np.concatenate(en.extract_level_curve(fol.u, u, grid).stencil.corners)
+                held = np.flatnonzero(en.region_weights(rec.u, U_LO, u, grid).any(axis=1))
+                corners = np.concatenate(en.extract_level_curve(rec.u, u, grid).stencil.corners)
                 rows = np.concatenate([held, corners // grid.n2])
                 assert rows.size and lo <= rows.min() and rows.max() < hi
 
@@ -695,12 +687,13 @@ class TestBandWindow:
     @pytest.mark.parametrize("k0, k1", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4)])
     def test_matches_whole_plane_bitwise(self, moving_band, k0, k1):
         r0, r1 = moving_band[k0], moving_band[k1]
-        window = band_window(r0, r1, [0, 1])
+        window = en.band_window(r0, r1, read_rows(r0, r1), [0, 1])
         assert 0 < window.lo and window.hi < r0.grid.n1  # a window inside the grid
         assert same_results(evaluate(r0, r1, window, [0, 1]), evaluate(r0, r1, r0.grid, [0, 1]))
 
     def test_band_moves(self, moving_band):
-        windows = [band_window(r0, r1, [0, 1]) for r0, r1 in zip(moving_band, moving_band[1:])]
+        windows = [en.band_window(r0, r1, read_rows(r0, r1), [0, 1])
+                   for r0, r1 in zip(moving_band, moving_band[1:])]
         assert all(b.hi > a.hi for a, b in zip(windows, windows[1:]))
 
     # with order-0 words only, no x1 derivative precedes the flow stencils, so the
@@ -711,7 +704,7 @@ class TestBandWindow:
         # the smallest halo that gives results is at most the derived one, and
         # one row less gives NumericalError naming the time and row, not a number
         r0, r1 = moving_band[k0], moving_band[k1]
-        derived = band_window(r0, r1, orders)
+        derived = en.band_window(r0, r1, read_rows(r0, r1), orders)
         halo = 0
         while True:
             try:
@@ -733,7 +726,7 @@ class TestBandWindow:
         r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
         orders = list(range(order + 1))
         window = halo_window(r0, r1, halo)
-        derived = band_window(r0, r1, orders)
+        derived = en.band_window(r0, r1, read_rows(r0, r1), orders)
         whole = evaluate(r0, r1, r0.grid, orders)
         try:
             windowed = evaluate(r0, r1, window, orders)
