@@ -18,7 +18,8 @@ from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, Solve
                       transport_residual, vorticity)
 from .geometry import (SecondFrame, Slice, commutation_residual_y,
                        commutation_residual_z, deformation_components, evolve_u,
-                       frame_fields, second_frame, sign_monitors, structure_residuals)
+                       foliate, frame_fields, second_frame, sign_monitors,
+                       structure_residuals)
 from .energies import (EnergyAnalysis, EnergyReport, FrameDerivativeOp, GronwallInstance,
                        check_data_predicates, fit_gronwall_constants, gronwall_verify)
 from .harness import RunConfig, StudySpec, parse_config, run_single, run_study

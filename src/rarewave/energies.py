@@ -74,7 +74,7 @@ def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.
 
 
 def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
-    """Rows [lo, hi) that the band results of a framed slice read: the hull of the rows
+    """Rows [lo, hi) that the band results of a foliated slice read: the hull of the rows
     with a nonzero `region_weights` cell at the largest u value and of the
     rows that the level curve of each u value crosses or samples; (0, 0)
     when none.
@@ -100,7 +100,7 @@ def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, 
 
 def band_window(s0: Slice, s1: Slice, read_rows: Sequence[Tuple[int, int]],
                 orders: Sequence[int]) -> Grid:
-    """The rows on which the evaluator of the framed slice pair (s0, s1) forms its
+    """The rows on which the evaluator of the foliated slice pair (s0, s1) forms its
     planes: those that the energies of either slice over the bands
     {u_min <= u <= u_value} read, and with them the pair diagnostics over
     the band masks of s0 and s1 up to the largest u value.
@@ -117,7 +117,7 @@ def band_window(s0: Slice, s1: Slice, read_rows: Sequence[Tuple[int, int]],
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     halo = (max(max(orders) + 1, PAIR_DEPTH)
             + stencil_reach(s0, s1, slice(lo, hi)))
-    return grid.window(max(lo - halo, 0), min(hi + halo, grid.n1))
+    return grid.around(lo, hi, halo)
 
 
 def _outgoing_density(kappa, c, l_psi, x_psi):

@@ -115,6 +115,10 @@ class Grid:
         """The rows [lo, hi) of this grid."""
         return RowWindow(self.n1, self.n2, self.x1_min, self.x1_max, lo, hi)
 
+    def around(self, lo: int, hi: int, halo: int) -> "RowWindow":
+        """The rows [lo - halo, hi + halo) of this grid, clipped to its rows."""
+        return self.window(max(lo - halo, 0), min(hi + halo, self.n1))
+
 
 @dataclass(frozen=True)
 class RowWindow(Grid):

@@ -32,7 +32,10 @@ __all__ = [
     "DegenerateFoliationError",
     "evolve_u",
     "iter_evolve_u",
+    "foliate",
+    "unit_normal",
     "frame_fields",
+    "FRAME_DEPTH",
     "torsions",
     "second_frame",
     "advective_derivative",
@@ -61,6 +64,9 @@ __all__ = [
 
 GRAD_FLOOR = 1e-8
 
+# x1 derivatives chained in a frame: grad u for the normal, then grad Xhat for chi
+FRAME_DEPTH = 2
+
 # x1 derivatives chained before a pair diagnostic reads a band row: T(wbar) and
 # then the advective derivative's d1 in the z commutation residual, and the
 # nested directional derivatives of the chi structure residual
@@ -77,16 +83,17 @@ class Slice:
     with the FlowField attributes gas, grid, time, v1, v2 and c).
 
     Every analysis function reads a slice in place of its field,
-    invariants() included.  `frame_fields` frames a slice by u: it adds u,
-    kappa, mu, the unit normal (that1, that2), the expansion chi and the
-    tangential derivatives xhat_v1, xhat_v2 and xhat_c of the flow, the
-    planes that the pair diagnostics and energies read (`torsions` derives
-    zeta and eta), and the band mask with the hull [lo, hi) of its rows.
-    `on` alone restricts a slice to the rows of a window.
+    invariants() included.  `foliate` adds u and the band mask with the hull
+    [lo, hi) of its rows, which is what a run keeps of a slice.
+    `frame_fields` frames such a slice on rows of its grid: it adds kappa,
+    mu, the unit normal (that1, that2), the expansion chi and the tangential
+    derivatives xhat_v1, xhat_v2 and xhat_c of the flow, the planes that the
+    pair diagnostics and energies read (`torsions` derives zeta and eta), and
+    restricts every plane to those rows.
     """
 
     invariants = FlowField.invariants
-    band: Optional[np.ndarray] = None  # an unframed slice, or one framed without a band
+    band: Optional[np.ndarray] = None  # an unfoliated slice, or one foliated without a band
     band_rows = (0, 0)
 
     def __init__(self, field):
@@ -101,17 +108,6 @@ class Slice:
     @property
     def xhat2(self) -> np.ndarray:
         return -self.that1
-
-    def on(self, grid: Grid) -> "Slice":
-        """This slice on the rows of grid, a window of its grid that must hold
-        every row of its band; every plane, the band mask among them, is a view."""
-        check_rows(*self.band_rows, grid, self.time, "the band mask")
-        view = copy.copy(self)
-        view.grid = grid
-        for name, a in vars(self).items():
-            if isinstance(a, np.ndarray):
-                setattr(view, name, a[grid.rows])
-        return view
 
 
 @dataclass
@@ -308,42 +304,81 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
         s0, start = s1, end
 
 
-def frame_fields(field, u: np.ndarray, band: Optional[np.ndarray] = None) -> Slice:
-    """The slice of field (a `Slice` or any field it is built from) framed by u.
+def foliate(field, u: np.ndarray, band: Optional[np.ndarray]) -> Slice:
+    """The slice of field (a `Slice` or any field it is built from) foliated by
+    u, with the band mask band (None for no band) and the hull of its rows.
+
+    The slice keeps u and the band mask themselves, not copies, and shares
+    the flow planes of a `Slice` field.  A collapsed gradient inside the band
+    mask raises DegenerateFoliationError naming the time and the first
+    collapsed cell.
+    """
+    sl = Slice(field)
+    sl.u = u
+    if band is None:
+        return sl
+    sl.band = band
+    rows = np.flatnonzero(band.any(axis=1))
+    if rows.size:
+        lo, hi = sl.band_rows = int(rows[0]), int(rows[-1]) + 1
+        wide = sl.grid.around(lo, hi, 1)
+        gnorm = unit_normal(sl, wide)[0][lo - wide.lo:hi - wide.lo]
+        collapsed = band[lo:hi] & (gnorm < GRAD_FLOOR)
+        if np.any(collapsed):
+            i, j = np.argwhere(collapsed)[0]
+            raise DegenerateFoliationError(
+                f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={sl.time:.6g}, "
+                f"first at (i={lo + i}, j={j})")
+    return sl
+
+
+def unit_normal(sl: Slice, grid: Grid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|grad u| and the unit normal grad u / max(|grad u|, GRAD_FLOOR) of a
+    foliated slice on the rows of grid, its grid or a `RowWindow` of it: the
+    one rule for the normal of the frame, of the band's gradient check, of
+    the stencil reach and of the rays.  Like every x1 derivative on a
+    window, they are NaN on a window edge inside the grid, so a caller
+    widens the rows it reads by one.
+    """
+    du1, du2 = grid.grad(sl.u[grid.rows])
+    gnorm = np.hypot(du1, du2)
+    safe = np.maximum(gnorm, GRAD_FLOOR)
+    return gnorm, du1 / safe, du2 / safe
+
+
+def frame_fields(sl: Slice, grid: Grid) -> Slice:
+    """The foliated slice sl framed on the rows of grid, its grid or a
+    `RowWindow` of it that must hold every row of its band.
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the tangential derivatives of the flow and the
-    expansion chi from centered stencils.  The slice keeps u and the band
-    mask themselves, not copies, and shares the flow planes of a `Slice`
-    field.  A collapsed gradient inside the band mask raises
-    DegenerateFoliationError naming the time and the first collapsed cell.
+    expansion chi from centered stencils.  Each is formed on the rows of
+    grid widened by FRAME_DEPTH, so it holds the bits of the whole grid's
+    frame; every plane of the framed slice, the band mask among them, is a
+    view of grid's rows.
     """
-    sl = Slice(field)
-    grid = sl.grid
-    du1, du2 = grid.grad(u)
-    gnorm = np.hypot(du1, du2)
-    if band is not None:
-        if np.any(gnorm[band] < GRAD_FLOOR):
-            i, j = np.argwhere(band & (gnorm < GRAD_FLOOR))[0]
-            raise DegenerateFoliationError(
-                f"|grad u| < {GRAD_FLOOR} inside the tracked band at t={sl.time:.6g}, "
-                f"first at (i={i}, j={j})")
-        rows = np.flatnonzero(band.any(axis=1))
-        sl.band = band
-        sl.band_rows = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-    safe = np.maximum(gnorm, GRAD_FLOOR)
-    kappa = 1.0 / safe
-    that1, that2 = du1 / safe, du2 / safe
+    check_rows(*sl.band_rows, grid, sl.time, "the band mask")
+    lo, hi = grid.rows.start, grid.rows.stop
+    wide = sl.grid.around(lo, hi, FRAME_DEPTH)
+    gnorm, that1, that2 = unit_normal(sl, wide)
+    kappa = 1.0 / np.maximum(gnorm, GRAD_FLOOR)
     xhat1, xhat2 = that2, -that1
-    c = sl.c
+    v1, v2, c = (a[wide.rows] for a in (sl.v1, sl.v2, sl.c))
     mu = c * kappa
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
-    xv1, xv2, xc, xx1, xx2 = (directional_derivative(grid.grad(a), xhat1, xhat2)
-                              for a in (sl.v1, sl.v2, c, xhat1, xhat2))
+    xv1, xv2, xc, xx1, xx2 = (directional_derivative(wide.grad(a), xhat1, xhat2)
+                              for a in (v1, v2, c, xhat1, xhat2))
     chi = (xhat1 * xv1 + xhat2 * xv2) - c * xhat2 * xx1 + c * xhat1 * xx2
-    sl.u, sl.kappa, sl.mu, sl.that1, sl.that2, sl.chi = u, kappa, mu, that1, that2, chi
-    sl.xhat_v1, sl.xhat_v2, sl.xhat_c = xv1, xv2, xc
-    return sl
+    framed = copy.copy(sl)
+    framed.grid = grid
+    for name, a in vars(sl).items():
+        if isinstance(a, np.ndarray):
+            setattr(framed, name, a[grid.rows])
+    inner = slice(lo - wide.lo, hi - wide.lo)
+    (framed.kappa, framed.mu, framed.that1, framed.that2, framed.chi, framed.xhat_v1,
+     framed.xhat_v2, framed.xhat_c) = (a[inner] for a in (kappa, mu, that1, that2, chi,
+                                                          xv1, xv2, xc))
+    return framed
 
 
 def torsions(sl: Slice) -> Tuple[np.ndarray, np.ndarray]:
@@ -380,10 +415,12 @@ def directional_derivative(grad: Tuple[np.ndarray, np.ndarray], e1, e2) -> np.nd
     return e1 * grad[0] + e2 * grad[1]
 
 
-def generator_velocity(sl: Slice) -> Tuple[np.ndarray, np.ndarray]:
-    """Velocity v - c*That of the front generator of a framed slice."""
+def generator_velocity(sl: Slice, that1: np.ndarray, that2: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Velocity v - c*That of the front generator of slice sl with the unit
+    normal (that1, that2) on the rows of its planes."""
     c = sl.c
-    return sl.v1 - c * sl.that1, sl.v2 - c * sl.that2
+    return sl.v1 - c * that1, sl.v2 - c * that2
 
 
 class BilinearStencil:
@@ -502,9 +539,12 @@ def stencil_reach(s0: Slice, s1: Slice, rows: slice) -> int:
     cells of rows: ceil(max|a1| dt / dx1) + 2 (the second corner row, and
     rounding), for the larger of the front generator v - c*That and the
     characteristic (v1 + c, v2) of `sign_monitors`.  The two are applied side
-    by side, never one to the output of the other."""
+    by side, never one to the output of the other.  s0 is a foliated slice on
+    its whole grid; its normal is formed on rows and one more each side."""
     v1, c = s0.v1[rows], s0.c[rows]
-    speed = max(np.max(np.abs(v1 - c * s0.that1[rows])), np.max(np.abs(v1 + c)))
+    wide = s0.grid.around(rows.start, rows.stop, 1)
+    that1 = unit_normal(s0, wide)[1][rows.start - wide.lo:rows.stop - wide.lo]
+    speed = max(np.max(np.abs(v1 - c * that1)), np.max(np.abs(v1 + c)))
     cells = speed * (s1.time - s0.time) / s0.grid.dx1
     if not np.isfinite(cells):
         raise NumericalError(f"non-finite flow speed at t={s0.time:.6g} in the rows "
@@ -519,8 +559,8 @@ class PairDiagnostics:
     commutation residuals read only the flow, of any fields.
 
     Every plane is formed on the rows of the slices' grid: a whole grid, or
-    a `RowWindow` of the rows a caller reads plus a halo (a run restricts
-    its slices to `energies.band_window` with `Slice.on`).  Planes and
+    a `RowWindow` of the rows a caller reads plus a halo (a run frames its
+    slices on `energies.band_window` with `frame_fields`).  Planes and
     masks that methods take or return hold those rows; a value that would
     need rows past a window is NaN.
 
@@ -573,7 +613,8 @@ class PairDiagnostics:
     def generator(self) -> FlowStencil:
         """Flow stencil of the front generator of s0 over the pair."""
         s0, s1 = self.slices
-        return FlowStencil(*generator_velocity(s0), s1.time - s0.time, self.grid)
+        return FlowStencil(*generator_velocity(s0, s0.that1, s0.that2), s1.time - s0.time,
+                           self.grid)
 
     def commutation_residual_y(self) -> np.ndarray:
         """Residual of the transverse commutation identity for y/t,
@@ -712,7 +753,7 @@ def chibar(sl: Slice) -> np.ndarray:
 def trace_characteristics(slices: Sequence[Slice], x1_start: np.ndarray,
                           x2_start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Integrate sample rays of the front generator v - c*normal through
-    framed slices.
+    foliated slices on their whole grid.
 
     Returns the ray positions (n_times, n_rays, 2) and u sampled along them;
     see RayTrace.
@@ -728,9 +769,10 @@ class RayTrace:
 
     Cross-validation for the level-set transport: the characteristic value u
     interpolated along each ray should stay constant.  Each slice interval
-    takes 8 midpoint substeps.  `positions` ((n_rays, 2) each) and
-    `u_along` gain one entry per framed slice; of the flow only the
-    generator velocity of the latest slice is kept.
+    takes 8 midpoint substeps.  A slice is a foliated slice on its whole
+    grid, whose normal `unit_normal` forms.  `positions` ((n_rays, 2) each)
+    and `u_along` gain one entry per slice; of the flow only the generator
+    velocity of the latest slice is kept.
     """
 
     def __init__(self, sl: Slice, x1_start: np.ndarray, x2_start: np.ndarray):
@@ -738,7 +780,7 @@ class RayTrace:
         self.x2 = np.asarray(x2_start, dtype=float).copy()
         self.positions: List[np.ndarray] = []
         self.u_along: List[np.ndarray] = []
-        self._sample(sl, generator_velocity(sl))
+        self._sample(sl, generator_velocity(sl, *unit_normal(sl, sl.grid)[1:]))
 
     def _sample(self, sl: Slice, velocity):
         self.time, self.velocity = sl.time, velocity
@@ -750,7 +792,7 @@ class RayTrace:
         substeps = 8
         grid = sl.grid
         x1, x2 = self.x1, self.x2
-        velocity = generator_velocity(sl)
+        velocity = generator_velocity(sl, *unit_normal(sl, grid)[1:])
         (a10, a20), (a11, a21) = self.velocity, velocity
         dt = (sl.time - self.time) / substeps
         for m in range(substeps):

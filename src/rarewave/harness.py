@@ -327,14 +327,14 @@ def run_single(cfg: RunConfig, out_dir: Optional[Path] = None, *,
 
     Returns the report dict; also persists report.json, CSV tables and a
     MANIFEST under out_dir (skipping the work when a completed manifest
-    with the same config hash, package version and source digest is
-    already present).  concurrent_runs is the number of runs the calling
-    process tree runs at once (a pooled study passes its pool size); it
-    only decides where the flow solve runs (`_solve_plan`).
+    with the same config hash, package version, source digest and numpy
+    version is already present).  concurrent_runs is the number of runs the
+    calling process tree runs at once (a pooled study passes its pool size);
+    it only decides where the flow solve runs (`_solve_plan`).
     """
     cfg.validate()
     key = {"config_hash": cfg.content_hash(), "version": __version__,
-           "source_sha256": _source_digest()}
+           "source_sha256": _source_digest(), "numpy": np.__version__}
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir) / f"run-{key['config_hash']}"
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "MANIFEST.json"
@@ -509,19 +509,22 @@ def table_records(report: dict, table: str) -> List[dict]:
     return [dict(zip(TABLES[table].columns, row)) for row in report.get(table, [])]
 
 
-def _band_stats(rec: geo.Slice):
-    """The kappa_stats and frame_stats rows of a base slice's band; none
-    when the band is empty."""
-    m, c = rec.band, rec.c
-    if not np.any(m):
+def _band_stats(sl: geo.Slice):
+    """The kappa_stats and frame_stats rows of a base slice's band, from a frame
+    that holds its band rows and one more row each side, which the x1
+    derivative of mu in the torsion eta reads; none when the band is empty."""
+    if not np.any(sl.band):
         return ()
-    zeta, eta = geo.torsions(rec)
+    wide = sl.grid.around(*sl.band_rows, 1)
+    geo.check_rows(wide.lo, wide.hi, sl.grid, sl.time, "the band statistics")
+    m, c = sl.band, sl.c
+    zeta, eta = geo.torsions(sl)
 
     def row(*values):
-        return [rec.time, *(float(np.max(np.abs(a))) for a in values)]
+        return [sl.time, *(float(np.max(np.abs(a))) for a in values)]
 
-    return (row(rec.kappa[m] / rec.time - 1.0, rec.mu[m] - c[m] * rec.kappa[m]),
-            row(rec.that1[m] + 1.0, rec.that2[m], rec.chi[m], zeta[m], eta[m]))
+    return (row(sl.kappa[m] / sl.time - 1.0, sl.mu[m] - c[m] * sl.kappa[m]),
+            row(sl.that1[m] + 1.0, sl.that2[m], sl.chi[m], zeta[m], eta[m]))
 
 
 def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[geo.Slice]):
@@ -554,16 +557,19 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     """One pass over the slices in time order, the solve running `process`
     (see `_snapshots`).
 
-    Each slice's record (a `geometry.Slice` framed by u: v1, v2, c, the
-    frame planes and the band mask) and the rows its band results read are
-    formed as the solve reaches it and serve every consumer: rays, band
-    statistics, predicates and the one `PairDiagnostics` of each slice pair
-    it closes, which the energies and the pair diagnostics share.  The
-    snapshot itself serves only the bookkeeping and the file of its own
-    iteration, and the torsions only the band statistics and the final
-    foliation file, so neither is kept.  A record is dropped at the end of
-    the iteration of the last slice that closes a pair with it; only scalars
-    are kept across the run.
+    Each slice's record (a `geometry.Slice` foliated by u: v1, v2, c, u and
+    the band mask) and the rows its band results read are formed as the
+    solve reaches it and serve every consumer: rays, band statistics,
+    predicates and the one `PairDiagnostics` of each slice pair it closes,
+    which the energies and the pair diagnostics share.  The record is framed
+    (`geometry.frame_fields`) on the rows that are read: a pair on its band
+    window, slice 0 for the predicates and the final foliation file on the
+    whole grid.  The band statistics of a base slice read slice 0's frame or
+    slice k's frame of the pair (k - 1, k); the rays read the record and its
+    whole-grid `unit_normal`.  The snapshot itself serves only the bookkeeping
+    and the file of its own iteration, so it is not kept.  A record is
+    dropped once the last slice that closes a pair with it has formed that
+    pair; only scalars are kept across the run.
     """
     gas, grid = cfg.gas(), cfg.grid()
     ladder, base_idx, pair_idx = cfg.ladder()
@@ -589,6 +595,15 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     window: Dict[int, geo.Slice] = {}
     reads: Dict[int, Tuple[int, int]] = {}  # the rows that each record's band results read
     tables: Dict[str, list] = {name: [] for name in TABLES}
+
+    def band_stats(k: int, sl: geo.Slice):
+        """Pointwise foliation statistics over the tracked band at base times,
+        from sl, a frame of slice k."""
+        if k in base_idx:
+            stats = _band_stats(sl)
+            for _ in range(base_idx.count(k)):  # merged base times share a slice
+                for name, row in zip(("kappa_stats", "frame_stats"), stats):
+                    tables[name].append(row)
     times, energy_slices, pair_rows = [], [], {}
     x2_variation = 0.0
     with _snapshots(field0, cfg.solver(), process) as snapshots:
@@ -600,7 +615,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
         for k, s in enumerate(snapshots):
             arrived.append(geo.Slice(s))
             flow, u = next(level_set)
-            rec = window[k] = geo.frame_fields(flow, u, band=geo.band_mask(u, cfg.u_lo, cfg.u_star))
+            rec = window[k] = geo.foliate(flow, u, geo.band_mask(u, cfg.u_lo, cfg.u_star))
             reads[k] = en.read_rows(rec, cfg.u_lo, u_values)
             times.append(rec.time)
 
@@ -611,49 +626,48 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             mass = total_mass(s)
             if k == 0:
                 mass0 = mass
-                predicate_lines = en.check_data_predicates(rec, cfg.epsilon, cfg.delta,
-                                                           cfg.u_star)
                 rays = geo.RayTrace(rec, x1_seed, x2_seed)
+                sl = geo.frame_fields(rec, grid)
+                predicate_lines = en.check_data_predicates(sl, cfg.epsilon, cfg.delta, cfg.u_star)
+                band_stats(k, sl)
+                del sl
             else:
                 rays.advance(rec)
             tables["conservation"].append([s.time, mass, s.boundary_mass_flux,
                                            mass + s.boundary_mass_flux - mass0])
 
-            # pointwise foliation statistics over the tracked band at base times
-            for _ in range(base_idx.count(k)):  # merged base times share a slice
-                for name, row in zip(("kappa_stats", "frame_stats"), _band_stats(rec)):
-                    tables[name].append(row)
-
             # one evaluator per pair closing here serves the energies of slice k-1 (and of
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
             # cell-crossing times so that the two-time derivatives refine with the grid; it
-            # sees both slices only on the rows of their band window
+            # sees both slices framed on the rows of their band window alone
             for k0, js in closes.get(k, {}).items():
                 rows = en.band_window(window[k0], rec, (reads[k0], reads[k]), orders)
-                s0, s1 = window[k0].on(rows), rec.on(rows)
+                s0, s1 = geo.frame_fields(window[k0], rows), geo.frame_fields(rec, rows)
                 pair = geo.PairDiagnostics(s0, s1)
                 if k0 == k - 1:
+                    band_stats(k, s1)  # its window holds the band and more rows each side
                     for side in ((0, 1) if k == last else (0,)):
                         energy_slices.append(en.energies_of_slice(
                             pair, side, reads[(k0, k)[side]], **energy_args))
                 pair_rows.update(zip(js, _pair_rows(pair, [s0 if base_idx[j] == k0 else s1
                                                            for j in js])))
                 del pair, s0, s1  # their planes must not outlive the pair into the next slice
+            for k0 in closes.get(k, {}):
+                if last_use[k0] == k:
+                    del window[k0], reads[k0]
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
             if k == last:
                 l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
                 if cfg.save_snapshots != "none":
-                    zeta, eta = geo.torsions(rec)
-                    write_planes(grid, rec.time, gas,
-                                 {"u": rec.u, "kappa": rec.kappa, "mu": rec.mu,
-                                  "that1": rec.that1, "that2": rec.that2, "chi": rec.chi,
+                    sl = geo.frame_fields(rec, grid)
+                    zeta, eta = geo.torsions(sl)
+                    write_planes(grid, sl.time, gas,
+                                 {"u": sl.u, "kappa": sl.kappa, "mu": sl.mu,
+                                  "that1": sl.that1, "that2": sl.that2, "chi": sl.chi,
                                   "zeta": zeta, "eta": eta},
                                  out / "foliation_final.rwl")
-            for k0 in closes.get(k, {}):
-                if last_use[k0] == k:
-                    del window[k0], reads[k0]
 
     for j in sorted(pair_rows):
         for name, row in zip(("monitors", "second_frame_stats", "residuals"), pair_rows[j]):

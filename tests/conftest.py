@@ -6,6 +6,7 @@ import pytest
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
                               clamped_fan_profile, init_perturbed_rarefaction, run)
 from rarewave.gas import PolytropicGas, density_from_sound_speed
+from rarewave.geometry import foliate, frame_fields
 
 GAS2 = PolytropicGas(2.0, 0.5)
 
@@ -32,6 +33,11 @@ def perturbed_pair(n1, n2):
     X1, X2 = grid.mesh()
     return [(s, 1.0 - X1 / s.time + 0.02 * np.sin(X1 + X2))
             for s in run(f, SolverConfig(snapshot_times=(0.5, 0.54)))]
+
+
+def framed(field, u, band=None):
+    """field foliated by u (with the band mask band) and framed on its whole grid."""
+    return frame_fields(foliate(field, u, band), field.grid)
 
 
 def rolled(s, k):

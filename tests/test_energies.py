@@ -12,17 +12,18 @@ from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypoth
                                region_weights, words_of_order)
 from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
                               init_perturbed_rarefaction, make_uniform_field, run)
-from rarewave.geometry import PairDiagnostics, evolve_u, frame_fields
+from rarewave.geometry import PairDiagnostics, evolve_u
 from rarewave.riemann1d import CenteredFan
 
-from conftest import GAS2, bilinear_oracle, fan_field, perturbed_pair, rolled, small_grid
+from conftest import (GAS2, bilinear_oracle, fan_field, framed, perturbed_pair, rolled,
+                      small_grid)
 
 
 def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
     grid = small_grid(n1=n1, n2=n2)
     snaps = [fan_field(GAS2, grid, t + i * dt) for i in range(n_times)]
     X1, _ = grid.mesh()
-    slices = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
+    slices = [framed(s, 1.0 - X1 / s.time) for s in snaps]
     return grid, snaps, slices
 
 
@@ -201,7 +202,7 @@ class TestEnergies:
         # a transverse velocity wave makes the psi2 = v2 energies and fluxes nonzero
         snaps = [FlowField(s.gas, grid, s.time, s.rho, s.m1,
                            0.01 * s.rho * np.sin(X2 + 3.0 * X1 - s.time)) for s in snaps]
-        ana = EnergyAnalysis([frame_fields(s, sl.u) for s, sl in zip(snaps, slices)], u_min=0.1)
+        ana = EnergyAnalysis([framed(s, sl.u) for s, sl in zip(snaps, slices)], u_min=0.1)
         psis, orders, u_values = ["wbar", "w", "psi2"], [0, 1], [0.8, 1.3]
         slices = [ana.slice_energies(k, psis, orders, u_values) for k in range(3)]
         rep = ana.report(psis, orders, [0, 1, 2], u_values)
@@ -226,7 +227,7 @@ class TestEnergies:
         ana = EnergyAnalysis(slices, u_min=0.1)
         assert ana.slice_energies(0, ["wbar"], [0], [1.3])["wbar", 0, 1.3][RING, 0] < 1e-18
         # uniform flows framed by the fan's u
-        uniform = [frame_fields(make_uniform_field(GAS2, grid, 1.0, time=s.time), sl.u)
+        uniform = [framed(make_uniform_field(GAS2, grid, 1.0, time=s.time), sl.u)
                    for s, sl in zip(snaps, slices)]
         ana = EnergyAnalysis(uniform, u_min=0.1)
         assert ana.slice_energies(0, ["wbar"], [0], [1.2])["wbar", 0, 1.2][RING, 0] == 0.0
@@ -256,7 +257,7 @@ class TestEnergies:
 def rolled_energies(pair, k):
     """`energies_of_slice` of both slices of the pair (snapshot, u) rolled by k
     whole cells along x2, over two bands and orders 0 and 1."""
-    s0, s1 = (frame_fields(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
+    s0, s1 = (framed(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
     diag, u_values = PairDiagnostics(s0, s1), [0.75, 1.3]
     return [energies_of_slice(diag, side, read_rows(sl, 0.3, u_values), ["wbar", "w", "psi2"],
                               [0, 1], u_values, 0.3)
@@ -290,7 +291,7 @@ class TestDataPredicates:
         f = init_perturbed_rarefaction(GAS2, grid, delta, (0.0, 1.0),
                                        PerturbationSpec(epsilon=0.0), u_glue=1.9)
         X1, _ = grid.mesh()
-        lines = check_data_predicates(frame_fields(f, 1.0 - X1 / delta), 0.0, delta, 1.5)
+        lines = check_data_predicates(framed(f, 1.0 - X1 / delta), 0.0, delta, 1.5)
         byname = {p.name: p for p in lines}
         assert byname["sup|T wbar + 2/(gamma+1)|"].measured < 5 * grid.dx1
         assert byname["sup|L wbar|"].measured < 1e-12
@@ -309,7 +310,7 @@ class TestDataPredicates:
             f = init_perturbed_rarefaction(GAS2, grid, delta, (0.0, 1.0), cfgspec,
                                            u_glue=1.9)
             X1, _ = grid.mesh()
-            sl = frame_fields(f, 1.0 - X1 / delta)
+            sl = framed(f, 1.0 - X1 / delta)
             lines = {p.name: p for p in check_data_predicates(sl, eps, delta, 1.5)}
             sups[eps] = lines["sup|Xhat wbar|"].measured
         assert 1.7 < sups[0.02] / sups[0.01] < 2.3

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rarewave.geometry as geo
 from rarewave.euler2d import FlowField, Grid, SolverConfig, init_perturbed_rarefaction, \
     make_uniform_field, run, PerturbationSpec, PerturbationMode
 from rarewave.gas import PolytropicGas, density_from_sound_speed
 from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
-                               PairDiagnostics, Slice, _one_sided, band_mask, bilinear_sample,
-                               commutation_residual_y, commutation_residual_z,
+                               PairDiagnostics, Slice, _one_sided, band_mask,
+                               bilinear_sample, commutation_residual_y, commutation_residual_z,
                                deformation_components, directional_derivative, evolve_u,
-                               frame_fields, iter_evolve_u, second_frame, semi_lagrangian,
-                               sign_monitors, structure_residuals, torsions)
+                               foliate, frame_fields, iter_evolve_u, second_frame,
+                               semi_lagrangian, sign_monitors, structure_residuals, torsions)
 from rarewave.riemann1d import NumericalError
 
-from conftest import (GAS2, bilinear_oracle, fan_field, perturbed_pair, rolled, same_bits,
-                      small_grid)
+from conftest import (GAS2, bilinear_oracle, fan_field, framed, perturbed_pair, rolled,
+                      same_bits, small_grid)
 
 
 def theta(sl):
@@ -108,7 +109,7 @@ class TestEvolveU:
         f = make_uniform_field(GAS2, grid, c=1.0, time=0.3)
         u_flat = np.full((grid.n1, grid.n2), 0.5)
         with pytest.raises(DegenerateFoliationError, match=r"t=0\.3.*first at \(i=0, j=0\)"):
-            frame_fields(f, u_flat, band=band_mask(u_flat, 0.0, 1.0))
+            foliate(f, u_flat, band_mask(u_flat, 0.0, 1.0))
 
 
 class TestFrameFields:
@@ -117,7 +118,7 @@ class TestFrameFields:
         f = fan_field(GAS2, grid, 0.5)
         X1, _ = grid.mesh()
         u = 1.0 - X1 / 0.5
-        fol = frame_fields(f, u)
+        fol = framed(f, u)
         assert np.max(np.abs(fol.that1 + 1.0)) < 1e-12
         assert np.max(np.abs(fol.that2)) < 1e-12
         assert np.max(np.abs(fol.xhat1)) < 1e-12
@@ -130,7 +131,7 @@ class TestFrameFields:
         grid = small_grid(n1=64, n2=8)
         f = make_uniform_field(GAS2, grid, c=1.0, time=0.2)
         X1, _ = grid.mesh()
-        fol = frame_fields(f, -X1 + 0.2)
+        fol = framed(f, -X1 + 0.2)
         assert np.max(np.abs(fol.kappa - 1.0)) < 1e-12
         assert np.max(np.abs(fol.mu - 1.0)) < 1e-12
 
@@ -139,7 +140,7 @@ class TestFrameFields:
         f = manufactured_field(grid, 0.4)
         X1, X2 = grid.mesh()
         u = 1.0 - X1 / 0.4 + 0.2 * np.sin(X2) * np.cos(0.8 * X1)
-        fol = frame_fields(f, u)
+        fol = framed(f, u)
         assert np.max(np.abs(fol.that1 ** 2 + fol.that2 ** 2 - 1.0)) < 1e-12
         assert np.max(np.abs(fol.xhat1 ** 2 + fol.xhat2 ** 2 - 1.0)) < 1e-12
         assert np.max(np.abs(fol.that1 * fol.xhat1 + fol.that2 * fol.xhat2)) < 1e-12
@@ -152,7 +153,7 @@ class TestFrameFields:
         f = fan_field(GAS2, grid, t)
         X1, _ = grid.mesh()
         u_mid = 1.0 - X1 / t
-        fol = frame_fields(f, u_mid)
+        fol = framed(f, u_mid)
         dudt = (1.0 - X1 / (t + dt) - (1.0 - X1 / (t - dt))) / (2.0 * dt)
         du1 = np.gradient(u_mid, grid.dx1, axis=0)
         mu_alt = f.c ** 2 / (dudt + f.v1 * du1)
@@ -302,8 +303,8 @@ class TestStructureResiduals:
     def _framed_fan_pair(self, n1=256, t=0.5, dt=0.02):
         grid = small_grid(n1=n1)
         X1, _ = grid.mesh()
-        s0 = frame_fields(fan_field(GAS2, grid, t), 1.0 - X1 / t)
-        s1 = frame_fields(fan_field(GAS2, grid, t + dt), 1.0 - X1 / (t + dt))
+        s0 = framed(fan_field(GAS2, grid, t), 1.0 - X1 / t)
+        s1 = framed(fan_field(GAS2, grid, t + dt), 1.0 - X1 / (t + dt))
         return grid, s0, s1
 
     def test_unperturbed_fan_kappa_equation(self):
@@ -320,8 +321,8 @@ class TestStructureResiduals:
     def test_uniform_state_zero(self):
         grid = small_grid(n1=64, n2=8)
         X1, _ = grid.mesh()
-        s0 = frame_fields(make_uniform_field(GAS2, grid, c=1.0, time=0.5), -X1 + 0.5)
-        s1 = frame_fields(make_uniform_field(GAS2, grid, c=1.0, time=0.6), -X1 + 0.6)
+        s0 = framed(make_uniform_field(GAS2, grid, c=1.0, time=0.5), -X1 + 0.5)
+        s1 = framed(make_uniform_field(GAS2, grid, c=1.0, time=0.6), -X1 + 0.6)
         out = structure_residuals(s0, s1)
         res, ok = out["kappa"]
         assert np.max(np.abs(res[ok])) < 1e-12
@@ -342,7 +343,7 @@ class TestSignMonitors:
 def shifted_pair_diagnostics(pair, k):
     """Commutation residuals, structure residuals and sign monitors of the
     pair (snapshot, u) rolled by k whole cells along x2."""
-    s0, s1 = (frame_fields(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
+    s0, s1 = (framed(rolled(s, k), np.roll(u, k, axis=1)) for s, u in pair)
     diag = PairDiagnostics(s0, s1)
     return (diag.commutation_residual_y(), diag.commutation_residual_z(),
             diag.structure_residuals(), diag.sign_monitors(band_mask(s0.u, 0.3, 1.3)))
@@ -385,24 +386,70 @@ def planes_of(sl):
     return {name: a for name, a in vars(sl).items() if isinstance(a, np.ndarray)}
 
 
+# the planes that frame_fields adds to a foliated slice
+FRAME_PLANES = ("kappa", "mu", "that1", "that2", "chi", "xhat_v1", "xhat_v2", "xhat_c")
+
+
 class TestSlice:
     def test_on_restricts_every_plane(self):
+        # a record framed on a window: every plane holds exactly the window's rows
+        # and the bits of the whole grid's frame, and the record's own planes are views
         (s, u), _ = perturbed_pair(64, 16)
-        sl = frame_fields(Slice(s), u, band=band_mask(u, 0.3, 1.3))
-        lo, hi = sl.band_rows
-        window = sl.grid.window(lo - 2, hi + 3)
-        view = sl.on(window)
-        assert view.grid is window and view.time == sl.time
-        # 12 planes and the band mask, each a view of the window's rows
-        assert set(planes_of(view)) == {"v1", "v2", "c", "u", "kappa", "mu", "that1", "that2",
-                                        "chi", "xhat_v1", "xhat_v2", "xhat_c", "band"}
+        rec = foliate(Slice(s), u, band_mask(u, 0.3, 1.3))
+        assert set(planes_of(rec)) == {"v1", "v2", "c", "u", "band"}
+        whole = frame_fields(rec, rec.grid)
+        lo, hi = rec.band_rows
+        window = rec.grid.window(lo - 2, hi + 3)
+        view = frame_fields(rec, window)
+        assert view.grid is window and view.time == rec.time
+        assert set(planes_of(view)) == set(planes_of(rec)) | set(FRAME_PLANES)
         for name, a in planes_of(view).items():
-            whole = getattr(sl, name)
-            assert a.shape == (window.hi - window.lo, sl.grid.n2), name
-            assert np.shares_memory(a, whole), name
-            assert same_bits(a, whole[window.lo:window.hi]), name
+            assert a.shape == (window.hi - window.lo, rec.grid.n2), name
+            assert same_bits(a, getattr(whole, name)[window.lo:window.hi]), name
+        for name, a in planes_of(rec).items():
+            assert np.shares_memory(getattr(view, name), a), name
         with pytest.raises(NumericalError, match=rf"t=0\.5 needs row {hi - 1},"):
-            sl.on(sl.grid.window(lo, hi - 1))
+            frame_fields(rec, rec.grid.window(lo, hi - 1))
+
+
+class TestFrameWindow:
+    """A frame on any window of rows holds the whole grid's frame bits there,
+    because `frame_fields` forms it on the window widened by FRAME_DEPTH."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        # foliated without a band, so that every window may be framed
+        return [foliate(Slice(s), u, None) for s, u in perturbed_pair(64, 16)]
+
+    @staticmethod
+    def differing(rec, window):
+        """The frame planes and torsions that differ on the rows of window from
+        those of the whole grid's frame; the torsions are read off a frame on
+        one more row each side, for the x1 derivative of mu in eta."""
+        whole, view = frame_fields(rec, rec.grid), frame_fields(rec, window)
+        planes = {name: (getattr(whole, name), getattr(view, name)) for name in FRAME_PLANES}
+        wide = rec.grid.around(window.lo, window.hi, 1)
+        inner = slice(window.lo - wide.lo, window.hi - wide.lo)
+        for name, a, b in zip(("zeta", "eta"), torsions(whole),
+                              torsions(frame_fields(rec, wide))):
+            planes[name] = (a, b[inner])
+        return [name for name, (a, b) in planes.items()
+                if not same_bits(a[window.lo:window.hi], b)]
+
+    @settings(max_examples=10, deadline=None)
+    @given(side=st.integers(0, 1), lo=st.integers(0, 62), size=st.integers(2, 64))
+    def test_any_window_has_whole_grid_bits(self, records, side, lo, size):
+        rec = records[side]
+        window = rec.grid.window(lo, min(lo + size, rec.grid.n1))
+        assert self.differing(rec, window) == []
+
+    def test_one_row_less_differs(self, records):
+        # a frame formed on a halo of FRAME_DEPTH - 1 rows misses the outer
+        # neighbours of grad Xhat, so chi differs at the window's edges
+        rec = records[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geo, "FRAME_DEPTH", geo.FRAME_DEPTH - 1)
+            assert "chi" in self.differing(rec, rec.grid.window(20, 40))
 
 
 class TestX2Roll:
@@ -426,11 +473,11 @@ class TestX2Roll:
                                                               np.roll(u0, k, axis=1))):
             assert same_bits(np.roll(u, k, axis=1), u_k)
             band = band_mask(u, 0.3, 1.3)
-            framed = planes_of(frame_fields(f, u, band=band))
-            framed_k = planes_of(frame_fields(f_k, u_k, band=np.roll(band, k, axis=1)))
-            assert framed.keys() == framed_k.keys()
-            for name, a in framed.items():
-                assert same_bits(np.roll(a, k, axis=1), framed_k[name]), name
+            planes = planes_of(framed(f, u, band))
+            planes_k = planes_of(framed(f_k, u_k, np.roll(band, k, axis=1)))
+            assert planes.keys() == planes_k.keys()
+            for name, a in planes.items():
+                assert same_bits(np.roll(a, k, axis=1), planes_k[name]), name
 
 
 class TestDerivedConnectionFields:
@@ -439,7 +486,7 @@ class TestDerivedConnectionFields:
         grid = small_grid(n1=128)
         f = fan_field(GAS2, grid, 0.5)
         X1, _ = grid.mesh()
-        fol = frame_fields(f, 1.0 - X1 / 0.5)
+        fol = framed(f, 1.0 - X1 / 0.5)
         assert np.max(np.abs(kslash(fol))) < 1e-12
         assert np.max(np.abs(chibar(fol))) < 1e-12
 
@@ -450,7 +497,7 @@ class TestDerivedConnectionFields:
         f = manufactured_field(grid, 0.4)
         X1, X2 = grid.mesh()
         u = 1.0 - X1 / 0.4 + 0.2 * np.sin(X2) * np.cos(0.8 * X1)
-        fol = frame_fields(f, u)
+        fol = framed(f, u)
         lhs = fol.chi
         rhs = f.c * (kslash(fol) - theta(fol))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -463,7 +510,7 @@ class TestRayTracing:
         times = 0.2 * (1.0 / 0.2) ** (np.arange(17) / 16.0)
         snaps = analytic_fan_sequence(grid, times)
         X1, _ = grid.mesh()
-        slices = [frame_fields(s, 1.0 - X1 / s.time) for s in snaps]
+        slices = [framed(s, 1.0 - X1 / s.time) for s in snaps]
         seeds_u = np.array([0.4, 0.8, 1.2])
         x1s = (1.0 - seeds_u) * 0.2
         x2s = np.full_like(x1s, math.pi)
