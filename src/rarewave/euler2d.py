@@ -3,8 +3,8 @@
 The domain is x1 in [x1_min, x1_max] with frozen far-field ghost states,
 x2 in [0, 2*pi) periodic.  Conserved variables are (rho, rho*v1, rho*v2)
 with pressure p = k0 * rho**gamma.  Rusanov fluxes, SSP-RK2 time stepping;
-inside a step the state is held as (3, n1+2, n2) conserved planes padded
-with one ghost row on each x1 side.
+a field holds its state as (3, n1+2, n2) conserved planes padded with one
+ghost row on each x1 side.
 """
 
 from __future__ import annotations
@@ -156,42 +156,56 @@ class RowWindow(Grid):
 class FlowField:
     """Conserved state (rho, m1, m2) on a grid at one time.
 
-    ghost_lo/ghost_hi hold two frozen columns of conserved far-field state
-    on each x1 side, shaped (2, n2, 3); they ride along unchanged through
-    time stepping, which reads the column next to the domain (ghost_lo[-1],
-    ghost_hi[0]).
+    q holds the three conserved planes padded along x1, shaped
+    (3, n1+2, n2): rows 0 and n1+1 are the frozen far-field ghost cells that
+    close the tube at both x1 ends, and ride along unchanged through time
+    stepping.  rho, m1 and m2 are views of its interior rows.
+    boundary_mass_flux is the net mass outflow through both x1 ends since
+    the solve's initial field.
     """
 
     gas: PolytropicGas
     grid: Grid
     time: float
-    rho: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    ghost_lo: np.ndarray = None  # shape (2, n2, 3)
-    ghost_hi: np.ndarray = None
-    boundary_mass_flux: float = 0.0  # net mass outflow during the step that made this field
+    q: np.ndarray
+    boundary_mass_flux: float = 0.0
 
     def __post_init__(self):
-        shape = (self.grid.n1, self.grid.n2)
-        for name in ("rho", "m1", "m2"):
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
+        shape = (3, self.grid.n1 + 2, self.grid.n2)
+        if np.shape(self.q) != shape:
+            raise ValueError(f"q has shape {np.shape(self.q)}, expected {shape}")
         if not np.all(self.rho > 0.0):
             raise ValueError("non-positive or NaN density in flow field")
-        if self.ghost_lo is None:
-            self.ghost_lo = np.stack(
-                [np.stack([self.rho[0], self.m1[0], self.m2[0]], axis=-1)] * 2)
-        if self.ghost_hi is None:
-            self.ghost_hi = np.stack(
-                [np.stack([self.rho[-1], self.m1[-1], self.m2[-1]], axis=-1)] * 2)
-        for name in ("ghost_lo", "ghost_hi"):
-            ghost = getattr(self, name)
-            if np.shape(ghost) != (2, self.grid.n2, 3):
-                raise ValueError(f"{name} has shape {np.shape(ghost)}, "
-                                 f"expected {(2, self.grid.n2, 3)}")
-            if not np.all(np.isfinite(ghost[..., 0]) & (ghost[..., 0] > 0.0)):
-                raise ValueError(f"{name} has a non-positive or non-finite density")
+        for row in (0, shape[1] - 1):
+            ghost = self.q[:, row]
+            if not (np.all(np.isfinite(ghost)) and np.all(ghost[0] > 0.0)):
+                raise ValueError(f"ghost row {row} has a non-finite value or a "
+                                 "non-positive density")
+
+    @classmethod
+    def from_planes(cls, gas: PolytropicGas, grid: Grid, time: float,
+                    rho, m1, m2) -> "FlowField":
+        """The field of the planes rho, m1 and m2, whose edge rows are its ghosts."""
+        q = np.empty((3, grid.n1 + 2, grid.n2))
+        for k, (name, a) in enumerate((("rho", rho), ("m1", m1), ("m2", m2))):
+            if np.shape(a) != (grid.n1, grid.n2):
+                raise ValueError(f"{name} has shape {np.shape(a)}, "
+                                 f"expected {(grid.n1, grid.n2)}")
+            q[k, 1:-1] = a
+        q[:, 0], q[:, -1] = q[:, 1], q[:, -2]
+        return cls(gas, grid, time, q)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.q[0, 1:-1]
+
+    @property
+    def m1(self) -> np.ndarray:
+        return self.q[1, 1:-1]
+
+    @property
+    def m2(self) -> np.ndarray:
+        return self.q[2, 1:-1]
 
     @property
     def v1(self) -> np.ndarray:
@@ -210,11 +224,8 @@ class FlowField:
         return to_invariants(self.gas, self)
 
     def copy(self, time=None):
-        out = FlowField(self.gas, self.grid, self.time if time is None else time,
-                        self.rho.copy(), self.m1.copy(), self.m2.copy(),
-                        self.ghost_lo.copy(), self.ghost_hi.copy())
-        out.boundary_mass_flux = self.boundary_mass_flux
-        return out
+        return FlowField(self.gas, self.grid, self.time if time is None else time,
+                         self.q.copy(), self.boundary_mass_flux)
 
 
 @dataclass(frozen=True)
@@ -432,15 +443,15 @@ def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
         raise ValueError("perturbation drives the sound speed non-positive")
 
     rho = density_from_sound_speed(gas, c)
-    return FlowField(gas, grid, delta, rho, rho * v1, rho * v2)
+    return FlowField.from_planes(gas, grid, delta, rho, rho * v1, rho * v2)
 
 
 def make_uniform_field(gas: PolytropicGas, grid: Grid, c: float, v1: float = 0.0,
                        v2: float = 0.0, time: float = 0.0) -> FlowField:
     rho = float(density_from_sound_speed(gas, c))
     shp = (grid.n1, grid.n2)
-    return FlowField(gas, grid, time, np.full(shp, rho),
-                     np.full(shp, rho * v1), np.full(shp, rho * v2))
+    return FlowField.from_planes(gas, grid, time, np.full(shp, rho),
+                                 np.full(shp, rho * v1), np.full(shp, rho * v2))
 
 
 def max_signal_speed(f: FlowField) -> float:
@@ -538,44 +549,38 @@ def _check_positive(rho, time):
 def step(f: FlowField, dt: float) -> FlowField:
     """One conservative update of size dt; dt = 0 returns a copy.
 
-    The result's rho, m1 and m2 are disjoint views of one new buffer.
+    Stage 1 reads f.q in place.  The result is one new padded buffer, which
+    holds the stage-1 state until stage 2 overwrites its interior, and its
+    ghost rows are copies of f's.
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     if dt == 0.0:
         return f.copy()
-    gas, grid = f.gas, f.grid
+    gas, grid, q0 = f.gas, f.grid, f.q
     n1, n2 = grid.n1, grid.n2
-    # scratch first: q0 outlives the step as the result, so with glibc malloc
+    # scratch first: q outlives the step as the result, so with glibc malloc
     # the freed scratch lies below it and the next step reuses those pages
     # instead of faulting in fresh ones
-    q1 = np.empty((3, n1 + 2, n2))
     dq = np.empty((3, n1, n2))
     cell = np.empty((4, n1 + 2, n2))
     face = np.empty((3, n1 + 1, n2))
-    # q0 is updated in place to the new state; its interior rows are the result
-    q0 = np.empty((3, n1 + 2, n2))
-    q0[:, 0] = f.ghost_lo[-1].T
-    q0[:, -1] = f.ghost_hi[0].T
-    q0[0, 1:-1], q0[1, 1:-1], q0[2, 1:-1] = f.rho, f.m1, f.m2
-    q1[:, 0], q1[:, -1] = q0[:, 0], q0[:, -1]
+    q = np.empty((3, n1 + 2, n2))
+    q[:, 0], q[:, -1] = q0[:, 0], q0[:, -1]
 
     out1 = _rhs(gas, grid, q0, dq, cell, face)
     dq *= dt
-    np.add(q0[:, 1:-1], dq, out=q1[:, 1:-1])
-    _check_positive(q1[0, 1:-1], f.time + dt)
-    out2 = _rhs(gas, grid, q1, dq, cell, face)
+    np.add(q0[:, 1:-1], dq, out=q[:, 1:-1])
+    _check_positive(q[0, 1:-1], f.time + dt)
+    out2 = _rhs(gas, grid, q, dq, cell, face)
     dq *= dt
-    q_new = q0[:, 1:-1]
-    q_new += q1[:, 1:-1]
+    q_new = q[:, 1:-1]
+    q_new += q0[:, 1:-1]
     q_new += dq
     q_new *= 0.5
     _check_positive(q_new[0], f.time + dt)
     outflow = 0.5 * (out1 + out2) * dt
-    result = FlowField(gas, grid, f.time + dt, q_new[0], q_new[1], q_new[2],
-                       f.ghost_lo.copy(), f.ghost_hi.copy())
-    result.boundary_mass_flux = outflow
-    return result
+    return FlowField(gas, grid, f.time + dt, q, f.boundary_mass_flux + outflow)
 
 
 def run(f: FlowField, config: SolverConfig) -> List[FlowField]:
@@ -594,21 +599,17 @@ def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
         raise ValueError(f"snapshot time {times[0]} precedes field time {f.time}")
 
     current = f
-    cumulative_outflow = f.boundary_mass_flux
     dx_min = min(f.grid.dx1, f.grid.dx2)
     del f
     for target in times:
         while current.time < target - 1e-13:
             speed = max_signal_speed(current)
             if not math.isfinite(speed):
-                state = np.stack([current.rho, current.m1, current.m2])
-                i, j = np.argwhere(~np.isfinite(state).all(axis=0))[0]
+                i, j = np.argwhere(~np.isfinite(current.q[:, 1:-1]).all(axis=0))[0]
                 raise NumericalError(f"non-finite state at t={current.time:.6g}, "
                                      f"first at (i={i}, j={j})")
             dt = min(config.cfl * dx_min / speed, target - current.time)
             current = step(current, dt)
-            cumulative_outflow += current.boundary_mass_flux
-            current.boundary_mass_flux = cumulative_outflow
         yield current if abs(current.time - target) < 1e-12 else current.copy(time=target)
 
 

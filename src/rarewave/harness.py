@@ -299,9 +299,9 @@ def default_config() -> RunConfig:
 
 def _x2_variation(s: FlowField, worst: float) -> float:
     """worst, raised to the largest x2 variation of a conserved plane of s."""
-    for a in (s.rho, s.m1, s.m2):
-        worst = max(worst, float(np.max(np.abs(a - a[:, :1]))))
-    return worst
+    q = s.q[:, 1:-1]
+    d = q - q[..., :1]
+    return max(worst, float(np.max(np.abs(d, out=d))))
 
 
 def _l1_fan_error(cfg: RunConfig, snapshot: FlowField) -> float:
@@ -403,8 +403,8 @@ def _solve_plan(concurrent_runs: int) -> dict:
 
 def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -> None:
     """Body of the forked solve: for each snapshot of iter_run, its time and
-    boundary mass flux, then its rho, m1 and m2 planes as raw bytes; after
-    the last, None.  A solver error is sent in place of the rest."""
+    boundary mass flux, then its padded state q as raw bytes; after the
+    last, None.  A solver error is sent in place of the rest."""
     # with the inherited read end closed, a send fails once the parent has
     # gone (killed, say), instead of blocking forever
     parent_end.close()
@@ -412,8 +412,7 @@ def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -
     try:
         for s in iter_run(field0, solver):
             conn.send((s.time, s.boundary_mass_flux))
-            for plane in (s.rho, s.m1, s.m2):
-                conn.send_bytes(np.ascontiguousarray(plane))
+            conn.send_bytes(s.q)
         conn.send(None)
     except BrokenPipeError:  # nobody reads the rest
         return
@@ -421,12 +420,10 @@ def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -
         conn.send(exc)
 
 
-def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid,
-                        ghosts: Tuple[np.ndarray, np.ndarray]) -> Iterator[FlowField]:
-    """The snapshots `_send_snapshots` sends, each over one fresh (3, n1, n2)
-    buffer with copies of the initial field's frozen ghosts (ghost_lo,
-    ghost_hi); a solver error is raised at the point of the stream where the
-    solve stopped."""
+def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator[FlowField]:
+    """The snapshots `_send_snapshots` sends, each over one fresh padded
+    (3, n1+2, n2) buffer, ghost rows included; a solver error is raised at
+    the point of the stream where the solve stopped."""
     while True:
         try:
             msg = conn.recv()
@@ -439,12 +436,10 @@ def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid,
         if isinstance(msg, BaseException):
             raise msg
         time, boundary_mass_flux = msg
-        planes = np.empty((3, grid.n1, grid.n2))
-        for plane in planes:  # into a flat byte view: the receive counts bytes
-            conn.recv_bytes_into(plane.reshape(-1).view(np.uint8))
-        s = FlowField(gas, grid, time, *planes, *(g.copy() for g in ghosts))
-        s.boundary_mass_flux = boundary_mass_flux
-        yield s
+        q = np.empty((3, grid.n1 + 2, grid.n2))
+        # into a flat byte view: the receive counts bytes
+        conn.recv_bytes_into(q.reshape(-1).view(np.uint8))
+        yield FlowField(gas, grid, time, q, boundary_mass_flux)
 
 
 @contextlib.contextmanager
@@ -456,7 +451,7 @@ def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
     about one snapshot ahead.  It is ended on every exit from the block,
     an exception included, before that exception leaves the block.  Neither
     path keeps field0 past the first snapshot: an inline solve holds it until
-    its first step, and a forked one keeps its gas, grid and ghosts alone.
+    its first step, and a forked one keeps its gas and grid alone.
     """
     if process == "inline":
         stream = iter_run(field0, solver)
@@ -469,10 +464,10 @@ def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
                         name="rarewave-solve", daemon=True)
     child.start()  # which drops its args
     child_end.close()
-    frozen = field0.gas, field0.grid, (field0.ghost_lo, field0.ghost_hi)
+    gas, grid = field0.gas, field0.grid
     del field0
     try:
-        yield _received_snapshots(conn, child, *frozen)
+        yield _received_snapshots(conn, child, gas, grid)
     finally:
         child.terminate()
         child.join()

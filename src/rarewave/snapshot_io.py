@@ -2,7 +2,9 @@
 
 Snapshot files: magic b"RWL1", then a little-endian header
 (n1:u32, n2:u32, x1_min:f64, x1_max:f64, t:f64, gamma:f64, k0:f64),
-then three row-major float64 planes rho, rho*v1, rho*v2.
+then three row-major float64 planes rho, rho*v1, rho*v2.  The files hold
+no ghost rows: a field read back takes its edge rows as its ghosts, not the
+frozen far field of the run that wrote it.
 
 Named-plane files share the magic and header, followed by a u32 plane
 count and 16-byte ASCII name tags; used for foliation and frame fields.
@@ -69,15 +71,12 @@ def read_snapshot(path) -> FlowField:
     raw = Path(path).read_bytes()
     n1, n2, x1_min, x1_max, t, gamma, k0 = _unpack_header(path, raw)
     offset = 4 + _HEADER.size
-    count = n1 * n2
-    _check_size(path, raw, offset + 3 * 8 * count)
-    planes = []
-    for k in range(3):
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset + 8 * count * k)
-        planes.append(arr.reshape(n1, n2).copy())
+    count = 3 * n1 * n2
+    _check_size(path, raw, offset + 8 * count)
+    planes = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(3, n1, n2)
     gas = PolytropicGas(gamma=gamma, k0=k0)
     grid = Grid(n1=n1, n2=n2, x1_min=x1_min, x1_max=x1_max)
-    return FlowField(gas, grid, t, planes[0], planes[1], planes[2])
+    return FlowField.from_planes(gas, grid, t, *planes)
 
 
 def write_planes(grid: Grid, t: float, gas: PolytropicGas,

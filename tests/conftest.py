@@ -16,7 +16,7 @@ def fan_field(gas, grid, t, v0=0.0, c0=1.0, u_glue=1.9):
     X1, _ = grid.mesh()
     v1, c = clamped_fan_profile(gas, v0, c0, u_glue, X1, t)
     rho = density_from_sound_speed(gas, c)
-    return FlowField(gas, grid, t, rho, rho * v1, np.zeros_like(rho))
+    return FlowField.from_planes(gas, grid, t, rho, rho * v1, np.zeros_like(rho))
 
 
 def small_grid(n1=128, n2=16, x1_min=-2.4, x1_max=2.2):
@@ -41,9 +41,8 @@ def framed(field, u, band=None):
 
 
 def rolled(s, k):
-    """The flow field s rolled by k whole cells along the periodic x2 axis."""
-    planes = (np.roll(a, k, axis=1) for a in (s.rho, s.m1, s.m2, s.ghost_lo, s.ghost_hi))
-    return FlowField(s.gas, s.grid, s.time, *planes)
+    """The flow field s rolled by k whole cells along the periodic x2 axis, ghosts alike."""
+    return FlowField(s.gas, s.grid, s.time, np.roll(s.q, k, axis=2), s.boundary_mass_flux)
 
 
 def same_bits(a, b):

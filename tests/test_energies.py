@@ -200,8 +200,9 @@ class TestEnergies:
         grid, snaps, slices = fan_setup(n_times=3)
         X1, X2 = grid.mesh()
         # a transverse velocity wave makes the psi2 = v2 energies and fluxes nonzero
-        snaps = [FlowField(s.gas, grid, s.time, s.rho, s.m1,
-                           0.01 * s.rho * np.sin(X2 + 3.0 * X1 - s.time)) for s in snaps]
+        snaps = [FlowField.from_planes(s.gas, grid, s.time, s.rho, s.m1,
+                                       0.01 * s.rho * np.sin(X2 + 3.0 * X1 - s.time))
+                 for s in snaps]
         ana = EnergyAnalysis([framed(s, sl.u) for s, sl in zip(snaps, slices)], u_min=0.1)
         psis, orders, u_values = ["wbar", "w", "psi2"], [0, 1], [0.8, 1.3]
         slices = [ana.slice_energies(k, psis, orders, u_values) for k in range(3)]

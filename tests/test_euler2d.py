@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rarewave import euler2d
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec,
                               SolverConfig, clamped_fan_profile,
-                              init_perturbed_rarefaction, make_uniform_field,
+                              init_perturbed_rarefaction, iter_run, make_uniform_field,
                               max_signal_speed, run, step, total_mass,
                               transport_residual, vorticity)
 from rarewave.euler2d import _flat
@@ -16,13 +16,14 @@ from rarewave.gas import PolytropicGas, density_from_sound_speed, sound_speed
 from rarewave.geometry import directional_derivative
 from rarewave.riemann1d import NumericalError
 
-from conftest import GAS2, fan_field, same_bits, small_grid
+from conftest import GAS2, fan_field, rolled, same_bits, small_grid
 
 
 def rusanov_oracle_step(f, dt):
     """SSP-RK2 step with the Rusanov flux evaluated per interface on
     interleaved (n1, n2, 3) states: the reference for the planar kernel."""
     gas, grid = f.gas, f.grid
+    padded = np.moveaxis(f.q, 0, -1)  # (n1+2, n2, 3), the ghost rows first and last
 
     def phys_flux(q, axis):
         vn = q[..., axis + 1] / q[..., 0]
@@ -37,13 +38,13 @@ def rusanov_oracle_step(f, dt):
             - 0.5 * lam[..., None] * (qr - ql)
 
     def rhs(q):
-        qx = np.concatenate([f.ghost_lo[-1:], q, f.ghost_hi[:1]])
+        qx = np.concatenate([padded[:1], q, padded[-1:]])
         fx = interface_flux(qx[:-1], qx[1:], 0)
         fy = interface_flux(q, np.roll(q, -1, axis=1), 1)
         dq = -(fx[1:] - fx[:-1]) / grid.dx1 - (fy - np.roll(fy, 1, axis=1)) / grid.dx2
         return dq, (fx[-1, :, 0].sum() - fx[0, :, 0].sum()) * grid.dx2
 
-    q0 = np.stack([f.rho, f.m1, f.m2], axis=-1)
+    q0 = padded[1:-1]
     dq1, out1 = rhs(q0)
     q1 = q0 + dt * dq1
     dq2, out2 = rhs(q1)
@@ -131,19 +132,17 @@ class TestSignalSpeed:
         assert max_signal_speed(f) == pytest.approx(1.0 + 1.9 / 3.0, abs=1e-3)
 
 
-def rolled(field, k):
-    """The field rolled k whole cells along x2, ghosts alike."""
-    return FlowField(field.gas, field.grid, field.time,
-                     *(np.roll(a, k, axis=1) for a in (field.rho, field.m1, field.m2,
-                                                       field.ghost_lo, field.ghost_hi)))
-
-
 def reflected(field):
     """The field under x2 -> -x2: cell j goes to n2-1-j and m2 flips, ghosts alike."""
-    flip = np.array([1.0, 1.0, -1.0])
-    return FlowField(field.gas, field.grid, field.time, field.rho[:, ::-1].copy(),
-                     field.m1[:, ::-1].copy(), -field.m2[:, ::-1],
-                     field.ghost_lo[:, ::-1] * flip, field.ghost_hi[:, ::-1] * flip)
+    flip = np.array([1.0, 1.0, -1.0])[:, None, None]
+    return FlowField(field.gas, field.grid, field.time, field.q[:, :, ::-1] * flip)
+
+
+def with_cell(q, k, i, value):
+    """A copy of the padded state q with component k of cell (i, 7) set to value."""
+    q = q.copy()
+    q[k, i, 7] = value
+    return q
 
 
 def same_state(a, b):
@@ -163,24 +162,27 @@ class TestStep:
     def test_mass_conservation_per_step(self):
         f = fan_field(GAS2, small_grid(), 0.3)
         dt = 0.4 * f.grid.dx1 / max_signal_speed(f)
+        m0 = total_mass(f)
         g = f
         for _ in range(10):
-            before = total_mass(g)
             g = step(g, dt)
-            drift = total_mass(g) + g.boundary_mass_flux - before
-            assert abs(drift) < 1e-12 * max(1.0, before)
+            drift = total_mass(g) + g.boundary_mass_flux - m0
+            assert abs(drift) < 1e-12 * max(1.0, m0)
 
     def test_zero_dt_identity(self):
         f = fan_field(GAS2, small_grid(), 0.3)
+        f = step(f, 0.4 * f.grid.dx1 / max_signal_speed(f))
         g = step(f, 0.0)
-        assert np.array_equal(g.rho, f.rho) and g.time == f.time
+        assert np.array_equal(g.q, f.q) and g.time == f.time
+        # the outflow since the solve's initial field, not that of f's step again
+        assert g.boundary_mass_flux == f.boundary_mass_flux
 
     def test_negative_density_abort(self):
         grid = small_grid(n1=32, n2=8)
         rho = np.full((32, 8), 1e-9)
         m1 = np.zeros_like(rho)
         m1[10:20] = 1.0  # enormous velocity on near-vacuum density
-        f = FlowField(GAS2, grid, 0.0, rho, m1, np.zeros_like(rho))
+        f = FlowField.from_planes(GAS2, grid, 0.0, rho, m1, np.zeros_like(rho))
         with pytest.raises(NumericalError, match="density"):
             step(f, 0.05)
 
@@ -200,19 +202,20 @@ class TestStep:
         rho = np.ones((32, 16))
         rho[3, 4] = np.nan
         with pytest.raises(ValueError, match="NaN density"):
-            FlowField(GAS2, grid, 0.0, rho, np.zeros_like(rho), np.zeros_like(rho))
+            FlowField.from_planes(GAS2, grid, 0.0, rho, np.zeros_like(rho), np.zeros_like(rho))
 
-    @pytest.mark.parametrize("ghost, bad, match", [
-        ("ghost_lo", lambda g: g[0], r"ghost_lo has shape \(16, 3\)"),
-        ("ghost_hi", lambda g: g * np.array([0.0, 1.0, 1.0]), "ghost_hi has a non-positive"),
-        ("ghost_lo", lambda g: g * np.array([np.inf, 1.0, 1.0]), "ghost_lo has a non-positive"),
-    ], ids=["shape", "zero_density", "infinite_density"])
-    def test_bad_ghost_rejected(self, ghost, bad, match):
+    @pytest.mark.parametrize("bad, match", [
+        (lambda q: q[:, 1:], r"q has shape \(3, 33, 16\), expected \(3, 34, 16\)"),
+        (lambda q: with_cell(q, 0, -1, 0.0), "ghost row 33 has a non-finite value or a non-positive"),
+        (lambda q: with_cell(q, 0, 0, np.inf), "ghost row 0 has a non-finite value"),
+        (lambda q: with_cell(q, 1, 0, np.nan), "ghost row 0 has a non-finite value"),
+        (lambda q: with_cell(q, 2, -1, -np.inf), "ghost row 33 has a non-finite value"),
+    ], ids=["shape", "zero_density", "infinite_density", "nan_momentum", "infinite_momentum"])
+    def test_bad_ghost_rejected(self, bad, match):
+        # the interior stays valid: only the shape or a ghost row is at fault
         f = make_uniform_field(GAS2, small_grid(n1=32, n2=16), c=1.0, v1=0.3)
         with pytest.raises(ValueError, match=match):
-            FlowField(f.gas, f.grid, f.time, f.rho, f.m1, f.m2,
-                      **{"ghost_lo": f.ghost_lo, "ghost_hi": f.ghost_hi,
-                         ghost: bad(getattr(f, ghost))})
+            FlowField(f.gas, f.grid, f.time, bad(f.q))
 
     @pytest.mark.parametrize("gamma", [2.0, 1.4])
     def test_matches_per_interface_oracle(self, gamma):
@@ -224,11 +227,12 @@ class TestStep:
             rho = rng.uniform(0.5, 1.5, shape)
             return rho, rho * rng.uniform(*v1_range, shape), rho * rng.uniform(-0.5, 0.5, shape)
 
-        rho, m1, m2 = state((48, 16), (-0.5, 0.5))
-        # two distinct columns per ghost, with mass leaving through both ends
-        ghost_lo = np.stack(state((2, 16), (-0.5, -0.1)), axis=-1)
-        ghost_hi = np.stack(state((2, 16), (0.1, 0.5)), axis=-1)
-        f = FlowField(gas, grid, 0.2, rho, m1, m2, ghost_lo, ghost_hi)
+        q = np.empty((3, 50, 16))
+        q[:, 1:-1] = state((48, 16), (-0.5, 0.5))
+        # ghost rows unlike the edge rows, with mass leaving through both ends
+        q[:, 0] = state(16, (-0.5, -0.1))
+        q[:, -1] = state(16, (0.1, 0.5))
+        f = FlowField(gas, grid, 0.2, q)
         dt = 0.3 * grid.dx1 / max_signal_speed(f)
         g = step(f, dt)
         q, outflow = rusanov_oracle_step(f, dt)
@@ -273,9 +277,9 @@ class TestStep:
         rng = np.random.default_rng(seed)
         grid = small_grid(n1=16, n2=16)
         rho = rng.uniform(0.5, 2.0, (grid.n1, grid.n2))
-        f = FlowField(PolytropicGas(gamma, 0.5), grid, 0.3, rho,
-                      rho * rng.uniform(-0.5, 0.5, rho.shape),
-                      rho * rng.uniform(-0.5, 0.5, rho.shape))
+        f = FlowField.from_planes(PolytropicGas(gamma, 0.5), grid, 0.3, rho,
+                                  rho * rng.uniform(-0.5, 0.5, rho.shape),
+                                  rho * rng.uniform(-0.5, 0.5, rho.shape))
         dt = 0.3 * min(grid.dx1, grid.dx2) / max_signal_speed(f)
         for transform in (lambda g: rolled(g, k), reflected):
             assert same_state(transform(step(f, dt)), step(transform(f), dt))
@@ -340,6 +344,29 @@ class TestRun:
         for n, (k, a) in enumerate(planes):
             for j, b in planes[n + 1:]:
                 assert not np.shares_memory(a, b), (k, j)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_non_finite_cell_named_in_interior_coordinates(self, n1, n2, data):
+        # the planes are views of the padded state one row in, and the locator
+        # reads its interior rows: an off-by-one in either names a neighbour
+        # cell, or the wrong row of an edge cell, or raises IndexError
+        i = data.draw(st.sampled_from([0, n1 - 1]) | st.integers(0, n1 - 1), label="i")
+        j = data.draw(st.sampled_from([0, n2 - 1]) | st.integers(0, n2 - 1), label="j")
+        name, value = data.draw(st.sampled_from(
+            [(m, v) for m in ("m1", "m2") for v in (math.nan, math.inf, -math.inf)]
+            + [("rho", math.inf)]), label="injected")
+        rng = np.random.default_rng(n1 * n2)
+        rho = rng.uniform(0.5, 1.5, (n1, n2))
+        f = FlowField.from_planes(GAS2, small_grid(n1=n1, n2=n2), 0.5, rho,
+                                  rho * rng.uniform(-0.3, 0.3, rho.shape),
+                                  rho * rng.uniform(-0.3, 0.3, rho.shape))
+        getattr(f, name)[i, j] = value
+        yielded = []
+        with pytest.raises(NumericalError, match=rf"at t=0\.5, first at \(i={i}, j={j}\)$"):
+            for s in iter_run(f, SolverConfig(snapshot_times=(0.6, 0.7))):
+                yielded.append(s)
+        assert yielded == []
 
     def test_conservation_accumulated_over_run(self):
         f = fan_field(GAS2, small_grid(), 0.3)
@@ -467,7 +494,7 @@ class TestVorticity:
         rho = np.ones_like(X1)
         v1 = -(X2 - yc)
         v2 = X1 - xc
-        f = FlowField(GAS2, grid, 1.0, rho, rho * v1, rho * v2)
+        f = FlowField.from_planes(GAS2, grid, 1.0, rho, rho * v1, rho * v2)
         curl = vorticity(f)
         inner = (np.abs(X1 - xc) < 0.5) & (np.abs(X2 - yc) < 1.0)
         assert np.max(np.abs(curl[inner] - 2.0)) < 1e-12
@@ -480,7 +507,7 @@ class TestVorticity:
             rho = np.ones_like(X1)
             v1 = np.cos(X1) * np.cos(X2)   # gradient of sin(x1)cos(x2)
             v2 = -np.sin(X1) * np.sin(X2)
-            f = FlowField(GAS2, grid, 1.0, rho, rho * v1, rho * v2)
+            f = FlowField.from_planes(GAS2, grid, 1.0, rho, rho * v1, rho * v2)
             errs[n] = np.max(np.abs(vorticity(f)))
         assert errs[64] / errs[128] > 3.0  # second-order interior stencils
 

@@ -39,7 +39,7 @@ def manufactured_field(grid, t, amp=0.1):
     v1 = amp * np.sin(1.3 * X1 + 0.2) * np.cos(X2) * (1.0 + 0.5 * t)
     v2 = amp * np.cos(0.7 * X1) * np.sin(2.0 * X2 + 0.4) * (1.0 - 0.2 * t)
     rho = density_from_sound_speed(GAS2, c)
-    return FlowField(GAS2, grid, t, rho, rho * v1, rho * v2)
+    return FlowField.from_planes(GAS2, grid, t, rho, rho * v1, rho * v2)
 
 
 class TestEvolveU:

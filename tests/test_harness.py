@@ -587,6 +587,26 @@ class TestSolvePaths:
         with pytest.raises(RuntimeError, match="exit code 3 before sending every snapshot"):
             run_single(parse_config(STREAMED), out_dir=tmp_path)
 
+    def test_padded_state_same_on_both_transports(self, tmp_path):
+        # snapshot files hold no ghost rows, so no recorded digest sees them: the
+        # padded state must cross the pipe whole, ghosts frozen at the initial
+        # field's edge rows
+        cfg = tiny_config(tmp_path, epsilon=0.01)
+        field0 = init_perturbed_rarefaction(cfg.gas(), cfg.grid(), cfg.delta, (cfg.v0, cfg.c0),
+                                            cfg.perturbation(), u_glue=cfg.u_glue)
+        edges = field0.q[:, [1, -2]]
+        streams = {}
+        for process in ("forked", "inline"):
+            with harness._snapshots(field0, cfg.solver(), process) as snapshots:
+                streams[process] = [(s.time, s.boundary_mass_flux, s.q) for s in snapshots]
+        forked, inline = streams["forked"], streams["inline"]
+        assert len(forked) == len(inline) == len(cfg.ladder()[0])
+        for (t0, flux0, q0), (t1, flux1, q1) in zip(forked, inline):
+            assert (t0, flux0) == (t1, flux1)
+            assert same_bits(q0, q1)
+            assert same_bits(q0[:, [0, -1]], edges)
+        assert forked[-1][1] != 0.0  # the outflow is carried, not only its default
+
     def test_solver_process_ends_when_the_run_has_gone(self):
         # a run killed outright runs no clean-up: its solver must not block
         # forever on a pipe that nobody reads
