@@ -2,23 +2,19 @@
 
 Simulates perturbations of the centered 1D rarefaction fan, reconstructs
 the characteristic foliation and its null-frame quantities, and measures
-transport residuals, sign conditions, scaling laws and weighted energies
-against exact 1D solutions.
+commutation and propagation residuals, sign conditions, scaling laws and
+weighted energies against exact 1D solutions.
 """
 
 __version__ = "0.1.0"  # before the submodule imports: the run cache keys on it
 
-from .gas import (PolytropicGas, PrimitiveState, RiemannInvariants, enthalpy,
-                  from_invariants, sound_speed, to_invariants)
-from .riemann1d import (CenteredFan, RiemannProblem1D, WaveFan, evaluate_fan,
-                        geometric_profile, lax_admissible, shock_jump_residual,
-                        solve_riemann)
+from .gas import (PolytropicGas, PrimitiveState, RiemannInvariants, enthalpy, sound_speed,
+                  to_invariants)
+from .riemann1d import CenteredFan, RiemannProblem1D, WaveFan, solve_riemann
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
-                      init_perturbed_rarefaction, max_signal_speed, run, step,
-                      transport_residual, vorticity)
-from .geometry import (SecondFrame, Slice, commutation_residual_y,
-                       commutation_residual_z, deformation_components, evolve_u,
-                       foliate, frame_fields, second_frame, sign_monitors,
+                      init_perturbed_rarefaction, max_signal_speed, run, step)
+from .geometry import (SecondFrame, Slice, commutation_residual_y, commutation_residual_z,
+                       evolve_u, foliate, frame_fields, second_frame, sign_monitors,
                        structure_residuals)
 from .energies import (EnergyAnalysis, EnergyReport, FrameDerivativeOp, GronwallInstance,
                        check_data_predicates, fit_gronwall_constants, gronwall_verify)

@@ -150,10 +150,6 @@ class LevelCurve:
     lengths: np.ndarray
     stencil: BilinearStencil
 
-    @property
-    def total_length(self) -> float:
-        return float(self.lengths.sum())
-
     def integral(self, g: np.ndarray) -> float:
         """Line integral of the cell-centered field g along the curve."""
         return float(np.sum(self.lengths * self.stencil(g)))
@@ -234,10 +230,6 @@ class FrameDerivativeOp:
             raise ValueError(f"derivative order capped at {ORDER_CAP}")
         if any(ch not in ("X", "T") for ch in self.word):
             raise ValueError(f"word letters must be 'X' or 'T': {self.word}")
-
-    @property
-    def order(self) -> int:
-        return len(self.word)
 
 
 def words_of_order(n: int) -> List[FrameDerivativeOp]:

@@ -29,20 +29,16 @@ __all__ = [
     "check_fan_strip",
     "clamped_fan_profile",
     "init_perturbed_rarefaction",
-    "make_uniform_field",
     "max_signal_speed",
     "step",
     "run",
     "iter_run",
     "advective_derivative",
     "diagonal_rhs",
-    "transport_residual",
-    "vorticity",
     "total_mass",
 ]
 
 RAMP = 0.2  # width of the quintic ramps of a k1 = 0 perturbation profile
-SUP_SAMPLING_DX = 1e-3  # sampling step of velocity_third_derivative_bound
 
 
 @dataclass(frozen=True)
@@ -343,7 +339,7 @@ class PerturbationSpec:
             out += m.amplitude * self._mode_profile(m, x1, deriv=1) * np.cos(m.k2 * x2 + m.phase)
         return self.epsilon * out
 
-    def velocity_perturbation(self, x1, x2, gamma: float = 2.0):
+    def velocity_perturbation(self, x1, x2, gamma: float):
         """(dv1, dv2) = grad(phi) on the mesh; dv1 = -sound_speed_ripple.
 
         dv2 also carries the x1-independent shear
@@ -360,32 +356,6 @@ class PerturbationSpec:
             dv2 += (2.0 / (gamma - 1.0)) * m.amplitude \
                 * np.cos(m.k2 * np.asarray(x2) + m.phase) * np.ones_like(dv1)
         return dv1, self.epsilon * dv2
-
-    def velocity_third_derivative_bound(self):
-        """Dense-sampled sup bound on third partials of the velocity perturbation.
-
-        The discrete-curl Taylor bound needs third derivatives of grad(phi),
-        i.e. fourth derivatives of the potential, sampled SUP_SAMPLING_DX apart.
-        """
-        a, b = self.strip
-        dx = SUP_SAMPLING_DX
-        xs = np.arange(a - 5 * dx, b + 5 * dx, dx)
-        best = 0.0
-        for m in self.modes:
-            p = self._mode_profile(m, xs, deriv=0)
-            derivs = [np.abs(p)]
-            cur = p
-            for _ in range(4):
-                cur = np.gradient(cur, dx)
-                derivs.append(np.abs(np.max(np.abs(cur))) * np.ones(1))
-            sup = [float(np.max(d)) for d in derivs]  # |P|, |P'|, ..., |P''''|
-            amp = abs(m.amplitude) * self.epsilon
-            k2 = abs(m.k2)
-            for a_ord in range(4):
-                b_ord = 4 - a_ord
-                best = max(best, amp * sup[a_ord] * k2 ** b_ord)
-            best = max(best, amp * sup[4])
-        return best
 
 
 @dataclass(frozen=True)
@@ -446,17 +416,14 @@ def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
     return FlowField.from_planes(gas, grid, delta, rho, rho * v1, rho * v2)
 
 
-def make_uniform_field(gas: PolytropicGas, grid: Grid, c: float, v1: float = 0.0,
-                       v2: float = 0.0, time: float = 0.0) -> FlowField:
-    rho = float(density_from_sound_speed(gas, c))
-    shp = (grid.n1, grid.n2)
-    return FlowField.from_planes(gas, grid, time, np.full(shp, rho),
-                                 np.full(shp, rho * v1), np.full(shp, rho * v2))
+def _signal_speeds(f: FlowField) -> np.ndarray:
+    """|v| + c of each cell."""
+    return np.hypot(f.v1, f.v2) + f.c
 
 
 def max_signal_speed(f: FlowField) -> float:
     """Max over cells of |v| + c."""
-    return float(np.max(np.hypot(f.v1, f.v2) + f.c))
+    return float(np.max(_signal_speeds(f)))
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -605,8 +572,10 @@ def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
         while current.time < target - 1e-13:
             speed = max_signal_speed(current)
             if not math.isfinite(speed):
-                i, j = np.argwhere(~np.isfinite(current.q[:, 1:-1]).all(axis=0))[0]
-                raise NumericalError(f"non-finite state at t={current.time:.6g}, "
+                # the cell whose own signal speed is not finite: a finite state
+                # can overflow it (a huge momentum on a tiny density)
+                i, j = np.argwhere(~np.isfinite(_signal_speeds(current)))[0]
+                raise NumericalError(f"non-finite signal speed at t={current.time:.6g}, "
                                      f"first at (i={i}, j={j})")
             dt = min(config.cfl * dx_min / speed, target - current.time)
             current = step(current, dt)
@@ -638,33 +607,3 @@ def diagonal_rhs(invariant: str, c, wbar, w, psi2, grid: Grid) -> np.ndarray:
     if invariant == "w":
         return 2.0 * c * grid.d1(w) + 0.5 * c * grid.d2(psi2)
     return c * grid.d1(psi2) + c * grid.d2(wbar + w)
-
-
-def transport_residual(snap0: FlowField, snap1: FlowField, invariant: str) -> np.ndarray:
-    """Residual of the diagonal transport law for one Riemann invariant.
-
-    The advective derivative along d/dt + (v1+c) d1 + v2 d2 is formed from
-    the two snapshots and compared with diagonal_rhs, with coefficients and
-    stencils at the midpoint time.
-    """
-    if snap0.grid != snap1.grid:
-        raise ValueError("snapshots live on different grids")
-    if invariant not in ("wbar", "w", "psi2"):
-        raise ValueError(f"unknown invariant {invariant!r}")
-    if snap1.time <= snap0.time:
-        raise ValueError("snapshots must be ordered in time")
-
-    idx = ("wbar", "w", "psi2").index(invariant)
-    inv0, inv1 = snap0.invariants(), snap1.invariants()
-    c = 0.5 * (snap0.c + snap1.c)
-    v1 = 0.5 * (snap0.v1 + snap1.v1)
-    v2 = 0.5 * (snap0.v2 + snap1.v2)
-    adv = advective_derivative(inv0[idx], inv1[idx], v1 + c, v2, snap0.time, snap1.time,
-                               snap0.grid)
-    wbar_m, w_m, psi2_m = (0.5 * (a + b) for a, b in zip(inv0, inv1))
-    return adv - diagonal_rhs(invariant, c, wbar_m, w_m, psi2_m, snap0.grid)
-
-
-def vorticity(f: FlowField) -> np.ndarray:
-    """Centered-difference curl d1(v2) - d2(v1)."""
-    return f.grid.d1(f.v2) - f.grid.d2(f.v1)

@@ -21,8 +21,6 @@ __all__ = [
     "pressure",
     "enthalpy",
     "to_invariants",
-    "from_invariants",
-    "max_char_speed",
 ]
 
 
@@ -108,17 +106,3 @@ def to_invariants(gas: PolytropicGas, state) -> RiemannInvariants:
     s = 2.0 * state.c / (gas.gamma - 1.0)
     v1 = state.v1
     return RiemannInvariants(wbar=0.5 * (s + v1), w=0.5 * (s - v1), psi2=-state.v2)
-
-
-def from_invariants(gas: PolytropicGas, inv: RiemannInvariants) -> PrimitiveState:
-    """Inverse of to_invariants.  Requires wbar + w >= 0 (vacuum at equality)."""
-    total = inv.wbar + inv.w
-    if total < 0.0:
-        raise ValueError(f"wbar + w = {total} < 0 has no corresponding state")
-    c = 0.5 * (gas.gamma - 1.0) * total
-    return PrimitiveState(c=c, v1=inv.wbar - inv.w, v2=-inv.psi2)
-
-
-def max_char_speed(state: PrimitiveState) -> float:
-    """Fastest rightward characteristic speed v1 + c."""
-    return state.v1 + state.c

@@ -23,12 +23,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .euler2d import FlowField, Grid, _flat, advective_derivative, diagonal_rhs
+from .gas import enthalpy
 from .riemann1d import NumericalError
 
 __all__ = [
     "Slice",
     "SecondFrame",
-    "DeformationComponents",
     "DegenerateFoliationError",
     "evolve_u",
     "iter_evolve_u",
@@ -52,12 +52,9 @@ __all__ = [
     "semi_lagrangian",
     "commutation_residual_y",
     "commutation_residual_z",
-    "deformation_components",
     "structure_residuals",
     "sign_monitors",
     "band_mask",
-    "kslash",
-    "chibar",
     "trace_characteristics",
     "RayTrace",
 ]
@@ -126,19 +123,6 @@ class SecondFrame:
     zt: np.ndarray
     chi: np.ndarray
     eta: np.ndarray
-
-
-@dataclass
-class DeformationComponents:
-    """Null components of the deformation tensor of one commutator field."""
-
-    commutator: str  # "X" or "T"
-    pi_ll: np.ndarray
-    pi_lbarlbar: np.ndarray
-    pi_llbar: np.ndarray
-    pi_lx: np.ndarray
-    pi_lbarx: np.ndarray
-    pi_xx: np.ndarray
 
 
 def band_mask(u: np.ndarray, u_lo: float, u_hi: float) -> np.ndarray:
@@ -670,7 +654,7 @@ class PairDiagnostics:
                 "that1": (ld(s0.that1, s1.that1) - drive * s0.xhat1, valid),
                 "that2": (ld(s0.that2, s1.that2) - drive * s0.xhat2, valid),
                 "chi": (ld(s0.chi, s1.chi)
-                        + 0.5 * (g + 1.0) * xhat(xhat(c0 * c0 / (g - 1.0))), valid)}
+                        + 0.5 * (g + 1.0) * xhat(xhat(enthalpy(s0.gas, c0))), valid)}
 
     def sign_monitors(self, mask: np.ndarray) -> dict:
         """Extrema over the tracked band of the coercivity quantities: L(mu) along
@@ -704,50 +688,9 @@ def commutation_residual_z(s0: FlowField, s1: FlowField, use_euler_rhs: bool = T
     return PairDiagnostics(s0, s1, use_euler_rhs=use_euler_rhs).commutation_residual_z()
 
 
-def deformation_components(frame: SecondFrame, field: FlowField, commutator: str) -> DeformationComponents:
-    """Deformation-tensor null components of the tangential or normal commutator.
-
-    commutator "X" (tangential, d2) or "T" (normal, -t d1).
-    """
-    grid = field.grid
-    t = frame.time
-    c = field.c
-    if commutator == "X":
-        zc = grid.d2(c)
-        lead, mixed = frame.y, frame.chi
-    elif commutator == "T":
-        zc = -t * grid.d1(c)
-        lead, mixed = frame.z, frame.eta
-    else:
-        raise ValueError("commutator must be 'X' or 'T'")
-    zero = np.zeros_like(c)
-    return DeformationComponents(
-        commutator=commutator,
-        pi_ll=-2.0 * c * lead,
-        pi_lbarlbar=2.0 * t * t / c * (lead - 2.0 * zc),
-        pi_llbar=-2.0 * t * zc,
-        pi_lx=-mixed,
-        pi_lbarx=-t / c * mixed,
-        pi_xx=zero,
-    )
-
-
 def structure_residuals(s0: Slice, s1: Slice):
     """`PairDiagnostics.structure_residuals` of the framed pair (s0, s1)."""
     return PairDiagnostics(s0, s1).structure_residuals()
-
-
-def kslash(sl: Slice) -> np.ndarray:
-    """Tangential component of the flow's second fundamental form on a
-    framed slice, k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
-    xv1, xv2 = (directional_derivative(sl.grid.grad(v), sl.xhat1, sl.xhat2)
-                for v in (sl.v1, sl.v2))
-    return (sl.xhat1 * xv1 + sl.xhat2 * xv2) / sl.c
-
-
-def chibar(sl: Slice) -> np.ndarray:
-    """Incoming-null expansion, (kappa/c) * (2 Xhat^j Xhat(v^j) - chi)."""
-    return sl.kappa / sl.c * (2.0 * sl.c * kslash(sl) - sl.chi)
 
 
 def trace_characteristics(slices: Sequence[Slice], x1_start: np.ndarray,

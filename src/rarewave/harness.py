@@ -42,7 +42,6 @@ __all__ = [
     "STUDY_KINDS",
     "TABLES",
     "parse_config",
-    "default_config",
     "run_single",
     "run_study",
     "emit_plots",
@@ -288,10 +287,6 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     return RunConfig(**values).validate()
-
-
-def default_config() -> RunConfig:
-    return RunConfig().validate()
 
 
 # ---------------------------------------------------------------------------

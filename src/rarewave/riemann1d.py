@@ -1,9 +1,8 @@
 """Exact Riemann solver for the 1D isentropic Euler system.
 
-Solves two-state initial value problems in terms of shocks (with mass and
-momentum jump conditions plus Lax admissibility) and centered rarefaction
-fans, including the vacuum case.  Also provides the self-similar geometric
-profile (foliation densities and diagonal variables) inside a forward fan.
+Solves two-state initial value problems in terms of shocks (on the curve of
+states that mass and momentum conservation join) and centered rarefaction
+fans, including the vacuum case.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .gas import (
     PolytropicGas,
     PrimitiveState,
     density_from_sound_speed,
-    pressure,
     to_invariants,
 )
 
@@ -26,20 +24,13 @@ __all__ = [
     "RiemannProblem1D",
     "WaveDescriptor",
     "WaveFan",
-    "GeometricProfile1D",
     "CenteredFan",
-    "shock_jump_residual",
-    "lax_admissible",
     "solve_riemann",
-    "evaluate_fan",
-    "geometric_profile",
     "NumericalError",
 ]
 
 # Waves weaker than this (in |c_m - c_side|) count as degenerate rarefactions.
 ZERO_STRENGTH = 1e-12
-# relative jump-condition residual up to which lax_admissible accepts a state pair
-JUMP_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -88,18 +79,6 @@ class WaveFan:
         return self.middle is None
 
 
-@dataclass(frozen=True)
-class GeometricProfile1D:
-    """Self-similar geometric data inside a forward centered fan."""
-
-    u: float
-    kappa: float
-    mu: float
-    U0: float
-    Um1: float
-    Um2: float
-
-
 class CenteredFan:
     """Forward-facing centered rarefaction fan connected to data (v0, c0) on x > 0.
 
@@ -133,55 +112,12 @@ class CenteredFan:
         c = np.maximum(c, 0.0)
         return v, c
 
-    def __call__(self, x, t) -> PrimitiveState:
-        if np.any(np.asarray(t) <= 0.0):
-            raise ValueError("fan evaluation requires t > 0")
-        v, c = self.state_at_slope(np.asarray(x, dtype=float) / t)
-        if v.ndim == 0:
-            return PrimitiveState(c=float(c), v1=float(v))
-        raise ValueError("scalar (x, t) expected; use state_at_slope for arrays")
-
-
-def shock_jump_residual(gas: PolytropicGas, left: PrimitiveState, right: PrimitiveState) -> float:
-    """(v_l - v_r)**2 - (nu_r - nu_l) * (p_l - p_r), nu = 1/rho.
-
-    Zero exactly when the states can be joined by a discontinuity conserving
-    mass and momentum.
-    """
-    rho_l = density_from_sound_speed(gas, left.c)
-    rho_r = density_from_sound_speed(gas, right.c)
-    if rho_l == 0.0 or rho_r == 0.0:
-        raise ValueError("jump residual requires non-vacuum states")
-    nu_l, nu_r = 1.0 / rho_l, 1.0 / rho_r
-    p_l, p_r = pressure(gas, rho_l), pressure(gas, rho_r)
-    return (left.v1 - right.v1) ** 2 - (nu_r - nu_l) * (p_l - p_r)
-
 
 def _shock_speed(gas, left, right):
     """Shock speed from mass conservation rho_l (v_l - s) = rho_r (v_r - s)."""
     rho_l = density_from_sound_speed(gas, left.c)
     rho_r = density_from_sound_speed(gas, right.c)
     return (rho_l * left.v1 - rho_r * right.v1) / (rho_l - rho_r)
-
-
-def lax_admissible(gas, left: PrimitiveState, right: PrimitiveState, family: int) -> bool:
-    """Lax entropy condition: lambda_family(left) > s > lambda_family(right).
-
-    left/right are in spatial order.  The pair must satisfy the jump
-    conditions to JUMP_TOL; a zero-strength pair is reported as not admissible.
-    """
-    if family not in (1, 2):
-        raise ValueError("family must be 1 or 2")
-    scale = max(1.0, left.c, right.c) ** 2
-    if abs(shock_jump_residual(gas, left, right)) > JUMP_TOL * scale:
-        raise ValueError("states do not satisfy the jump conditions")
-    if abs(left.c - right.c) <= ZERO_STRENGTH and abs(left.v1 - right.v1) <= ZERO_STRENGTH:
-        return False
-    s = _shock_speed(gas, left, right)
-    sign = -1.0 if family == 1 else 1.0
-    lam_l = left.v1 + sign * left.c
-    lam_r = right.v1 + sign * right.c
-    return lam_l > s > lam_r
 
 
 def _wave_velocity(gas, side: PrimitiveState, c_m: float, forward: bool) -> float:
@@ -263,43 +199,3 @@ def solve_riemann(problem: RiemannProblem1D) -> WaveFan:
                               strength=strength)
 
     return WaveFan(gas, left, right, describe(left, 1), describe(right, 2), middle)
-
-
-def evaluate_fan(fan: WaveFan, xi: float) -> PrimitiveState:
-    """Sample the self-similar solution at slope xi = x/t.
-
-    A rarefaction interior is the CenteredFan through its outer state: the
-    forward fan itself, the backward one as its mirror image x -> -x.
-    """
-    w1, w2 = fan.wave1, fan.wave2
-    if xi < w1.head or (w1.kind == "rarefaction" and xi == w1.head):
-        return fan.left
-    if w1.kind == "rarefaction" and xi < w1.tail:
-        sign, side = -1.0, fan.left
-    elif xi >= w2.head:
-        return fan.right
-    elif w2.kind == "rarefaction" and xi > w2.tail:
-        sign, side = 1.0, fan.right
-    else:
-        return PrimitiveState(c=0.0, v1=xi) if fan.has_vacuum else fan.middle
-    v, c = CenteredFan(fan.gas, sign * side.v1, side.c).state_at_slope(sign * xi)
-    return PrimitiveState(c=float(c), v1=sign * float(v), v2=side.v2)
-
-
-def geometric_profile(gas: PolytropicGas, v0: float, c0: float, t: float, x: float) -> GeometricProfile1D:
-    """Self-similar acoustical data inside the forward fan through (v0, c0).
-
-    u = -x/t, kappa = t, mu = c t, and the diagonal variables
-    (U0, Um1, Um2); Um1 vanishes identically and Um2 is constant.
-    """
-    if t <= 0.0:
-        raise ValueError("geometric profile requires t > 0")
-    fan = CenteredFan(gas, v0, c0)
-    xi = x / t
-    if not fan.vacuum_slope <= xi <= fan.head_slope:
-        raise ValueError(f"(x, t) with x/t = {xi} lies outside the fan")
-    g = gas.gamma
-    _, c = fan.state_at_slope(xi)
-    U0 = 0.5 * (4.0 / (g + 1.0) * xi + (g - 3.0) / (g - 1.0) * fan.B)
-    Um2 = (g + 1.0) / (2.0 * (g - 1.0)) * fan.B
-    return GeometricProfile1D(u=-xi, kappa=t, mu=float(c) * t, U0=U0, Um1=0.0, Um2=Um2)

@@ -5,10 +5,13 @@ import pytest
 
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
                               clamped_fan_profile, init_perturbed_rarefaction, run)
-from rarewave.gas import PolytropicGas, density_from_sound_speed
+from rarewave.gas import PolytropicGas, PrimitiveState, density_from_sound_speed, pressure
 from rarewave.geometry import foliate, frame_fields
+from rarewave.riemann1d import ZERO_STRENGTH, CenteredFan, _shock_speed
 
 GAS2 = PolytropicGas(2.0, 0.5)
+# relative jump-condition residual up to which lax_admissible accepts a state pair
+JUMP_TOL = 1e-8
 
 
 def fan_field(gas, grid, t, v0=0.0, c0=1.0, u_glue=1.9):
@@ -17,6 +20,79 @@ def fan_field(gas, grid, t, v0=0.0, c0=1.0, u_glue=1.9):
     v1, c = clamped_fan_profile(gas, v0, c0, u_glue, X1, t)
     rho = density_from_sound_speed(gas, c)
     return FlowField.from_planes(gas, grid, t, rho, rho * v1, np.zeros_like(rho))
+
+
+def make_uniform_field(gas, grid, c, v1=0.0, v2=0.0, time=0.0):
+    """The uniform field of sound speed c and velocity (v1, v2) at time."""
+    rho = float(density_from_sound_speed(gas, c))
+    shp = (grid.n1, grid.n2)
+    return FlowField.from_planes(gas, grid, time, np.full(shp, rho),
+                                 np.full(shp, rho * v1), np.full(shp, rho * v2))
+
+
+def from_invariants(gas, inv):
+    """Inverse of to_invariants.  Requires wbar + w >= 0 (vacuum at equality)."""
+    total = inv.wbar + inv.w
+    if total < 0.0:
+        raise ValueError(f"wbar + w = {total} < 0 has no corresponding state")
+    c = 0.5 * (gas.gamma - 1.0) * total
+    return PrimitiveState(c=c, v1=inv.wbar - inv.w, v2=-inv.psi2)
+
+
+def shock_jump_residual(gas, left, right):
+    """(v_l - v_r)**2 - (nu_r - nu_l) * (p_l - p_r), nu = 1/rho.
+
+    Zero exactly when the states can be joined by a discontinuity conserving
+    mass and momentum.
+    """
+    rho_l = density_from_sound_speed(gas, left.c)
+    rho_r = density_from_sound_speed(gas, right.c)
+    if rho_l == 0.0 or rho_r == 0.0:
+        raise ValueError("jump residual requires non-vacuum states")
+    nu_l, nu_r = 1.0 / rho_l, 1.0 / rho_r
+    p_l, p_r = pressure(gas, rho_l), pressure(gas, rho_r)
+    return (left.v1 - right.v1) ** 2 - (nu_r - nu_l) * (p_l - p_r)
+
+
+def lax_admissible(gas, left, right, family):
+    """Lax entropy condition: lambda_family(left) > s > lambda_family(right).
+
+    left/right are in spatial order.  The pair must satisfy the jump
+    conditions to JUMP_TOL; a zero-strength pair is reported as not admissible.
+    """
+    if family not in (1, 2):
+        raise ValueError("family must be 1 or 2")
+    scale = max(1.0, left.c, right.c) ** 2
+    if abs(shock_jump_residual(gas, left, right)) > JUMP_TOL * scale:
+        raise ValueError("states do not satisfy the jump conditions")
+    if abs(left.c - right.c) <= ZERO_STRENGTH and abs(left.v1 - right.v1) <= ZERO_STRENGTH:
+        return False
+    s = _shock_speed(gas, left, right)
+    sign = -1.0 if family == 1 else 1.0
+    lam_l = left.v1 + sign * left.c
+    lam_r = right.v1 + sign * right.c
+    return lam_l > s > lam_r
+
+
+def evaluate_fan(fan, xi):
+    """Sample the self-similar solution at slope xi = x/t.
+
+    A rarefaction interior is the CenteredFan through its outer state: the
+    forward fan itself, the backward one as its mirror image x -> -x.
+    """
+    w1, w2 = fan.wave1, fan.wave2
+    if xi < w1.head or (w1.kind == "rarefaction" and xi == w1.head):
+        return fan.left
+    if w1.kind == "rarefaction" and xi < w1.tail:
+        sign, side = -1.0, fan.left
+    elif xi >= w2.head:
+        return fan.right
+    elif w2.kind == "rarefaction" and xi > w2.tail:
+        sign, side = 1.0, fan.right
+    else:
+        return PrimitiveState(c=0.0, v1=xi) if fan.has_vacuum else fan.middle
+    v, c = CenteredFan(fan.gas, sign * side.v1, side.c).state_at_slope(sign * xi)
+    return PrimitiveState(c=float(c), v1=sign * float(v), v2=side.v2)
 
 
 def small_grid(n1=128, n2=16, x1_min=-2.4, x1_max=2.2):

@@ -16,8 +16,9 @@ import pytest
 from rarewave.energies import GronwallHypothesisError, GronwallInstance, gronwall_verify
 from rarewave.gas import PolytropicGas, PrimitiveState, to_invariants
 from rarewave.harness import RunConfig, run_single
-from rarewave.riemann1d import (CenteredFan, RiemannProblem1D, evaluate_fan,
-                                lax_admissible, shock_jump_residual, solve_riemann)
+from rarewave.riemann1d import CenteredFan, RiemannProblem1D, solve_riemann
+
+from conftest import evaluate_fan, lax_admissible, shock_jump_residual
 
 pytestmark = pytest.mark.acceptance
 

@@ -11,12 +11,12 @@ from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypoth
                                fit_gronwall_constants, gronwall_verify, read_rows,
                                region_weights, words_of_order)
 from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
-                              init_perturbed_rarefaction, make_uniform_field, run)
+                              init_perturbed_rarefaction, run)
 from rarewave.geometry import PairDiagnostics, evolve_u
 from rarewave.riemann1d import CenteredFan
 
-from conftest import (GAS2, bilinear_oracle, fan_field, framed, perturbed_pair, rolled,
-                      small_grid)
+from conftest import (GAS2, bilinear_oracle, fan_field, framed, make_uniform_field,
+                      perturbed_pair, rolled, small_grid)
 
 
 def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
@@ -48,7 +48,7 @@ class TestLevelCurves:
         x0, y0, r = math.pi, math.pi, 1.0
         u = np.hypot(X1 - x0, X2 - y0)
         curve = extract_level_curve(u, r, grid)
-        assert curve.total_length == pytest.approx(2 * math.pi * r, rel=2e-3)
+        assert curve.lengths.sum() == pytest.approx(2 * math.pi * r, rel=2e-3)
         # integral of (x - x0)^2 over the circle is pi r^3
         val = extract_level_curve(u, r, grid).integral((X1 - x0) ** 2)
         assert val == pytest.approx(math.pi * r ** 3, rel=5e-3)
@@ -58,7 +58,7 @@ class TestLevelCurves:
         X1, _ = grid.mesh()
         u = 1.0 - X1 / 0.5
         curve = extract_level_curve(u, 0.8, grid)
-        assert curve.total_length == pytest.approx(2 * math.pi, rel=1e-10)
+        assert curve.lengths.sum() == pytest.approx(2 * math.pi, rel=1e-10)
 
 
 def marching_squares_oracle(u, level, grid):
@@ -125,7 +125,7 @@ class TestMarchingSquaresOracle:
         grid = small_grid(n1=16, n2=8)
         X1, _ = grid.mesh()
         curve = extract_level_curve(X1, 10.0, grid)
-        assert curve.lengths.size == 0 and curve.total_length == 0.0
+        assert curve.lengths.size == 0 and curve.lengths.sum() == 0.0
         assert curve.integral(X1) == 0.0
 
 

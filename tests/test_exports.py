@@ -31,20 +31,70 @@ def test_package_imports_resolve():
     assert not missing, f"rarewave/__init__.py imports undefined names {missing}"
 
 
-def test_tracer_targets_resolve():
-    # the benchmark's per-layer metrics read zero for a patched name that is gone
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's per-layer metrics read zero for a patched name that is gone
     missing = []
-    for _, module, attr_path in tracer.TARGETS:
+    for _, module, attr_path in _tracer().TARGETS:
         owner = importlib.import_module(module)
         for attr in attr_path.split("."):
             owner = getattr(owner, attr, None)
         if owner is None:
             missing.append(f"{module}.{attr_path}")
     assert not missing, f"perfbench/tracer.py patches undefined names {missing}"
+
+
+def _top_level_names(stmt):
+    """The names a top-level statement of a module binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _referenced(tree):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_exported_names_are_reached_by_the_program():
+    # src/ holds what a run, a study or the CLI reaches, and what the benchmark
+    # imports or patches; test oracles and test-only quantities live in tests/.
+    # A name counts as reached when src/ code other than its own definition names
+    # it (an import alone does not), when perfbench/tracer.py patches it, or when a
+    # perfbench/ module imports it.
+    modules = {p.stem: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "rarewave").glob("*.py"))
+               if p.name != "__init__.py"}
+    # each top-level statement of src/: its module, the names it binds, the names it uses
+    statements = [(name, _top_level_names(stmt), _referenced(stmt))
+                  for name, tree in modules.items() for stmt in tree.body]
+    reached = {attr_path.split(".")[0] for _, _, attr_path in _tracer().TARGETS}
+    for p in (ROOT / "perfbench").glob("*.py"):
+        reached |= {a.name for node in ast.walk(ast.parse(p.read_text()))
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("rarewave") for a in node.names}
+    unreached = []
+    for module, tree in modules.items():
+        exported = [name for stmt in tree.body if "__all__" in _top_level_names(stmt)
+                    for name in ast.literal_eval(stmt.value)]
+        for name in exported:
+            used = any(name in refs for owner, binds, refs in statements
+                       if not (owner == module and name in binds) and "__all__" not in binds)
+            if not (used or name in reached):
+                unreached.append(f"{module}.{name}")
+    assert not unreached, (f"names in src/ that no run, study, CLI command or benchmark "
+                           f"file reaches: {unreached}")
 
 
 def test_runtime_needs_numpy_only():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,18 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import rarewave.geometry as geo
 from rarewave.euler2d import FlowField, Grid, SolverConfig, init_perturbed_rarefaction, \
-    make_uniform_field, run, PerturbationSpec, PerturbationMode
+    run, PerturbationSpec, PerturbationMode
 from rarewave.gas import PolytropicGas, density_from_sound_speed
 from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
                                PairDiagnostics, Slice, _one_sided, band_mask,
                                bilinear_sample, commutation_residual_y, commutation_residual_z,
-                               deformation_components, directional_derivative, evolve_u,
-                               foliate, frame_fields, iter_evolve_u, second_frame,
-                               semi_lagrangian, sign_monitors, structure_residuals, torsions)
+                               directional_derivative, evolve_u, foliate, frame_fields,
+                               iter_evolve_u, second_frame, semi_lagrangian, sign_monitors,
+                               structure_residuals, torsions)
 from rarewave.riemann1d import NumericalError
 
-from conftest import (GAS2, bilinear_oracle, fan_field, framed, perturbed_pair, rolled,
-                      same_bits, small_grid)
+from conftest import (GAS2, bilinear_oracle, fan_field, framed, make_uniform_field,
+                      perturbed_pair, rolled, same_bits, small_grid)
 
 
 def theta(sl):
@@ -26,6 +27,60 @@ def theta(sl):
     x1, x2 = sl.xhat1, sl.xhat2
     xx1, xx2 = (directional_derivative(sl.grid.grad(a), x1, x2) for a in (x1, x2))
     return x2 * xx1 - x1 * xx2
+
+
+@dataclass
+class DeformationComponents:
+    """Null components of the deformation tensor of one commutator field."""
+
+    commutator: str  # "X" or "T"
+    pi_ll: np.ndarray
+    pi_lbarlbar: np.ndarray
+    pi_llbar: np.ndarray
+    pi_lx: np.ndarray
+    pi_lbarx: np.ndarray
+    pi_xx: np.ndarray
+
+
+def deformation_components(frame, field, commutator):
+    """Deformation-tensor null components of the tangential or normal commutator.
+
+    commutator "X" (tangential, d2) or "T" (normal, -t d1).
+    """
+    grid = field.grid
+    t = frame.time
+    c = field.c
+    if commutator == "X":
+        zc = grid.d2(c)
+        lead, mixed = frame.y, frame.chi
+    elif commutator == "T":
+        zc = -t * grid.d1(c)
+        lead, mixed = frame.z, frame.eta
+    else:
+        raise ValueError("commutator must be 'X' or 'T'")
+    zero = np.zeros_like(c)
+    return DeformationComponents(
+        commutator=commutator,
+        pi_ll=-2.0 * c * lead,
+        pi_lbarlbar=2.0 * t * t / c * (lead - 2.0 * zc),
+        pi_llbar=-2.0 * t * zc,
+        pi_lx=-mixed,
+        pi_lbarx=-t / c * mixed,
+        pi_xx=zero,
+    )
+
+
+def kslash(sl):
+    """Tangential component of the flow's second fundamental form on a
+    framed slice, k(Xhat, Xhat) = Xhat^j Xhat(v^j) / c."""
+    xv1, xv2 = (directional_derivative(sl.grid.grad(v), sl.xhat1, sl.xhat2)
+                for v in (sl.v1, sl.v2))
+    return (sl.xhat1 * xv1 + sl.xhat2 * xv2) / sl.c
+
+
+def chibar(sl):
+    """Incoming-null expansion, (kappa/c) * (2 Xhat^j Xhat(v^j) - chi)."""
+    return sl.kappa / sl.c * (2.0 * sl.c * kslash(sl) - sl.chi)
 
 
 def analytic_fan_sequence(grid, times, u_glue=1.9):
@@ -77,6 +132,25 @@ class TestEvolveU:
         X1, _ = grid.mesh()
         with pytest.raises(NumericalError, match=r"t=0\.35 .*first at \(i=3, j=4\)"):
             evolve_u([s0, s1], 1.0 - X1 / 0.3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_non_finite_cell_named(self, n1, n2, data):
+        # a non-finite value in any interior cell of either snapshot stops the
+        # transport with the time of that snapshot and the cell, never IndexError
+        k = data.draw(st.sampled_from([0, 1]), label="snapshot")
+        i = data.draw(st.sampled_from([0, n1 - 1]) | st.integers(0, n1 - 1), label="i")
+        j = data.draw(st.sampled_from([0, n2 - 1]) | st.integers(0, n2 - 1), label="j")
+        name, value = data.draw(st.sampled_from(
+            [(m, v) for m in ("m1", "m2") for v in (math.nan, math.inf, -math.inf)]
+            + [("rho", math.inf)]), label="injected")
+        grid = small_grid(n1=n1, n2=n2)
+        snaps = [manufactured_field(grid, t) for t in (0.3, 0.35)]
+        getattr(snaps[k], name)[i, j] = value
+        X1, _ = grid.mesh()
+        with pytest.raises(NumericalError,
+                           match=rf"at t={snaps[k].time:.6g} .*first at \(i={i}, j={j}\)$"):
+            evolve_u(snaps, 1.0 - X1 / 0.3)
 
     @pytest.mark.parametrize("n2", [8, 16])
     def test_matches_per_substep_reference(self, n2):
@@ -482,7 +556,6 @@ class TestX2Roll:
 
 class TestDerivedConnectionFields:
     def test_vanish_on_1d_data(self):
-        from rarewave.geometry import chibar, kslash
         grid = small_grid(n1=128)
         f = fan_field(GAS2, grid, 0.5)
         X1, _ = grid.mesh()
@@ -492,7 +565,6 @@ class TestDerivedConnectionFields:
 
     def test_chi_decomposition_on_generic_fields(self):
         # chi = c * (kslash - theta) ties the three tangential scalars together
-        from rarewave.geometry import kslash
         grid = small_grid(n1=64, n2=32)
         f = manufactured_field(grid, 0.4)
         X1, X2 = grid.mesh()

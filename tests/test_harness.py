@@ -16,8 +16,8 @@ from rarewave.cli import main as cli_main
 from rarewave.euler2d import (FlowField, Grid, NumericalError, PerturbationMode,
                               PerturbationSpec, SolverConfig, init_perturbed_rarefaction,
                               iter_run)
-from rarewave.harness import (ConfigError, RunConfig, StudySpec, default_config,
-                              emit_plots, parse_config, run_single, run_study, slope_fit)
+from rarewave.harness import (ConfigError, RunConfig, StudySpec, emit_plots, parse_config,
+                              run_single, run_study, slope_fit)
 from rarewave.snapshot_io import read_planes, read_snapshot, write_planes, write_snapshot
 
 import rarewave.energies as en

@@ -1,13 +1,14 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from rarewave.gas import (PolytropicGas, PrimitiveState, RiemannInvariants, density_from_sound_speed,
-                          from_invariants, pressure, sound_speed, to_invariants)
-from rarewave.riemann1d import (CenteredFan, RiemannProblem1D, evaluate_fan,
-                                geometric_profile, lax_admissible, shock_jump_residual,
-                                solve_riemann)
+                          pressure, sound_speed, to_invariants)
+from rarewave.riemann1d import CenteredFan, RiemannProblem1D, solve_riemann
+
+from conftest import evaluate_fan, from_invariants, lax_admissible, shock_jump_residual
 
 GAS2 = PolytropicGas(2.0, 0.5)
 
@@ -21,15 +22,54 @@ def hugoniot_partner(gas, left, rho_r, forward=True):
     return PrimitiveState(c=float(sound_speed(gas, rho_r)), v1=v_r)
 
 
+def fan_state(fan, x, t):
+    """The state of the centered fan at the point (x, t), t > 0."""
+    if t <= 0.0:
+        raise ValueError("fan evaluation requires t > 0")
+    v, c = fan.state_at_slope(x / t)
+    return PrimitiveState(c=float(c), v1=float(v))
+
+
+@dataclass(frozen=True)
+class GeometricProfile1D:
+    """Self-similar geometric data inside a forward centered fan."""
+
+    u: float
+    kappa: float
+    mu: float
+    U0: float
+    Um1: float
+    Um2: float
+
+
+def geometric_profile(gas, v0, c0, t, x):
+    """Self-similar acoustical data inside the forward fan through (v0, c0).
+
+    u = -x/t, kappa = t, mu = c t, and the diagonal variables
+    (U0, Um1, Um2); Um1 vanishes identically and Um2 is constant.
+    """
+    if t <= 0.0:
+        raise ValueError("geometric profile requires t > 0")
+    fan = CenteredFan(gas, v0, c0)
+    xi = x / t
+    if not fan.vacuum_slope <= xi <= fan.head_slope:
+        raise ValueError(f"(x, t) with x/t = {xi} lies outside the fan")
+    g = gas.gamma
+    _, c = fan.state_at_slope(xi)
+    U0 = 0.5 * (4.0 / (g + 1.0) * xi + (g - 3.0) / (g - 1.0) * fan.B)
+    Um2 = (g + 1.0) / (2.0 * (g - 1.0)) * fan.B
+    return GeometricProfile1D(u=-xi, kappa=t, mu=float(c) * t, U0=U0, Um1=0.0, Um2=Um2)
+
+
 class TestCenteredFan:
     def test_right_edge_matches_data(self):
         fan = CenteredFan(GAS2, 0.0, 1.0)
-        s = fan(1.0, 1.0)
+        s = fan_state(fan, 1.0, 1.0)
         assert (s.v1, s.c) == pytest.approx((0.0, 1.0), abs=1e-15)
 
     def test_interior_closed_form(self):
         fan = CenteredFan(GAS2, 0.0, 1.0)
-        s = fan(0.0, 1.0)
+        s = fan_state(fan, 0.0, 1.0)
         assert s.v1 == pytest.approx(-2.0 / 3.0, abs=1e-15)
         assert s.c == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -43,7 +83,7 @@ class TestCenteredFan:
     def test_t_nonpositive_rejected(self):
         fan = CenteredFan(GAS2, 0.0, 1.0)
         with pytest.raises(ValueError):
-            fan(0.1, 0.0)
+            fan_state(fan, 0.1, 0.0)
 
     def test_random_fans_keep_w_constant(self):
         rng = np.random.default_rng(11)
