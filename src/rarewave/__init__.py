@@ -12,7 +12,7 @@ from .gas import (PolytropicGas, PrimitiveState, RiemannInvariants, enthalpy, so
                   to_invariants)
 from .riemann1d import CenteredFan, RiemannProblem1D, WaveFan, solve_riemann
 from .euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
-                      init_perturbed_rarefaction, max_signal_speed, run, step)
+                      init_perturbed_rarefaction, run, step)
 from .geometry import (SecondFrame, Slice, commutation_residual_y, commutation_residual_z,
                        evolve_u, foliate, frame_fields, second_frame, sign_monitors,
                        structure_residuals)

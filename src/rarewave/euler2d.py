@@ -29,7 +29,6 @@ __all__ = [
     "check_fan_strip",
     "clamped_fan_profile",
     "init_perturbed_rarefaction",
-    "max_signal_speed",
     "step",
     "run",
     "iter_run",
@@ -39,6 +38,9 @@ __all__ = [
 ]
 
 RAMP = 0.2  # width of the quintic ramps of a k1 = 0 perturbation profile
+# bytes of one plane's rows in a strip of a step: 256 rows at n2 = 128, so a
+# 256x128 grid steps in one strip
+STRIP_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,9 @@ class FlowField:
     boundary_mass_flux: float = 0.0
 
     def __post_init__(self):
+        # the `_cell_planes` of q, left by the CFL check of `iter_run` for the
+        # step from this field, which takes them
+        self._cells = None
         shape = (3, self.grid.n1 + 2, self.grid.n2)
         if np.shape(self.q) != shape:
             raise ValueError(f"q has shape {np.shape(self.q)}, expected {shape}")
@@ -416,14 +421,19 @@ def init_perturbed_rarefaction(gas: PolytropicGas, grid: Grid, delta: float,
     return FlowField.from_planes(gas, grid, delta, rho, rho * v1, rho * v2)
 
 
-def _signal_speeds(f: FlowField) -> np.ndarray:
-    """|v| + c of each cell."""
-    return np.hypot(f.v1, f.v2) + f.c
+def _cell_planes(gas: PolytropicGas, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(v1, v2) and c of every row of the padded state q, ghost rows included."""
+    vel = np.empty((2,) + q.shape[1:])
+    np.divide(q[1], q[0], out=vel[0])
+    np.divide(q[2], q[0], out=vel[1])
+    return vel, sound_speed(gas, q[0])
 
 
-def max_signal_speed(f: FlowField) -> float:
-    """Max over cells of |v| + c."""
-    return float(np.max(_signal_speeds(f)))
+def _signal_speeds(vel: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|v| + c of each interior cell, from the planes of `_cell_planes`."""
+    speeds = np.hypot(vel[0, 1:-1], vel[1, 1:-1])
+    speeds += c[1:-1]
+    return speeds
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -452,55 +462,54 @@ def _pairs(ufunc, a, out, axis):
         ufunc(a[:, 0], a[:, -1], out=out[:, -1])
 
 
-def _rhs(gas, grid, q, dq, cell, face):
-    """Rusanov flux divergence of the padded state q, written into dq.
+def _rhs(gas, grid, q, vel, c, dq, work):
+    """Rusanov flux divergence of the rows of one strip, written into dq.
 
-    q is (3, n1+2, n2) conserved planes (rho, m1, m2) whose rows 0 and n1+1
-    hold the frozen ghost cells; dq is (3, n1, n2).  cell (4, n1+2, n2) and
-    face (3, n1+1, n2) are scratch.  Velocity, sound speed, pressure and the
-    physical flux are evaluated once per cell and shared by its interfaces.
-    Returns the net boundary mass outflow rate.
+    q (3, h+2, n2), vel (2, h+2, n2) and c (h+2, n2) hold the strip's
+    conserved planes (rho, m1, m2), its velocity and its sound speed, each
+    with one row beyond the strip on each x1 side: a neighbour strip's row,
+    or a frozen ghost row at a grid end.  dq is (3, h, n2) and work
+    (5, h+2, n2) is scratch.  Pressure and the physical flux are evaluated
+    once per cell and shared by its interfaces.  Returns the x1 mass fluxes
+    summed over the strip's first and over its last interface, each twice
+    its value.
     """
-    vel, lam, flux = cell[:2], cell[2], cell[3]
-    np.divide(q[1], q[0], out=vel[0])
-    np.divide(q[2], q[0], out=vel[1])
-    c = sound_speed(gas, q[0])
+    lam, flux = work[0], work[1]
+    face = work[2:, :-1]
     p = pressure(gas, q[0])
-    outflow = 0.0
-    # x1 interfaces: all n1+1 between the padded rows; x2 interfaces: on the
-    # n1 interior rows only
+    # x1 interfaces: all h+1 between the strip's rows; x2 interfaces: on its
+    # h own rows only
     for axis, dx, rows, faces in ((0, grid.dx1, slice(None), slice(None)),
                                   (1, grid.dx2, slice(1, -1), slice(1, None))):
-        half_speed, num, jump = face[:, faces]
+        max_speed, num, jump = face[:, faces]
         v = vel[axis, rows]
         speed = np.abs(v, out=lam[rows])
         speed += c[rows]
-        _pairs(np.maximum, speed, half_speed, axis)
-        half_speed *= 0.5
+        _pairs(np.maximum, speed, max_speed, axis)
         for k in range(3):
             qk = q[k, rows]
             fk = np.multiply(qk, v, out=flux[rows])
             if k == axis + 1:
                 fk += p[rows]
-            # num = (f_l + f_r)/2 - max(|v|+c)/2 * (q_r - q_l)
+            # num = f_l + f_r - max(|v|+c) * (q_r - q_l), twice the Rusanov
+            # flux: the halvings move into the divisions by 2*dx, exactly
             _pairs(np.add, fk, num, axis)
-            num *= 0.5
             _pairs(np.subtract, qk, jump, axis)
-            jump *= half_speed
+            jump *= max_speed
             num -= jump
             if axis == 0:
                 if k == 0:
-                    outflow = (num[-1].sum() - num[0].sum()) * grid.dx2
+                    ends = num[0].sum(), num[-1].sum()
                 _pairs(np.subtract, num, dq[k], 0)
-                dq[k] /= -dx
+                dq[k] /= -2.0 * dx
             else:
                 # cell j lies between interfaces j-1/2 and j+1/2
                 flat = _flat(num)
                 np.subtract(flat[1:], flat[:-1], out=_flat(jump)[1:])
                 np.subtract(num[:, 0], num[:, -1], out=jump[:, 0])
-                jump /= dx
+                jump /= 2.0 * dx
                 dq[k] -= jump
-    return outflow
+    return ends
 
 
 def _check_positive(rho, time):
@@ -516,37 +525,60 @@ def _check_positive(rho, time):
 def step(f: FlowField, dt: float) -> FlowField:
     """One conservative update of size dt; dt = 0 returns a copy.
 
-    Stage 1 reads f.q in place.  The result is one new padded buffer, which
-    holds the stage-1 state until stage 2 overwrites its interior, and its
-    ghost rows are copies of f's.
+    Each stage runs in x1 strips of STRIP_BYTES // (8 * n2) rows, whose
+    scratch stays in cache.  Stage 1 reads f.q in place, with the (v1, v2) and c planes
+    that the CFL check of `iter_run` left on f, or else its own.  The result
+    is one new padded buffer, which holds the stage-1 state until stage 2
+    overwrites its interior strip by strip, and its ghost rows are copies of
+    f's.
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
+    cells, f._cells = f._cells, None
     if dt == 0.0:
         return f.copy()
     gas, grid, q0 = f.gas, f.grid, f.q
     n1, n2 = grid.n1, grid.n2
+    height = min(n1, max(1, STRIP_BYTES // (8 * n2)))
     # scratch first: q outlives the step as the result, so with glibc malloc
     # the freed scratch lies below it and the next step reuses those pages
     # instead of faulting in fresh ones
-    dq = np.empty((3, n1, n2))
-    cell = np.empty((4, n1 + 2, n2))
-    face = np.empty((3, n1 + 1, n2))
+    scratch = np.empty((8, height + 2, n2))
     q = np.empty((3, n1 + 2, n2))
     q[:, 0], q[:, -1] = q0[:, 0], q0[:, -1]
-
-    out1 = _rhs(gas, grid, q0, dq, cell, face)
-    dq *= dt
-    np.add(q0[:, 1:-1], dq, out=q[:, 1:-1])
-    _check_positive(q[0, 1:-1], f.time + dt)
-    out2 = _rhs(gas, grid, q, dq, cell, face)
-    dq *= dt
-    q_new = q[:, 1:-1]
-    q_new += q0[:, 1:-1]
-    q_new += dq
-    q_new *= 0.5
-    _check_positive(q_new[0], f.time + dt)
-    outflow = 0.5 * (out1 + out2) * dt
+    rates = []
+    # stage 1 reads q0 and writes q; stage 2 reads q and overwrites it, so the
+    # last row of each strip is held at its stage-1 state for the next strip,
+    # which reads that row too
+    for qs in (q0, q):
+        vel, c = cells if cells is not None else _cell_planes(gas, qs)
+        cells = held = None
+        for lo in range(0, n1, height):
+            hi = min(lo + height, n1)
+            work = scratch[:, :hi - lo + 2]
+            dq = work[5:, :hi - lo]
+            if held is not None:
+                held, q[:, lo] = q[:, lo].copy(), held
+            ends = _rhs(gas, grid, qs[:, lo:hi + 2], vel[:, lo:hi + 2], c[lo:hi + 2], dq,
+                        work[:5])
+            if held is not None:
+                q[:, lo] = held
+            if lo == 0:
+                first = ends[0]
+            dq *= dt
+            new = q[:, lo + 1:hi + 1]
+            if qs is q0:
+                np.add(q0[:, lo + 1:hi + 1], dq, out=new)
+            else:
+                held = q[:, hi].copy()
+                new += q0[:, lo + 1:hi + 1]
+                new += dq
+                new *= 0.5
+        # the end interfaces' mass fluxes, doubled: the halving is exact
+        rates.append((ends[1] - first) * grid.dx2 * 0.5)
+        del vel, c  # before stage 2 allocates its own
+        _check_positive(q[0, 1:-1], f.time + dt)
+    outflow = 0.5 * (rates[0] + rates[1]) * dt
     return FlowField(gas, grid, f.time + dt, q, f.boundary_mass_flux + outflow)
 
 
@@ -570,14 +602,18 @@ def iter_run(f: FlowField, config: SolverConfig) -> Iterator[FlowField]:
     del f
     for target in times:
         while current.time < target - 1e-13:
-            speed = max_signal_speed(current)
+            # the CFL speed from the planes that the step's stage 1 then reads
+            cells = _cell_planes(current.gas, current.q)
+            speed = float(np.max(_signal_speeds(*cells)))
             if not math.isfinite(speed):
                 # the cell whose own signal speed is not finite: a finite state
                 # can overflow it (a huge momentum on a tiny density)
-                i, j = np.argwhere(~np.isfinite(_signal_speeds(current)))[0]
+                i, j = np.argwhere(~np.isfinite(_signal_speeds(*cells)))[0]
                 raise NumericalError(f"non-finite signal speed at t={current.time:.6g}, "
                                      f"first at (i={i}, j={j})")
             dt = min(config.cfl * dx_min / speed, target - current.time)
+            current._cells = cells
+            del cells  # so that stage 1 of the step holds the last reference
             current = step(current, dt)
         yield current if abs(current.time - target) < 1e-12 else current.copy(time=target)
 

@@ -18,9 +18,11 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from queue import Queue
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -371,7 +373,7 @@ def _write_json(path: Path, obj, indent: Optional[int] = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the flow solve: inline, or one slice ahead in a forked child
+# the flow solve: inline, or ahead of the run in a forked child
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
@@ -384,7 +386,7 @@ def _usable_cpus() -> int:
 def _solve_plan(concurrent_runs: int) -> dict:
     """Where a run's flow solve runs, and the CPU count that decided it.
 
-    The solve runs one slice ahead in a forked child when the usable CPUs
+    The solve runs ahead of the run in a forked child when the usable CPUs
     are at least twice the runs this process tree runs at once, so that the
     child has a core of its own; a child per member of a pool that already
     fills the cores costs more wall time than it saves.
@@ -396,23 +398,57 @@ def _solve_plan(concurrent_runs: int) -> dict:
     return {"process": "forked" if forked else "inline", "cpus": cpus}
 
 
+# snapshots that the forked solve queues for its sender thread beyond the one
+# being sent; with one, the solve no longer waits on the pipe (four measured
+# the same)
+SEND_AHEAD = 1
+
+
 def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -> None:
     """Body of the forked solve: for each snapshot of iter_run, its time and
     boundary mass flux, then its padded state q as raw bytes; after the
-    last, None.  A solver error is sent in place of the rest."""
+    last, None.  A solver error is sent in place of the rest.
+
+    A sender thread sends them from a queue of SEND_AHEAD snapshots, so the
+    solve goes on while the run is busy; a queued snapshot is a buffer that
+    the solve never writes again.
+    """
     # with the inherited read end closed, a send fails once the parent has
     # gone (killed, say), instead of blocking forever
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends this process
+    queue = Queue(SEND_AHEAD)
+    gone = threading.Event()
+    sender = threading.Thread(target=_send_queued, args=(conn, queue, gone), daemon=True)
+    sender.start()
     try:
         for s in iter_run(field0, solver):
-            conn.send((s.time, s.boundary_mass_flux))
-            conn.send_bytes(s.q)
-        conn.send(None)
-    except BrokenPipeError:  # nobody reads the rest
-        return
+            queue.put(s)
+            if gone.is_set():  # nobody reads the rest
+                return
+        last = None
     except Exception as exc:
-        conn.send(exc)
+        last = exc
+    queue.put(last)
+    sender.join()
+
+
+def _send_queued(conn, queue: Queue, gone: threading.Event) -> None:
+    """Sender thread of `_send_snapshots`: sends the queued snapshots in
+    order, then the None or solver error that ends the queue.  Once the
+    pipe is broken it sets gone and takes the rest unsent, so that the solve
+    never blocks on a full queue."""
+    item = queue.get()
+    try:
+        while isinstance(item, FlowField):
+            conn.send((item.time, item.boundary_mass_flux))
+            conn.send_bytes(item.q)
+            item = queue.get()
+        conn.send(item)
+    except BrokenPipeError:
+        gone.set()
+        while isinstance(item, FlowField):
+            item = queue.get()
 
 
 def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator[FlowField]:
@@ -422,7 +458,11 @@ def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator
     while True:
         try:
             msg = conn.recv()
-        except EOFError:
+            if isinstance(msg, tuple):
+                q = np.empty((3, grid.n1 + 2, grid.n2))
+                # into a flat byte view: the receive counts bytes
+                conn.recv_bytes_into(q.reshape(-1).view(np.uint8))
+        except (EOFError, OSError):  # OSError: the child died within a message
             child.join()
             raise RuntimeError(f"the solver process ended with exit code {child.exitcode} "
                                "before sending every snapshot") from None
@@ -431,9 +471,6 @@ def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator
         if isinstance(msg, BaseException):
             raise msg
         time, boundary_mass_flux = msg
-        q = np.empty((3, grid.n1 + 2, grid.n2))
-        # into a flat byte view: the receive counts bytes
-        conn.recv_bytes_into(q.reshape(-1).view(np.uint8))
         yield FlowField(gas, grid, time, q, boundary_mass_flux)
 
 
@@ -442,9 +479,12 @@ def _snapshots(field0: FlowField, solver: SolverConfig, process: str):
     """The snapshot stream of iter_run(field0, solver), solved in this
     process ("inline") or in a forked child ("forked").
 
-    The child blocks on the pipe until the parent reads, so it runs at most
-    about one snapshot ahead.  It is ended on every exit from the block,
-    an exception included, before that exception leaves the block.  Neither
+    The child's sender thread sends from a queue of SEND_AHEAD snapshots.
+    While the parent reads nothing, the child finishes at most SEND_AHEAD + 2
+    snapshots beyond those that the pipe holds whole: one being sent, the
+    queued ones and one waiting to be queued.  The parent reads one at a
+    time.  The child is ended on every exit from the block, an exception
+    included, before that exception leaves the block.  Neither
     path keeps field0 past the first snapshot: an inline solve holds it until
     its first step, and a forked one keeps its gas and grid alone.
     """

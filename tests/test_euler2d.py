@@ -9,7 +9,7 @@ from rarewave import euler2d
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec,
                               SolverConfig, clamped_fan_profile,
                               advective_derivative, diagonal_rhs,
-                              init_perturbed_rarefaction, iter_run, max_signal_speed, run,
+                              init_perturbed_rarefaction, iter_run, run,
                               step, total_mass)
 from rarewave.euler2d import _flat
 from rarewave.gas import PolytropicGas, density_from_sound_speed, sound_speed
@@ -49,6 +49,11 @@ def rusanov_oracle_step(f, dt):
     q1 = q0 + dt * dq1
     dq2, out2 = rhs(q1)
     return 0.5 * (q0 + q1 + dt * dq2), 0.5 * (out1 + out2) * dt
+
+
+def max_signal_speed(f):
+    """Max over cells of |v| + c, as the CFL check of iter_run takes it."""
+    return float(np.max(euler2d._signal_speeds(*euler2d._cell_planes(f.gas, f.q))))
 
 
 SUP_SAMPLING_DX = 1e-3  # sampling step of velocity_third_derivative_bound
@@ -300,6 +305,36 @@ class TestStep:
             assert np.max(np.abs(a - q[..., k])) <= 1e-13 * np.max(np.abs(q[..., k]))
         assert g.boundary_mass_flux == pytest.approx(outflow, rel=1e-13)
         assert g.time == 0.2 + dt
+
+    @settings(max_examples=8, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1),
+           gamma=st.floats(1.1, 2.9))
+    def test_every_strip_height_gives_the_same_bits(self, n1, n2, seed, gamma):
+        # neighbouring strips share their edge rows, stage 2 overwrites rows that
+        # the next strip reads, and the outflow sums the end interfaces of the
+        # first and the last strip: every height from 1 row to n1, a short last
+        # strip included, must give the bits of the oracle and of one strip
+        rng = np.random.default_rng(seed)
+        q = np.empty((3, n1 + 2, n2))
+        for rows, v1_range in ((slice(1, -1), (-0.5, 0.5)), (0, (-0.5, -0.1)), (-1, (0.1, 0.5))):
+            rho = rng.uniform(0.5, 1.5, q[0, rows].shape)
+            q[:, rows] = (rho, rho * rng.uniform(*v1_range, rho.shape),
+                          rho * rng.uniform(-0.5, 0.5, rho.shape))
+        f = FlowField(PolytropicGas(gamma, 0.5), small_grid(n1=n1, n2=n2), 0.2, q)
+        dt = 0.3 * min(f.grid.dx1, f.grid.dx2) / max_signal_speed(f)
+        oracle_q, oracle_outflow = rusanov_oracle_step(f, dt)
+        results = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for height in range(n1, 0, -1):
+                mp.setattr(euler2d, "STRIP_BYTES", height * n2 * 8)
+                results[height] = step(f, dt)
+        one = results[n1]
+        assert same_bits(one.q[:, 1:-1], np.moveaxis(oracle_q, -1, 0))
+        assert same_bits(one.q[:, [0, -1]], f.q[:, [0, -1]])
+        assert one.boundary_mass_flux == oracle_outflow
+        for height, g in results.items():
+            assert same_bits(g.q, one.q), height
+            assert (g.time, g.boundary_mass_flux) == (f.time + dt, oracle_outflow), height
 
     def test_step_peak_memory(self):
         # scratch of one step, counted in float64 planes of the grid

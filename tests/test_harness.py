@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import re
 import struct
+import time
 import tracemalloc
 import weakref
 
@@ -21,6 +22,7 @@ from rarewave.harness import (ConfigError, RunConfig, StudySpec, emit_plots, par
 from rarewave.snapshot_io import read_planes, read_snapshot, write_planes, write_snapshot
 
 import rarewave.energies as en
+import rarewave.euler2d as euler2d
 import rarewave.geometry as geo
 import rarewave.harness as harness
 
@@ -519,6 +521,41 @@ class TestStreamedRun:
             == STREAMED_REPORT_DIGEST
 
 
+def counted_steps(monkeypatch, fail_at):
+    """A count of euler2d.step calls shared with a child forked after this
+    patch; the call whose count reaches fail_at[0] raises NumericalError."""
+    steps = multiprocessing.get_context("fork").Value("i", 0)
+    step = euler2d.step
+
+    def counted(f, dt):
+        with steps.get_lock():
+            steps.value += 1
+            if steps.value == fail_at[0]:
+                raise NumericalError(f"synthetic breakdown at step {steps.value}")
+        return step(f, dt)
+
+    monkeypatch.setattr(euler2d, "step", counted)
+    return steps
+
+
+def inline_solve(steps):
+    """The snapshots of an inline solve of a 128x64 fan, each with the step
+    count that reached it, and its field and solver; the count restarts at 0.
+    A snapshot (195 KiB) is larger than a pipe holds (64 KiB on Linux)."""
+    field0 = fan_field(GAS2, small_grid(128, 64), 0.4)
+    solver = SolverConfig(snapshot_times=tuple(0.4 + 0.01 * k for k in range(1, 9)))
+    snaps = [(s.time, s.q, steps.value) for s in iter_run(field0, solver)]
+    steps.value = 0
+    return snaps, field0, solver
+
+
+def wait_for(steps, count):
+    """Wait until the child has made count steps, or a minute has gone."""
+    deadline = time.monotonic() + 60.0
+    while steps.value < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestSolvePaths:
     @SOLVE_PATHS
     def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, cpus, process):
@@ -624,6 +661,39 @@ class TestSolvePaths:
         child.join()
         assert not alive
         assert child.exitcode == 0
+
+    def test_child_finishes_at_most_the_send_queue_ahead(self, monkeypatch):
+        # while the run reads nothing, the child finishes one snapshot being
+        # sent, SEND_AHEAD queued and one waiting to be queued, and then waits
+        fail_at = [0]
+        steps = counted_steps(monkeypatch, fail_at)
+        inline, field0, solver = inline_solve(steps)
+        ahead = harness.SEND_AHEAD + 2
+        with harness._snapshots(field0, solver, "forked") as snapshots:
+            wait_for(steps, inline[ahead - 1][2])
+            time.sleep(0.5)  # time enough for a child that does not wait to go on
+            assert steps.value == inline[ahead - 1][2]
+            forked = [(s.time, s.q) for s in snapshots]
+        assert len(forked) == len(inline)
+        for (t0, q0), (t1, q1, _) in zip(forked, inline):
+            assert t0 == t1 and same_bits(q0, q1)
+
+    def test_solver_error_follows_the_snapshots_before_it(self, monkeypatch):
+        # the run reads nothing until the child has failed: its error waits in
+        # the queue behind the snapshots finished before the failing step
+        fail_at = [0]
+        steps = counted_steps(monkeypatch, fail_at)
+        inline, field0, solver = inline_solve(steps)
+        fail_at[0] = inline[1][2] + 1  # the first step after the second snapshot
+        forked = []
+        with harness._snapshots(field0, solver, "forked") as snapshots:
+            wait_for(steps, fail_at[0])
+            with pytest.raises(NumericalError, match=f"^synthetic breakdown at step {fail_at[0]}$"):
+                for s in snapshots:
+                    forked.append((s.time, s.q))
+        assert len(forked) == 2
+        for (t0, q0), (t1, q1, _) in zip(forked, inline):
+            assert t0 == t1 and same_bits(q0, q1)
 
     def test_daemonic_process_solves_inline(self, monkeypatch):
         # a multiprocessing.Pool worker is daemonic and may not fork
