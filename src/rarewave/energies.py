@@ -98,17 +98,20 @@ def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, 
     return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
 
 
-def band_window(s0: Slice, s1: Slice, read_rows: Sequence[Tuple[int, int]],
+def band_window(s0: Slice, t1: float, read_rows: Sequence[Tuple[int, int]],
                 orders: Sequence[int]) -> Grid:
-    """The rows on which the evaluator of the foliated slice pair (s0, s1) forms its
-    planes: those that the energies of either slice over the bands
-    {u_min <= u <= u_value} read, and with them the pair diagnostics over
-    the band masks of s0 and s1 up to the largest u value.
+    """The rows on which the evaluator of the pair of the foliated slice s0 and
+    a slice at the later time t1 forms its planes: those that the band
+    results of the slices whose `read_rows` are read_rows read.  For both
+    slices, these are the energies of either over the bands
+    {u_min <= u <= u_value} and the pair diagnostics over the band mask of
+    either; for s0 alone, the pair diagnostics of s0 as the base, which read
+    no row of the later slice's band.
 
-    It is the hull of read_rows (the slices' `read_rows`) plus a halo: one
-    row per x1 derivative chained before a band row is read (the T letters
-    of a word and the gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of
-    the pair's flow stencils.  Returns the slices' grid when no row is read.
+    It is the hull of read_rows plus a halo: one row per x1 derivative
+    chained before a band row is read (the T letters of a word and the
+    gradient, or `PAIR_DEPTH`), plus the `stencil_reach` of the pair's flow
+    stencils.  Returns the slices' grid when no row is read.
     """
     grid = s0.grid
     hulls = [h for h in read_rows if h[0] < h[1]]
@@ -116,7 +119,7 @@ def band_window(s0: Slice, s1: Slice, read_rows: Sequence[Tuple[int, int]],
         return grid
     lo, hi = min(h[0] for h in hulls), max(h[1] for h in hulls)
     halo = (max(max(orders) + 1, PAIR_DEPTH)
-            + stencil_reach(s0, s1, slice(lo, hi)))
+            + stencil_reach(s0, t1, slice(lo, hi)))
     return grid.around(lo, hi, halo)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -87,6 +88,9 @@ class Slice:
     derivatives xhat_v1, xhat_v2 and xhat_c of the flow, the planes that the
     pair diagnostics and energies read (`torsions` derives zeta and eta), and
     restricts every plane to those rows.
+
+    Its planes hold the rows of its grid: the whole grid's, or those of a
+    `RowWindow` once `cut` to it.  band_rows stays in the whole grid's rows.
     """
 
     invariants = FlowField.invariants
@@ -105,6 +109,33 @@ class Slice:
     @property
     def xhat2(self) -> np.ndarray:
         return -self.that1
+
+    def cut(self, grid: Grid) -> None:
+        """Keep only the rows of grid, a window of the rows this slice holds:
+        each plane becomes a copy of those rows, so that its whole plane can
+        go.  A row it does not hold raises NumericalError naming the time and
+        the row.
+
+        Each copy has an anonymous mapping of its own: a cut record lives for
+        many slices, and on the heap its rows would keep the heap from
+        shrinking over the whole planes freed meanwhile.
+        """
+        rows = _held(self, grid)
+        for name, a in list(vars(self).items()):
+            if isinstance(a, np.ndarray):
+                kept = a[rows]
+                held = np.frombuffer(mmap.mmap(-1, kept.nbytes), a.dtype).reshape(kept.shape)
+                held[...] = kept
+                setattr(self, name, held)
+        self.grid = grid
+
+
+def _held(sl: Slice, grid: Grid) -> slice:
+    """The rows of grid as indices into the planes of sl, which hold the rows
+    of sl.grid; NumericalError naming the time and the row when sl lacks one."""
+    check_rows(grid.rows.start, grid.rows.stop, sl.grid, sl.time, "a plane of the slice")
+    start = sl.grid.rows.start
+    return slice(grid.rows.start - start, grid.rows.stop - start)
 
 
 @dataclass
@@ -324,30 +355,34 @@ def unit_normal(sl: Slice, grid: Grid) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     window, they are NaN on a window edge inside the grid, so a caller
     widens the rows it reads by one.
     """
-    du1, du2 = grid.grad(sl.u[grid.rows])
+    du1, du2 = grid.grad(sl.u[_held(sl, grid)])
     gnorm = np.hypot(du1, du2)
     safe = np.maximum(gnorm, GRAD_FLOOR)
     return gnorm, du1 / safe, du2 / safe
 
 
 def frame_fields(sl: Slice, grid: Grid) -> Slice:
-    """The foliated slice sl framed on the rows of grid, its grid or a
-    `RowWindow` of it that must hold every row of its band.
+    """The foliated slice sl framed on the rows of grid, a window of the rows
+    sl holds that must hold every row of its band.
 
     kappa = 1/|grad u|, mu = c*kappa, unit normal along grad(u), unit
     tangent its rotation, and the tangential derivatives of the flow and the
     expansion chi from centered stencils.  Each is formed on the rows of
     grid widened by FRAME_DEPTH, so it holds the bits of the whole grid's
-    frame; every plane of the framed slice, the band mask among them, is a
-    view of grid's rows.
+    frame; on a slice `cut` to fewer rows, a row that the widening would
+    need past them makes the values near it NaN, as at any window edge.
+    Every plane of the framed slice, the band mask among them, is a view of
+    grid's rows.
     """
     check_rows(*sl.band_rows, grid, sl.time, "the band mask")
+    rows = _held(sl, grid)
     lo, hi = grid.rows.start, grid.rows.stop
-    wide = sl.grid.around(lo, hi, FRAME_DEPTH)
+    held = sl.grid.rows
+    wide = sl.grid.window(max(lo - FRAME_DEPTH, held.start), min(hi + FRAME_DEPTH, held.stop))
     gnorm, that1, that2 = unit_normal(sl, wide)
     kappa = 1.0 / np.maximum(gnorm, GRAD_FLOOR)
     xhat1, xhat2 = that2, -that1
-    v1, v2, c = (a[wide.rows] for a in (sl.v1, sl.v2, sl.c))
+    v1, v2, c = (a[_held(sl, wide)] for a in (sl.v1, sl.v2, sl.c))
     mu = c * kappa
     # psi_i = -v^i, so Xhat(psi_i) = -Xhat(v^i)
     xv1, xv2, xc, xx1, xx2 = (directional_derivative(wide.grad(a), xhat1, xhat2)
@@ -357,7 +392,7 @@ def frame_fields(sl: Slice, grid: Grid) -> Slice:
     framed.grid = grid
     for name, a in vars(sl).items():
         if isinstance(a, np.ndarray):
-            setattr(framed, name, a[grid.rows])
+            setattr(framed, name, a[rows])
     inner = slice(lo - wide.lo, hi - wide.lo)
     (framed.kappa, framed.mu, framed.that1, framed.that2, framed.chi, framed.xhat_v1,
      framed.xhat_v2, framed.xhat_c) = (a[inner] for a in (kappa, mu, that1, that2, chi,
@@ -518,18 +553,19 @@ def check_rows(lo: int, hi: int, grid: Grid, time: float, what: str) -> None:
                              f"{rows.start}..{rows.stop - 1} it is formed on")
 
 
-def stencil_reach(s0: Slice, s1: Slice, rows: slice) -> int:
-    """x1 rows that the flow stencils of the pair (s0, s1) reach from the
-    cells of rows: ceil(max|a1| dt / dx1) + 2 (the second corner row, and
-    rounding), for the larger of the front generator v - c*That and the
-    characteristic (v1 + c, v2) of `sign_monitors`.  The two are applied side
-    by side, never one to the output of the other.  s0 is a foliated slice on
-    its whole grid; its normal is formed on rows and one more each side."""
+def stencil_reach(s0: Slice, t1: float, rows: slice) -> int:
+    """x1 rows that the flow stencils of a pair of s0 and a slice at the later
+    time t1 reach from the cells of rows: ceil(max|a1| dt / dx1) + 2 (the
+    second corner row, and rounding), for the larger of the front generator
+    v - c*That and the characteristic (v1 + c, v2) of `sign_monitors`.  The
+    two are applied side by side, never one to the output of the other.  s0
+    is a foliated slice on its whole grid; its normal is formed on rows and
+    one more each side."""
     v1, c = s0.v1[rows], s0.c[rows]
     wide = s0.grid.around(rows.start, rows.stop, 1)
     that1 = unit_normal(s0, wide)[1][rows.start - wide.lo:rows.stop - wide.lo]
     speed = max(np.max(np.abs(v1 - c * that1)), np.max(np.abs(v1 + c)))
-    cells = speed * (s1.time - s0.time) / s0.grid.dx1
+    cells = speed * (t1 - s0.time) / s0.grid.dx1
     if not np.isfinite(cells):
         raise NumericalError(f"non-finite flow speed at t={s0.time:.6g} in the rows "
                              f"{rows.start}..{rows.stop - 1}")

@@ -406,8 +406,9 @@ SEND_AHEAD = 1
 
 def _send_snapshots(conn, parent_end, field0: FlowField, solver: SolverConfig) -> None:
     """Body of the forked solve: for each snapshot of iter_run, its time and
-    boundary mass flux, then its padded state q as raw bytes; after the
-    last, None.  A solver error is sent in place of the rest.
+    boundary mass flux, then the raw bytes of its padded state q, written on
+    the pipe's descriptor outside the connection's framing; after the last,
+    None.  A solver error is sent in place of the rest.
 
     A sender thread sends them from a queue of SEND_AHEAD snapshots, so the
     solve goes on while the run is busy; a queued snapshot is a buffer that
@@ -442,7 +443,9 @@ def _send_queued(conn, queue: Queue, gone: threading.Event) -> None:
     try:
         while isinstance(item, FlowField):
             conn.send((item.time, item.boundary_mass_flux))
-            conn.send_bytes(item.q)
+            view = memoryview(item.q).cast("B")
+            while view:  # a pipe takes a write in parts
+                view = view[os.write(conn.fileno(), view):]
             item = queue.get()
         conn.send(item)
     except BrokenPipeError:
@@ -452,16 +455,20 @@ def _send_queued(conn, queue: Queue, gone: threading.Event) -> None:
 
 
 def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator[FlowField]:
-    """The snapshots `_send_snapshots` sends, each over one fresh padded
-    (3, n1+2, n2) buffer, ghost rows included; a solver error is raised at
-    the point of the stream where the solve stopped."""
+    """The snapshots `_send_snapshots` sends, each read straight into one
+    fresh padded (3, n1+2, n2) buffer, ghost rows included; a solver error is
+    raised at the point of the stream where the solve stopped."""
     while True:
         try:
             msg = conn.recv()
             if isinstance(msg, tuple):
                 q = np.empty((3, grid.n1 + 2, grid.n2))
-                # into a flat byte view: the receive counts bytes
-                conn.recv_bytes_into(q.reshape(-1).view(np.uint8))
+                view = memoryview(q).cast("B")
+                while view:
+                    got = os.readv(conn.fileno(), [view])
+                    if not got:  # the child died within the state
+                        raise EOFError
+                    view = view[got:]
         except (EOFError, OSError):  # OSError: the child died within a message
             child.join()
             raise RuntimeError(f"the solver process ended with exit code {child.exitcode} "
@@ -583,6 +590,15 @@ def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[geo.Slice]):
                [rb.time, *commutation, *structure])
 
 
+def _forward_pair(base: geo.Slice, partner: geo.Slice, rows: Grid) -> geo.PairDiagnostics:
+    """The evaluator of a forward pair on rows, the base's window: the
+    partner is framed without its band, which nothing reads and which may
+    reach past rows."""
+    unbanded = geo.Slice(partner)
+    unbanded.u = partner.u
+    return geo.PairDiagnostics(geo.frame_fields(base, rows), geo.frame_fields(unbanded, rows))
+
+
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str) -> dict:
     """One pass over the slices in time order, the solve running `process`
     (see `_snapshots`).
@@ -600,6 +616,14 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     and the file of its own iteration, so it is not kept.  A record is
     dropped once the last slice that closes a pair with it has formed that
     pair; only scalars are kept across the run.
+
+    A forward pair (k0, k1), k1 > k0 + 1, is a (base, partner) pair whose
+    base entries all have k0 as their base: it reads slice k0's band alone,
+    so its window is the hull of k0's read rows plus the halo, fixed once
+    k0's energy pair (k0, k0 + 1) is done.  A record that then waits only for
+    forward pairs is `cut` to the rows their frames read, and slice k1 is
+    framed on that window without its band, which nothing reads.  Every
+    other pair's window holds the read rows of both its slices.
     """
     gas, grid = cfg.gas(), cfg.grid()
     ladder, base_idx, pair_idx = cfg.ladder()
@@ -611,6 +635,14 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
         closes[max(kb, kp)].setdefault(min(kb, kp), []).append(j)
     # the last slice that closes a pair with each earlier slice
     last_use = {k0: k1 for k1, pairs in closes.items() for k0 in pairs}
+    # the slices k1 > k0 + 1 that close a pair with k0, and the forward pairs among them
+    later: Dict[int, List[int]] = {}
+    for k1, pairs in closes.items():
+        for k0 in pairs:
+            if k1 > k0 + 1:
+                later.setdefault(k0, []).append(k1)
+    forward = {(k0, k1) for k0, k1s in later.items() for k1 in k1s
+               if all(base_idx[j] == k0 for j in closes[k1][k0])}
     seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
@@ -624,6 +656,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
 
     window: Dict[int, geo.Slice] = {}
     reads: Dict[int, Tuple[int, int]] = {}  # the rows that each record's band results read
+    ahead: Dict[Tuple[int, int], Grid] = {}  # the window of each forward pair, once fixed
     tables: Dict[str, list] = {name: [] for name in TABLES}
 
     def band_stats(k: int, sl: geo.Slice):
@@ -671,9 +704,13 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             # cell-crossing times so that the two-time derivatives refine with the grid; it
             # sees both slices framed on the rows of their band window alone
             for k0, js in closes.get(k, {}).items():
-                rows = en.band_window(window[k0], rec, (reads[k0], reads[k]), orders)
-                s0, s1 = geo.frame_fields(window[k0], rows), geo.frame_fields(rec, rows)
-                pair = geo.PairDiagnostics(s0, s1)
+                if (k0, k) in forward:
+                    pair = _forward_pair(window[k0], rec, ahead.pop((k0, k)))
+                else:
+                    rows = en.band_window(window[k0], rec.time, (reads[k0], reads[k]), orders)
+                    pair = geo.PairDiagnostics(geo.frame_fields(window[k0], rows),
+                                               geo.frame_fields(rec, rows))
+                s0, s1 = pair.slices
                 if k0 == k - 1:
                     band_stats(k, s1)  # its window holds the band and more rows each side
                     for side in ((0, 1) if k == last else (0,)):
@@ -685,6 +722,16 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             for k0 in closes.get(k, {}):
                 if last_use[k0] == k:
                     del window[k0], reads[k0]
+            # slice k - 1's energy pair is done: its forward pairs' windows are fixed,
+            # and a record that waits for nothing else keeps only the rows they frame
+            kb = k - 1
+            for k1 in later.get(kb, ()):
+                if (kb, k1) in forward:
+                    ahead[kb, k1] = en.band_window(window[kb], ladder[k1], (reads[kb],), orders)
+            if kb in later and all((kb, k1) in ahead for k1 in later[kb]):
+                fixed = [ahead[kb, k1].rows for k1 in later[kb]]
+                window[kb].cut(grid.around(min(r.start for r in fixed), max(r.stop for r in fixed),
+                                           geo.FRAME_DEPTH))
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -485,6 +486,27 @@ class TestSlice:
         with pytest.raises(NumericalError, match=rf"t=0\.5 needs row {hi - 1},"):
             frame_fields(rec, rec.grid.window(lo, hi - 1))
 
+    def test_cut_holds_copies_of_its_rows_and_names_a_row_it_lacks(self):
+        # a cut record holds copies of its rows alone; a frame or a cut that
+        # needs a row past them raises NumericalError naming the time and the
+        # row, never IndexError
+        (s, u), _ = perturbed_pair(64, 16)
+        rec = foliate(Slice(s), u, band_mask(u, 0.3, 1.3))
+        lo, hi = rec.band_rows
+        held = rec.grid.window(lo - 6, hi + 6)
+        cut = copy.copy(rec)
+        cut.cut(held)
+        assert cut.grid is held and cut.band_rows == rec.band_rows
+        assert set(planes_of(cut)) == set(planes_of(rec))
+        for name, a in planes_of(cut).items():
+            assert same_bits(a, getattr(rec, name)[held.lo:held.hi]), name
+            assert not np.shares_memory(a, getattr(rec, name)), name
+        for window, row in ((rec.grid.window(lo - 7, hi), lo - 7),
+                            (rec.grid.window(lo, hi + 7), hi + 6)):
+            for ask in (frame_fields, lambda sl, w: copy.copy(sl).cut(w)):
+                with pytest.raises(NumericalError, match=rf"t=0\.5 needs row {row},"):
+                    ask(cut, window)
+
 
 class TestFrameWindow:
     """A frame on any window of rows holds the whole grid's frame bits there,
@@ -516,6 +538,28 @@ class TestFrameWindow:
         rec = records[side]
         window = rec.grid.window(lo, min(lo + size, rec.grid.n1))
         assert self.differing(rec, window) == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(side=st.integers(0, 1), lo=st.integers(0, 60), size=st.integers(2, 64),
+           margin=st.integers(0, 4))
+    def test_cut_record_frames_with_whole_grid_bits(self, records, side, lo, size, margin):
+        # a record cut to rows frames on any window of them with the whole grid's
+        # bits where the window widened by FRAME_DEPTH is held, and NaN at an
+        # edge of the held rows inside the grid
+        rec = records[side]
+        n1 = rec.grid.n1
+        window = rec.grid.window(lo, min(lo + size, n1))
+        held = rec.grid.around(window.lo, window.hi, margin)
+        cut = copy.copy(rec)
+        cut.cut(held)
+        whole, view = frame_fields(rec, rec.grid), frame_fields(cut, window)
+        i0 = max(held.lo + geo.FRAME_DEPTH, window.lo) if held.lo > 0 else window.lo
+        i1 = min(held.hi - geo.FRAME_DEPTH, window.hi) if held.hi < n1 else window.hi
+        for name in FRAME_PLANES:
+            a, b = getattr(whole, name), getattr(view, name)
+            assert same_bits(a[i0:max(i0, i1)], b[i0 - window.lo:max(i0, i1) - window.lo]), name
+        if window.lo == held.lo > 0:
+            assert np.isnan(view.kappa[0]).all()
 
     def test_one_row_less_differs(self, records):
         # a frame formed on a halo of FRAME_DEPTH - 1 rows misses the outer

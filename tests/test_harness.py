@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import struct
 import time
@@ -11,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rarewave.cli import main as cli_main
 from rarewave.euler2d import (FlowField, Grid, NumericalError, PerturbationMode,
@@ -438,6 +440,22 @@ def streamed_run(tmp_path_factory):
     return cfg, out, peak[0]
 
 
+def traced_peak_in_planes(cfg, out, monkeypatch):
+    """The traced peak of an inline run of cfg, in planes of its grid.  The
+    rows of a cut record, which live in anonymous mappings that tracemalloc
+    does not see, are held on the heap here, so that they count."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # the solve runs traced
+    monkeypatch.setattr(geo.mmap, "mmap", lambda fileno, length: bytearray(length))
+    tracemalloc.start()
+    try:
+        run_single(cfg, out_dir=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solve_manifest(out)["solve"]["process"] == "inline"
+    return peak / (cfg.n1 * cfg.n2 * 8)
+
+
 def output_digests(out):
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in sorted(out.iterdir()) if f.suffix in (".csv", ".rwl")}
@@ -500,16 +518,7 @@ class TestStreamedRun:
         # the level set's scratch, the rays' generator velocity and one pair's
         # frames and temporaries on its band window (54 planes); records that
         # kept a whole-grid frame, 12 planes each, reach 78
-        cfg = parse_config(STREAMED)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # the solve runs traced
-        tracemalloc.start()
-        try:
-            run_single(cfg, out_dir=tmp_path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert solve_manifest(tmp_path)["solve"]["process"] == "inline"
-        assert peak / (cfg.n1 * cfg.n2 * 8) <= 58.0
+        assert traced_peak_in_planes(parse_config(STREAMED), tmp_path, monkeypatch) <= 58.0
 
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
@@ -519,6 +528,57 @@ class TestStreamedRun:
         _, out, _ = streamed_run
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() \
             == STREAMED_REPORT_DIGEST
+
+
+DENSE = """
+[grid]
+n1 = 128
+n2 = 32
+[time]
+delta = 0.2
+[solver]
+snapshots = 25
+[analysis]
+orders = 1
+u_levels = 2
+save_snapshots = ends
+"""
+
+# SHA-256 of the outputs of DENSE at seed 2024, recorded from the run whose
+# records waiting for a partner kept their whole planes
+DENSE_DIGESTS = {
+    "conservation.csv": "b458f62a88cf86bdd59efbd2f09a724a520e5c77c621c43f592ea4a83c02e062",
+    "energies.csv": "64a508b7bff9835683865d46a28fbe03194a17e0b6b601198c8f429ad40cbef9",
+    "foliation_final.rwl": "19765dcd7d58bf436549f850f22e8a5e6e551f82fa35514c3b1689d8ab1e3041",
+    "frame_stats.csv": "6c8a3e7d708171bd8adb025be8d2019031cba32c96d85740ddf430ac2a0b2380",
+    "kappa_stats.csv": "a5c40fc1c59749bdd9bffb0a82ce114d6d4503fa0f09cc6320230ae7f9cead0c",
+    "monitors.csv": "90d0abea38d6b0220293005695a6d9424f30f5310abd38bb1da29793ce28558a",
+    "residuals.csv": "106a3846445830236d7383f3f295254fa1799b90ac8d980f3c1d95f32c1867eb",
+    "second_frame.csv": "14b116a9807a45279ace668fe7a871770dc5e99dcd22919c93cb058472d86911",
+    "snapshot_t0.2000.rwl": "d68c7559e77264298d8328cc274a3c55364a8e59c94eb445ba3f10c7653cc0c3",
+    "snapshot_t1.0000.rwl": "78d844cf70b5200f2f390788bf53c6d6aea3c9ef943399a16445f75811e6e50e",
+}
+DENSE_REPORT_DIGEST = "56637cee72700411afc88e052396da4acea45e0f00f9be5a6568ef3967ad5558"
+
+
+class TestDenseLadder:
+    def test_base_records_wait_at_least_four_slices(self):
+        _, base_idx, pair_idx = parse_config(DENSE).ladder()
+        assert min(kp - kb for kb, kp in zip(base_idx, pair_idx) if kp > kb) >= 4
+
+    @SOLVE_PATHS
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, cpus, process):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        run_single(parse_config(DENSE), out_dir=tmp_path)
+        assert solve_manifest(tmp_path)["solve"]["process"] == process
+        assert output_digests(tmp_path) == DENSE_DIGESTS
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() \
+            == DENSE_REPORT_DIGEST
+
+    def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
+        # records waiting for their forward pairs hold only the rows those pairs
+        # frame (60 planes at the peak); holding their whole planes reaches 69
+        assert traced_peak_in_planes(parse_config(DENSE), tmp_path, monkeypatch) <= 64.0
 
 
 def counted_steps(monkeypatch, fail_at):
@@ -623,6 +683,26 @@ class TestSolvePaths:
         monkeypatch.setattr(euler2d, "step", dying_step)
         with pytest.raises(RuntimeError, match="exit code 3 before sending every snapshot"):
             run_single(parse_config(STREAMED), out_dir=tmp_path)
+
+    def test_solver_process_death_within_a_state_is_reported(self):
+        # the child sends a snapshot's time and half of its state's bytes, then dies
+        ctx = multiprocessing.get_context("fork")
+        conn, child_end = ctx.Pipe(duplex=False)
+        grid = small_grid(128, 32)
+
+        def half_a_state():
+            child_end.send((0.5, 0.0))
+            os.write(child_end.fileno(), bytes(3 * (grid.n1 + 2) * grid.n2 * 8 // 2))
+            os._exit(5)
+
+        child = ctx.Process(target=half_a_state, daemon=True)
+        child.start()
+        child_end.close()
+        try:
+            with pytest.raises(RuntimeError, match="exit code 5 before sending every snapshot"):
+                next(harness._received_snapshots(conn, child, GAS2, grid))
+        finally:
+            conn.close()
 
     def test_padded_state_same_on_both_transports(self, tmp_path):
         # snapshot files hold no ghost rows, so no recorded digest sees them: the
@@ -865,12 +945,12 @@ class TestBandWindow:
     @pytest.mark.parametrize("k0, k1", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (2, 4)])
     def test_matches_whole_plane_bitwise(self, moving_band, k0, k1):
         r0, r1 = moving_band[k0], moving_band[k1]
-        window = en.band_window(r0, r1, read_rows(r0, r1), [0, 1])
+        window = en.band_window(r0, r1.time, read_rows(r0, r1), [0, 1])
         assert 0 < window.lo and window.hi < r0.grid.n1  # a window inside the grid
         assert same_results(evaluate(r0, r1, window, [0, 1]), evaluate(r0, r1, r0.grid, [0, 1]))
 
     def test_band_moves(self, moving_band):
-        windows = [en.band_window(r0, r1, read_rows(r0, r1), [0, 1])
+        windows = [en.band_window(r0, r1.time, read_rows(r0, r1), [0, 1])
                    for r0, r1 in zip(moving_band, moving_band[1:])]
         assert all(b.hi > a.hi for a, b in zip(windows, windows[1:]))
 
@@ -882,7 +962,7 @@ class TestBandWindow:
         # the smallest halo that gives results is at most the derived one, and
         # one row less gives NumericalError naming the time and row, not a number
         r0, r1 = moving_band[k0], moving_band[k1]
-        derived = en.band_window(r0, r1, read_rows(r0, r1), orders)
+        derived = en.band_window(r0, r1.time, read_rows(r0, r1), orders)
         halo = 0
         while True:
             try:
@@ -904,7 +984,7 @@ class TestBandWindow:
         r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
         orders = list(range(order + 1))
         window = halo_window(r0, r1, halo)
-        derived = en.band_window(r0, r1, read_rows(r0, r1), orders)
+        derived = en.band_window(r0, r1.time, read_rows(r0, r1), orders)
         whole = evaluate(r0, r1, r0.grid, orders)
         try:
             windowed = evaluate(r0, r1, window, orders)
@@ -912,6 +992,38 @@ class TestBandWindow:
             assert not contains(window, derived)
             return
         assert same_results(windowed, whole)
+
+
+class TestForwardPair:
+    @staticmethod
+    def flat_rows(pair, bases):
+        return np.array([v for triple in harness._pair_rows(pair, bases) for row in triple
+                         for v in row])
+
+    # the example's partner band covers every row, past the base's window
+    @example(k0=0, gap=3, order=0, wide_band=True)
+    @settings(max_examples=6, deadline=None)
+    @given(k0=st.integers(0, 2), gap=st.integers(1, 3), order=st.integers(0, 2),
+           wide_band=st.booleans())
+    def test_cut_base_on_its_own_window_gives_the_hull_window_bits(self, small_run, k0, gap,
+                                                                   order, wide_band):
+        # a forward pair's rows, from its base cut to the rows of the window of
+        # the base's read rows alone, are those of the window of both slices' read rows
+        r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
+        orders = list(range(order + 1))
+        hull = en.band_window(r0, r1.time, read_rows(r0, r1), orders)
+        s0 = geo.frame_fields(r0, hull)
+        expected = self.flat_rows(geo.PairDiagnostics(s0, geo.frame_fields(r1, hull)), [s0])
+        rows = en.band_window(r0, r1.time, read_rows(r0), orders)
+        base = copy.copy(r0)
+        base.cut(r0.grid.around(rows.lo, rows.hi, geo.FRAME_DEPTH))
+        assert base.v1.shape[0] < r0.grid.n1
+        partner = r1
+        if wide_band:
+            partner = geo.foliate(r1, r1.u, np.ones_like(r1.band))
+            assert partner.band_rows[0] < rows.lo and rows.hi < partner.band_rows[1]
+        pair = harness._forward_pair(base, partner, rows)
+        assert same_bits(self.flat_rows(pair, [pair.s0]), expected)
 
 
 # SHA-256 of the study-level files and plot data of an epsilon_scaling study of
