@@ -74,10 +74,15 @@ def region_weights(u: np.ndarray, u_min: float, u_max: float, grid: Grid) -> np.
 
 
 def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, int]:
-    """Rows [lo, hi) that the band results of a foliated slice read: the hull of the rows
-    with a nonzero `region_weights` cell at the largest u value and of the
-    rows that the level curve of each u value crosses or samples; (0, 0)
-    when none.
+    """Rows [lo, hi) that the band results of a foliated slice on its whole
+    grid read: the hull of the rows with a nonzero `region_weights` cell at
+    the largest u value and of the rows that the level curve of each u value
+    crosses or samples; (0, 0) when none.
+
+    The weights are formed only on candidate rows and the one row each side
+    that their x1 derivative reads.  A cell's span is at most twice the range
+    R of u over its row and the rows either side, so a row holds a nonzero
+    weight only if its values come within 2R of [u_min, u_max].
 
     The squares between rows r and r+1 cross a level exactly when u in the
     two rows lies on both sides of it; the curve's sampling stencil then
@@ -88,8 +93,20 @@ def read_rows(sl: Slice, u_min: float, u_values: Sequence[float]) -> Tuple[int, 
     if np.isnan(lo_u).any():
         raise NumericalError(f"u is NaN at t={sl.time:.6g}, row "
                              f"{np.flatnonzero(np.isnan(lo_u))[0]}")
-    held = np.flatnonzero(region_weights(u, u_min, max(u_values), grid).any(axis=1))
-    rows = [held[0], held[-1]] if held.size else []
+    u_max = max(u_values)
+    # twice the range of u over each row and the rows either side, at least
+    # the floor of `_cell_span`; one that is not a number keeps its row
+    lo3, hi3 = np.pad(lo_u, 1, mode="edge"), np.pad(hi_u, 1, mode="edge")
+    span = np.maximum(2.0 * (np.maximum(np.maximum(hi3[:-2], hi3[1:-1]), hi3[2:])
+                             - np.minimum(np.minimum(lo3[:-2], lo3[1:-1]), lo3[2:])), 1e-300)
+    rows = []
+    candidates = np.flatnonzero(~((hi_u + span < u_min) | (lo_u - span > u_max)))
+    if candidates.size:
+        lo, hi = int(candidates[0]), int(candidates[-1]) + 1
+        wide = grid.around(lo, hi, 1)
+        weights = region_weights(u[wide.rows], u_min, u_max, wide)[lo - wide.lo:hi - wide.lo]
+        held = lo + np.flatnonzero(weights.any(axis=1))
+        rows = [held[0], held[-1]] if held.size else []
     for level in u_values:
         crossed = np.flatnonzero((np.minimum(lo_u[:-1], lo_u[1:]) < level)
                                  & (np.maximum(hi_u[:-1], hi_u[1:]) >= level))

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 RAMP = 0.2  # width of the quintic ramps of a k1 = 0 perturbation profile
-# bytes of one plane's rows in a strip of a step: 256 rows at n2 = 128, so a
-# 256x128 grid steps in one strip
+# bytes of one plane's rows in a strip of a step or of a level-set substep:
+# 256 rows at n2 = 128, so a 256x128 grid steps in one strip
 STRIP_BYTES = 1 << 18
 
 
@@ -448,6 +448,12 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)
 
 
+def _strip_rows(grid: Grid) -> int:
+    """The rows of a strip of a sweep over grid: STRIP_BYTES of one plane, at
+    least one row and at most all of them."""
+    return min(grid.n1, max(1, STRIP_BYTES // (8 * grid.n2)))
+
+
 def _pairs(ufunc, a, out, axis):
     """out[i] = ufunc(a[i+1], a[i]) for each interface i+1/2 along axis.
 
@@ -539,7 +545,7 @@ def step(f: FlowField, dt: float) -> FlowField:
         return f.copy()
     gas, grid, q0 = f.gas, f.grid, f.q
     n1, n2 = grid.n1, grid.n2
-    height = min(n1, max(1, STRIP_BYTES // (8 * n2)))
+    height = _strip_rows(grid)
     # scratch first: q outlives the step as the result, so with glibc malloc
     # the freed scratch lies below it and the next step reuses those pages
     # instead of faulting in fresh ones

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .euler2d import FlowField, Grid, _flat, advective_derivative, diagonal_rhs
+from .euler2d import FlowField, Grid, _flat, _strip_rows, advective_derivative, diagonal_rhs
 from .gas import enthalpy
 from .riemann1d import NumericalError
 
@@ -188,23 +188,27 @@ def _eno(up, s, dx, back, fwd, work):
     np.subtract(d1[s:], lim[s:], out=fwd)
 
 
+def _reflect_ends(g):
+    """Fill the two ghost rows at each x1 end of g (n1+4, n2), whose interior
+    rows hold u, with odd reflections about the edge rows: linear
+    extrapolation keeps linear profiles exact."""
+    np.subtract(2.0 * g[2], g[4:2:-1], out=g[:2])
+    np.subtract(2.0 * g[-3], g[-4:-6:-1], out=g[-2:])
+
+
 def _one_sided(g, dx, axis, back, fwd, work):
     """ENO one-sided differences (backward, forward) of u along one axis.
 
-    u is held in the interior rows of g (n1+4, n2); back and fwd (n1, n2)
-    receive the result and work (3, (n1+2)*n2) is scratch.  Along x1 the two
-    ghost rows on each side of g are filled first, and the stencils are
-    shifted ranges of the raveled g.  Along x2 they are shifted ranges of the
-    raveled u, so the two columns at each end of a row pair with the
-    neighbouring row; those are then overwritten with the differences of a
-    window of their periodic partners.
+    u is held in the interior rows of g (h+4, n2), which has two more rows of
+    u, or of ghosts (`_reflect_ends`), on each x1 side; back and fwd (h, n2)
+    receive the result and work (3, >= (h+2)*n2) is scratch.  Along x1 the
+    stencils are shifted ranges of the raveled g.  Along x2 they are shifted
+    ranges of the raveled u, so the two columns at each end of a row pair
+    with the neighbouring row; those are then overwritten with the
+    differences of a window of their periodic partners.
     """
     n2 = g.shape[1]
     if axis == 0:
-        # odd reflections about the edge rows: linear extrapolation keeps
-        # linear profiles exact
-        np.subtract(2.0 * g[2], g[4:2:-1], out=g[:2])
-        np.subtract(2.0 * g[-3], g[-4:-6:-1], out=g[-2:])
         _eno(_flat(g), n2, dx, _flat(back), _flat(fwd), work)
         return
     u = g[2:-2]
@@ -217,12 +221,13 @@ def _one_sided(g, dx, axis, back, fwd, work):
     fwd[:, wrap] = wfwd[:, 2:6]
 
 
-def _hamiltonian(g, ends, w, grid, diff, work):
-    """Godunov upwind discretization of v.grad(u) - c|grad(u)|.
+def _hamiltonian(g, ends, rows, w, grid, diff, work):
+    """Godunov upwind discretization of v.grad(u) - c|grad(u)| on the rows of
+    one strip.
 
-    u is held in g as for _one_sided.  v1, v2 and c are mixed from the planes
-    (v1, v2, c) of ends[0] and ends[1] with weights 1 - w and w.  diff
-    (4, n1, n2) and work are scratch; the result is a view into work.
+    u is held in g as for _one_sided.  v1, v2 and c are mixed from the rows
+    of the planes (v1, v2, c) of ends[0] and ends[1] with weights 1 - w and
+    w.  diff (4, h, n2) and work are scratch; the result is a view into work.
     """
     bx, fx, by, fy = diff
     _one_sided(g, grid.dx1, 0, bx, fx, work)
@@ -230,8 +235,8 @@ def _hamiltonian(g, ends, w, grid, diff, work):
     adv, term, coef = (row[:bx.size].reshape(bx.shape) for row in work)
 
     def mix(k):
-        np.multiply(ends[0][k], 1.0 - w, out=coef)
-        np.multiply(ends[1][k], w, out=term)
+        np.multiply(ends[0][k][rows], 1.0 - w, out=coef)
+        np.multiply(ends[1][k][rows], w, out=term)
         return np.add(coef, term, out=coef)
 
     v1 = mix(0)
@@ -258,6 +263,13 @@ def _hamiltonian(g, ends, w, grid, diff, work):
     return adv
 
 
+def _first_non_finite(v1, v2, c):
+    """(i, j) of the first cell of the planes where v1, v2 or c is not
+    finite, or None."""
+    bad = ~np.isfinite(np.abs(v1) + np.abs(v2) + c)
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
+
+
 def evolve_u(snapshots: Sequence[FlowField], u_init: np.ndarray,
              cfl: float = 0.45) -> List[np.ndarray]:
     """Transport the characteristic function through the snapshot sequence.
@@ -276,6 +288,8 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
 
     Fields are read one at a time, and each field's v1, v2 and c once; any
     object with the FlowField attributes time, grid, v1, v2 and c will do.
+    A substep runs in x1 strips of the step's height (`euler2d._strip_rows`),
+    so its scratch stays in cache and is one strip high.
     """
     fields = iter(fields)
     s0 = next(fields, None)
@@ -286,37 +300,58 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
     if u_init.shape != (n1, n2):
         raise ValueError("u_init shape does not match the grid")
     yield s0, u_init.copy()
+    height = _strip_rows(grid)
     # scratch of the stream: u lives in the interior rows of g
     g = np.empty((n1 + 4, n2))
     u = g[2:-2]
     u[...] = u_init
-    diff = np.empty((4, n1, n2))
-    work = np.empty((3, (n1 + 2) * n2))
-    # each field's (v1, v2, c) planes serve both of its intervals
+    diff = np.empty((4, height, n2))
+    work = np.empty((3, (height + 2) * n2))
+
+    def speeds(planes):
+        # max(|v1| + c) and max(|v2| + c), a strip at a time; np.max propagates
+        # a NaN maximum, where the builtin max may drop it
+        v1, v2, c = planes
+        return [np.max([np.max(np.abs(a[lo:lo + height]) + c[lo:lo + height])
+                        for lo in range(0, n1, height)]) for a in (v1, v2)]
+
+    # each field's (v1, v2, c) planes and speeds serve both of its intervals
     start = (s0.v1, s0.v2, s0.c)
+    start_speeds = speeds(start)
     for s1 in fields:
         t0, t1 = s0.time, s1.time
         end = (s1.v1, s1.v2, s1.c)
-        # np.maximum propagates a NaN maximum, where the builtin max may drop it
-        speed = np.maximum(np.max(np.abs(start[0]) + start[2]), np.max(np.abs(end[0]) + end[2]))
-        speed2 = np.maximum(np.max(np.abs(start[1]) + start[2]), np.max(np.abs(end[1]) + end[2]))
+        end_speeds = speeds(end)
+        speed, speed2 = np.maximum(start_speeds, end_speeds)
         if not (np.isfinite(speed) and np.isfinite(speed2)):
-            for s, (v1, v2, c) in ((s0, start), (s1, end)):
-                bad = ~np.isfinite(np.abs(v1) + np.abs(v2) + c)
-                if np.any(bad):
-                    i, j = np.argwhere(bad)[0]
+            for s, planes in ((s0, start), (s1, end)):
+                cell = _first_non_finite(*planes)
+                if cell:
                     raise NumericalError(
                         f"non-finite flow at t={s.time:.6g} while transporting u over "
-                        f"[{t0:.6g}, {t1:.6g}], first at (i={i}, j={j})")
+                        f"[{t0:.6g}, {t1:.6g}], first at (i={cell[0]}, j={cell[1]})")
         dt_max = cfl / (speed / grid.dx1 + speed2 / grid.dx2)
         nsub = max(1, int(math.ceil((t1 - t0) / dt_max)))
         dt = (t1 - t0) / nsub
         for m in range(nsub):
-            h = _hamiltonian(g, (start, end), (m + 0.5) / nsub, grid, diff, work)
-            h *= dt
-            u -= h
+            _reflect_ends(g)
+            # a strip's stencils read u two rows past each of its edges, but the
+            # strip before it has already stepped those rows: their old values
+            # are held and put back while the strip is formed
+            held = None
+            for lo in range(0, n1, height):
+                hi = min(lo + height, n1)
+                if held is not None:
+                    new, g[lo:lo + 2] = g[lo:lo + 2].copy(), held
+                h = _hamiltonian(g[lo:hi + 4], (start, end), slice(lo, hi), (m + 0.5) / nsub,
+                                 grid, diff[:, :hi - lo], work)
+                held = g[hi:hi + 2].copy()
+                if lo:
+                    g[lo:lo + 2] = new
+                h *= dt
+                u[lo:hi] -= h
         yield s1, u.copy()
-        s0, start = s1, end
+        s0, start, start_speeds = s1, end, end_speeds
 
 
 def foliate(field, u: np.ndarray, band: Optional[np.ndarray]) -> Slice:
@@ -434,12 +469,14 @@ def directional_derivative(grad: Tuple[np.ndarray, np.ndarray], e1, e2) -> np.nd
     return e1 * grad[0] + e2 * grad[1]
 
 
-def generator_velocity(sl: Slice, that1: np.ndarray, that2: np.ndarray
+def generator_velocity(sl: Slice, grid: Grid, that1: np.ndarray, that2: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Velocity v - c*That of the front generator of slice sl with the unit
-    normal (that1, that2) on the rows of its planes."""
-    c = sl.c
-    return sl.v1 - c * that1, sl.v2 - c * that2
+    """Velocity v - c*That of the front generator of slice sl on the rows of
+    grid, a window of the rows sl holds, with the unit normal (that1, that2)
+    on those rows."""
+    rows = _held(sl, grid)
+    c = sl.c[rows]
+    return sl.v1[rows] - c * that1, sl.v2[rows] - c * that2
 
 
 class BilinearStencil:
@@ -448,10 +485,10 @@ class BilinearStencil:
 
     Holds the four flat corner indices into a raveled field on the rows of
     grid (a grid or a `RowWindow` of one) and the weights fi, 1 - fi, fj,
-    1 - fj, so one stencil samples any number of fields; `inside` marks the
-    points whose x1-cell needed no clamping.  Cells and clamping are those of
-    the whole grid; a point with a corner row outside a window's rows
-    samples as NaN.
+    1 - fj, so one stencil samples any number of fields, one at a time or
+    stacked along leading axes; `inside` marks the points whose x1-cell
+    needed no clamping.  Cells and clamping are those of the whole grid; a
+    point with a corner row outside a window's rows samples as NaN.
     """
 
     def __init__(self, x1p: np.ndarray, x2p: np.ndarray, grid: Grid):
@@ -473,22 +510,23 @@ class BilinearStencil:
         self.outside = np.flatnonzero((i0 < lo) | (i0 + 2 > hi))
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        """Sample the cell-centered field f at the stencil's points."""
-        flat = f.ravel()
+        """Sample the cell-centered field f, or the fields stacked along its
+        leading axes, at the stencil's points: one gather per corner."""
+        flat = f.reshape(f.shape[:-2] + (-1,))
         c00, c10, c01, c11 = self.corners
         fi, gi, fj, gj = self.fi, self.gi, self.fj, self.gj
         # f00 * gi * gj + f10 * fi * gj + f01 * gi * fj + f11 * fi * fj, in that order;
         # the corner indices are in range but for the points outside, which read NaN
-        out, term = np.empty(fi.shape), np.empty(fi.shape)
-        np.take(flat, c00, out=out, mode="clip")
+        out = np.take(flat, c00, axis=-1, mode="clip")
         out *= gi
         out *= gj
         for corner, wi, wj in ((c10, fi, gj), (c01, gi, fj), (c11, fi, fj)):
-            np.take(flat, corner, out=term, mode="clip")
+            term = np.take(flat, corner, axis=-1, mode="clip")
             term *= wi
             term *= wj
             out += term
-        out.flat[self.outside] = np.nan
+        if self.outside.size:
+            out.reshape(f.shape[:-2] + (-1,))[..., self.outside] = np.nan
         return out
 
 
@@ -633,8 +671,8 @@ class PairDiagnostics:
     def generator(self) -> FlowStencil:
         """Flow stencil of the front generator of s0 over the pair."""
         s0, s1 = self.slices
-        return FlowStencil(*generator_velocity(s0, s0.that1, s0.that2), s1.time - s0.time,
-                           self.grid)
+        return FlowStencil(*generator_velocity(s0, self.grid, s0.that1, s0.that2),
+                           s1.time - s0.time, self.grid)
 
     def commutation_residual_y(self) -> np.ndarray:
         """Residual of the transverse commutation identity for y/t,
@@ -748,10 +786,14 @@ class RayTrace:
 
     Cross-validation for the level-set transport: the characteristic value u
     interpolated along each ray should stay constant.  Each slice interval
-    takes 8 midpoint substeps.  A slice is a foliated slice on its whole
-    grid, whose normal `unit_normal` forms.  `positions` ((n_rays, 2) each)
-    and `u_along` gain one entry per slice; of the flow only the generator
-    velocity of the latest slice is kept.
+    takes 8 substeps, each reading the generator velocity of both slices,
+    mixed linearly in time, at the rays.  A slice is a foliated slice on its
+    whole grid, whose normal `unit_normal` forms.  `positions` ((n_rays, 2)
+    each) and `u_along` gain one entry per slice.
+
+    The trace holds the latest slice, not its velocity: an advance forms the
+    generator velocity of that slice and of the next one only on the rows
+    that its substeps can reach (`_reach`), with the bits of the whole grid.
     """
 
     def __init__(self, sl: Slice, x1_start: np.ndarray, x2_start: np.ndarray):
@@ -759,30 +801,63 @@ class RayTrace:
         self.x2 = np.asarray(x2_start, dtype=float).copy()
         self.positions: List[np.ndarray] = []
         self.u_along: List[np.ndarray] = []
-        self._sample(sl, generator_velocity(sl, *unit_normal(sl, sl.grid)[1:]))
+        self._sample(sl)
 
-    def _sample(self, sl: Slice, velocity):
-        self.time, self.velocity = sl.time, velocity
+    def _sample(self, sl: Slice):
+        self.slice = sl
         self.positions.append(np.stack([self.x1, self.x2], axis=-1))
         self.u_along.append(bilinear_sample(sl.u, self.x1, self.x2, sl.grid))
 
+    def _reach(self, sl: Slice) -> Grid:
+        """The rows that the substeps of the advance to sl read: the rays'
+        corner rows plus ceil(S dt / dx1) + 2 rows each side, as in
+        `stencil_reach`, where S, the largest |v1| + c of either slice on
+        those rows, bounds the x1 speed |v1 - c That1| of the generator.  The
+        rows are widened until S is taken over all of them.  A non-finite flow
+        on them raises NumericalError naming the time and the cell."""
+        grid = sl.grid
+        i0 = np.clip(np.floor((self.x1 - grid.x1[0]) / grid.dx1), 0, grid.n1 - 2)
+        lo, hi = int(i0.min()), int(i0.max()) + 2
+        rows = grid.window(lo, hi)
+        while True:
+            speed = 0.0
+            for s in (self.slice, sl):
+                v1, v2, c = (a[_held(s, rows)] for a in (s.v1, s.v2, s.c))
+                cell = _first_non_finite(v1, v2, c)
+                if cell:
+                    raise NumericalError(f"non-finite flow at t={s.time:.6g} on the rows the "
+                                         f"rays read, first at (i={rows.lo + cell[0]}, "
+                                         f"j={cell[1]})")
+                speed = max(speed, float(np.max(np.abs(v1) + c)))
+            cells = speed * (sl.time - self.slice.time) / grid.dx1
+            # S over more rows is no smaller, so the reach only grows
+            reach = grid.around(lo, hi, math.ceil(cells) + 2 if cells < grid.n1 else grid.n1)
+            if reach == rows:
+                return rows
+            rows = reach
+
     def advance(self, sl: Slice):
         """Integrate the rays to the next slice and sample u there."""
+        rows = self._reach(sl)
+        wide = sl.grid.around(rows.lo, rows.hi, 1)
+        inner = slice(rows.lo - wide.lo, rows.hi - wide.lo)
+        # the generator velocity (a1, a2) of the latest slice, then of sl
+        velocity = np.empty((4, rows.hi - rows.lo, sl.grid.n2))
+        for k, s in enumerate((self.slice, sl)):
+            that1, that2 = (a[inner] for a in unit_normal(s, wide)[1:])
+            velocity[2 * k:2 * k + 2] = generator_velocity(s, rows, that1, that2)
         substeps = 8
-        grid = sl.grid
         x1, x2 = self.x1, self.x2
-        velocity = generator_velocity(sl, *unit_normal(sl, grid)[1:])
-        (a10, a20), (a11, a21) = self.velocity, velocity
-        dt = (sl.time - self.time) / substeps
+        dt = (sl.time - self.slice.time) / substeps
         for m in range(substeps):
             w = (m + 0.5) / substeps
-            at = BilinearStencil(x1, x2, grid)
-            v1 = (1.0 - w) * at(a10) + w * at(a11)
-            v2 = (1.0 - w) * at(a20) + w * at(a21)
+            a10, a20, a11, a21 = BilinearStencil(x1, x2, rows)(velocity)
+            v1 = (1.0 - w) * a10 + w * a11
+            v2 = (1.0 - w) * a20 + w * a21
             x1 = x1 + dt * v1
             x2 = np.mod(x2 + dt * v2, 2.0 * math.pi)
         self.x1, self.x2 = x1, x2
-        self._sample(sl, velocity)
+        self._sample(sl)
 
 
 def sign_monitors(s0: Slice, s1: Slice, mask: np.ndarray) -> dict:

@@ -611,8 +611,8 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     (`geometry.frame_fields`) on the rows that are read: a pair on its band
     window, slice 0 for the predicates and the final foliation file on the
     whole grid.  The band statistics of a base slice read slice 0's frame or
-    slice k's frame of the pair (k - 1, k); the rays read the record and its
-    whole-grid `unit_normal`.  The snapshot itself serves only the bookkeeping
+    slice k's frame of the pair (k - 1, k); the rays read the records of
+    slices k - 1 and k on the rows they reach.  The snapshot itself serves only the bookkeeping
     and the file of its own iteration, so it is not kept.  A record is
     dropped once the last slice that closes a pair with it has formed that
     pair; only scalars are kept across the run.
@@ -678,6 +678,8 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
         for k, s in enumerate(snapshots):
             arrived.append(geo.Slice(s))
             flow, u = next(level_set)
+            if k == last:
+                level_set.close()  # its scratch and the previous slice's planes go
             rec = window[k] = geo.foliate(flow, u, geo.band_mask(u, cfg.u_lo, cfg.u_star))
             reads[k] = en.read_rows(rec, cfg.u_lo, u_values)
             times.append(rec.time)

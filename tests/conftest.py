@@ -1,12 +1,15 @@
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from rarewave.energies import region_weights
 from rarewave.euler2d import (FlowField, Grid, PerturbationMode, PerturbationSpec, SolverConfig,
                               clamped_fan_profile, init_perturbed_rarefaction, run)
 from rarewave.gas import PolytropicGas, PrimitiveState, density_from_sound_speed, pressure
-from rarewave.geometry import foliate, frame_fields
+from rarewave.geometry import (BilinearStencil, bilinear_sample, foliate, frame_fields,
+                               generator_velocity, unit_normal)
 from rarewave.riemann1d import ZERO_STRENGTH, CenteredFan, _shock_speed
 
 GAS2 = PolytropicGas(2.0, 0.5)
@@ -139,6 +142,55 @@ def bilinear_oracle(f, x1p, x2p, grid):
     j1 = np.mod(j0 + 1, grid.n2)
     return (f[i0, j0] * (1 - fi) * (1 - fj) + f[i0 + 1, j0] * fi * (1 - fj)
             + f[i0, j1] * (1 - fi) * fj + f[i0 + 1, j1] * fi * fj)
+
+
+class WholeGridRayTrace:
+    """Rays of the front generator traced with the generator velocity of each
+    slice on its whole grid, kept until the next slice: the reference for
+    `geometry.RayTrace`."""
+
+    def __init__(self, sl, x1_start, x2_start):
+        self.x1 = np.asarray(x1_start, dtype=float).copy()
+        self.x2 = np.asarray(x2_start, dtype=float).copy()
+        self.positions, self.u_along = [], []
+        self._sample(sl, generator_velocity(sl, sl.grid, *unit_normal(sl, sl.grid)[1:]))
+
+    def _sample(self, sl, velocity):
+        self.time, self.velocity = sl.time, velocity
+        self.positions.append(np.stack([self.x1, self.x2], axis=-1))
+        self.u_along.append(bilinear_sample(sl.u, self.x1, self.x2, sl.grid))
+
+    def advance(self, sl):
+        substeps = 8
+        grid = sl.grid
+        x1, x2 = self.x1, self.x2
+        velocity = generator_velocity(sl, grid, *unit_normal(sl, grid)[1:])
+        (a10, a20), (a11, a21) = self.velocity, velocity
+        dt = (sl.time - self.time) / substeps
+        for m in range(substeps):
+            w = (m + 0.5) / substeps
+            at = BilinearStencil(x1, x2, grid)
+            v1 = (1.0 - w) * at(a10) + w * at(a11)
+            v2 = (1.0 - w) * at(a20) + w * at(a21)
+            x1 = x1 + dt * v1
+            x2 = np.mod(x2 + dt * v2, 2.0 * math.pi)
+        self.x1, self.x2 = x1, x2
+        self._sample(sl, velocity)
+
+
+def read_rows_oracle(sl, u_min, u_values):
+    """The rows that `energies.read_rows` returns, with the band weights formed
+    on the whole grid: the reference for its candidate rows."""
+    u, grid = sl.u, sl.grid
+    lo_u, hi_u = u.min(axis=1), u.max(axis=1)
+    held = np.flatnonzero(region_weights(u, u_min, max(u_values), grid).any(axis=1))
+    rows = [held[0], held[-1]] if held.size else []
+    for level in u_values:
+        crossed = np.flatnonzero((np.minimum(lo_u[:-1], lo_u[1:]) < level)
+                                 & (np.maximum(hi_u[:-1], hi_u[1:]) >= level))
+        if crossed.size:
+            rows += [max(crossed[0] - 1, 0), min(crossed[-1] + 2, grid.n1 - 1)]
+    return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
 
 
 @pytest.fixture

@@ -12,11 +12,11 @@ from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypoth
                                region_weights, words_of_order)
 from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
                               init_perturbed_rarefaction, run)
-from rarewave.geometry import PairDiagnostics, evolve_u
-from rarewave.riemann1d import CenteredFan
+from rarewave.geometry import PairDiagnostics, evolve_u, foliate
+from rarewave.riemann1d import CenteredFan, NumericalError
 
 from conftest import (GAS2, bilinear_oracle, fan_field, framed, make_uniform_field,
-                      perturbed_pair, rolled, small_grid)
+                      perturbed_pair, read_rows_oracle, rolled, small_grid)
 
 
 def fan_setup(n1=256, t=0.5, dt=0.02, n2=8, n_times=2):
@@ -39,6 +39,50 @@ class TestRegionQuadrature:
         areas = [region_weights(slices[0].u, 0.0, um, grid).sum()
                  for um in np.linspace(0.1, 1.4, 14)]
         assert np.all(np.diff(areas) > 0)
+
+
+class TestReadRows:
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_candidate_rows_give_the_whole_grid_rows(self, n1, n2, data):
+        # a ramp along x1, shallow or so steep that one row spans the band and
+        # the cell span alone decides whether a row outside it holds a weight,
+        # with noise, flat rows and steps
+        grid = small_grid(n1=n1, n2=n2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        slope = data.draw(st.sampled_from([0.0, 0.01, 0.1, 1.0, 10.0]), label="slope")
+        noise = data.draw(st.sampled_from([0.0, 1e-3, 0.3]), label="noise")
+        u = slope * (np.arange(n1)[:, None] - n1 / 2) + noise * rng.standard_normal((n1, n2))
+        u += data.draw(st.sampled_from([0.0, 1.0]), label="steps") * (rng.random(n1) < 0.2)[:, None]
+        u[rng.random(n1) < 0.1] = data.draw(st.floats(-2.0, 2.0), label="flat row")
+        u_min = data.draw(st.floats(-2.0, 2.0), label="u_min")
+        u_values = data.draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=4),
+                             label="u_values")
+        sl = foliate(make_uniform_field(GAS2, grid, c=1.0, time=0.5), u, None)
+        assert read_rows(sl, u_min, u_values) == read_rows_oracle(sl, u_min, u_values)
+
+    def test_nan_row_named(self):
+        grid = small_grid(n1=32, n2=8)
+        u = 1.0 - grid.mesh()[0]
+        u[17, 3] = np.nan
+        sl = foliate(make_uniform_field(GAS2, grid, c=1.0, time=0.5), u, None)
+        with pytest.raises(NumericalError, match=r"^u is NaN at t=0\.5, row 17$"):
+            read_rows(sl, 0.3, [0.75, 1.5])
+
+    def test_weights_on_candidate_rows_only(self):
+        # the band covers 9 of 256 rows: no whole-grid plane is formed, where
+        # the weights on the whole grid peak at 5 planes
+        grid = small_grid(n1=256, n2=32)
+        u = 1.0 - grid.mesh()[0] / 0.1
+        sl = foliate(make_uniform_field(GAS2, grid, c=1.0, time=0.5), u, None)
+        tracemalloc.start()
+        try:
+            rows = read_rows(sl, 0.3, [0.75, 1.5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == read_rows_oracle(sl, 0.3, [0.75, 1.5])
+        assert peak / u.nbytes <= 0.75
 
 
 class TestLevelCurves:

@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rarewave.euler2d as euler2d
 import rarewave.geometry as geo
 from rarewave.euler2d import FlowField, Grid, SolverConfig, init_perturbed_rarefaction, \
     run, PerturbationSpec, PerturbationMode
 from rarewave.gas import PolytropicGas, density_from_sound_speed
 from rarewave.geometry import (BilinearStencil, DegenerateFoliationError, FlowStencil,
-                               PairDiagnostics, Slice, _one_sided, band_mask,
+                               PairDiagnostics, Slice, _one_sided, _reflect_ends, band_mask,
                                bilinear_sample, commutation_residual_y, commutation_residual_z,
                                directional_derivative, evolve_u, foliate, frame_fields,
                                iter_evolve_u, second_frame, semi_lagrangian, sign_monitors,
                                structure_residuals, torsions)
 from rarewave.riemann1d import NumericalError
 
-from conftest import (GAS2, bilinear_oracle, fan_field, framed, make_uniform_field,
-                      perturbed_pair, rolled, same_bits, small_grid)
+from conftest import (GAS2, WholeGridRayTrace, bilinear_oracle, fan_field, framed,
+                      make_uniform_field, perturbed_pair, rolled, same_bits, small_grid)
 
 
 def theta(sl):
@@ -162,6 +163,29 @@ class TestEvolveU:
         u0[:, 0] = u0[:, 1]  # a flat step along x2 for the zero branch of minmod
         for got, want in zip(evolve_u(snaps, u0), evolve_u_oracle(snaps, u0)):
             assert same_bits(got, want)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_strip_height_gives_the_same_bits(self, n1, n2, seed):
+        # a strip reads two rows of old u past each edge, which the strip before
+        # it has stepped; the first and the last strip read the ghost rows at the
+        # x1 ends, and every strip the x2 wrap columns.  Rough u everywhere and a
+        # flow whose v1 and v2 change sign: every height from n1 rows down to 1,
+        # a short last strip included, must give the bits of one strip
+        rng = np.random.default_rng(seed)
+        grid = small_grid(n1=n1, n2=n2)
+        snaps = [manufactured_field(grid, t, amp=0.4) for t in (0.3, 0.33, 0.36)]
+        X1, X2 = grid.mesh()
+        u0 = 1.0 - X1 / 0.3 + 0.05 * np.sin(X2) + 0.02 * rng.standard_normal(X1.shape)
+        results = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for height in range(n1, 0, -1):
+                mp.setattr(euler2d, "STRIP_BYTES", height * n2 * 8)
+                results[height] = evolve_u(snaps, u0)
+        one = results[n1]
+        assert all(same_bits(a, b) for a, b in zip(one, evolve_u_oracle(snaps, u0)))
+        for height, us in results.items():
+            assert len(us) == 3 and all(same_bits(a, b) for a, b in zip(us, one)), height
 
     def test_peak_memory(self):
         # one call at 128x32, counted in float64 planes of the grid: its
@@ -637,6 +661,104 @@ class TestRayTracing:
         assert np.max(np.abs(u_along - seeds_u[None, :])) < 0.03
 
 
+    @staticmethod
+    def rippled_slices(grid, times):
+        """Slices of a manufactured flow foliated by a u whose normal turns
+        along x2, so that the generator moves rays across the x2 wrap."""
+        X1, X2 = grid.mesh()
+        return [foliate(manufactured_field(grid, t, amp=0.4),
+                        1.0 - X1 / t + 0.3 * np.sin(X2 + 4.0 * t), None) for t in times]
+
+    @settings(max_examples=15, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_window_matches_whole_grid_trace(self, n1, n2, data):
+        # rays seeded past both x1 ends (clamped), inside, and on both sides of
+        # the x2 wrap give the bits of the trace on the whole grid
+        grid = small_grid(n1=n1, n2=n2)
+        gaps = data.draw(st.lists(st.floats(0.01, 0.2), min_size=1, max_size=4), label="gaps")
+        slices = self.rippled_slices(grid, 0.3 + np.cumsum([0.0] + gaps))
+        x1s = np.array([grid.x1_min - 0.3, grid.x1[0], grid.x1[-1], grid.x1_max + 0.2,
+                        data.draw(st.floats(grid.x1_min, grid.x1_max), label="x1")])
+        x2s = np.array([0.0, 2 * math.pi - 1e-3, 1e-3, data.draw(st.floats(0.0, 0.1)),
+                        data.draw(st.floats(0.0, 2 * math.pi), label="x2")])
+        rays, oracle = geo.RayTrace(slices[0], x1s, x2s), WholeGridRayTrace(slices[0], x1s, x2s)
+        for sl in slices[1:]:
+            rays.advance(sl)
+            oracle.advance(sl)
+            assert same_bits(rays.x1, oracle.x1) and same_bits(rays.x2, oracle.x2)
+        for got, want in ((rays.positions, oracle.positions), (rays.u_along, oracle.u_along)):
+            assert same_bits(np.stack(got), np.stack(want))
+
+    def test_rays_that_speed_up_past_the_speed_where_they_start(self):
+        # v1 grows along x1, so a ray crosses rows faster than the speed of the
+        # rows it starts on: its reach is taken over the rows it can reach
+        grid = small_grid(n1=64, n2=8)
+        X1, _ = grid.mesh()
+        rho = float(density_from_sound_speed(GAS2, 1.0))
+        slices = [foliate(FlowField.from_planes(GAS2, grid, t, np.full(X1.shape, rho),
+                                                rho * 2.0 * (X1 - grid.x1_min),
+                                                np.zeros(X1.shape)), -X1, None)
+                  for t in (0.3, 0.8)]
+        x1s, x2s = np.array([-2.0, -1.9]), np.array([1.0, 2.0])
+        rays, oracle = geo.RayTrace(slices[0], x1s, x2s), WholeGridRayTrace(slices[0], x1s, x2s)
+        rays.advance(slices[1])
+        oracle.advance(slices[1])
+        assert np.all(rays.x1 - x1s > 0.5 * (2.0 * (x1s - grid.x1_min) + 1.0) + 5 * grid.dx1)
+        assert same_bits(rays.x1, oracle.x1) and same_bits(rays.u_along[1], oracle.u_along[1])
+
+    def test_rays_clamp_and_wrap(self):
+        # the cases of the property above occur: rays outside both x1 ends, and
+        # rays whose x2 crosses the wrap
+        grid = small_grid(n1=64, n2=16)
+        slices = self.rippled_slices(grid, (0.3, 0.4, 0.5, 0.6))
+        x1s = np.array([grid.x1_min - 0.3, grid.x1_max + 0.2, 0.0, 0.0])
+        x2s = np.array([math.pi, math.pi, 1e-3, 2 * math.pi - 1e-3])
+        pos, _ = geo.trace_characteristics(slices, x1s, x2s)
+        assert (pos[:, 0, 0] < grid.x1[0]).any() and (pos[:, 1, 0] > grid.x1[-1]).all()
+        assert (np.abs(np.diff(pos[:, 2:, 1], axis=0)) > math.pi).any()
+
+    def test_holds_no_whole_grid_plane(self):
+        # the rays read about 17 of 256 rows: an advance peaks near one plane,
+        # where the trace on the whole grid peaks at 6, and keeps no plane
+        grid = small_grid(n1=256, n2=32)
+        slices = self.rippled_slices(grid, (0.3, 0.32, 0.34))
+        rays = geo.RayTrace(slices[0], np.linspace(-0.1, 0.1, 5), np.full(5, math.pi))
+        rays.advance(slices[1])
+        tracemalloc.start()
+        try:
+            rays.advance(slices[2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rays.slice is slices[2]
+        held = [a for a in vars(rays).values() if isinstance(a, np.ndarray)]
+        assert held and all(a.size < grid.n2 for a in held)
+        assert peak / slices[0].u.nbytes <= 1.5
+
+    @settings(max_examples=25, deadline=None)
+    @given(n1=st.integers(8, 64), n2=st.integers(8, 16), data=st.data())
+    def test_non_finite_flow_on_a_read_row_named(self, n1, n2, data):
+        # a non-finite value on a corner row of a ray, in either slice, stops the
+        # trace with the time of that slice and the cell: never a ValueError from
+        # the reach or an IndexError
+        grid = small_grid(n1=n1, n2=n2)
+        k = data.draw(st.sampled_from([0, 1]), label="slice")
+        i = data.draw(st.integers(0, n1 - 1), label="i")
+        j = data.draw(st.integers(0, n2 - 1), label="j")
+        name, value = data.draw(st.sampled_from(
+            [(m, v) for m in ("m1", "m2") for v in (math.nan, math.inf, -math.inf)]
+            + [("rho", math.inf)]), label="injected")
+        fields = [manufactured_field(grid, t, amp=0.4) for t in (0.3, 0.35)]
+        getattr(fields[k], name)[i, j] = value
+        X1, X2 = grid.mesh()
+        slices = [foliate(f, 1.0 - X1 / f.time + 0.3 * np.sin(X2), None) for f in fields]
+        x1s = np.array([grid.x1[min(i, n1 - 2)] + 0.5 * grid.dx1])
+        rays = geo.RayTrace(slices[0], x1s, np.array([math.pi]))
+        with pytest.raises(NumericalError,
+                           match=rf"at t={fields[k].time:.6g} .*first at \(i={i}, j={j}\)$"):
+            rays.advance(slices[1])
+
+
 def one_sided_oracle(u, dx, axis, grid_periodic):
     """ENO one-sided differences with the three second differences and the
     two minmod pairs evaluated per cell: the reference for `_one_sided`."""
@@ -711,6 +833,7 @@ class TestSharedStencils:
             g = np.empty((n1 + 4, n2))
             g[2:-2] = u
             work = np.empty((3, (n1 + 2) * n2))
+            _reflect_ends(g)
             for axis, dx, periodic in ((0, 0.07, False), (1, 0.13, True)):
                 got = np.empty((2, n1, n2))
                 _one_sided(g, dx, axis, *got, work)
