@@ -121,9 +121,9 @@ def band_window(s0: Slice, t1: float, read_rows: Sequence[Tuple[int, int]],
     a slice at the later time t1 forms its planes: those that the band
     results of the slices whose `read_rows` are read_rows read.  For both
     slices, these are the energies of either over the bands
-    {u_min <= u <= u_value} and the pair diagnostics over the band mask of
-    either; for s0 alone, the pair diagnostics of s0 as the base, which read
-    no row of the later slice's band.
+    {u_min <= u <= u_value}, the pair diagnostics over s0's band and the
+    later slice's band statistics; for s0 alone, the pair diagnostics of a
+    long pair, which read s0's band alone, whichever slice is the base.
 
     It is the hull of read_rows plus a halo: one row per x1 derivative
     chained before a band row is read (the T letters of a word and the

@@ -547,61 +547,84 @@ def table_records(report: dict, table: str) -> List[dict]:
 
 
 def _band_stats(sl: geo.Slice):
-    """The kappa_stats and frame_stats rows of a base slice's band, from a frame
-    that holds its band rows and one more row each side, which the x1
-    derivative of mu in the torsion eta reads; none when the band is empty."""
+    """The kappa_stats, frame_stats and second_frame_stats rows of a base
+    slice's band, from a frame that holds its band rows and one more row each
+    side, which the x1 derivatives of mu in the torsion eta and of the second
+    frame read; none when the band is empty."""
     if not np.any(sl.band):
         return ()
     wide = sl.grid.around(*sl.band_rows, 1)
     geo.check_rows(wide.lo, wide.hi, sl.grid, sl.time, "the band statistics")
     m, c = sl.band, sl.c
-    zeta, eta = geo.torsions(sl)
 
     def row(*values):
         return [sl.time, *(float(np.max(np.abs(a))) for a in values)]
 
+    frame = geo.second_frame(sl)
+    second = row(*(geo.band_values(a, m, sl.grid, sl.time, "second frame")
+                   for a in (frame.yt, frame.zt, frame.y, frame.z)))
+    zeta, eta = geo.torsions(sl)
     return (row(sl.kappa[m] / sl.time - 1.0, sl.mu[m] - c[m] * sl.kappa[m]),
-            row(sl.that1[m] + 1.0, sl.that2[m], sl.chi[m], zeta[m], eta[m]))
+            row(sl.that1[m] + 1.0, sl.that2[m], sl.chi[m], zeta[m], eta[m]), second)
 
 
-def _pair_rows(pair: geo.PairDiagnostics, bases: Sequence[geo.Slice]):
-    """Sign-monitor, second-frame and residual rows of the evaluator's slice
-    pair, one per base slice in bases (each one of the pair's slices); none
-    when bases or the band of the pair's first slice is empty."""
-    m, grid = pair.s0.band, pair.grid
-    if not (bases and np.any(m)):
+def _pair_rows(pair: geo.PairDiagnostics, times: Sequence[float]):
+    """Sign-monitor and residual rows of the evaluator's slice pair, over the
+    band of its first slice, one pair of rows per base time in times; none
+    when times or that band is empty."""
+    m, grid, t0 = pair.s0.band, pair.grid, pair.s0.time
+    if not (times and np.any(m)):
         return
 
-    def max_abs(a, sel, rec, what):
-        return float(np.max(np.abs(geo.band_values(a, sel, grid, rec.time, what))))
+    def max_abs(a, sel, what):
+        return float(np.max(np.abs(geo.band_values(a, sel, grid, t0, what))))
 
     mon = pair.sign_monitors(m)
-    structure = [max_abs(res, sel, pair.s0, f"structure residual {name}")
+    structure = [max_abs(res, sel, f"structure residual {name}")
                  if np.any(sel := m & ok) else float("nan")
                  for name, (res, ok) in pair.structure_residuals().items()]
     del pair.generator  # frees its eight planes: the commutation residuals do not use it
-    commutation = [max_abs(pair.commutation_residual_y(), m, pair.s0, "commutation residual y"),
-                   max_abs(pair.commutation_residual_z(), m, pair.s0, "commutation residual z")]
-    for rb in bases:
-        frame = geo.second_frame(rb)
-        yscale = [rb.time, *(max_abs(a, rb.band, rb, "second frame")
-                             for a in (frame.yt, frame.zt, frame.y, frame.z))]
-        yield ([rb.time, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], yscale,
-               [rb.time, *commutation, *structure])
+    commutation = [max_abs(pair.commutation_residual_y(), m, "commutation residual y"),
+                   max_abs(pair.commutation_residual_z(), m, "commutation residual z")]
+    for t in times:
+        yield ([t, *mon["L_mu"], *mon["T_wbar"], *mon["Lbar_wbar"]], [t, *commutation, *structure])
 
 
-def _forward_pair(base: geo.Slice, partner: geo.Slice, rows: Grid) -> geo.PairDiagnostics:
-    """The evaluator of a forward pair on rows, the base's window: the
-    partner is framed without its band, which nothing reads and which may
-    reach past rows."""
-    unbanded = geo.Slice(partner)
-    unbanded.u = partner.u
-    return geo.PairDiagnostics(geo.frame_fields(base, rows), geo.frame_fields(unbanded, rows))
+def _long_pair(s0: geo.Slice, s1: geo.Slice, rows: Grid) -> geo.PairDiagnostics:
+    """The evaluator of a long pair (k0, k1), k1 > k0 + 1, on rows, the
+    window of s0's read rows: s1 is framed without its band, which nothing
+    reads and which may reach past rows."""
+    unbanded = geo.Slice(s1)
+    unbanded.u = s1.u
+    return geo.PairDiagnostics(geo.frame_fields(s0, rows), geo.frame_fields(unbanded, rows))
+
+
+class _Step(NamedTuple):
+    """What a run does at slice k, once k's record is formed (`_schedule`)."""
+    pairs: Dict[int, List[int]]  # k0: the base entries of the pair (k0, k), (k - 1, k) first
+    drop: List[int]  # the records whose last pair is formed here
+    cut: List[int]  # the slices k1 of record k - 1's long pairs, whose windows it is cut to
+
+
+def _schedule(base_idx: Sequence[int], pair_idx: Sequence[int]) -> List[_Step]:
+    """The step of each slice of a ladder with these base and partner indices:
+    a record lives from its slice to its last pair, and one with long pairs is
+    cut once its energy pair is done, when only they are left."""
+    steps = [_Step({k - 1: []} if k else {}, [], []) for k in range(max(*base_idx, *pair_idx) + 1)]
+    for j, (kb, kp) in enumerate(zip(base_idx, pair_idx)):
+        steps[max(kb, kp)].pairs.setdefault(min(kb, kp), []).append(j)
+    for k0, k1 in {k0: k1 for k1, step in enumerate(steps) for k0 in step.pairs}.items():
+        steps[k1].drop.append(k0)  # at the last slice that closes a pair with k0
+    for k1, step in enumerate(steps):
+        for k0 in step.pairs:
+            if k1 > k0 + 1:
+                steps[k0 + 1].cut.append(k1)
+    return steps
 
 
 def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str) -> dict:
     """One pass over the slices in time order, the solve running `process`
-    (see `_snapshots`).
+    (see `_snapshots`), carrying out the steps of `_schedule`.
 
     Each slice's record (a `geometry.Slice` foliated by u: v1, v2, c, u and
     the band mask) and the rows its band results read are formed as the
@@ -610,39 +633,23 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     which the energies and the pair diagnostics share.  The record is framed
     (`geometry.frame_fields`) on the rows that are read: a pair on its band
     window, slice 0 for the predicates and the final foliation file on the
-    whole grid.  The band statistics of a base slice read slice 0's frame or
-    slice k's frame of the pair (k - 1, k); the rays read the records of
-    slices k - 1 and k on the rows they reach.  The snapshot itself serves only the bookkeeping
-    and the file of its own iteration, so it is not kept.  A record is
-    dropped once the last slice that closes a pair with it has formed that
-    pair; only scalars are kept across the run.
+    whole grid.  The band statistics of a base slice, its second frame among
+    them, read slice 0's frame or slice k's frame of the energy pair
+    (k - 1, k); the rays read the records of slices k - 1 and k on the rows
+    they reach.  The snapshot itself serves only the bookkeeping and the file
+    of its own iteration, so it is not kept.  A record is dropped once the
+    last slice that closes a pair with it has formed that pair; only scalars
+    are kept across the run.
 
-    A forward pair (k0, k1), k1 > k0 + 1, is a (base, partner) pair whose
-    base entries all have k0 as their base: it reads slice k0's band alone,
-    so its window is the hull of k0's read rows plus the halo, fixed once
-    k0's energy pair (k0, k0 + 1) is done.  A record that then waits only for
-    forward pairs is `cut` to the rows their frames read, and slice k1 is
-    framed on that window without its band, which nothing reads.  Every
-    other pair's window holds the read rows of both its slices.
+    An energy pair's window holds the read rows of both its slices.  A long
+    pair (k0, k1), k1 > k0 + 1, reads k0's band alone, whichever slice is the
+    base, so its window, the hull of k0's read rows plus the halo, is fixed
+    once k0's energy pair is done; record k0 is then `cut` to the rows its
+    long pairs frame, and slice k1 is framed there without its band.
     """
     gas, grid = cfg.gas(), cfg.grid()
     ladder, base_idx, pair_idx = cfg.ladder()
     last = len(ladder) - 1
-    # the run's distinct slice pairs by later slice: closes[k1][k0] lists the base
-    # entries whose diagnostics use (k0, k1); the energies use every (k - 1, k)
-    closes: Dict[int, Dict[int, List[int]]] = {k: {k - 1: []} for k in range(1, last + 1)}
-    for j, (kb, kp) in enumerate(zip(base_idx, pair_idx)):
-        closes[max(kb, kp)].setdefault(min(kb, kp), []).append(j)
-    # the last slice that closes a pair with each earlier slice
-    last_use = {k0: k1 for k1, pairs in closes.items() for k0 in pairs}
-    # the slices k1 > k0 + 1 that close a pair with k0, and the forward pairs among them
-    later: Dict[int, List[int]] = {}
-    for k1, pairs in closes.items():
-        for k0 in pairs:
-            if k1 > k0 + 1:
-                later.setdefault(k0, []).append(k1)
-    forward = {(k0, k1) for k0, k1s in later.items() for k1 in k1s
-               if all(base_idx[j] == k0 for j in closes[k1][k0])}
     seeds_u = np.linspace(cfg.u_lo + 0.1, cfg.u_star - 0.1, 5)
     x1_seed = ((cfg.v0 + cfg.c0) - seeds_u) * cfg.delta
     x2_seed = np.full_like(x1_seed, math.pi)
@@ -656,17 +663,9 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
 
     window: Dict[int, geo.Slice] = {}
     reads: Dict[int, Tuple[int, int]] = {}  # the rows that each record's band results read
-    ahead: Dict[Tuple[int, int], Grid] = {}  # the window of each forward pair, once fixed
+    ahead: Dict[Tuple[int, int], Grid] = {}  # the window of each long pair, once fixed
+    stats: Dict[int, tuple] = {}  # the band statistics rows of each base slice
     tables: Dict[str, list] = {name: [] for name in TABLES}
-
-    def band_stats(k: int, sl: geo.Slice):
-        """Pointwise foliation statistics over the tracked band at base times,
-        from sl, a frame of slice k."""
-        if k in base_idx:
-            stats = _band_stats(sl)
-            for _ in range(base_idx.count(k)):  # merged base times share a slice
-                for name, row in zip(("kappa_stats", "frame_stats"), stats):
-                    tables[name].append(row)
     times, energy_slices, pair_rows = [], [], {}
     x2_variation = 0.0
     with _snapshots(field0, cfg.solver(), process) as snapshots:
@@ -675,7 +674,9 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
         # the loop, not the slice, holds the snapshot
         arrived: List[geo.Slice] = []
         level_set = geo.iter_evolve_u(iter(arrived.pop, None), u_init, cfl=cfg.cfl)
+        schedule = _schedule(base_idx, pair_idx)
         for k, s in enumerate(snapshots):
+            step = schedule[k]
             arrived.append(geo.Slice(s))
             flow, u = next(level_set)
             if k == last:
@@ -694,7 +695,7 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                 rays = geo.RayTrace(rec, x1_seed, x2_seed)
                 sl = geo.frame_fields(rec, grid)
                 predicate_lines = en.check_data_predicates(sl, cfg.epsilon, cfg.delta, cfg.u_star)
-                band_stats(k, sl)
+                stats[k] = _band_stats(sl)  # a valid ladder starts at the first base time
                 del sl
             else:
                 rays.advance(rec)
@@ -705,35 +706,30 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
             # cell-crossing times so that the two-time derivatives refine with the grid; it
             # sees both slices framed on the rows of their band window alone
-            for k0, js in closes.get(k, {}).items():
-                if (k0, k) in forward:
-                    pair = _forward_pair(window[k0], rec, ahead.pop((k0, k)))
-                else:
+            for k0, js in step.pairs.items():
+                if k0 == k - 1:
                     rows = en.band_window(window[k0], rec.time, (reads[k0], reads[k]), orders)
                     pair = geo.PairDiagnostics(geo.frame_fields(window[k0], rows),
                                                geo.frame_fields(rec, rows))
-                s0, s1 = pair.slices
-                if k0 == k - 1:
-                    band_stats(k, s1)  # its window holds the band and more rows each side
+                    if k in base_idx:  # the window holds the band and more rows each side
+                        stats[k] = _band_stats(pair.s1)
                     for side in ((0, 1) if k == last else (0,)):
                         energy_slices.append(en.energies_of_slice(
                             pair, side, reads[(k0, k)[side]], **energy_args))
-                pair_rows.update(zip(js, _pair_rows(pair, [s0 if base_idx[j] == k0 else s1
-                                                           for j in js])))
-                del pair, s0, s1  # their planes must not outlive the pair into the next slice
-            for k0 in closes.get(k, {}):
-                if last_use[k0] == k:
-                    del window[k0], reads[k0]
-            # slice k - 1's energy pair is done: its forward pairs' windows are fixed,
-            # and a record that waits for nothing else keeps only the rows they frame
-            kb = k - 1
-            for k1 in later.get(kb, ()):
-                if (kb, k1) in forward:
-                    ahead[kb, k1] = en.band_window(window[kb], ladder[k1], (reads[kb],), orders)
-            if kb in later and all((kb, k1) in ahead for k1 in later[kb]):
-                fixed = [ahead[kb, k1].rows for k1 in later[kb]]
-                window[kb].cut(grid.around(min(r.start for r in fixed), max(r.stop for r in fixed),
-                                           geo.FRAME_DEPTH))
+                else:
+                    pair = _long_pair(window[k0], rec, ahead.pop((k0, k)))
+                pair_rows.update(zip(js, _pair_rows(pair, [times[base_idx[j]] for j in js])))
+                del pair  # its planes must not outlive the pair into the next slice
+            for k0 in step.drop:
+                del window[k0], reads[k0]
+            # slice k - 1's energy pair is done: its long pairs' windows are fixed,
+            # and its record keeps only the rows they frame
+            fixed = [en.band_window(window[k - 1], ladder[k1], (reads[k - 1],), orders)
+                     for k1 in step.cut]
+            ahead.update(zip([(k - 1, k1) for k1 in step.cut], fixed))
+            if fixed:
+                window[k - 1].cut(grid.around(min(w.lo for w in fixed), max(w.hi for w in fixed),
+                                              geo.FRAME_DEPTH))
 
             if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
                 write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
@@ -748,8 +744,10 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                                   "zeta": zeta, "eta": eta},
                                  out / "foliation_final.rwl")
 
-    for j in sorted(pair_rows):
-        for name, row in zip(("monitors", "second_frame_stats", "residuals"), pair_rows[j]):
+    for j, k in enumerate(base_idx):  # merged base times share a slice, and repeat its rows
+        for name, row in zip(("kappa_stats", "frame_stats", "second_frame_stats"), stats[k]):
+            tables[name].append(row)
+        for name, row in zip(("monitors", "residuals"), pair_rows.get(j, ())):
             tables[name].append(row)
     tables["data_predicates"] = [list(dataclasses.astuple(p)) for p in predicate_lines]
     energy_report = en.EnergyReport.from_slices(energy_slices, times, base_idx)

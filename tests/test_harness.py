@@ -576,9 +576,48 @@ class TestDenseLadder:
             == DENSE_REPORT_DIGEST
 
     def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
-        # records waiting for their forward pairs hold only the rows those pairs
-        # frame (60 planes at the peak); holding their whole planes reaches 69
-        assert traced_peak_in_planes(parse_config(DENSE), tmp_path, monkeypatch) <= 64.0
+        # no record stays whole past its energy pair: one with long pairs holds
+        # only the rows they frame (53 planes at the peak); keeping whole the
+        # records of the pairs whose later slice is the base reaches 58, and
+        # holding every waiting record's whole planes 69
+        assert traced_peak_in_planes(parse_config(DENSE), tmp_path, monkeypatch) <= 55.0
+
+
+class TestSchedule:
+    @example(cfg=parse_config(DENSE))
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=valid_configs())
+    def test_every_pair_formed_while_its_records_live(self, cfg):
+        # the ladder's steps form each pair once, the energy pair (k - 1, k) first,
+        # while both its records live; each record is dropped at its last pair, and
+        # one with long pairs is cut right after its energy pair, to their windows
+        # alone, before any of them is formed
+        times, base_idx, pair_idx = cfg.ladder()
+        steps = harness._schedule(base_idx, pair_idx)
+        assert len(steps) == len(times)
+        pairs = {(k - 1, k) for k in range(1, len(times))}
+        pairs |= {(min(kb, kp), max(kb, kp)) for kb, kp in zip(base_idx, pair_idx)}
+        last_use = {k0: max(k1 for j0, k1 in pairs if j0 == k0) for k0, _ in pairs}
+        live, cut_to, formed, entries = set(), {}, [], []
+        for k, step in enumerate(steps):
+            live.add(k)
+            assert list(step.pairs)[:1] == ([k - 1] if k else [])
+            for k0, js in step.pairs.items():
+                assert {k0, k} <= live
+                assert k0 not in cut_to or k in cut_to[k0]
+                formed.append((k0, k))
+                entries += [(j, (k0, k)) for j in js]
+            for k0 in step.drop:
+                assert last_use[k0] == k
+                live.remove(k0)
+            if step.cut:
+                assert step.cut == sorted(k1 for k0, k1 in pairs if k0 == k - 1 and k1 > k)
+                cut_to[k - 1] = step.cut
+        assert sorted(formed) == sorted(pairs) and len(formed) == len(pairs)
+        assert sorted(entries) == [(j, (min(kb, kp), max(kb, kp)))
+                                   for j, (kb, kp) in enumerate(zip(base_idx, pair_idx))]
+        assert live == set(range(len(times))) - set(last_use)
+        assert set(cut_to) == {k0 for k0, k1 in pairs if k1 > k0 + 1}
 
 
 def counted_steps(monkeypatch, fail_at):
@@ -831,10 +870,10 @@ class TestPairRows:
     def test_shared_work_formed_once(self, pair_records, monkeypatch):
         counts = count_calls(monkeypatch, ["FlowStencil", "_second_frame", "diagonal_rhs"])
         r0, r1 = pair_records
-        assert len(list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0]))) == 1
+        assert len(list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0.time]))) == 1
         # one invariant triple per slice, the generator stencil and the
-        # (v1+c, v2) stencil, the base and midpoint frames, one Euler L(wbar)
-        assert counts == {"invariants": 2, "FlowStencil": 2, "_second_frame": 2,
+        # (v1+c, v2) stencil, the midpoint frame, one Euler L(wbar)
+        assert counts == {"invariants": 2, "FlowStencil": 2, "_second_frame": 1,
                           "diagonal_rhs": 1}
 
     def test_peak_memory(self, pair_records):
@@ -843,7 +882,7 @@ class TestPairRows:
         r0, r1 = pair_records
         tracemalloc.start()
         try:
-            list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0]))
+            list(harness._pair_rows(geo.PairDiagnostics(r0, r1), [r0.time]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -853,15 +892,17 @@ class TestPairRows:
         # 9 slices: 8 energy pairs (k - 1, k), 3 of them also (base, partner)
         # pairs, and 2 more (base, partner) pairs; each pair forms the invariants
         # of its two slices and its generator stencil once, and each of the 5
-        # (base, partner) pairs also its (v1+c, v2) stencil; each slice finds the
-        # rows its band results read once
-        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil"], ["read_rows"])
+        # (base, partner) pairs also its (v1+c, v2) stencil and midpoint second
+        # frame; each of the 5 base slices forms its own second frame once, and
+        # each slice finds the rows its band results read once
+        counts = count_calls(monkeypatch, ["PairDiagnostics", "FlowStencil", "_second_frame"],
+                             ["read_rows"])
         cfg = parse_config("[grid]\nn1 = 128\nn2 = 32\n[time]\ndelta = 0.2\n"
                            "[solver]\nsnapshots = 5\n")
         run_single(cfg, out_dir=tmp_path)
         # the predicates add the invariants of slice 0
         assert counts == {"invariants": 21, "PairDiagnostics": 10, "FlowStencil": 15,
-                          "read_rows": 9}
+                          "_second_frame": 5 + 5, "read_rows": 9}
 
 
 U_LO, U_STAR = 0.3, 1.5
@@ -886,15 +927,17 @@ def read_rows(*records):
 
 
 def evaluate(r0, r1, grid, orders):
-    """The energies of both slices and the pair rows of both as bases, of the
-    pair (r0, r1) framed on the rows of grid, as flat float arrays."""
+    """The energies of both slices, the pair rows of both as bases and the band
+    statistics of both, of the pair (r0, r1) framed on the rows of grid, as
+    flat float arrays."""
     s0, s1 = geo.frame_fields(r0, grid), geo.frame_fields(r1, grid)
     pair = geo.PairDiagnostics(s0, s1)
     energies = [en.energies_of_slice(pair, side, rows, ("wbar", "w", "psi2"), orders,
                                      U_VALUES, U_LO)
                 for side, rows in enumerate(read_rows(r0, r1))]
-    rows = [value for triple in harness._pair_rows(pair, [s0, s1]) for row in triple
+    rows = [value for rows in harness._pair_rows(pair, [s0.time, s1.time]) for row in rows
             for value in row]
+    rows += [value for s in (s0, s1) for row in harness._band_stats(s) for value in row]
     return [np.concatenate([e[key].ravel() for key in sorted(e, key=str)]) for e in energies] \
         + [np.array(rows)]
 
@@ -994,10 +1037,10 @@ class TestBandWindow:
         assert same_results(windowed, whole)
 
 
-class TestForwardPair:
+class TestLongPair:
     @staticmethod
-    def flat_rows(pair, bases):
-        return np.array([v for triple in harness._pair_rows(pair, bases) for row in triple
+    def flat_rows(pair, times):
+        return np.array([v for rows in harness._pair_rows(pair, times) for row in rows
                          for v in row])
 
     # the example's partner band covers every row, past the base's window
@@ -1007,13 +1050,14 @@ class TestForwardPair:
            wide_band=st.booleans())
     def test_cut_base_on_its_own_window_gives_the_hull_window_bits(self, small_run, k0, gap,
                                                                    order, wide_band):
-        # a forward pair's rows, from its base cut to the rows of the window of
-        # the base's read rows alone, are those of the window of both slices' read rows
+        # a long pair's rows, from its earlier slice cut to the rows of the window of
+        # that slice's read rows alone, are those of the window of both slices' read rows
         r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
         orders = list(range(order + 1))
         hull = en.band_window(r0, r1.time, read_rows(r0, r1), orders)
         s0 = geo.frame_fields(r0, hull)
-        expected = self.flat_rows(geo.PairDiagnostics(s0, geo.frame_fields(r1, hull)), [s0])
+        expected = self.flat_rows(geo.PairDiagnostics(s0, geo.frame_fields(r1, hull)),
+                                  [r0.time])
         rows = en.band_window(r0, r1.time, read_rows(r0), orders)
         base = copy.copy(r0)
         base.cut(r0.grid.around(rows.lo, rows.hi, geo.FRAME_DEPTH))
@@ -1022,8 +1066,39 @@ class TestForwardPair:
         if wide_band:
             partner = geo.foliate(r1, r1.u, np.ones_like(r1.band))
             assert partner.band_rows[0] < rows.lo and rows.hi < partner.band_rows[1]
-        pair = harness._forward_pair(base, partner, rows)
-        assert same_bits(self.flat_rows(pair, [pair.s0]), expected)
+        pair = harness._long_pair(base, partner, rows)
+        assert same_bits(self.flat_rows(pair, [r0.time]), expected)
+
+    @settings(max_examples=4, deadline=None)
+    @given(k0=st.integers(0, 1), gap=st.integers(2, 3), order=st.integers(0, 2))
+    def test_later_base_reads_the_earlier_slice_cut_to_its_own_window(self, small_run, k0,
+                                                                      gap, order):
+        # a long pair whose base is its later slice: its rows, labelled with the
+        # base's time, come from the earlier slice cut to the window of its own
+        # read rows, bit for bit as on the window of both slices' read rows
+        r0, r1 = small_run[k0], small_run[min(k0 + gap, len(small_run) - 1)]
+        orders = list(range(order + 1))
+        hull = en.band_window(r0, r1.time, read_rows(r0, r1), orders)
+        expected = self.flat_rows(geo.PairDiagnostics(geo.frame_fields(r0, hull),
+                                                      geo.frame_fields(r1, hull)), [r1.time])
+        assert expected.size and expected[0] == r1.time
+        rows = en.band_window(r0, r1.time, read_rows(r0), orders)
+        earlier = copy.copy(r0)
+        earlier.cut(r0.grid.around(rows.lo, rows.hi, geo.FRAME_DEPTH))
+        assert earlier.v1.shape[0] < r0.grid.n1
+        assert same_bits(self.flat_rows(harness._long_pair(earlier, r1, rows), [r1.time]),
+                         expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_base_band_stats_from_its_energy_pair_frame(self, small_run, k):
+        # a base slice's band statistics, its second frame among them, from its
+        # frame in the energy pair (k - 1, k) are those of its whole-grid frame
+        r0, r1 = small_run[k - 1], small_run[k]
+        rows = en.band_window(r0, r1.time, read_rows(r0, r1), [0, 1])
+        assert rows.hi - rows.lo < r1.grid.n1
+        framed, whole = (harness._band_stats(geo.frame_fields(r1, g)) for g in (rows, r1.grid))
+        assert len(framed) == 3
+        assert same_bits(np.concatenate(framed), np.concatenate(whole))
 
 
 # SHA-256 of the study-level files and plot data of an epsilon_scaling study of
