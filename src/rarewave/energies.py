@@ -40,6 +40,7 @@ __all__ = [
     "EnergyAnalysis",
     "PredicateLine",
     "check_data_predicates",
+    "predicate_window",
     "gronwall_verify",
     "fit_gronwall_constants",
 ]
@@ -328,9 +329,11 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
     (side 0) or s1 (side 1).  The pair's invariants and generator flow
     stencil, c, and the band weights and level curve (with its sampling
     stencil) of each requested u are shared by every invariant, word and band.
-    Every plane holds the rows of the pair's grid; read_rows (the slice's
+    The pair's planes hold the rows of its grid; read_rows (the slice's
     `read_rows`) must be among them, and a band result that reads a NaN
-    raises NumericalError naming the time and row.
+    raises NumericalError naming the time and row.  The frame derivatives,
+    the generator derivative and the gradient are taken on the pair's grid,
+    whose halo they read; every density is formed on read_rows alone.
 
     For each (psi, n, u) the array has one row per energy: outgoing
     (E, F), incoming (Ebar, Fbar) and, for wbar at n = 0 only, the
@@ -349,7 +352,6 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
     grid, sl = pair.grid, pair.slices[side]
     times = (pair.s0.time, pair.s1.time)
     invariants, flow = pair.invariants, pair.generator
-    c = sl.c
     lo, hi = read_rows
     check_rows(lo, hi, grid, sl.time, "the band")
     # the products of a band area are written into a zero plane of the whole
@@ -357,16 +359,21 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
     # many rows the window holds; outside [lo, hi) every product is +0
     whole = np.zeros((grid.n1, grid.n2))
     read = slice(lo - grid.rows.start, hi - grid.rows.start)
-    du = _cell_span(sl.u, grid)
-    bands = [(_band_weights(sl.u, du, u_min, u, grid)[read],
-              extract_level_curve(sl.u, u, grid)) for u in u_values]
+    # a level curve crosses two rows at least, so fewer read rows sample none
+    read_grid = grid.window(lo, hi) if hi - lo >= 2 else grid
+    u, kappa, c, that1, that2 = (a[read] for a in (sl.u, sl.kappa, sl.c, sl.that1, sl.that2))
+    xhat = (that2, -that1)  # the unit tangent, as `Slice.xhat1` and `xhat2` turn the normal
+    du = _cell_span(sl.u, grid)[read]
+    bands = [(_band_weights(u, du, u_min, level, grid), extract_level_curve(u, level, read_grid))
+             for level in u_values]
+    del du
 
     def nan_at(row):
         return NumericalError(f"a band energy is NaN at t={sl.time:.6g}, row {row}, of the "
                               f"rows {grid.rows.start}..{grid.rows.stop - 1} it is formed on")
 
     def area(w, density):
-        np.multiply(w, density[read], out=whole[lo:hi])
+        np.multiply(w, density, out=whole[lo:hi])
         total = float(np.sum(whole))
         if math.isnan(total):
             raise nan_at(lo + np.flatnonzero(np.isnan(whole[lo:hi]).any(axis=1))[0])
@@ -379,41 +386,49 @@ def energies_of_slice(pair: PairDiagnostics, side: int, read_rows: Tuple[int, in
             raise nan_at(int((curve.mid_x1[k] - grid.x1[0]) // grid.dx1))
         return total
 
+    def word(idx, n, op):
+        """[[E, F], [Ebar, Fbar]] of one word of invariant idx over each band,
+        with [E0ring, F0ring] after them for the order-0 word of wbar; its
+        planes go when it returns."""
+        fields, valid = apply_frame_derivative(op, [inv[idx] for inv in invariants],
+                                               times, grid)
+        if n >= 1:
+            fields = [_project(f) for f in fields]
+        lpsi = flow.derivative(*fields)[read]
+        ok = (valid[read] & flow.valid[read]).astype(float)
+        # grad f is taken once, for Xhat f and T f = kappa That.grad f
+        grad = [d[read] for d in grid.grad(fields[side])]
+        del fields, valid
+        xpsi = directional_derivative(grad, *xhat)
+        tpsi = kappa * directional_derivative(grad, that1, that2)
+        int_e = _outgoing_density(kappa, c, lpsi, xpsi) * ok
+        int_ebar = _incoming_density(kappa, c, lpsi, xpsi, tpsi) * ok
+        g_f, g_fbar = _flux_densities(kappa, c, lpsi, xpsi)
+        results = [[[area(w, int_e), line(curve, g_f)], [area(w, int_ebar), line(curve, g_fbar)]]
+                   for w, curve in bands]
+        if idx or n:
+            return results
+        # special energy of wbar: the outgoing energy of the single order-0
+        # word, with d2 in place of Xhat and L projected
+        del xpsi, tpsi, int_e, int_ebar, g_f, g_fbar
+        lfluct = _project(lpsi)
+        int_ring = _outgoing_density(kappa, c, lfluct, grad[1]) * ok
+        g_ring_l, g_ring_x = _flux_densities(kappa, c, lfluct, grad[1])
+        return [r + [[area(w, int_ring), line(curve, g_ring_l + g_ring_x)]]
+                for r, (w, curve) in zip(results, bands)]
+
     out = {}
     for psi in psis:
         idx = ("wbar", "w", "psi2").index(psi)
         for n in orders:
             sums = [np.zeros((2, 2)) for _ in u_values]
             for op in words_of_order(n):
-                fields, valid = apply_frame_derivative(op, [inv[idx] for inv in invariants],
-                                                       times, grid)
-                if n >= 1:
-                    fields = [_project(f) for f in fields]
-                lpsi = flow.derivative(*fields)
-                f = fields[side]
-                ok = (valid & flow.valid).astype(float)
-                # grad f is taken once, for Xhat f and T f = kappa That.grad f
-                grad = grid.grad(f)
-                xpsi = directional_derivative(grad, sl.xhat1, sl.xhat2)
-                tpsi = sl.kappa * directional_derivative(grad, sl.that1, sl.that2)
-                # only d2 f is kept, for the special energy of wbar
-                d2psi = grad[1]
-                del grad
-                int_e = _outgoing_density(sl.kappa, c, lpsi, xpsi) * ok
-                int_ebar = _incoming_density(sl.kappa, c, lpsi, xpsi, tpsi) * ok
-                g_f, g_fbar = _flux_densities(sl.kappa, c, lpsi, xpsi)
-                for acc, (w, curve) in zip(sums, bands):
-                    acc += [[area(w, int_e), line(curve, g_f)],
-                            [area(w, int_ebar), line(curve, g_fbar)]]
-            if psi == "wbar" and n == 0:
-                # special energy of wbar: the outgoing energy of the single
-                # order-0 word, with d2 in place of Xhat and L projected
-                lfluct = _project(lpsi)
-                int_ring = _outgoing_density(sl.kappa, c, lfluct, d2psi) * ok
-                g_ring_l, g_ring_x = _flux_densities(sl.kappa, c, lfluct, d2psi)
-                sums = [np.vstack([acc, [area(w, int_ring), line(curve, g_ring_l + g_ring_x)]])
-                        for acc, (w, curve) in zip(sums, bands)]
-            out.update(((psi, n, u), acc) for u, acc in zip(u_values, sums))
+                results = word(idx, n, op)
+                for acc, r in zip(sums, results):
+                    acc += r[:2]
+            if idx == 0 and n == 0:  # the special energy's rows, of the single word
+                sums = [np.vstack([acc, r[2]]) for acc, r in zip(sums, results)]
+            out.update(((psi, n, level), acc) for level, acc in zip(u_values, sums))
     return out
 
 
@@ -463,22 +478,48 @@ class PredicateLine:
     passed: bool
 
 
+def _eroded_band(sl: Slice, delta: float, u_star: float) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """The mask, on the rows of sl.grid, of the band {pad <= u <= u_star - pad}
+    that the data predicates measure, and the hull [lo, hi) of its rows in
+    the whole grid's rows ((0, 0) when it is empty).  The band is eroded by
+    pad, two cell widths, at both u-edges so the corner stencils of the
+    clamped profile stay out of the sup."""
+    pad = 2.0 * sl.grid.dx1 / max(sl.time, delta)
+    mask = (sl.u >= pad) & (sl.u <= u_star - pad)
+    rows = sl.grid.rows.start + np.flatnonzero(mask.any(axis=1))
+    return mask, (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+
+
+def predicate_window(sl: Slice, delta: float, u_star: float) -> Grid:
+    """The rows on which the initial slice sl, foliated on its whole grid, is
+    framed for `check_data_predicates` and its band statistics: the hull of
+    the eroded band's rows and of its band rows, widened by the one row that
+    their x1 derivatives read; its grid when both are empty."""
+    hulls = [h for h in (_eroded_band(sl, delta, u_star)[1], sl.band_rows) if h[0] < h[1]]
+    if not hulls:
+        return sl.grid
+    return sl.grid.around(min(h[0] for h in hulls), max(h[1] for h in hulls), 1)
+
+
 def check_data_predicates(sl: Slice, epsilon: float, delta: float,
                           u_star: float) -> List[PredicateLine]:
-    """Measure the smallness predicates of the framed initial slice over the tracked band.
+    """Measure the smallness predicates of the framed initial slice over the
+    eroded band (`_eroded_band`).
 
     Each line reports the measured sup-norm, its expected scale, and a pass
-    flag tested against 10 * (scale + discretization floor).  The band is
-    eroded by two cell widths at both u-edges so the corner stencils of the
-    clamped profile stay out of the sup.
+    flag tested against 10 * (scale + discretization floor).  The slice may
+    be framed on a window (`predicate_window`); one that lacks a row of the
+    eroded band or the row past it that its x1 derivatives read raises
+    NumericalError naming the time and the row.
     """
     gas, grid = sl.gas, sl.grid
     g = gas.gamma
     cap = 10.0
-    pad = 2.0 * grid.dx1 / max(sl.time, delta)
-    mask = (sl.u >= pad) & (sl.u <= u_star - pad)
-    if not np.any(mask):
+    mask, (lo, hi) = _eroded_band(sl, delta, u_star)
+    if lo == hi:
         raise ValueError("eroded band is empty; grid too coarse for this delta")
+    wide = grid.around(lo, hi, 1)
+    check_rows(wide.lo, wide.hi, grid, sl.time, "the eroded band of the data predicates")
     floor = grid.dx1
 
     def sup(a):

@@ -289,7 +289,9 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
     Fields are read one at a time, and each field's v1, v2 and c once; any
     object with the FlowField attributes time, grid, v1, v2 and c will do.
     A substep runs in x1 strips of the step's height (`euler2d._strip_rows`),
-    so its scratch stays in cache and is one strip high.
+    so its scratch stays in cache and is one strip high.  That scratch lives
+    for one interval: between two yields the stream holds u, with its ghost
+    rows, and the latest field alone, not u_init.
     """
     fields = iter(fields)
     s0 = next(fields, None)
@@ -299,14 +301,13 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
     n1, n2 = grid.n1, grid.n2
     if u_init.shape != (n1, n2):
         raise ValueError("u_init shape does not match the grid")
-    yield s0, u_init.copy()
     height = _strip_rows(grid)
-    # scratch of the stream: u lives in the interior rows of g
+    # u lives in the interior rows of g
     g = np.empty((n1 + 4, n2))
     u = g[2:-2]
     u[...] = u_init
-    diff = np.empty((4, height, n2))
-    work = np.empty((3, (height + 2) * n2))
+    del u_init
+    yield s0, u.copy()
 
     def speeds(planes):
         # max(|v1| + c) and max(|v2| + c), a strip at a time; np.max propagates
@@ -333,25 +334,37 @@ def iter_evolve_u(fields: Iterable[FlowField], u_init: np.ndarray,
         dt_max = cfl / (speed / grid.dx1 + speed2 / grid.dx2)
         nsub = max(1, int(math.ceil((t1 - t0) / dt_max)))
         dt = (t1 - t0) / nsub
-        for m in range(nsub):
-            _reflect_ends(g)
-            # a strip's stencils read u two rows past each of its edges, but the
-            # strip before it has already stepped those rows: their old values
-            # are held and put back while the strip is formed
-            held = None
-            for lo in range(0, n1, height):
-                hi = min(lo + height, n1)
-                if held is not None:
-                    new, g[lo:lo + 2] = g[lo:lo + 2].copy(), held
-                h = _hamiltonian(g[lo:hi + 4], (start, end), slice(lo, hi), (m + 0.5) / nsub,
-                                 grid, diff[:, :hi - lo], work)
-                held = g[hi:hi + 2].copy()
-                if lo:
-                    g[lo:lo + 2] = new
-                h *= dt
-                u[lo:hi] -= h
-        yield s1, u.copy()
+        _substeps(g, (start, end), nsub, dt, grid, height)
         s0, start, start_speeds = s1, end, end_speeds
+        yield s1, u.copy()
+
+
+def _substeps(g, ends, nsub: int, dt: float, grid: Grid, height: int) -> None:
+    """nsub forward-Euler substeps of dt of u, held in the interior rows of g
+    (n1+4, n2), in x1 strips of height rows, with v1, v2 and c mixed from the
+    planes of ends[0] and ends[1] (`_hamiltonian`).  Its scratch, one strip
+    high, lives for this call."""
+    n1, n2 = grid.n1, grid.n2
+    u = g[2:-2]
+    diff = np.empty((4, height, n2))
+    work = np.empty((3, (height + 2) * n2))
+    for m in range(nsub):
+        _reflect_ends(g)
+        # a strip's stencils read u two rows past each of its edges, but the
+        # strip before it has already stepped those rows: their old values
+        # are held and put back while the strip is formed
+        held = None
+        for lo in range(0, n1, height):
+            hi = min(lo + height, n1)
+            if held is not None:
+                new, g[lo:lo + 2] = g[lo:lo + 2].copy(), held
+            h = _hamiltonian(g[lo:hi + 4], ends, slice(lo, hi), (m + 0.5) / nsub,
+                             grid, diff[:, :hi - lo], work)
+            held = g[hi:hi + 2].copy()
+            if lo:
+                g[lo:lo + 2] = new
+            h *= dt
+            u[lo:hi] -= h
 
 
 def foliate(field, u: np.ndarray, band: Optional[np.ndarray]) -> Slice:

@@ -455,30 +455,35 @@ def _send_queued(conn, queue: Queue, gone: threading.Event) -> None:
 
 
 def _received_snapshots(conn, child, gas: PolytropicGas, grid: Grid) -> Iterator[FlowField]:
-    """The snapshots `_send_snapshots` sends, each read straight into one
-    fresh padded (3, n1+2, n2) buffer, ghost rows included; a solver error is
-    raised at the point of the stream where the solve stopped."""
-    while True:
-        try:
-            msg = conn.recv()
-            if isinstance(msg, tuple):
-                q = np.empty((3, grid.n1 + 2, grid.n2))
-                view = memoryview(q).cast("B")
-                while view:
-                    got = os.readv(conn.fileno(), [view])
-                    if not got:  # the child died within the state
-                        raise EOFError
-                    view = view[got:]
-        except (EOFError, OSError):  # OSError: the child died within a message
-            child.join()
-            raise RuntimeError(f"the solver process ended with exit code {child.exitcode} "
-                               "before sending every snapshot") from None
-        if msg is None:
-            return
-        if isinstance(msg, BaseException):
-            raise msg
-        time, boundary_mass_flux = msg
-        yield FlowField(gas, grid, time, q, boundary_mass_flux)
+    """The snapshots `_send_snapshots` sends (`_received_snapshot`); a solver
+    error is raised at the point of the stream where the solve stopped.  The
+    stream keeps no snapshot once it has given it."""
+    return iter(functools.partial(_received_snapshot, conn, child, gas, grid), None)
+
+
+def _received_snapshot(conn, child, gas: PolytropicGas, grid: Grid) -> Optional[FlowField]:
+    """The next snapshot on the pipe, read straight into one fresh padded
+    (3, n1+2, n2) buffer, ghost rows included; None after the last."""
+    try:
+        msg = conn.recv()
+        if isinstance(msg, tuple):
+            q = np.empty((3, grid.n1 + 2, grid.n2))
+            view = memoryview(q).cast("B")
+            while view:
+                got = os.readv(conn.fileno(), [view])
+                if not got:  # the child died within the state
+                    raise EOFError
+                view = view[got:]
+    except (EOFError, OSError):  # OSError: the child died within a message
+        child.join()
+        raise RuntimeError(f"the solver process ended with exit code {child.exitcode} "
+                           "before sending every snapshot") from None
+    if isinstance(msg, BaseException):
+        raise msg
+    if msg is None:
+        return None
+    time, boundary_mass_flux = msg
+    return FlowField(gas, grid, time, q, boundary_mass_flux)
 
 
 @contextlib.contextmanager
@@ -632,12 +637,13 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
     predicates and the one `PairDiagnostics` of each slice pair it closes,
     which the energies and the pair diagnostics share.  The record is framed
     (`geometry.frame_fields`) on the rows that are read: a pair on its band
-    window, slice 0 for the predicates and the final foliation file on the
-    whole grid.  The band statistics of a base slice, its second frame among
-    them, read slice 0's frame or slice k's frame of the energy pair
-    (k - 1, k); the rays read the records of slices k - 1 and k on the rows
-    they reach.  The snapshot itself serves only the bookkeeping and the file
-    of its own iteration, so it is not kept.  A record is dropped once the
+    window, slice 0 for its predicates on `energies.predicate_window`, and
+    the final foliation file on the whole grid.  The band statistics of a
+    base slice, its second frame among them, read slice 0's frame or slice
+    k's frame of the energy pair (k - 1, k); the rays read the records of
+    slices k - 1 and k on the rows they reach.  The snapshot itself serves
+    only the bookkeeping, the file and the fan error of its own iteration,
+    and goes before the rays and the pairs.  A record is dropped once the
     last slice that closes a pair with it has formed that pair; only scalars
     are kept across the run.
 
@@ -674,8 +680,11 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
         # the loop, not the slice, holds the snapshot
         arrived: List[geo.Slice] = []
         level_set = geo.iter_evolve_u(iter(arrived.pop, None), u_init, cfl=cfg.cfl)
+        del u_init  # the level set drops it once its own u holds it
         schedule = _schedule(base_idx, pair_idx)
-        for k, s in enumerate(snapshots):
+        k = -1
+        for s in snapshots:  # not enumerate, whose result tuple would keep s past its `del`
+            k += 1
             step = schedule[k]
             arrived.append(geo.Slice(s))
             flow, u = next(level_set)
@@ -685,22 +694,32 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
             reads[k] = en.read_rows(rec, cfg.u_lo, u_values)
             times.append(rec.time)
 
-            # conservation and symmetry bookkeeping, initial-slice predicates, and
-            # the ray-traced cross-check of the level-set transport: u along a few
-            # generator rays seeded across the band should stay constant
+            # conservation and symmetry bookkeeping, the snapshot's file and the
+            # final fan error are all that the snapshot serves, so it goes before
+            # the rays and the pairs: a forked solve's received buffer with it
             x2_variation = _x2_variation(s, x2_variation)
             mass = total_mass(s)
             if k == 0:
                 mass0 = mass
+            tables["conservation"].append([s.time, mass, s.boundary_mass_flux,
+                                           mass + s.boundary_mass_flux - mass0])
+            if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
+                write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
+            if k == last:
+                l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
+            del s
+
+            # initial-slice predicates, on the rows they read, and the ray-traced
+            # cross-check of the level-set transport: u along a few generator rays
+            # seeded across the band should stay constant
+            if k == 0:
                 rays = geo.RayTrace(rec, x1_seed, x2_seed)
-                sl = geo.frame_fields(rec, grid)
+                sl = geo.frame_fields(rec, en.predicate_window(rec, cfg.delta, cfg.u_star))
                 predicate_lines = en.check_data_predicates(sl, cfg.epsilon, cfg.delta, cfg.u_star)
                 stats[k] = _band_stats(sl)  # a valid ladder starts at the first base time
                 del sl
             else:
                 rays.advance(rec)
-            tables["conservation"].append([s.time, mass, s.boundary_mass_flux,
-                                           mass + s.boundary_mass_flux - mass0])
 
             # one evaluator per pair closing here serves the energies of slice k-1 (and of
             # k at the end), then each (base, partner) pair mapping to it, which spans a few
@@ -731,18 +750,14 @@ def _run_single_inner(cfg: RunConfig, out: Path, config_hash: str, process: str)
                 window[k - 1].cut(grid.around(min(w.lo for w in fixed), max(w.hi for w in fixed),
                                               geo.FRAME_DEPTH))
 
-            if cfg.save_snapshots == "all" or (cfg.save_snapshots == "ends" and k in (0, last)):
-                write_snapshot(s, out / f"snapshot_t{s.time:.4f}.rwl")
-            if k == last:
-                l1_fan_error = _l1_fan_error(cfg, s) if cfg.epsilon == 0.0 else None
-                if cfg.save_snapshots != "none":
-                    sl = geo.frame_fields(rec, grid)
-                    zeta, eta = geo.torsions(sl)
-                    write_planes(grid, sl.time, gas,
-                                 {"u": sl.u, "kappa": sl.kappa, "mu": sl.mu,
-                                  "that1": sl.that1, "that2": sl.that2, "chi": sl.chi,
-                                  "zeta": zeta, "eta": eta},
-                                 out / "foliation_final.rwl")
+            if k == last and cfg.save_snapshots != "none":
+                sl = geo.frame_fields(rec, grid)
+                zeta, eta = geo.torsions(sl)
+                write_planes(grid, sl.time, gas,
+                             {"u": sl.u, "kappa": sl.kappa, "mu": sl.mu,
+                              "that1": sl.that1, "that2": sl.that2, "chi": sl.chi,
+                              "zeta": zeta, "eta": eta},
+                             out / "foliation_final.rwl")
 
     for j, k in enumerate(base_idx):  # merged base times share a slice, and repeat its rows
         for name, row in zip(("kappa_stats", "frame_stats", "second_frame_stats"), stats[k]):

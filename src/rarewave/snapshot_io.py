@@ -59,12 +59,18 @@ def _check_size(path, raw: bytes, expected: int) -> None:
         raise ValueError(f"{path} holds {len(raw)} bytes, its header implies {expected}")
 
 
+def _write_plane(fh, plane: np.ndarray) -> None:
+    """Write the row-major little-endian float64 bytes of plane from its own
+    buffer; only a plane laid out otherwise is copied first."""
+    fh.write(memoryview(np.ascontiguousarray(plane, dtype="<f8")).cast("B"))
+
+
 def write_snapshot(field: FlowField, path) -> None:
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(_pack_header(field.grid, field.time, field.gas))
         for plane in (field.rho, field.m1, field.m2):
-            fh.write(np.ascontiguousarray(plane, dtype="<f8").tobytes())
+            _write_plane(fh, plane)
 
 
 def read_snapshot(path) -> FlowField:
@@ -91,7 +97,7 @@ def write_planes(grid: Grid, t: float, gas: PolytropicGas,
         for name, plane in planes.items():
             if plane.shape != (grid.n1, grid.n2):
                 raise ValueError(f"plane {name!r} has shape {plane.shape}")
-            fh.write(np.ascontiguousarray(plane, dtype="<f8").tobytes())
+            _write_plane(fh, plane)
 
 
 def read_planes(path):

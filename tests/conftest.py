@@ -1,5 +1,7 @@
+import inspect
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +193,45 @@ def read_rows_oracle(sl, u_min, u_values):
         if crossed.size:
             rows += [max(crossed[0] - 1, 0), min(crossed[-1] + 2, grid.n1 - 1)]
     return (int(min(rows)), int(max(rows)) + 1) if rows else (0, 0)
+
+
+class StagePeaks:
+    """Traced memory per call of some stage functions, under tracemalloc.
+
+    `watch` wraps a function of a module so that each call records the
+    traced memory at its entry and the traced peak from there to its return,
+    measured from a `tracemalloc.reset_peak` at its entry; a generator
+    function is consumed whole within its call.  The watched functions must
+    not call one another.  `peak` is the traced peak of the whole span, the
+    peaks between the calls included, and `above_entry(name)` the largest
+    rise of a call of name over its entry.
+    """
+
+    def __init__(self):
+        self.calls = {}  # name: [(entry, peak), ...] in bytes
+        self._between = 0
+
+    def watch(self, monkeypatch, module, name):
+        fn = getattr(module, name)
+
+        def watched(*args, **kwargs):
+            entry, before = tracemalloc.get_traced_memory()
+            self._between = max(self._between, before)
+            tracemalloc.reset_peak()
+            try:
+                out = fn(*args, **kwargs)
+                return iter(list(out)) if inspect.isgenerator(out) else out
+            finally:
+                self.calls.setdefault(name, []).append((entry, tracemalloc.get_traced_memory()[1]))
+
+        monkeypatch.setattr(module, name, watched)
+
+    @property
+    def peak(self):
+        return max(self._between, tracemalloc.get_traced_memory()[1])
+
+    def above_entry(self, name):
+        return max(peak - entry for entry, peak in self.calls[name])
 
 
 @pytest.fixture

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from rarewave.energies import (EnergyAnalysis, FrameDerivativeOp, GronwallHypothesisError,
                                GronwallInstance, apply_frame_derivative,
                                check_data_predicates, energies_of_slice, extract_level_curve,
-                               fit_gronwall_constants, gronwall_verify, read_rows,
-                               region_weights, words_of_order)
-from rarewave.euler2d import (FlowField, PerturbationSpec, SolverConfig,
+                               fit_gronwall_constants, gronwall_verify, predicate_window,
+                               read_rows, region_weights, words_of_order)
+from rarewave.euler2d import (FlowField, PerturbationMode, PerturbationSpec, SolverConfig,
                               init_perturbed_rarefaction, run)
-from rarewave.geometry import PairDiagnostics, evolve_u, foliate
+from rarewave.geometry import PairDiagnostics, band_mask, evolve_u, foliate, frame_fields
 from rarewave.riemann1d import CenteredFan, NumericalError
 
 from conftest import (GAS2, bilinear_oracle, fan_field, framed, make_uniform_field,
@@ -359,6 +359,61 @@ class TestDataPredicates:
             lines = {p.name: p for p in check_data_predicates(sl, eps, delta, 1.5)}
             sups[eps] = lines["sup|Xhat wbar|"].measured
         assert 1.7 < sups[0.02] / sups[0.01] < 2.3
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(n1=st.integers(32, 64), n2=st.integers(8, 16), delta=st.floats(0.25, 0.6),
+           epsilon=st.floats(0.0, 0.05), k1=st.integers(0, 3), k2=st.integers(1, 4),
+           phase=st.floats(0.0, 6.0), u_lo=st.floats(0.0, 0.5), u_star=st.floats(0.8, 1.5))
+    def test_windowed_frame_gives_the_whole_grid_lines(self, n1, n2, delta, epsilon, k1, k2,
+                                                       phase, u_lo, u_star):
+        # a run frames slice 0 on `predicate_window`: the hull of the eroded band's
+        # rows and of the band rows, widened by the row their x1 derivatives read.
+        # Its lines are those of the whole-grid frame, bit for bit
+        spec = PerturbationSpec(epsilon=epsilon, modes=(PerturbationMode(k1, k2, 1.0, phase),),
+                                strip=(-0.5, 1.1))
+        rec = initial_record(n1, n2, delta, spec, u_lo, u_star)
+        window = predicate_window(rec, delta, u_star)
+        try:
+            whole = check_data_predicates(frame_fields(rec, rec.grid), epsilon, delta, u_star)
+        except ValueError as exc:  # an empty eroded band
+            with pytest.raises(ValueError, match=str(exc)):
+                check_data_predicates(frame_fields(rec, window), epsilon, delta, u_star)
+            return
+        lines = check_data_predicates(frame_fields(rec, window), epsilon, delta, u_star)
+        assert [predicate_bits(p) for p in lines] == [predicate_bits(p) for p in whole]
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_window_one_row_narrower_raises(self, side):
+        # a frame one row short of the eroded band's rows and the row past them
+        # that their x1 derivatives read names the time and the missing row, where
+        # a NaN sup would read as a failed predicate
+        delta, u_star = 0.4, 1.5
+        spec = PerturbationSpec(epsilon=0.02, modes=(PerturbationMode(2, 1, 1.0, 0.4),),
+                                strip=(-0.5, 1.1))
+        rec = initial_record(64, 16, delta, spec, 0.3, u_star, banded=False)
+        exact = predicate_window(rec, delta, u_star)
+        assert 0 < exact.lo and exact.hi < rec.grid.n1
+        assert all(p.passed for p in check_data_predicates(frame_fields(rec, exact), 0.02,
+                                                          delta, u_star))
+        short = rec.grid.window(exact.lo + (side == "lo"), exact.hi - (side == "hi"))
+        row = exact.lo if side == "lo" else exact.hi - 1
+        with pytest.raises(NumericalError, match=rf"at t=0\.4 needs row {row}, outside"):
+            check_data_predicates(frame_fields(rec, short), 0.02, delta, u_star)
+
+
+def initial_record(n1, n2, delta, spec, u_lo, u_star, banded=True):
+    """A run's record of slice 0: the initial field of a n1 x n2 grid of
+    x1 in [-1, 1.2] at t = delta, foliated by u = 1 - x1/delta with the band
+    [u_lo, u_star], or with no band."""
+    grid = small_grid(n1=n1, n2=n2, x1_min=-1.0, x1_max=1.2)
+    f = init_perturbed_rarefaction(GAS2, grid, delta, (0.0, 1.0), spec, u_glue=1.9)
+    u = 1.0 - grid.mesh()[0] / delta
+    return foliate(f, u, band_mask(u, u_lo, u_star) if banded else None)
+
+
+def predicate_bits(p):
+    return p.name, float(p.measured).hex(), float(p.scale).hex(), p.passed
 
 
 def oracle_instance(rng, n_t=12, n_u=9):

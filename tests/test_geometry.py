@@ -203,6 +203,29 @@ class TestEvolveU:
             tracemalloc.stop()
         assert peak / u0.nbytes <= 20.0
 
+    def test_stream_holds_u_alone_between_yields(self):
+        # between two yields the stream holds u with its ghost rows and the latest
+        # field, besides the copy it yields: its difference and work scratch (7
+        # planes here) lives for one interval, and it keeps neither u_init, whose
+        # only reference it is given, nor the field before the latest.  Every
+        # field is formed while traced, and the loop drops the one it is given
+        grid = small_grid(n1=256, n2=64)
+        X1, _ = grid.mesh()
+        u0 = 1.0 - X1 / 0.3
+        plane = u0.nbytes
+        tracemalloc.start()
+        try:
+            fields = (Slice(manufactured_field(grid, t)) for t in (0.3, 0.33, 0.36, 0.4))
+            held = []
+            for _, u in iter_evolve_u(fields, u0.copy()):
+                del _
+                held.append(tracemalloc.get_traced_memory()[0] / plane)
+        finally:
+            tracemalloc.stop()
+        # g (n1 + 4 rows), the latest field's v1, v2 and c, and the yielded copy
+        expected = (grid.n1 + 4) / grid.n1 + 3.0 + 1.0
+        assert len(held) == 4 and max(held) <= expected + 0.25, held
+
     def test_degenerate_gradient_detected(self):
         grid = small_grid(n1=32, n2=8)
         f = make_uniform_field(GAS2, grid, c=1.0, time=0.3)

@@ -28,7 +28,7 @@ import rarewave.euler2d as euler2d
 import rarewave.geometry as geo
 import rarewave.harness as harness
 
-from conftest import GAS2, fan_field, perturbed_pair, same_bits, small_grid
+from conftest import GAS2, StagePeaks, fan_field, perturbed_pair, same_bits, small_grid
 
 TINY = """
 [grid]
@@ -440,19 +440,22 @@ def streamed_run(tmp_path_factory):
     return cfg, out, peak[0]
 
 
-def traced_peak_in_planes(cfg, out, monkeypatch):
-    """The traced peak of an inline run of cfg, in planes of its grid.  The
-    rows of a cut record, which live in anonymous mappings that tracemalloc
-    does not see, are held on the heap here, so that they count."""
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # the solve runs traced
+def traced_peak_in_planes(cfg, out, monkeypatch, process="inline", stages=None):
+    """The traced peak of a run of cfg in this process, in planes of its grid,
+    with the solve inline (traced too) or forked (the run's own process
+    alone); stages, a `StagePeaks`, sees the calls it watches.  The rows of a
+    cut record, which live in anonymous mappings that tracemalloc does not
+    see, are held on the heap here, so that they count."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1 if process == "inline" else 2)
     monkeypatch.setattr(geo.mmap, "mmap", lambda fileno, length: bytearray(length))
+    stages = stages or StagePeaks()
     tracemalloc.start()
     try:
         run_single(cfg, out_dir=out)
-        _, peak = tracemalloc.get_traced_memory()
+        peak = stages.peak
     finally:
         tracemalloc.stop()
-    assert solve_manifest(out)["solve"]["process"] == "inline"
+    assert solve_manifest(out)["solve"]["process"] == process
     return peak / (cfg.n1 * cfg.n2 * 8)
 
 
@@ -514,11 +517,33 @@ class TestStreamedRun:
         assert all(freed_at[k] <= k + 1 for k in range(slices)), freed_at
 
     def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
-        # at most 4 records of about 4 planes alive at once, with the solver's and
-        # the level set's scratch, the rays' generator velocity and one pair's
-        # frames and temporaries on its band window (54 planes); records that
-        # kept a whole-grid frame, 12 planes each, reach 78
-        assert traced_peak_in_planes(parse_config(STREAMED), tmp_path, monkeypatch) <= 58.0
+        # at most 4 records of about 4 planes alive at once, with the solver's
+        # state, the level set's u and one pair's frames and temporaries on its
+        # band window (34.1 planes); the level set's scratch kept between slices,
+        # slice 0 framed on the whole grid and the energy densities formed on the
+        # whole window reached 47.0, and records that kept a whole-grid frame, 12
+        # planes each, 78
+        assert traced_peak_in_planes(parse_config(STREAMED), tmp_path, monkeypatch) <= 36.0
+
+    def test_forked_traced_peak_in_planes(self, tmp_path, monkeypatch):
+        # the run's own process with the solve forked: each received snapshot, a
+        # padded (3, n1+2, n2) buffer, goes once its bookkeeping and its file are
+        # done, before the rays and the pairs (30.7 planes); kept through its
+        # iteration it adds about 3 planes, and the parent's run read 46.7
+        assert traced_peak_in_planes(parse_config(STREAMED), tmp_path, monkeypatch,
+                                     process="forked") <= 32.0
+
+    def test_energies_peak_above_entry_in_planes(self, tmp_path, monkeypatch):
+        # energies_of_slice forms its densities on the slice's read rows alone and
+        # drops each word's planes before the next word (10.6 planes above its
+        # entry, most of them the pair's invariants and generator stencil, formed
+        # on first use, and one whole-grid zero plane); on the whole band window
+        # it rose by 15.4
+        stages = StagePeaks()
+        stages.watch(monkeypatch, en, "energies_of_slice")
+        cfg = parse_config(STREAMED)
+        traced_peak_in_planes(cfg, tmp_path, monkeypatch, stages=stages)
+        assert stages.above_entry("energies_of_slice") / (cfg.n1 * cfg.n2 * 8) <= 12.0
 
     def test_outputs_match_recorded_digests(self, streamed_run):
         _, out, _ = streamed_run
@@ -577,10 +602,13 @@ class TestDenseLadder:
 
     def test_traced_peak_in_planes(self, tmp_path, monkeypatch):
         # no record stays whole past its energy pair: one with long pairs holds
-        # only the rows they frame (53 planes at the peak); keeping whole the
-        # records of the pairs whose later slice is the base reaches 58, and
-        # holding every waiting record's whole planes 69
-        assert traced_peak_in_planes(parse_config(DENSE), tmp_path, monkeypatch) <= 55.0
+        # only the rows they frame (40.5 planes at the peak, with every stage's
+        # scratch living for that stage alone); the level set's scratch kept
+        # between slices, slice 0 framed on the whole grid and the energy
+        # densities formed on the whole window reached 52.5, keeping whole the
+        # records of the pairs whose later slice is the base 58, and holding
+        # every waiting record's whole planes 69
+        assert traced_peak_in_planes(parse_config(DENSE), tmp_path, monkeypatch) <= 42.0
 
 
 class TestSchedule:
