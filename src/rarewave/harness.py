@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -61,6 +61,98 @@ PAIR_CELLS = 4
 # the Riemann invariants whose energies a run measures, in report order
 PSIS = ("wbar", "w", "psi2")
 
+# numpy's default_rng and SHA-256, copied in plain integers: numpy.random and
+# hashlib, both of which load OpenSSL, would add about 6.5 MiB to a run's peak
+# memory
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: List[int], mult: int) -> int:
+    """SeedSequence's hash of a 32-bit word; advances const[0]."""
+    value ^= const[0]
+    const[0] = const[0] * mult & _M32
+    value = value * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return r ^ r >> 16
+
+
+def _phases(seed: int, count: int) -> List[float]:
+    """count draws of np.random.default_rng(seed).uniform(0.0, 2*pi), bit for
+    bit: SeedSequence(seed) mixes the seed's 32-bit words into a pool of 4 and
+    seeds PCG64 (O'Neill, HMC-CS-2014-0905), whose XSL-RR outputs give the
+    doubles."""
+    words = [seed >> s & _M32 for s in range(0, seed.bit_length(), 32)]
+    const = [0x43B0D7E5]
+    pool = [_hashmix(words[i] if i < len(words) else 0, const, 0x931E8875) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], const, 0x931E8875))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, const, 0x931E8875))
+    # generate_state(4, uint64): the low word of each uint64 comes first
+    const = [0x8B51F9DD]
+    w = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
+    s0, s1, i0, i1 = (w[i] | w[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (i0 << 64 | i1) << 1 & _M128 | 1
+    state = ((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _M128
+    phases = []
+    for _ in range(count):
+        state = state * _PCG_MULT + inc & _M128
+        x, r = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> r | x << 64 - r) & _M64
+        phases.append(2.0 * math.pi * ((x >> 11) * 2.0 ** -53))
+    return phases
+
+
+def _root_bits(count: int, root: int) -> List[int]:
+    """The first 32 bits of the fractional parts of the root-th roots of the
+    first count primes: SHA-256's constants (FIPS 180-4, 4.2.2 and 5.3.3)."""
+    primes = [p for p in range(2, 312) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    bits = []
+    for p in primes[:count]:
+        scaled = p << 32 * root
+        x = int(scaled ** (1.0 / root))
+        while x ** root > scaled:
+            x -= 1
+        while (x + 1) ** root <= scaled:
+            x += 1
+        bits.append(x & _M32)
+    return bits
+
+
+_SHA_H, _SHA_K = _root_bits(8, 2), _root_bits(64, 3)
+
+
+def _rotr(x: int, n: int) -> int:
+    return x >> n | x << 32 - n & _M32
+
+
+def _sha256(data: bytes) -> str:
+    """The SHA-256 of data, in hex (FIPS 180-4)."""
+    digest = list(_SHA_H)
+    data += b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    for at in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(at, at + 64, 4)]
+        for i in range(16, 64):
+            u, v = w[i - 15], w[i - 2]
+            w.append(w[i - 16] + w[i - 7] + (_rotr(u, 7) ^ _rotr(u, 18) ^ u >> 3)
+                     + (_rotr(v, 17) ^ _rotr(v, 19) ^ v >> 10) & _M32)
+        a, b, c, d, e, f, g, h = digest
+        for k, x in zip(_SHA_K, w):
+            t1 = h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25)) + (e & f ^ ~e & g) + k + x
+            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, h = t1 + t2 & _M32, a, b, c, d + t1 & _M32, e, f, g
+        digest = [x + y & _M32 for x, y in zip(digest, (a, b, c, d, e, f, g, h))]
+    return b"".join(x.to_bytes(4, "big") for x in digest).hex()
+
 
 @dataclass
 class RunConfig:
@@ -106,6 +198,8 @@ class RunConfig:
             raise ConfigError("fan head speed v0 + c0 must be positive")
         if self.delta <= 0.0:
             raise ConfigError("delta must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be non-negative")
         # the gas, grid, fan strip, perturbation and solver objects check their own fields
         try:
             self.gas()
@@ -155,11 +249,9 @@ class RunConfig:
         return Grid(self.n1, self.n2, self.x1_min, self.x1_max)
 
     def perturbation(self) -> PerturbationSpec:
-        rng = np.random.default_rng(self.seed)
-        modes = tuple(
-            PerturbationMode(k1=k1, k2=k2, amplitude=amp,
-                             phase=float(rng.uniform(0.0, 2.0 * math.pi)))
-            for (k1, k2, amp) in self.modes)
+        modes = tuple(PerturbationMode(k1=k1, k2=k2, amplitude=amp, phase=phase)
+                      for (k1, k2, amp), phase in zip(self.modes,
+                                                      _phases(self.seed, len(self.modes))))
         return PerturbationSpec(epsilon=self.epsilon, modes=modes,
                                 strip=(self.strip_lo, self.strip_hi))
 
@@ -201,7 +293,7 @@ class RunConfig:
 
     def content_hash(self) -> str:
         payload = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        return _sha256(payload)[:16]
 
 
 @dataclass
@@ -310,12 +402,11 @@ def _l1_fan_error(cfg: RunConfig, snapshot: FlowField) -> float:
 
 
 def _source_digest() -> str:
-    """SHA-256 of the package's Python sources."""
-    digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+    """The interpreter's source hash of the package's Python sources, each
+    file name followed by its bytes."""
+    sources = b"".join(path.name.encode() + path.read_bytes()
+                       for path in sorted(Path(__file__).parent.glob("*.py")))
+    return importlib.util.source_hash(sources).hex()
 
 
 def run_single(cfg: RunConfig, out_dir: Optional[Path] = None, *,
@@ -331,7 +422,7 @@ def run_single(cfg: RunConfig, out_dir: Optional[Path] = None, *,
     """
     cfg.validate()
     key = {"config_hash": cfg.content_hash(), "version": __version__,
-           "source_sha256": _source_digest(), "numpy": np.__version__}
+           "source_digest": _source_digest(), "numpy": np.__version__}
     out = Path(out_dir) if out_dir is not None else Path(cfg.out_dir) / f"run-{key['config_hash']}"
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "MANIFEST.json"

@@ -329,6 +329,26 @@ class TestX2Roll:
                 np.testing.assert_allclose(side_k[key], e, rtol=1e-12, atol=0.0, err_msg=str(key))
 
 
+class TestBandEnergyNaN:
+    @pytest.fixture(scope="class", params=[(64, 16), (48, 8)], ids=["64x16", "48x8"])
+    def pair(self, request):
+        return perturbed_pair(*request.param)
+
+    @settings(max_examples=20, deadline=None)
+    @given(side=st.integers(0, 1), data=st.data())
+    def test_nan_in_a_read_row_is_named(self, pair, side, data):
+        # kappa enters only the densities of its own cell, so one NaN cell of
+        # the frame makes a NaN band energy on its row alone
+        slices = [framed(s, u) for s, u in pair]
+        diag, sl, u_values = PairDiagnostics(*slices), slices[side], [0.75, 1.3]
+        lo, hi = read_rows(sl, 0.3, u_values)
+        row = data.draw(st.integers(lo, hi - 1), label="row")
+        sl.kappa[row - diag.grid.rows.start, data.draw(st.integers(0, sl.grid.n2 - 1))] = np.nan
+        with pytest.raises(NumericalError, match=rf"^a band energy is NaN at "
+                                                 rf"t={sl.time:.6g}, row {row}, of the rows "):
+            energies_of_slice(diag, side, (lo, hi), ["wbar", "w", "psi2"], [0, 1], u_values, 0.3)
+
+
 class TestDataPredicates:
     def test_unperturbed_fan_passes(self):
         grid = small_grid(n1=512)

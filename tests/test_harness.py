@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,9 +8,12 @@ import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,9 +119,11 @@ class TestParse:
         (lambda: parse_config("[output]\ndir = a\n\ndir = b\n"),
          "line 4: dir is given twice, first on line 2"),
         (lambda: parse_config("[grid]\nn1 = 256.0\n"), "line 2: bad value for n1"),
+        (lambda: parse_config("[perturbation]\nseed = -1\n"), "seed = -1 must be non-negative"),
     ], ids=["flux", "integrator", "with_fluxes", "n1", "epsilon", "epsilon_nan", "v0_nan",
             "mode_amplitude_nan", "u_levels_0", "u_levels_negative", "fan_strip",
-            "ladder_before_delta", "repeated_key", "repeated_output_dir", "fractional_int"])
+            "ladder_before_delta", "repeated_key", "repeated_output_dir", "fractional_int",
+            "negative_seed"])
     def test_rejected_configs(self, make, match):
         with pytest.raises(ConfigError, match=match):
             make()
@@ -213,6 +219,73 @@ class TestConfigRoundTrip:
             text += f"[{section}]\n{line}\n"
         with pytest.raises(ConfigError, match=fault):
             parse_config(text)
+
+
+class TestStdlibCopies:
+    """The run's own copies of numpy's default_rng phases and of SHA-256 give
+    the bits of the originals, which stay here as oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 200 - 1), count=st.integers(0, 8))
+    @example(seed=0, count=8)
+    @example(seed=2 ** 32, count=2)
+    def test_phases_are_default_rng_draws(self, seed, count):
+        spec = RunConfig(seed=seed, modes=((0, 1, 1.0),) * count).perturbation()
+        rng = np.random.default_rng(seed)
+        expected = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(count)]
+        assert same_bits([m.phase for m in spec.modes], expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=valid_configs())
+    def test_content_hash_is_sha256_of_the_payload(self, cfg):
+        payload = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode()
+        assert cfg.content_hash() == hashlib.sha256(payload).hexdigest()[:16]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=300))
+    @example(data=b"")  # the padding edges: the length word fits in the last block or not
+    @example(data=bytes(range(55)))
+    @example(data=bytes(range(56)))
+    @example(data=bytes(range(63)))
+    @example(data=bytes(range(64)))
+    @example(data=bytes(range(119)))
+    @example(data=bytes(range(120)))
+    def test_sha256_is_hashlib(self, data):
+        assert harness._sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+# a TINY run solved inline, one solved forked and a one-worker study, in a
+# fresh interpreter; prints the watched modules that the runs imported beyond
+# those of `import numpy` (on numpy < 2 that holds numpy.random)
+IMPORTS_SCRIPT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from rarewave import harness
+out, config = sys.argv[1:]
+for process, cpus in (("inline", 1), ("forked", 2)):
+    harness._usable_cpus = lambda cpus=cpus: cpus
+    harness.run_single(harness.parse_config(config), out_dir=f"{out}/{process}")
+    manifest = json.load(open(f"{out}/{process}/MANIFEST.json"))
+    assert manifest["solve"]["process"] == process, manifest
+study = harness.run_study(harness.StudySpec("epsilon_scaling", (0.02, 0.01)),
+                          harness.parse_config(config), f"{out}/study")
+assert study["failures"] == [], study["failures"]
+watched = ("numpy.random", "secrets", "hmac", "hashlib", "_hashlib")
+print(json.dumps([m for m in watched if m in sys.modules and m not in before]))
+"""
+
+
+class TestImports:
+    def test_runs_load_neither_numpy_random_nor_openssl(self, tmp_path):
+        # pytest itself loads both, so the runs go in a fresh interpreter
+        src = str(Path(harness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", IMPORTS_SCRIPT, str(tmp_path), TINY],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 class TestSnapshotIO:
